@@ -1,51 +1,48 @@
 """Block and chain data model, canonical byte encoding, verification, and
 provenance queries.
 
-The canonical encoding is the injective, length-prefixed layout every digest
-and signature in the system is computed over. Fixed-width fields are written
-raw; variable fields get a big-endian u32 length prefix. Timestamps are
-simulation ticks, never wall-clock.
+The canonical encoding is the injective, length-prefixed layout (see
+`codec`) every digest and signature in the system is computed over.
+Timestamps are simulation ticks, never wall-clock.
+
+`validate_block` is the one definition of a valid block: `Chain.append`,
+`verify_chain` and the validators' `record_protocol.validate_proposal` all
+call it.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import crypto
+from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
 from .crypto import Keypair, digest
 from .merkle import build_tree
 
 ZERO_DIGEST = b"\x00" * crypto.DIGEST_LEN
 MAX_DATA_CLASS_LEN = 64
 
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-
 
 class ChainError(Exception):
-    """Base for chain-level failures."""
-
-
-class EncodingError(ChainError):
-    """A field violates its declared size or value bounds."""
+    """Base for chain-level failures. A block fault is one of the subclasses
+    below or an EncodingError; its ``reason`` names it in a Violation."""
 
 
 class LinkMismatchError(ChainError):
-    pass
+    reason = "link-mismatch"
 
 
 class RootMismatchError(ChainError):
-    pass
+    reason = "root-mismatch"
 
 
 class BadSignatureError(ChainError):
-    pass
+    reason = "bad-signature"
 
 
 class TimestampRegressionError(ChainError):
-    pass
+    reason = "timestamp-regression"
 
 
 class ExportFormatError(ChainError):
@@ -113,47 +110,6 @@ class Violation:
 
 # --- canonical encoding -------------------------------------------------
 
-def encode_u64(value: int) -> bytes:
-    if not 0 <= value < 2**64:
-        raise EncodingError(f"value {value} outside u64 range")
-    return _U64.pack(value)
-
-
-def encode_var_bytes(data: bytes) -> bytes:
-    return _U32.pack(len(data)) + data
-
-
-class ByteReader:
-    """Strict sequential reader for the canonical encoding."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise EncodingError("truncated input")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def var_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise EncodingError("trailing bytes")
-
-
 def _check_fixed(name: str, data: bytes, n: int) -> bytes:
     if len(data) != n:
         raise EncodingError(f"{name} must be {n} bytes, got {len(data)}")
@@ -214,30 +170,26 @@ def record_digest(record: Record) -> bytes:
     return digest(record_bytes(record))
 
 
-def header_signing_bytes(
-    prev_block_digest: bytes, timestamp_tick: int, merkle_root: bytes, recorder_public_key: bytes
-) -> bytes:
+def header_signing_bytes(header: BlockHeader) -> bytes:
+    """Every header field but the recorder signature, which signs them."""
     return b"".join(
         (
-            _check_fixed("prev digest", prev_block_digest, crypto.DIGEST_LEN),
-            encode_u64(timestamp_tick),
-            _check_fixed("merkle root", merkle_root, crypto.DIGEST_LEN),
-            _check_fixed("recorder key", recorder_public_key, crypto.PUBLIC_KEY_LEN),
+            _check_fixed("prev digest", header.prev_block_digest, crypto.DIGEST_LEN),
+            encode_u64(header.timestamp_tick),
+            _check_fixed("merkle root", header.merkle_root, crypto.DIGEST_LEN),
+            _check_fixed("recorder key", header.recorder_public_key, crypto.PUBLIC_KEY_LEN),
         )
     )
 
 
 def header_bytes(header: BlockHeader) -> bytes:
-    return header_signing_bytes(
-        header.prev_block_digest,
-        header.timestamp_tick,
-        header.merkle_root,
-        header.recorder_public_key,
-    ) + _check_fixed("recorder signature", header.recorder_signature, crypto.SIGNATURE_LEN)
+    return header_signing_bytes(header) + _check_fixed(
+        "recorder signature", header.recorder_signature, crypto.SIGNATURE_LEN
+    )
 
 
 def block_bytes(block: Block) -> bytes:
-    parts = [header_bytes(block.header), _U32.pack(len(block.records))]
+    parts = [header_bytes(block.header), U32.pack(len(block.records))]
     parts.extend(record_bytes(r) for r in block.records)
     return b"".join(parts)
 
@@ -280,18 +232,15 @@ def make_block(
     timestamp_tick: int,
     records: tuple[Record, ...],
 ) -> Block:
-    root = merkle_root_of(records)
-    signing = header_signing_bytes(prev_block_digest, timestamp_tick, root, recorder.public_key)
-    return Block(
-        header=BlockHeader(
-            prev_block_digest=prev_block_digest,
-            timestamp_tick=timestamp_tick,
-            merkle_root=root,
-            recorder_public_key=recorder.public_key,
-            recorder_signature=crypto.sign(recorder.private_key, signing),
-        ),
-        records=records,
+    unsigned = BlockHeader(
+        prev_block_digest=prev_block_digest,
+        timestamp_tick=timestamp_tick,
+        merkle_root=merkle_root_of(records),
+        recorder_public_key=recorder.public_key,
+        recorder_signature=b"",
     )
+    signature = crypto.sign(recorder.private_key, header_signing_bytes(unsigned))
+    return Block(header=replace(unsigned, recorder_signature=signature), records=records)
 
 
 # --- chain --------------------------------------------------------------
@@ -319,40 +268,53 @@ class Chain:
         return block_digest(self.tip)
 
     def append(self, block: Block) -> "Chain":
-        validate_block(block, self.tip)
+        """The chain with ``block`` added; raises the block's first fault."""
+        error = validate_block(block, self.tip).error()
+        if error is not None:
+            raise error
         return Chain(self.blocks + (block,))
 
 
-def validate_block(block: Block, prev_block: Block | None) -> None:
-    """Check one block against its predecessor. Raises a distinct error per
-    violated invariant; genesis passes ``prev_block=None``."""
-    expected_prev = ZERO_DIGEST if prev_block is None else block_digest(prev_block)
-    if block.header.prev_block_digest != expected_prev:
-        raise LinkMismatchError("prev_block_digest does not match prior block")
-    if prev_block is not None and block.header.timestamp_tick < prev_block.header.timestamp_tick:
-        raise TimestampRegressionError("timestamp_tick decreased")
-    if block.header.merkle_root != merkle_root_of(block.records):
-        raise RootMismatchError("merkle_root does not match records")
-    signing = header_signing_bytes(
-        block.header.prev_block_digest,
-        block.header.timestamp_tick,
-        block.header.merkle_root,
-        block.header.recorder_public_key,
+@dataclass(frozen=True)
+class BlockCheck:
+    """Result of `validate_block`: the first header-level fault, and the
+    indices of records whose uploader signature fails (checked only when
+    the header holds)."""
+
+    fault: ChainError | EncodingError | None
+    bad_records: tuple[int, ...] = ()
+
+    def error(self) -> ChainError | EncodingError | None:
+        """The block's first fault, header before records."""
+        if self.fault is None and self.bad_records:
+            return BadSignatureError(f"record {self.bad_records[0]} uploader signature invalid")
+        return self.fault
+
+
+def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
+    """Check one block against its predecessor: link, timestamp, Merkle
+    root and recorder signature, in that order, then every record's
+    uploader signature. Genesis passes ``prev_block=None``."""
+    header = block.header
+    try:
+        expected_prev = ZERO_DIGEST if prev_block is None else block_digest(prev_block)
+        if header.prev_block_digest != expected_prev:
+            return BlockCheck(LinkMismatchError("prev_block_digest does not match prior block"))
+        if prev_block is not None and header.timestamp_tick < prev_block.header.timestamp_tick:
+            return BlockCheck(TimestampRegressionError("timestamp_tick decreased"))
+        if header.merkle_root != merkle_root_of(block.records):
+            return BlockCheck(RootMismatchError("merkle_root does not match records"))
+        signing = header_signing_bytes(header)
+    except EncodingError as exc:
+        return BlockCheck(exc)
+    if not crypto.verify(header.recorder_public_key, signing, header.recorder_signature):
+        return BlockCheck(BadSignatureError("recorder signature invalid"))
+    bad = tuple(
+        i
+        for i, r in enumerate(block.records)
+        if not crypto.verify(r.uploader_public_key, r.payload_digest, r.uploader_signature)
     )
-    if not crypto.verify(block.header.recorder_public_key, signing, block.header.recorder_signature):
-        raise BadSignatureError("recorder signature invalid")
-    for i, record in enumerate(block.records):
-        if not crypto.verify(record.uploader_public_key, record.payload_digest, record.uploader_signature):
-            raise BadSignatureError(f"record {i} uploader signature invalid")
-
-
-_REASONS = {
-    LinkMismatchError: "link-mismatch",
-    TimestampRegressionError: "timestamp-regression",
-    RootMismatchError: "root-mismatch",
-    BadSignatureError: "bad-signature",
-    EncodingError: "encoding-error",
-}
+    return BlockCheck(None, bad)
 
 
 def verify_chain(chain: Chain) -> Violation | None:
@@ -360,10 +322,9 @@ def verify_chain(chain: Chain) -> Violation | None:
     holds, else the earliest violation."""
     prev: Block | None = None
     for i, block in enumerate(chain.blocks):
-        try:
-            validate_block(block, prev)
-        except ChainError as exc:
-            return Violation(index=i, reason=_REASONS.get(type(exc), "invalid"))
+        error = validate_block(block, prev).error()
+        if error is not None:
+            return Violation(index=i, reason=error.reason)
         prev = block
     return None
 

@@ -145,7 +145,7 @@ def _cmd_verify(args) -> int:
 def _cmd_inspect(args) -> int:
     chain, code = _load_chain(args.chain)
     if chain is None:
-        return 2
+        return code
     print("block\ttick\ttime\trecords\tmerkle_root\trecorder")
     for i, block in enumerate(chain.blocks):
         h = block.header

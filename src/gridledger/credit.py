@@ -75,6 +75,7 @@ class CreditLedger:
 
     def __init__(self, node_ids: Iterable[int], initial_credit: int = 0):
         self._credits: dict[int, int] = {nid: initial_credit for nid in node_ids}
+        self._initial_credit = initial_credit
         self.events: list[CreditEvent] = []
 
     def credit(self, node_id: int) -> int:
@@ -97,13 +98,9 @@ class CreditLedger:
         return event
 
     def replay_matches(self) -> bool:
-        """The ledger must equal the fold of its own audit log."""
-        folded = {nid: 0 for nid in self._credits}
-        initial = {nid: self._credits[nid] for nid in self._credits}
-        for event in self.events:
-            folded[event.node_id] += event.delta
-            initial[event.node_id] -= event.delta
-        return all(initial[nid] + folded[nid] == self._credits[nid] for nid in self._credits)
+        """The ledger must equal the fold of its own audit log from the
+        initial credit."""
+        return fold_events(self._credits, self.events, self._initial_credit) == self._credits
 
 
 def fold_events(node_ids: Iterable[int], events: Iterable[CreditEvent], initial_credit: int = 0) -> dict[int, int]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -32,6 +31,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from .codec import ByteReader, encode_var_bytes
+
 SEED_LEN = 32
 DIGEST_LEN = 32
 PUBLIC_KEY_LEN = 64   # Ed25519 verify key (32) || X25519 seal key (32)
@@ -44,8 +45,6 @@ ENCRYPTED_KEY_LEN = 32 + SESSION_KEY_LEN + 16  # ephemeral pub || wrapped key+ta
 _KEY_DERIVE_INFO = b"gridledger/node-identity"
 _ENVELOPE_INFO = b"gridledger/envelope-wrap"
 _WRAP_NONCE = b"\x00" * NONCE_LEN  # key-encryption key is single-use per envelope
-
-_U32 = struct.Struct(">I")
 
 
 class CryptoError(Exception):
@@ -76,27 +75,14 @@ class Envelope:
     ciphertext: bytes
 
     def to_bytes(self) -> bytes:
-        return b"".join(
-            _U32.pack(len(part)) + part
-            for part in (self.encrypted_key, self.nonce, self.ciphertext)
-        )
+        return b"".join(map(encode_var_bytes, (self.encrypted_key, self.nonce, self.ciphertext)))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
-        parts = []
-        pos = 0
-        for _ in range(3):
-            if pos + 4 > len(data):
-                raise MalformedEnvelopeError("truncated envelope")
-            (n,) = _U32.unpack_from(data, pos)
-            pos += 4
-            if pos + n > len(data):
-                raise MalformedEnvelopeError("truncated envelope")
-            parts.append(data[pos : pos + n])
-            pos += n
-        if pos != len(data):
-            raise MalformedEnvelopeError("trailing bytes after envelope")
-        return cls(encrypted_key=parts[0], nonce=parts[1], ciphertext=parts[2])
+        reader = ByteReader(data, MalformedEnvelopeError)
+        encrypted_key, nonce, ciphertext = (reader.var_bytes() for _ in range(3))
+        reader.expect_end()
+        return cls(encrypted_key=encrypted_key, nonce=nonce, ciphertext=ciphertext)
 
 
 def _entropy(rng, n: int) -> bytes:

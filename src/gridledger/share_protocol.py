@@ -16,7 +16,8 @@ from enum import Enum
 
 from . import chain as chain_mod
 from . import crypto
-from .chain import ByteReader, Chain, RecordKind, RecordMetadata, encode_u64
+from .chain import Chain, RecordKind, RecordMetadata
+from .codec import ByteReader, encode_u64, encode_var_bytes
 from .crypto import Envelope, Keypair
 from .datastore import DataStore
 
@@ -51,7 +52,7 @@ class ShareEnvelope:
                 self.receiver_public_key,
                 self.claimed_digest,
                 self.signed_digest,
-                chain_mod.encode_var_bytes(self.payload_envelope.to_bytes()),
+                encode_var_bytes(self.payload_envelope.to_bytes()),
             )
         )
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import struct
 from dataclasses import dataclass, field, replace
 
 from . import chain as chain_mod
@@ -46,13 +45,12 @@ from . import credit as credit_mod
 from . import record_protocol as record_mod
 from . import share_protocol as share_mod
 from .chain import Block, Chain, Record, RecordKind, RecordMetadata
+from .codec import U64
 from .credit import CreditEvent, CreditLedger, CreditReason, NodeProfile, RoleAssignment
 from .crypto import Keypair, digest, generate_keypair
 from .datastore import DataStore, RepairReport, ReplicaStatus, StorageError
 from .record_protocol import PermissionList, UploadError, UploadRejected
 from .share_protocol import ShareRejected, ShareTransaction
-
-_U64 = struct.Struct(">Q")
 
 FAULT_KINDS = (
     "forge-record",
@@ -249,16 +247,19 @@ class _UploadFlow:
     metadata: RecordMetadata
     ordinal: int | None
     forged: bool
-    share_tx: bool
 
 
 @dataclass
 class _Msg:
+    """In-flight message: ``obj`` is what it carries (an envelope for both
+    envelope kinds), ``flow`` the upload it belongs to, if any."""
+
     kind: str
     src: int
     dst: int
     obj: object
     data: bytes
+    flow: _UploadFlow | None = None
     tampered_by: int | None = None
 
 
@@ -333,10 +334,6 @@ class SimReport:
     deliveries: tuple[ShareDelivery, ...]
     share_failures: tuple[tuple[int, int, int, str], ...]
     upload_failures: tuple[tuple[int, int, str], ...]
-    blocks_committed: int
-    blocks_rejected: int
-    records_committed: int
-    records_quarantined: int
     rounds_skipped: int
     message_counts: dict[str, int]
     trace_lines: tuple[str, ...]
@@ -344,6 +341,22 @@ class SimReport:
     upload_digests: dict[int, bytes]
     upload_payloads: dict[int, bytes]
     pending_left: tuple[Record, ...]
+
+    @property
+    def blocks_committed(self) -> int:
+        return len(self.chain) - 1
+
+    @property
+    def blocks_rejected(self) -> int:
+        return len(self.rejections)
+
+    @property
+    def records_committed(self) -> int:
+        return sum(len(block.records) for block in self.chain.blocks)
+
+    @property
+    def records_quarantined(self) -> int:
+        return len(self.quarantine)
 
     def chain_export_text(self) -> str:
         return chain_mod.export_chain(self.chain)
@@ -428,7 +441,7 @@ class Sim:
         profiles = []
         for nid, assessment in node_decls:
             keypair = generate_keypair(
-                digest(b"gridledger/node/" + _U64.pack(seed64) + _U64.pack(nid))
+                digest(b"gridledger/node/" + U64.pack(seed64) + U64.pack(nid))
             )
             self.nodes[nid] = _Node(node_id=nid, keypair=keypair, assessment=assessment)
             profiles.append(
@@ -474,10 +487,6 @@ class Sim:
         self.epoch_changes: list[EpochChange] = []
         self.repair_reports: list[RepairReport] = []
         self.message_counts: dict[str, int] = {}
-        self.blocks_committed = 0
-        self.blocks_rejected = 0
-        self.records_committed = 0
-        self.records_quarantined = 0
         self.rounds_skipped = 0
 
         self._events: list[tuple[int, int, str, object]] = []
@@ -516,11 +525,13 @@ class Sim:
         self._trace_rng(label, f"n={n};digest={digest(data)[:8].hex()}")
         return data
 
-    def _send(self, kind: str, src: int, dst: int, obj: object, data: bytes, delay: int | None = None) -> None:
-        delay = self.config.message_delay_ticks if delay is None else delay
+    def _send(
+        self, kind: str, src: int, dst: int, obj: object, data: bytes, flow: _UploadFlow | None = None
+    ) -> None:
         self.tap.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
         self.message_counts[kind] = self.message_counts.get(kind, 0) + 1
-        self._schedule(self.tick + delay, "msg", _Msg(kind=kind, src=src, dst=dst, obj=obj, data=data))
+        msg = _Msg(kind=kind, src=src, dst=dst, obj=obj, data=data, flow=flow)
+        self._schedule(self.tick + self.config.message_delay_ticks, "msg", msg)
 
     def _note_sync_message(self, kind: str, src: int, dst: int, data: bytes, detail: str) -> None:
         # consensus-phase messages are same-tick; trace and tap them directly
@@ -594,7 +605,6 @@ class Sim:
             ),
             ordinal=plan.ordinal,
             forged=False,
-            share_tx=False,
         )
         self._start_upload(flow)
 
@@ -625,7 +635,7 @@ class Sim:
     def _start_upload(self, flow: _UploadFlow) -> None:
         duty = credit_mod.duty_recorder(self.assignment, self.tick // self.config.block_interval_ticks)
         uploader_key = self.nodes[flow.uploader_id].keypair.public_key
-        self._send("upload-request", flow.uploader_id, duty, flow, uploader_key)
+        self._send("upload-request", flow.uploader_id, duty, None, uploader_key, flow)
 
     # --- faults ---------------------------------------------------------------
 
@@ -677,7 +687,6 @@ class Sim:
                 ),
                 ordinal=None,
                 forged=True,
-                share_tx=False,
             )
         )
 
@@ -742,10 +751,7 @@ class Sim:
         new_obj = replace(msg.obj, payload_envelope=new_env)
         self.fault_outcomes[fault_index].outcome = f"applied@{self.tick}"
         self._trace("tamper", msg.src, msg.dst, f"kind={msg.kind};byte={pos}")
-        return _Msg(
-            kind=msg.kind, src=msg.src, dst=msg.dst, obj=new_obj,
-            data=msg.data, tampered_by=fault_index,
-        )
+        return replace(msg, obj=new_obj, tampered_by=fault_index)
 
     def _deliver(self, msg: _Msg) -> None:
         node = self.nodes[msg.dst]
@@ -764,17 +770,18 @@ class Sim:
             self._on_share_envelope(msg)
 
     def _on_upload_request(self, msg: _Msg) -> None:
-        flow: _UploadFlow = msg.obj
+        flow = msg.flow
         granted = record_mod.request_upload(
             self.nodes[flow.uploader_id].keypair.public_key, self.permissions
         )
         self._trace("upload-request", msg.src, msg.dst, f"granted={granted}")
         recorder_key = self.nodes[msg.dst].keypair.public_key
         flag = b"\x01" if granted else b"\x00"
-        self._send("upload-grant", msg.dst, msg.src, (flow, granted, recorder_key), flag + recorder_key)
+        self._send("upload-grant", msg.dst, msg.src, (granted, recorder_key), flag + recorder_key, flow)
 
     def _on_upload_grant(self, msg: _Msg) -> None:
-        flow, granted, recorder_key = msg.obj
+        flow = msg.flow
+        granted, recorder_key = msg.obj
         if not granted:
             self.upload_failures.append((self.tick, flow.uploader_id, "permission-denied"))
             self._trace("upload-grant", msg.src, msg.dst, "denied")
@@ -784,10 +791,10 @@ class Sim:
         envelope = record_mod.prepare_upload(
             self.nodes[flow.uploader_id].keypair, recorder_key, flow.payload, flow.metadata, self.rng
         )
-        self._send("upload-envelope", msg.dst, msg.src, (flow, envelope), envelope.to_bytes())
+        self._send("upload-envelope", msg.dst, msg.src, envelope, envelope.to_bytes(), flow)
 
     def _on_upload_envelope(self, msg: _Msg) -> None:
-        flow, envelope = msg.obj
+        flow, envelope = msg.flow, msg.obj
         recorder = self.nodes[msg.dst]
         self._trace_rng("seal-at-rest", f"owner={flow.uploader_id}")
         try:
@@ -845,7 +852,6 @@ class Sim:
                 metadata=tx_metadata,
                 ordinal=None,
                 forged=False,
-                share_tx=True,
             )
         )
 
@@ -886,7 +892,7 @@ class Sim:
         for vid in proposal.validator_ids:
             validator = self.nodes[vid]
             vote = record_mod.validate_proposal(
-                validator.keypair, vid, proposal, self.chain.tip_digest, self._predicate
+                validator.keypair, vid, proposal, self.chain.tip, self._predicate
             )
             if validator.byzantine:
                 inverted_ok = not vote.ok
@@ -909,8 +915,6 @@ class Sim:
         )
         if result.committed:
             self.chain = result.chain
-            self.blocks_committed += 1
-            self.records_committed += len(proposal.block.records)
             self.pending = []
             for nid, node in self.nodes.items():
                 if node.crashed:
@@ -925,8 +929,6 @@ class Sim:
                 f"r={round_index} committed block={len(self.chain) - 1} records={len(proposal.block.records)}",
             )
         else:
-            self.blocks_rejected += 1
-            self.records_quarantined += len(result.quarantined)
             flagged = []
             for index, record in result.quarantined:
                 self.quarantine.append(
@@ -1015,10 +1017,6 @@ class Sim:
             deliveries=tuple(self.deliveries),
             share_failures=tuple(self.share_failures),
             upload_failures=tuple(self.upload_failures),
-            blocks_committed=self.blocks_committed,
-            blocks_rejected=self.blocks_rejected,
-            records_committed=self.records_committed,
-            records_quarantined=self.records_quarantined,
             rounds_skipped=self.rounds_skipped,
             message_counts=dict(self.message_counts),
             trace_lines=tuple(self.trace_lines),

@@ -180,6 +180,16 @@ class TestInspect:
         assert out[1].startswith("0\t0\t0m00s\t0")
         assert out[2].startswith("1\t600\t10m00s\t6")
 
+    def test_undecodable_block_exits_one(self, tmp_path, capsys):
+        _, out_dir = run_scenario(tmp_path, name="honest.txt")
+        lines = (out_dir / "chain.txt").read_text().splitlines()
+        lines[2] = lines[2][:-2]  # drop the last byte of block 2
+        bad = tmp_path / "truncated.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["inspect", str(bad)]) == 1
+        assert "violation at block 2: undecodable" in capsys.readouterr().out
+
 
 def test_unknown_flag_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:

@@ -182,7 +182,7 @@ class TestValidateProposal:
     def test_clean_block_gets_ok_vote(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [(10, b"fine")])
-        vote = validate_proposal(keys[3], 3, proposal, chain.tip_digest, lambda r: True)
+        vote = validate_proposal(keys[3], 3, proposal, chain.tip, lambda r: True)
         assert vote.ok and vote.bad_indices == ()
 
     def test_fabricated_record_flagged(self, net):
@@ -190,7 +190,7 @@ class TestValidateProposal:
         chain, proposal = make_proposal(net, [(10, b"good"), (20, b"fake"), (30, b"good2")])
         fake = crypto.digest(b"fake")
         vote = validate_proposal(
-            keys[3], 3, proposal, chain.tip_digest, lambda r: r.payload_digest != fake
+            keys[3], 3, proposal, chain.tip, lambda r: r.payload_digest != fake
         )
         assert not vote.ok
         assert vote.bad_indices == (1,)
@@ -198,19 +198,19 @@ class TestValidateProposal:
     def test_header_level_failure_flags_no_records(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [(10, b"x")])
-        vote = validate_proposal(keys[3], 3, proposal, b"\x11" * 32, lambda r: True)
+        vote = validate_proposal(keys[3], 3, proposal, genesis("other"), lambda r: True)
         assert not vote.ok and vote.bad_indices == ()
 
     def test_unassigned_validator_rejected(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [])
         with pytest.raises(ProtocolError):
-            validate_proposal(keys[1], 1, proposal, chain.tip_digest, lambda r: True)
+            validate_proposal(keys[1], 1, proposal, chain.tip, lambda r: True)
 
     def test_vote_signature_verifies(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [(10, b"x")])
-        vote = validate_proposal(keys[3], 3, proposal, chain.tip_digest, lambda r: True)
+        vote = validate_proposal(keys[3], 3, proposal, chain.tip, lambda r: True)
         from gridledger.record_protocol import vote_signing_bytes
 
         assert crypto.verify(
@@ -301,6 +301,30 @@ class TestCommit:
         )
         with pytest.raises(ProtocolError):
             commit(proposal, [forged, votes[1], votes[2]], chain, ledger, pks, uids)
+
+    def test_timestamp_regression_voted_erroneous_and_not_committed(self, net):
+        keys, assignment, permissions = net
+        chain = Chain((genesis("t"),))
+        chain = chain.append(chain_mod.make_block(keys[0], chain.tip_digest, 600, ()))
+        pending = pending_records(keys, permissions, [(10, b"early")])
+        ledger = CreditLedger(range(6))
+        pks = {i: keys[i].public_key for i in range(6)}
+        uids = {keys[i].public_key: i for i in range(6)}
+        for tick, ok in ((600, True), (5, False)):  # the tip's own tick is allowed
+            proposal = seal_block(
+                keys[1], 1, pending, chain.tip_digest, tick, 3, assignment.candidates, random.Random(1)
+            )
+            votes = [
+                validate_proposal(keys[v], v, proposal, chain.tip, lambda r: True)
+                for v in proposal.validator_ids
+            ]
+            assert [(v.ok, v.bad_indices) for v in votes] == [(ok, ())] * 3, tick
+        result = commit(proposal, votes, chain, ledger, pks, uids)
+        assert not result.committed
+        assert result.chain is chain
+        assert result.quarantined == ()
+        assert result.survivors == tuple(pending)
+        assert ledger.credit(1) == -1  # recorder block-erroneous
 
     def test_vote_from_unassigned_validator_rejected(self, net):
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [])

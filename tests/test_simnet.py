@@ -308,7 +308,9 @@ class TestFaults:
         assert "local-verify=violation@1" in outcome.outcome
 
     def test_tamper_in_flight_rejected_by_receiver(self):
-        scenario = (
+        # the share envelope at its receiver, then the upload envelope at
+        # the duty recorder
+        at_share_receiver = (
             SIX_NODES
             + "authorize 2\nauthorize 4\n"
             + "upload 2 load 64 at 10\n"
@@ -316,19 +318,37 @@ class TestFaults:
             + "share 2 4 0 at 700\n"
             + "run until 1300\n"
         )
-        report = run(new_sim(desk_config(seed=8), scenario))
-        assert len(report.deliveries) == 0
-        assert any(r == "decryption-failure" for _, _, _, r in report.share_failures)
-        outcome = next(f for f in report.fault_outcomes if f.spec.kind == "tamper-in-flight")
-        assert "rejected=decryption-failure" in outcome.outcome
-        # nothing recorded for the failed share
-        shares = [
-            r
-            for b in report.chain.blocks
-            for r in b.records
-            if r.metadata.kind is RecordKind.SHARE_TRANSACTION
-        ]
-        assert shares == []
+        at_upload_recorder = """\
+node 0 assessment 60
+node 1 assessment 50
+node 2 assessment 40
+node 3 assessment 30
+node 4 assessment 20
+node 5 assessment 10
+authorize 4
+upload 4 load 96 at 50
+fault tamper-in-flight 0 at 40
+run until 1200
+"""
+        cases = (
+            (at_share_receiver, 8, "share_failures", 1),
+            (at_upload_recorder, 7, "upload_failures", 0),
+        )
+        for scenario, seed, failures, records in cases:
+            report = run(new_sim(desk_config(seed=seed), scenario))
+            assert len(report.deliveries) == 0
+            assert any(f[-1] == "decryption-failure" for f in getattr(report, failures)), failures
+            outcome = next(f for f in report.fault_outcomes if f.spec.kind == "tamper-in-flight")
+            assert "rejected=decryption-failure" in outcome.outcome
+            # nothing recorded for the failed share or upload
+            assert report.records_committed == records
+            shares = [
+                r
+                for b in report.chain.blocks
+                for r in b.records
+                if r.metadata.kind is RecordKind.SHARE_TRANSACTION
+            ]
+            assert shares == []
 
     def test_byzantine_validator_penalized(self):
         scenario = SIX_NODES + "fault byzantine-validator 3 at 10\nrun until 1200\n"
