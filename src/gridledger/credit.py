@@ -86,9 +86,6 @@ class CreditLedger:
     def credits(self) -> dict[int, int]:
         return dict(self._credits)
 
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(self._credits)
-
     def _apply(self, node_id: int, delta: int, reason: CreditReason, tick: int) -> CreditEvent:
         if node_id not in self._credits:
             raise KeyError(f"unknown node {node_id}")

@@ -66,17 +66,15 @@ class DataStore:
         # placement chosen at put time, remembered for audit and recovery
         self.placements: dict[bytes, tuple[str, ...]] = {}
 
-    def _rank_units(self, payload_digest: bytes, unit_ids: list[str]) -> list[str]:
-        return sorted(unit_ids, key=lambda uid: digest(payload_digest + uid.encode()), reverse=True)
-
-    def placement_for(self, payload_digest: bytes, unit_ids: list[str] | None = None) -> tuple[str, ...]:
-        """Rendezvous placement over the given units (default: live ones)."""
-        pool = unit_ids if unit_ids is not None else [u.unit_id for u in self.units.values() if u.alive]
+    def placement_for(self, payload_digest: bytes) -> tuple[str, ...]:
+        """Rendezvous placement over the live units."""
+        pool = [u.unit_id for u in self.units.values() if u.alive]
         if len(pool) < self.replication_factor:
             raise StorageError(
                 f"need {self.replication_factor} live units, have {len(pool)}"
             )
-        return tuple(self._rank_units(payload_digest, pool)[: self.replication_factor])
+        ranked = sorted(pool, key=lambda uid: digest(payload_digest + uid.encode()), reverse=True)
+        return tuple(ranked[: self.replication_factor])
 
     def put(self, obj: StoredObject) -> tuple[str, ...]:
         """Place on replication_factor distinct live units; re-putting an

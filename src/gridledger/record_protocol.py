@@ -129,15 +129,15 @@ def prepare_upload(
 ) -> UploadEnvelope:
     """Sign the payload digest and seal the payload to the duty recorder.
     The plaintext never leaves the uploader unencrypted."""
+    payload_digest = crypto.digest(payload)
     chain_mod.record_bytes(  # eager bounds check on metadata via a throwaway record
         Record(
             uploader_public_key=uploader.public_key,
-            payload_digest=crypto.digest(payload),
+            payload_digest=payload_digest,
             metadata=metadata,
             uploader_signature=b"\x00" * crypto.SIGNATURE_LEN,
         )
     )
-    payload_digest = crypto.digest(payload)
     return UploadEnvelope(
         uploader_public_key=uploader.public_key,
         claimed_digest=payload_digest,

@@ -116,7 +116,7 @@ def initiate_share(
     if owner != sender.public_key:
         raise ShareRejected(ShareError.NOT_OWNER)
     stored = store.get(payload_digest)
-    if stored is None:
+    if stored is None or stored.owner_public_key != sender.public_key:
         raise ShareRejected(ShareError.DATASTORE_MISS)
     plaintext = crypto.decrypt(sender.private_key, stored.ciphertext)
     return ShareEnvelope(

@@ -26,10 +26,19 @@ Scenario files are line-oriented text; ``#`` starts a comment::
 
 ``<upload-ref>`` is the 0-based ordinal of an ``upload`` directive in file
 order (payload digests are seed-derived, so a scenario cannot name them).
-Fault kinds: ``forge-record`` (the target fabricates an upload at the
-activation tick; params ``class=``, ``size=``), ``tamper-chain-copy``
-(params ``block=``), ``tamper-in-flight``, ``crash-node``,
-``byzantine-validator``, ``fail-storage-unit`` (params ``recover=<tick>``).
+Fault kinds and the ``key=value`` params each takes (any other key is a parse
+error; numbers are non-negative):
+
+- ``forge-record <node>`` fabricates an upload at the activation tick:
+  ``class=`` (1..64 bytes, default ``grid``), ``size=`` (default 32).
+- ``tamper-chain-copy <node>`` corrupts one block of the node's chain copy:
+  ``block=<index>`` (default drawn from the RNG).
+- ``tamper-in-flight <node>`` flips a ciphertext bit of the next envelope the
+  node receives; ``crash-node <node>`` and ``byzantine-validator <node>``
+  (inverts its verdicts) take no params either.
+- ``fail-storage-unit <unit>`` (``u<n>`` or ``<n>``) wipes the unit:
+  ``recover=<tick>``, after the fault tick, restores it from the replicas.
+
 If no ``node`` directives appear, ``node_count`` nodes with assessment 0 are
 created.
 """
@@ -38,7 +47,10 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from enum import Enum
+from typing import Callable
 
 from . import chain as chain_mod
 from . import credit as credit_mod
@@ -49,17 +61,27 @@ from .codec import U64
 from .credit import CreditEvent, CreditLedger, CreditReason, NodeProfile, RoleAssignment
 from .crypto import Keypair, digest, generate_keypair
 from .datastore import DataStore, RepairReport, ReplicaStatus, StorageError
-from .record_protocol import PermissionList, UploadError, UploadRejected
-from .share_protocol import ShareRejected, ShareTransaction
+from .record_protocol import PermissionList, UploadEnvelope, UploadError, UploadRejected
+from .share_protocol import ShareEnvelope, ShareRejected, ShareTransaction
 
-FAULT_KINDS = (
-    "forge-record",
-    "tamper-chain-copy",
-    "tamper-in-flight",
-    "crash-node",
-    "byzantine-validator",
-    "fail-storage-unit",
-)
+
+class FaultKind(str, Enum):
+    """A fault a scenario can inject; the value is its scenario keyword."""
+
+    FORGE_RECORD = "forge-record"
+    TAMPER_CHAIN_COPY = "tamper-chain-copy"
+    TAMPER_IN_FLIGHT = "tamper-in-flight"
+    CRASH_NODE = "crash-node"
+    BYZANTINE_VALIDATOR = "byzantine-validator"
+    FAIL_STORAGE_UNIT = "fail-storage-unit"
+
+
+# The params each kind accepts; every one but ``class`` is a non-negative int.
+_FAULT_PARAMS: dict[FaultKind, tuple[str, ...]] = {
+    FaultKind.FORGE_RECORD: ("class", "size"),
+    FaultKind.TAMPER_CHAIN_COPY: ("block",),
+    FaultKind.FAIL_STORAGE_UNIT: ("recover",),
+}
 
 
 @dataclass
@@ -105,10 +127,12 @@ class SharePlan:
 
 @dataclass
 class FaultSpec:
-    kind: str
+    """``params`` hold ints, except ``class``, as `parse_scenario` stores them."""
+
+    kind: FaultKind
     target: int | str
     tick: int
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, int | str] = field(default_factory=dict)
     line: int = 0
 
 
@@ -127,6 +151,28 @@ def _int_field(token: str, line: int, what: str) -> int:
         return int(token)
     except ValueError:
         raise ScenarioError(line, f"{what} must be an integer, got {token!r}") from None
+
+
+def _fault_params(kind: FaultKind, tick: int, tokens: list[str], line: int) -> dict[str, int | str]:
+    params: dict[str, int | str] = {}
+    for token in tokens:
+        if "=" not in token:
+            raise ScenarioError(line, f"fault parameter {token!r} is not key=value")
+        key, value = token.split("=", 1)
+        if key not in _FAULT_PARAMS.get(kind, ()):
+            raise ScenarioError(line, f"{kind.value} takes no parameter {key!r}")
+        if key == "class":
+            if not 1 <= len(value.encode("utf-8")) <= 64:
+                raise ScenarioError(line, "class parameter must be 1..64 bytes")
+            params[key] = value
+            continue
+        number = _int_field(value, line, key)
+        if number < 0:
+            raise ScenarioError(line, f"{key} must be non-negative")
+        params[key] = number
+    if params.get("recover", tick + 1) <= tick:
+        raise ScenarioError(line, "recover must be after the fault tick")
+    return params
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -187,33 +233,19 @@ def parse_scenario(text: str) -> Scenario:
         elif directive == "fault":
             if len(tokens) < 5 or tokens[3] != "at":
                 raise ScenarioError(lineno, "expected: fault <kind> <target> at <tick> [k=v ...]")
-            kind = tokens[1]
-            if kind not in FAULT_KINDS:
-                raise ScenarioError(lineno, f"unknown fault kind {kind!r}")
-            params: dict[str, str] = {}
-            for token in tokens[5:]:
-                if "=" not in token:
-                    raise ScenarioError(lineno, f"fault parameter {token!r} is not key=value")
-                key, value = token.split("=", 1)
-                params[key] = value
-            for key in ("size", "block", "recover"):
-                if key in params:
-                    _int_field(params[key], lineno, key)
-            if "class" in params and not 1 <= len(params["class"].encode("utf-8")) <= 64:
-                raise ScenarioError(lineno, "class parameter must be 1..64 bytes")
+            try:
+                kind = FaultKind(tokens[1])
+            except ValueError:
+                raise ScenarioError(lineno, f"unknown fault kind {tokens[1]!r}") from None
+            tick = _int_field(tokens[4], lineno, "tick")
+            params = _fault_params(kind, tick, tokens[5:], lineno)
             target: int | str
-            if kind == "fail-storage-unit":
+            if kind is FaultKind.FAIL_STORAGE_UNIT:
                 target = tokens[2] if tokens[2].startswith("u") else f"u{tokens[2]}"
             else:
                 target = _int_field(tokens[2], lineno, "target node")
             scenario.faults.append(
-                FaultSpec(
-                    kind=kind,
-                    target=target,
-                    tick=_int_field(tokens[4], lineno, "tick"),
-                    params=params,
-                    line=lineno,
-                )
+                FaultSpec(kind=kind, target=target, tick=tick, params=params, line=lineno)
             )
         elif directive == "run":
             if len(tokens) != 3 or tokens[1] != "until":
@@ -229,15 +261,23 @@ def parse_scenario(text: str) -> Scenario:
 
 # --- runtime pieces -------------------------------------------------------
 
+def _flip_bit(data: bytes, index: int) -> bytes:
+    """``data`` with the low bit of byte ``index`` inverted."""
+    return data[:index] + bytes([data[index] ^ 0x01]) + data[index + 1 :]
+
+
 @dataclass
 class _Node:
-    node_id: int
     keypair: Keypair
     assessment: int
-    crashed: bool = False
+    crash: FaultOutcome | None = None  # the crash-node fault that took it down
     byzantine: bool = False
-    tamper_armed: list[int] = field(default_factory=list)  # fault indices
+    tamper_armed: list[FaultOutcome] = field(default_factory=list)
     local_chain: list[Block] = field(default_factory=list)
+
+    @property
+    def crashed(self) -> bool:
+        return self.crash is not None
 
 
 @dataclass
@@ -245,8 +285,7 @@ class _UploadFlow:
     uploader_id: int
     payload: bytes
     metadata: RecordMetadata
-    ordinal: int | None
-    forged: bool
+    forge: FaultOutcome | None = None  # set on a forge-record fault's upload
 
 
 @dataclass
@@ -258,9 +297,8 @@ class _Msg:
     src: int
     dst: int
     obj: object
-    data: bytes
     flow: _UploadFlow | None = None
-    tampered_by: int | None = None
+    tampered_by: FaultOutcome | None = None
 
 
 @dataclass(frozen=True)
@@ -284,7 +322,6 @@ class QuarantineEntry:
 class RejectionEntry:
     tick: int
     proposer_id: int
-    flagged_digests: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -307,8 +344,12 @@ class EpochChange:
 
 @dataclass
 class FaultOutcome:
+    """``outcome`` is the text ``metrics.txt`` shows for the fault, written
+    as the run goes; ``detected_tick`` is when the system caught it."""
+
     spec: FaultSpec
     outcome: str
+    detected_tick: int | None = None
 
 
 @dataclass
@@ -335,7 +376,6 @@ class SimReport:
     share_failures: tuple[tuple[int, int, int, str], ...]
     upload_failures: tuple[tuple[int, int, str], ...]
     rounds_skipped: int
-    message_counts: dict[str, int]
     trace_lines: tuple[str, ...]
     tap: tuple[TapEntry, ...]
     upload_digests: dict[int, bytes]
@@ -357,6 +397,10 @@ class SimReport:
     @property
     def records_quarantined(self) -> int:
         return len(self.quarantine)
+
+    @property
+    def message_counts(self) -> dict[str, int]:
+        return dict(Counter(entry.kind for entry in self.tap))
 
     def chain_export_text(self) -> str:
         return chain_mod.export_chain(self.chain)
@@ -383,8 +427,9 @@ class SimReport:
         out.append(f"share_failures={len(self.share_failures)}")
         out.append(f"upload_failures={len(self.upload_failures)}")
         out.append(f"pending_left={len(self.pending_left)}")
-        for kind in sorted(self.message_counts):
-            out.append(f"messages.{kind}={self.message_counts[kind]}")
+        message_counts = self.message_counts
+        for kind in sorted(message_counts):
+            out.append(f"messages.{kind}={message_counts[kind]}")
         out.append("")
         out.append("[roles]")
         for nid in sorted(self.credits):
@@ -412,7 +457,7 @@ class SimReport:
         out.append("")
         out.append("[faults]")
         for fo in self.fault_outcomes:
-            out.append(f"{fo.spec.kind}\t{fo.spec.target}\t{fo.spec.tick}\t{fo.outcome}")
+            out.append(f"{fo.spec.kind.value}\t{fo.spec.target}\t{fo.spec.tick}\t{fo.outcome}")
         out.append("")
         out.append("[nodes]")
         for nid in sorted(self.node_status):
@@ -443,7 +488,7 @@ class Sim:
             keypair = generate_keypair(
                 digest(b"gridledger/node/" + U64.pack(seed64) + U64.pack(nid))
             )
-            self.nodes[nid] = _Node(node_id=nid, keypair=keypair, assessment=assessment)
+            self.nodes[nid] = _Node(keypair=keypair, assessment=assessment)
             profiles.append(
                 NodeProfile(node_id=nid, public_key=keypair.public_key, assessment=assessment)
             )
@@ -472,8 +517,7 @@ class Sim:
         )
 
         self.pending: list[Record] = []
-        self.forged_digests: set[bytes] = set()
-        self._forge_outcome_by_digest: dict[bytes, FaultOutcome] = {}
+        self._forged: dict[Record, FaultOutcome] = {}  # accepted forged records, until decided
         self.upload_digests: dict[int, bytes] = {}
         self.upload_payloads: dict[int, bytes] = {}
         self.trace_lines: list[str] = []
@@ -486,19 +530,34 @@ class Sim:
         self.fault_outcomes: list[FaultOutcome] = []
         self.epoch_changes: list[EpochChange] = []
         self.repair_reports: list[RepairReport] = []
-        self.message_counts: dict[str, int] = {}
+        self._tampered_copies: list[FaultOutcome] = []
         self.rounds_skipped = 0
 
-        self._events: list[tuple[int, int, str, object]] = []
+        # (tick, sequence, handler, payload): a due event is handler(payload)
+        self._events: list[tuple[int, int, Callable, object]] = []
         self._seq = 0
+        self._fault_handlers: dict[FaultKind, Callable[[FaultOutcome], None]] = {
+            FaultKind.FORGE_RECORD: self._on_forge_record,
+            FaultKind.TAMPER_CHAIN_COPY: self._on_tamper_chain_copy,
+            FaultKind.TAMPER_IN_FLIGHT: self._on_tamper_in_flight,
+            FaultKind.CRASH_NODE: self._on_crash_node,
+            FaultKind.BYZANTINE_VALIDATOR: self._on_byzantine_validator,
+            FaultKind.FAIL_STORAGE_UNIT: self._on_fail_storage_unit,
+        }
+        self._message_handlers: dict[str, Callable[[_Msg], None]] = {
+            "upload-request": self._on_upload_request,
+            "upload-grant": self._on_upload_grant,
+            "upload-envelope": self._on_upload_envelope,
+            "share-envelope": self._on_share_envelope,
+        }
 
         for plan in scenario.uploads:
             self._require_node(plan.node_id, plan.line)
-            self._schedule(plan.tick, "upload", plan)
+            self._schedule(plan.tick, self._on_upload_plan, plan)
         for plan in scenario.shares:
             self._require_node(plan.sender, plan.line)
             self._require_node(plan.receiver, plan.line)
-            self._schedule(plan.tick, "share", plan)
+            self._schedule(plan.tick, self._on_share_plan, plan)
         for spec in scenario.faults:
             self.inject_fault(spec)
 
@@ -508,8 +567,8 @@ class Sim:
         if nid not in self.nodes:
             raise ScenarioError(line, f"unknown node {nid}")
 
-    def _schedule(self, tick: int, kind: str, payload: object) -> None:
-        heapq.heappush(self._events, (tick, self._seq, kind, payload))
+    def _schedule(self, tick: int, handler: Callable, payload: object) -> None:
+        heapq.heappush(self._events, (tick, self._seq, handler, payload))
         self._seq += 1
 
     def _trace(self, kind: str, src: int | None, dst: int | None, detail: str) -> None:
@@ -529,30 +588,28 @@ class Sim:
         self, kind: str, src: int, dst: int, obj: object, data: bytes, flow: _UploadFlow | None = None
     ) -> None:
         self.tap.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
-        self.message_counts[kind] = self.message_counts.get(kind, 0) + 1
-        msg = _Msg(kind=kind, src=src, dst=dst, obj=obj, data=data, flow=flow)
-        self._schedule(self.tick + self.config.message_delay_ticks, "msg", msg)
+        msg = _Msg(kind=kind, src=src, dst=dst, obj=obj, flow=flow)
+        self._schedule(self.tick + self.config.message_delay_ticks, self._deliver, msg)
 
     def _note_sync_message(self, kind: str, src: int, dst: int, data: bytes, detail: str) -> None:
         # consensus-phase messages are same-tick; trace and tap them directly
         self.tap.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
-        self.message_counts[kind] = self.message_counts.get(kind, 0) + 1
         self._trace(kind, src, dst, detail)
 
     def inject_fault(self, spec: FaultSpec) -> None:
-        """Arm a fault; its perturbation fires at the activation tick."""
-        if spec.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {spec.kind!r}")
-        if spec.kind == "fail-storage-unit":
-            if str(spec.target) not in self.store.units:
+        """Arm a fault; its perturbation fires at the activation tick.
+        Raises ValueError for a kind that is not a `FaultKind` value."""
+        spec = replace(spec, kind=FaultKind(spec.kind))
+        if spec.kind is FaultKind.FAIL_STORAGE_UNIT:
+            if spec.target not in self.store.units:
                 raise ScenarioError(spec.line, f"unknown storage unit {spec.target}")
         else:
-            self._require_node(int(spec.target), spec.line)
+            self._require_node(spec.target, spec.line)
         if spec.tick < self.tick:
             raise ValueError("fault activation tick is in the past")
         outcome = FaultOutcome(spec=spec, outcome="armed")
         self.fault_outcomes.append(outcome)
-        self._schedule(spec.tick, "fault", (spec, outcome))
+        self._schedule(spec.tick, self._fault_handlers[spec.kind], outcome)
 
     # --- main loop ----------------------------------------------------------
 
@@ -560,19 +617,8 @@ class Sim:
         """Process one tick: due events first, then any interval boundary."""
         t = self.tick
         while self._events and self._events[0][0] <= t:
-            _, _, kind, payload = heapq.heappop(self._events)
-            if kind == "msg":
-                self._deliver(payload)
-            elif kind == "upload":
-                self._on_upload_plan(payload)
-            elif kind == "share":
-                self._on_share_plan(payload)
-            elif kind == "fault":
-                spec, outcome = payload
-                self._on_fault(spec, outcome)
-            elif kind == "recover-unit":
-                unit_id, outcome = payload
-                self._on_recover_unit(unit_id, outcome)
+            _, _, handler, payload = heapq.heappop(self._events)
+            handler(payload)
         interval = self.config.block_interval_ticks
         if t > 0 and t % interval == 0:
             self._consensus_round(t // interval - 1)
@@ -597,16 +643,7 @@ class Sim:
         payload = self._rng_bytes("payload", plan.size)
         self.upload_digests[plan.ordinal] = digest(payload)
         self.upload_payloads[plan.ordinal] = payload
-        flow = _UploadFlow(
-            uploader_id=plan.node_id,
-            payload=payload,
-            metadata=RecordMetadata(
-                kind=RecordKind.GRID_DATA, data_class=plan.data_class, created_tick=self.tick
-            ),
-            ordinal=plan.ordinal,
-            forged=False,
-        )
-        self._start_upload(flow)
+        self._start_upload(_UploadFlow(plan.node_id, payload, self._grid_metadata(plan.data_class)))
 
     def _on_share_plan(self, plan: SharePlan) -> None:
         sender = self.nodes[plan.sender]
@@ -632,6 +669,9 @@ class Sim:
             return
         self._send("share-envelope", plan.sender, plan.receiver, envelope, envelope.to_bytes())
 
+    def _grid_metadata(self, data_class: str) -> RecordMetadata:
+        return RecordMetadata(kind=RecordKind.GRID_DATA, data_class=data_class, created_tick=self.tick)
+
     def _start_upload(self, flow: _UploadFlow) -> None:
         duty = credit_mod.duty_recorder(self.assignment, self.tick // self.config.block_interval_ticks)
         uploader_key = self.nodes[flow.uploader_id].keypair.public_key
@@ -639,62 +679,50 @@ class Sim:
 
     # --- faults ---------------------------------------------------------------
 
-    def _on_fault(self, spec: FaultSpec, outcome: FaultOutcome) -> None:
-        kind = spec.kind
-        if kind == "crash-node":
-            self.nodes[int(spec.target)].crashed = True
-            outcome.outcome = f"crashed@{self.tick}"
-            self._trace("fault", None, None, f"crash-node target={spec.target}")
-        elif kind == "byzantine-validator":
-            self.nodes[int(spec.target)].byzantine = True
-            outcome.outcome = f"byzantine@{self.tick}"
-            self._trace("fault", None, None, f"byzantine-validator target={spec.target}")
-        elif kind == "tamper-in-flight":
-            idx = self.fault_outcomes.index(outcome)
-            self.nodes[int(spec.target)].tamper_armed.append(idx)
-            outcome.outcome = f"armed@{self.tick}"
-            self._trace("fault", None, None, f"tamper-in-flight target={spec.target}")
-        elif kind == "forge-record":
-            self._on_forge_record(spec, outcome)
-        elif kind == "tamper-chain-copy":
-            self._on_tamper_chain_copy(spec, outcome)
-        elif kind == "fail-storage-unit":
-            unit_id = str(spec.target)
-            self.store.fail_unit(unit_id)
-            outcome.outcome = f"failed@{self.tick}"
-            self._trace("fault", None, None, f"fail-storage-unit target={unit_id}")
-            if "recover" in spec.params:
-                self._schedule(int(spec.params["recover"]), "recover-unit", (unit_id, outcome))
+    def _trace_fault(self, spec: FaultSpec, note: str = "") -> None:
+        self._trace("fault", None, None, f"{spec.kind.value} target={spec.target}{note}")
 
-    def _on_forge_record(self, spec: FaultSpec, outcome: FaultOutcome) -> None:
-        node_id = int(spec.target)
-        if self.nodes[node_id].crashed:
+    def _on_crash_node(self, outcome: FaultOutcome) -> None:
+        node = self.nodes[outcome.spec.target]
+        node.crash = node.crash or outcome
+        outcome.outcome = f"crashed@{self.tick}"
+        self._trace_fault(outcome.spec)
+
+    def _on_byzantine_validator(self, outcome: FaultOutcome) -> None:
+        self.nodes[outcome.spec.target].byzantine = True
+        outcome.outcome = f"byzantine@{self.tick}"
+        self._trace_fault(outcome.spec)
+
+    def _on_tamper_in_flight(self, outcome: FaultOutcome) -> None:
+        self.nodes[outcome.spec.target].tamper_armed.append(outcome)
+        outcome.outcome = f"armed@{self.tick}"
+        self._trace_fault(outcome.spec)
+
+    def _on_fail_storage_unit(self, outcome: FaultOutcome) -> None:
+        spec = outcome.spec
+        self.store.fail_unit(spec.target)
+        outcome.outcome = f"failed@{self.tick}"
+        outcome.detected_tick = self.tick  # the store stops placing on it at once
+        self._trace_fault(spec)
+        if "recover" in spec.params:
+            self._schedule(spec.params["recover"], self._on_recover_unit, outcome)
+
+    def _on_forge_record(self, outcome: FaultOutcome) -> None:
+        spec = outcome.spec
+        if self.nodes[spec.target].crashed:
             outcome.outcome = "skipped: forger crashed"
             return
-        size = int(spec.params.get("size", "32"))
-        data_class = spec.params.get("class", "grid")
-        payload = self._rng_bytes("forged-payload", size)
-        self.forged_digests.add(digest(payload))
-        self._forge_outcome_by_digest[digest(payload)] = outcome
+        payload = self._rng_bytes("forged-payload", spec.params.get("size", 32))
         outcome.outcome = f"submitted@{self.tick}"
-        self._trace("fault", None, None, f"forge-record target={node_id}")
-        self._start_upload(
-            _UploadFlow(
-                uploader_id=node_id,
-                payload=payload,
-                metadata=RecordMetadata(
-                    kind=RecordKind.GRID_DATA, data_class=data_class, created_tick=self.tick
-                ),
-                ordinal=None,
-                forged=True,
-            )
-        )
+        self._trace_fault(spec)
+        metadata = self._grid_metadata(spec.params.get("class", "grid"))
+        self._start_upload(_UploadFlow(spec.target, payload, metadata, forge=outcome))
 
-    def _on_tamper_chain_copy(self, spec: FaultSpec, outcome: FaultOutcome) -> None:
-        node = self.nodes[int(spec.target)]
-        local = node.local_chain
+    def _on_tamper_chain_copy(self, outcome: FaultOutcome) -> None:
+        spec = outcome.spec
+        local = self.nodes[spec.target].local_chain
         if "block" in spec.params:
-            index = int(spec.params["block"])
+            index = spec.params["block"]
             if not 0 <= index < len(local):
                 outcome.outcome = f"skipped: block {index} out of range"
                 return
@@ -706,26 +734,21 @@ class Sim:
             rec_index = self.rng.randrange(len(block.records))
             byte_index = self.rng.randrange(len(block.records[rec_index].payload_digest))
             self._trace_rng("tamper-byte", f"record={rec_index};byte={byte_index}")
-            record = block.records[rec_index]
-            mutated_digest = bytearray(record.payload_digest)
-            mutated_digest[byte_index] ^= 0x01
-            mutated_record = replace(record, payload_digest=bytes(mutated_digest))
             records = list(block.records)
-            records[rec_index] = mutated_record
-            local[index] = Block(header=block.header, records=tuple(records))
+            record = records[rec_index]
+            records[rec_index] = replace(record, payload_digest=_flip_bit(record.payload_digest, byte_index))
+            local[index] = replace(block, records=tuple(records))
         else:
             byte_index = self.rng.randrange(len(block.header.merkle_root))
             self._trace_rng("tamper-byte", f"header-root;byte={byte_index}")
-            mutated_root = bytearray(block.header.merkle_root)
-            mutated_root[byte_index] ^= 0x01
-            local[index] = Block(
-                header=replace(block.header, merkle_root=bytes(mutated_root)),
-                records=block.records,
-            )
+            root = _flip_bit(block.header.merkle_root, byte_index)
+            local[index] = replace(block, header=replace(block.header, merkle_root=root))
         outcome.outcome = f"tampered block {index}@{self.tick}"
-        self._trace("fault", None, None, f"tamper-chain-copy target={spec.target};block={index}")
+        self._tampered_copies.append(outcome)
+        self._trace_fault(spec, f";block={index}")
 
-    def _on_recover_unit(self, unit_id: str, outcome: FaultOutcome) -> None:
+    def _on_recover_unit(self, outcome: FaultOutcome) -> None:
+        unit_id = outcome.spec.target
         report = self.store.recover_unit(unit_id)
         self.repair_reports.append(report)
         outcome.outcome += (
@@ -739,35 +762,31 @@ class Sim:
 
     # --- message delivery -------------------------------------------------------
 
-    def _tamper_message(self, msg: _Msg, fault_index: int) -> _Msg:
+    def _tamper_message(self, msg: _Msg, outcome: FaultOutcome) -> _Msg:
         envelope = msg.obj.payload_envelope
         if not envelope.ciphertext:
             return msg
         pos = self.rng.randrange(len(envelope.ciphertext))
         self._trace_rng("tamper-in-flight", f"byte={pos}")
-        mutated = bytearray(envelope.ciphertext)
-        mutated[pos] ^= 0x01
-        new_env = replace(envelope, ciphertext=bytes(mutated))
+        new_env = replace(envelope, ciphertext=_flip_bit(envelope.ciphertext, pos))
         new_obj = replace(msg.obj, payload_envelope=new_env)
-        self.fault_outcomes[fault_index].outcome = f"applied@{self.tick}"
+        outcome.outcome = f"applied@{self.tick}"
         self._trace("tamper", msg.src, msg.dst, f"kind={msg.kind};byte={pos}")
-        return replace(msg, obj=new_obj, tampered_by=fault_index)
+        return replace(msg, obj=new_obj, tampered_by=outcome)
+
+    def _note_tamper_caught(self, msg: _Msg, reason: str) -> None:
+        if msg.tampered_by is not None:
+            msg.tampered_by.outcome += f"; rejected={reason}"
+            msg.tampered_by.detected_tick = self.tick
 
     def _deliver(self, msg: _Msg) -> None:
         node = self.nodes[msg.dst]
         if node.crashed:
             self._trace(msg.kind, msg.src, msg.dst, "dropped=crashed")
             return
-        if node.tamper_armed and msg.kind in ("upload-envelope", "share-envelope"):
+        if node.tamper_armed and isinstance(msg.obj, (UploadEnvelope, ShareEnvelope)):
             msg = self._tamper_message(msg, node.tamper_armed.pop(0))
-        if msg.kind == "upload-request":
-            self._on_upload_request(msg)
-        elif msg.kind == "upload-grant":
-            self._on_upload_grant(msg)
-        elif msg.kind == "upload-envelope":
-            self._on_upload_envelope(msg)
-        elif msg.kind == "share-envelope":
-            self._on_share_envelope(msg)
+        self._message_handlers[msg.kind](msg)
 
     def _on_upload_request(self, msg: _Msg) -> None:
         flow = msg.flow
@@ -804,10 +823,11 @@ class Sim:
             self._trace("upload-envelope", msg.src, msg.dst, f"rejected={exc.reason.value}")
             if exc.reason is not UploadError.PERMISSION_DENIED:
                 credit_mod.apply_record_outcome(self.ledger, flow.uploader_id, False, self.tick)
-            if msg.tampered_by is not None:
-                self.fault_outcomes[msg.tampered_by].outcome += f"; rejected={exc.reason.value}"
+            self._note_tamper_caught(msg, exc.reason.value)
             return
         self.pending.append(accepted.record)
+        if flow.forge is not None:
+            self._forged[accepted.record] = flow.forge
         try:
             self.store.put(accepted.stored)
         except StorageError as exc:
@@ -825,8 +845,7 @@ class Sim:
         except ShareRejected as exc:
             self.share_failures.append((self.tick, msg.src, msg.dst, exc.reason.value))
             self._trace("share-envelope", msg.src, msg.dst, f"rejected={exc.reason.value}")
-            if msg.tampered_by is not None:
-                self.fault_outcomes[msg.tampered_by].outcome += f"; rejected={exc.reason.value}"
+            self._note_tamper_caught(msg, exc.reason.value)
             return
         self.deliveries.append(
             ShareDelivery(
@@ -845,36 +864,27 @@ class Sim:
             tick=self.tick,
         )
         tx_payload, tx_metadata = share_mod.record_share(tx)
-        self._start_upload(
-            _UploadFlow(
-                uploader_id=msg.src,
-                payload=tx_payload,
-                metadata=tx_metadata,
-                ordinal=None,
-                forged=False,
-            )
-        )
+        self._start_upload(_UploadFlow(uploader_id=msg.src, payload=tx_payload, metadata=tx_metadata))
 
     # --- consensus ---------------------------------------------------------------
 
     def _predicate(self, record: Record) -> bool:
-        return record.payload_digest not in self.forged_digests
+        return record not in self._forged
 
     def _consensus_round(self, round_index: int) -> None:
         duty = credit_mod.duty_recorder(self.assignment, round_index)
-        if self.nodes[duty].crashed:
-            self.rounds_skipped += 1
-            self._trace("round", None, None, f"r={round_index} skipped: duty recorder {duty} crashed")
-            self._after_round(round_index)
+        crash = self.nodes[duty].crash
+        if crash is not None:
+            if crash.detected_tick is None:  # a crash is caught at its first missed duty
+                crash.detected_tick = self.tick
+            self._skip_round(round_index, f"duty recorder {duty} crashed")
             return
         try:
             supervisor_id, pool = record_mod.choose_validators(
                 self.assignment, round_index, alive=lambda nid: not self.nodes[nid].crashed
             )
         except record_mod.ProtocolError as exc:
-            self.rounds_skipped += 1
-            self._trace("round", None, None, f"r={round_index} skipped: {exc}")
-            self._after_round(round_index)
+            self._skip_round(round_index, str(exc))
             return
         self._trace_rng("validator-select", f"r={round_index}")
         proposal = record_mod.seal_block(
@@ -922,24 +932,23 @@ class Sim:
                 node.local_chain.append(proposal.block)
                 self._note_sync_message("commit-notice", duty, nid, block_digest_value, "committed")
             for record in proposal.block.records:
-                if record.payload_digest in self.forged_digests:
-                    self._mark_forge_outcome(record.payload_digest, f"committed-undetected@{self.tick}")
+                forge = self._forged.pop(record, None)
+                if forge is not None:
+                    forge.outcome = f"committed-undetected@{self.tick}"
             self._trace(
                 "round", None, None,
                 f"r={round_index} committed block={len(self.chain) - 1} records={len(proposal.block.records)}",
             )
         else:
-            flagged = []
             for index, record in result.quarantined:
                 self.quarantine.append(
                     QuarantineEntry(tick=self.tick, proposer_id=duty, index=index, record=record)
                 )
-                flagged.append(record.payload_digest)
-                if record.payload_digest in self.forged_digests:
-                    self._mark_forge_outcome(record.payload_digest, f"quarantined@{self.tick}")
-            self.rejections.append(
-                RejectionEntry(tick=self.tick, proposer_id=duty, flagged_digests=tuple(flagged))
-            )
+                forge = self._forged.pop(record, None)
+                if forge is not None:
+                    forge.outcome = f"quarantined@{self.tick}"
+                    forge.detected_tick = self.tick
+            self.rejections.append(RejectionEntry(tick=self.tick, proposer_id=duty))
             self.pending = list(result.survivors)
             self._trace(
                 "round", None, None,
@@ -948,10 +957,10 @@ class Sim:
             )
         self._after_round(round_index)
 
-    def _mark_forge_outcome(self, payload_digest: bytes, text: str) -> None:
-        outcome = self._forge_outcome_by_digest.get(payload_digest)
-        if outcome is not None:
-            outcome.outcome = text
+    def _skip_round(self, round_index: int, reason: str) -> None:
+        self.rounds_skipped += 1
+        self._trace("round", None, None, f"r={round_index} skipped: {reason}")
+        self._after_round(round_index)
 
     def _after_round(self, round_index: int) -> None:
         completed = round_index + 1
@@ -974,6 +983,7 @@ class Sim:
     def _build_report(self, until_tick: int) -> SimReport:
         node_status = {}
         node_chain_status = {}
+        violations = {}
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
             flags = []
@@ -982,22 +992,24 @@ class Sim:
             if node.byzantine:
                 flags.append("byzantine")
             node_status[nid] = ",".join(flags) if flags else "ok"
-            violation = chain_mod.verify_chain(Chain(tuple(node.local_chain)))
-            if violation is None:
+            violations[nid] = chain_mod.verify_chain(Chain(tuple(node.local_chain)))
+            if violations[nid] is None:
                 node_chain_status[nid] = "ok"
             else:
-                node_chain_status[nid] = f"violation@{violation.index}:{violation.reason}"
+                node_chain_status[nid] = f"violation@{violations[nid].index}:{violations[nid].reason}"
+        for fo in self._tampered_copies:
+            fo.outcome += f"; local-verify={node_chain_status[fo.spec.target]}"
+            if violations[fo.spec.target] is not None:
+                fo.detected_tick = until_tick
         for fo in self.fault_outcomes:
-            if fo.spec.kind == "tamper-chain-copy" and fo.outcome.startswith("tampered"):
-                fo.outcome += f"; local-verify={node_chain_status[int(fo.spec.target)]}"
-            elif fo.spec.kind == "byzantine-validator":
-                dissents = sum(
-                    1
+            if fo.spec.kind is FaultKind.BYZANTINE_VALIDATOR:
+                dissent_ticks = [
+                    e.tick
                     for e in self.ledger.events
-                    if e.node_id == int(fo.spec.target)
-                    and e.reason is CreditReason.VALIDATOR_DISSENTED
-                )
-                fo.outcome += f"; dissents={dissents}"
+                    if e.node_id == fo.spec.target and e.reason is CreditReason.VALIDATOR_DISSENTED
+                ]
+                fo.outcome += f"; dissents={len(dissent_ticks)}"
+                fo.detected_tick = dissent_ticks[0] if dissent_ticks else None
         return SimReport(
             config=self.config,
             until_tick=until_tick,
@@ -1018,7 +1030,6 @@ class Sim:
             share_failures=tuple(self.share_failures),
             upload_failures=tuple(self.upload_failures),
             rounds_skipped=self.rounds_skipped,
-            message_counts=dict(self.message_counts),
             trace_lines=tuple(self.trace_lines),
             tap=tuple(self.tap),
             upload_digests=dict(self.upload_digests),
@@ -1048,21 +1059,13 @@ def inject_fault(sim: Sim, spec: FaultSpec) -> Sim:
 
 def metrics(report: SimReport) -> dict:
     """Headline numbers: block/record outcomes, credit distribution, role
-    churn, and per-kind fault detection counts."""
+    churn, and per-kind fault detection counts (a fault counts as detected
+    when its outcome has a ``detected_tick``)."""
     detection: dict[str, dict[str, int]] = {}
     for fo in report.fault_outcomes:
-        entry = detection.setdefault(fo.spec.kind, {"injected": 0, "detected": 0})
+        entry = detection.setdefault(fo.spec.kind.value, {"injected": 0, "detected": 0})
         entry["injected"] += 1
-        detected = (
-            "quarantined" in fo.outcome
-            or "rejected=" in fo.outcome
-            or "local-verify=violation" in fo.outcome
-            or "dissents=" in fo.outcome and not fo.outcome.endswith("dissents=0")
-            or fo.spec.kind == "crash-node" and report.rounds_skipped > 0
-            or fo.spec.kind == "fail-storage-unit"
-        )
-        if detected:
-            entry["detected"] += 1
+        entry["detected"] += fo.detected_tick is not None
     return {
         "blocks_committed": report.blocks_committed,
         "blocks_rejected": report.blocks_rejected,

@@ -115,6 +115,21 @@ class TestPrepareReceive:
         with pytest.raises(crypto.DecryptionError):
             crypto.decrypt(keys[0].private_key, accepted.stored.ciphertext)
 
+    def test_payload_hashed_once(self, net, monkeypatch):
+        keys, _, _ = net
+        payload = bytes(range(256)) * 256  # 64 KiB
+        hashed = []
+        real_digest = crypto.digest
+
+        def counting_digest(data):
+            hashed.append(len(data))
+            return real_digest(data)
+
+        monkeypatch.setattr(crypto, "digest", counting_digest)
+        env = prepare_upload(keys[2], keys[0].public_key, payload, metadata())
+        assert env.claimed_digest == real_digest(payload)
+        assert hashed.count(len(payload)) == 1
+
     def test_oversized_metadata_rejected(self, net):
         keys, _, _ = net
         with pytest.raises(chain_mod.EncodingError):

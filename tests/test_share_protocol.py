@@ -68,6 +68,22 @@ class TestInitiateShare:
             initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
         assert exc_info.value.reason is ShareError.DATASTORE_MISS
 
+    def test_someone_elses_copy_is_a_datastore_miss(self, world):
+        # the store keeps the first copy put under a digest; here that is
+        # carol's, sealed to her, while alice owns the digest on chain
+        alice, bob, carol, chain, _, payload = world
+        store = DataStore([(f"u{i}", f"r{i}") for i in range(5)], 3)
+        store.put(
+            StoredObject(
+                payload_digest=crypto.digest(payload),
+                ciphertext=crypto.encrypt_for(carol.public_key, payload),
+                owner_public_key=carol.public_key,
+            )
+        )
+        with pytest.raises(ShareRejected) as exc_info:
+            initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
+        assert exc_info.value.reason is ShareError.DATASTORE_MISS
+
 
 class TestReceiveShare:
     def test_honest_share_delivers_payload(self, world):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -55,7 +57,7 @@ class TestParseScenario:
         assert scenario.uploads[0].size == 64
         assert scenario.shares[0].upload_ref == 0
         assert scenario.faults[0].kind == "crash-node"
-        assert scenario.faults[1].params == {"recover": "900"}
+        assert scenario.faults[1].params == {"recover": 900}
         assert scenario.run_until == 1200
 
     def test_comments_and_blanks_ignored(self):
@@ -84,6 +86,19 @@ class TestParseScenario:
     def test_unknown_fault_kind(self):
         with pytest.raises(ScenarioError):
             parse_scenario("fault melt-node 1 at 5\n")
+
+    def test_bad_fault_params_rejected_with_line(self):
+        for directive in (
+            "fault forge-record 2 at 60 sise=0",
+            "fault crash-node 1 at 500 recover=900",
+            "fault forge-record 2 at 60 size=-3",
+            "fault tamper-chain-copy 4 at 800 block=-1",
+            "fault fail-storage-unit u1 at 300 recover=100",
+            "fault fail-storage-unit u1 at 300 recover=300",
+        ):
+            with pytest.raises(ScenarioError) as exc_info:
+                parse_scenario(SIX_NODES + directive + "\nrun until 700\n")
+            assert exc_info.value.line == 8, directive
 
     def test_oversized_data_class_rejected_at_parse(self):
         with pytest.raises(ScenarioError):
@@ -277,6 +292,31 @@ class TestFaults:
             if e.node_id == 2 and e.reason is CreditReason.RECORD_ERRONEOUS
         ]
         assert len(erroneous) == 1
+
+    def test_forge_never_quarantines_honest_upload_of_same_bytes(self):
+        # the forged and the honest payload are both empty, so their
+        # digests are equal; only the forged record may be flagged
+        scenario = (
+            SIX_NODES
+            + "authorize 2\nauthorize 4\n"
+            + "upload 4 load 0 at 50\n"
+            + "fault forge-record 2 at 60 size=0\n"
+            + "run until 1200\n"
+        )
+        sim = new_sim(desk_config(), scenario)
+        report = run(sim)
+        honest_key = sim.nodes[4].keypair.public_key
+        assert [q.record.uploader_public_key for q in report.quarantine] == [
+            sim.nodes[2].keypair.public_key
+        ]
+        outcome = next(f for f in report.fault_outcomes if f.spec.kind == "forge-record")
+        assert outcome.outcome == "quarantined@600"
+        assert not [
+            e for e in report.events
+            if e.node_id == 4 and e.reason is CreditReason.RECORD_ERRONEOUS
+        ]
+        committed = [r for b in report.chain.blocks for r in b.records]
+        assert [r.uploader_public_key for r in committed] == [honest_key]
 
     def test_tamper_chain_copy_hits_only_that_node(self):
         scenario = (
@@ -489,3 +529,23 @@ def test_metrics_summary():
     honest_validators = [4, 5]
     honest_mean = sum(report.credits[n] for n in honest_validators) / 2
     assert report.credits[3] < honest_mean
+
+
+def test_fault_artifacts_and_detection_pinned():
+    # every fault kind fires once; the four artifacts and the detection
+    # counts are pinned, since cli_golden.json's scenario has no faults
+    golden = json.loads((Path(__file__).parent / "fixtures" / "fault_golden.json").read_text())
+    scenario = (SCENARIOS / golden["scenario"]).read_text()
+    report = run(new_sim(desk_config(seed=golden["seed"]), scenario))
+    artifacts = {
+        "chain.txt": report.chain_export_text(),
+        "credits.txt": report.credit_log_text(),
+        "trace.txt": report.trace_text(),
+        "metrics.txt": report.metrics_text(),
+    }
+    for name, expected in golden["sha256"].items():
+        assert hashlib.sha256(artifacts[name].encode("utf-8")).hexdigest() == expected, name
+    detection = metrics(report)["detection"]
+    assert detection == golden["detection"]
+    assert len(detection) == 6
+    assert all(entry == {"injected": 1, "detected": 1} for entry in detection.values())
