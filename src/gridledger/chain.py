@@ -6,14 +6,15 @@ The canonical encoding is the injective, length-prefixed layout (see
 Timestamps are simulation ticks, never wall-clock.
 
 `validate_block` is the one definition of a valid block: `Chain.append`,
-`verify_chain` and the validators' `record_protocol.validate_proposal` all
-call it.
+`verify_chain`, `verify_copy` and the simulator's per-round check, whose
+result `record_protocol.validate_proposal` takes, all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Sequence
 
 from . import crypto
 from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
@@ -39,6 +40,14 @@ class RootMismatchError(ChainError):
 
 class BadSignatureError(ChainError):
     reason = "bad-signature"
+
+
+class DuplicateRecordError(ChainError):
+    """A block lists one record twice. An odd Merkle level pairs its last
+    node with itself, so appending a block's last record again can keep its
+    root; this check is what rejects that copy."""
+
+    reason = "duplicate-record"
 
 
 class TimestampRegressionError(ChainError):
@@ -293,8 +302,8 @@ class BlockCheck:
 
 def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
     """Check one block against its predecessor: link, timestamp, Merkle
-    root and recorder signature, in that order, then every record's
-    uploader signature. Genesis passes ``prev_block=None``."""
+    root, distinct records and recorder signature, in that order, then
+    every record's uploader signature. Genesis passes ``prev_block=None``."""
     header = block.header
     try:
         expected_prev = ZERO_DIGEST if prev_block is None else block_digest(prev_block)
@@ -302,8 +311,11 @@ def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
             return BlockCheck(LinkMismatchError("prev_block_digest does not match prior block"))
         if prev_block is not None and header.timestamp_tick < prev_block.header.timestamp_tick:
             return BlockCheck(TimestampRegressionError("timestamp_tick decreased"))
-        if header.merkle_root != merkle_root_of(block.records):
+        leaves = [record_digest(r) for r in block.records]
+        if header.merkle_root != build_tree(leaves).root:
             return BlockCheck(RootMismatchError("merkle_root does not match records"))
+        if len(set(leaves)) != len(leaves):
+            return BlockCheck(DuplicateRecordError("block lists a record twice"))
         signing = header_signing_bytes(header)
     except EncodingError as exc:
         return BlockCheck(exc)
@@ -320,12 +332,38 @@ def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
 def verify_chain(chain: Chain) -> Violation | None:
     """Full-chain audit: returns None when every link, root, and signature
     holds, else the earliest violation."""
-    prev: Block | None = None
-    for i, block in enumerate(chain.blocks):
-        error = validate_block(block, prev).error()
+    return _first_violation(chain.blocks, 0)
+
+
+def verify_copy(
+    copy: Sequence[Block], verified: Chain, verdict: Violation | None
+) -> Violation | None:
+    """What `verify_chain` returns for ``copy``, given ``verdict``, the
+    result of `verify_chain(verified)`.
+
+    The leading blocks of ``copy`` that are the very objects at the same
+    index of ``verified`` share its verdict: blocks are frozen, so such a
+    block has the same bytes and the same predecessor in both chains.
+    Checking resumes at the first block that differs, against the copy's
+    own predecessor."""
+    shared = 0
+    limit = min(len(copy), len(verified.blocks))
+    while shared < limit and copy[shared] is verified.blocks[shared]:
+        shared += 1
+    if verdict is not None and verdict.index < shared:
+        return verdict
+    return _first_violation(copy, shared)
+
+
+def _first_violation(blocks: Sequence[Block], start: int) -> Violation | None:
+    """The earliest violation in ``blocks[start:]``, each block checked
+    against its predecessor in ``blocks``."""
+    prev = blocks[start - 1] if start > 0 else None
+    for i in range(start, len(blocks)):
+        error = validate_block(blocks[i], prev).error()
         if error is not None:
             return Violation(index=i, reason=error.reason)
-        prev = block
+        prev = blocks[i]
     return None
 
 

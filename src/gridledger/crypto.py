@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -121,14 +122,16 @@ def generate_keypair(seed: bytes) -> Keypair:
     )
 
 
-def _public_key_of(private_key: bytes) -> bytes:
-    verify_key = (
-        Ed25519PrivateKey.from_private_bytes(private_key[:32]).public_key().public_bytes_raw()
-    )
+@lru_cache(maxsize=1024)
+def _signer(private_key: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    """The Ed25519 signer of ``private_key`` and the digest of its composite
+    public key, which prefixes every message it signs. Both are derived once
+    per key: deriving them is most of the cost of a signature."""
+    signer = Ed25519PrivateKey.from_private_bytes(private_key[:32])
     seal_key = (
         X25519PrivateKey.from_private_bytes(private_key[32:]).public_key().public_bytes_raw()
     )
-    return verify_key + seal_key
+    return signer, digest(signer.public_key().public_bytes_raw() + seal_key)
 
 
 def sign(private_key: bytes, message: bytes) -> bytes:
@@ -137,8 +140,8 @@ def sign(private_key: bytes, message: bytes) -> bytes:
     signing half."""
     if len(private_key) != PRIVATE_KEY_LEN:
         raise ValueError("malformed private key")
-    signer = Ed25519PrivateKey.from_private_bytes(private_key[:32])
-    return signer.sign(digest(_public_key_of(private_key)) + message)
+    signer, key_digest = _signer(bytes(private_key))
+    return signer.sign(key_digest + message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 from . import chain as chain_mod
 from . import credit as credit_mod
 from . import crypto
-from .chain import Block, Chain, Record, RecordMetadata
+from .chain import Block, BlockCheck, Chain, Record, RecordMetadata
 from .codec import U32, encode_u64, encode_var_bytes
 from .credit import CreditEvent, CreditLedger, RoleAssignment
 from .crypto import Envelope, Keypair
@@ -191,12 +191,14 @@ def seal_block(
     rng,
 ) -> ProposedBlock:
     """Build and sign the interval block from the pending queue (arrival
-    order), and pick its validators: the on-duty supervisor plus two
+    order, each distinct record once: a block that lists a record twice is
+    invalid), and pick its validators: the on-duty supervisor plus two
     candidates drawn from the seeded RNG. An empty queue still seals an
     empty block so the timestamp chain advances."""
     if len(candidate_pool) < 2:
         raise ProtocolError("need at least two candidates for validation")
-    block = chain_mod.make_block(recorder, prev_block_digest, tick, tuple(pending))
+    records = tuple(dict.fromkeys(pending))
+    block = chain_mod.make_block(recorder, prev_block_digest, tick, records)
     picked = rng.sample(list(candidate_pool), 2)
     return ProposedBlock(
         block=block,
@@ -222,17 +224,18 @@ def validate_proposal(
     validator: Keypair,
     validator_id: int,
     proposal: ProposedBlock,
-    prev_block: Block,
+    check: BlockCheck,
     validity_predicate: Callable[[Record], bool],
 ) -> Vote:
-    """Second-stage review: `chain.validate_block` against the tip block
-    plus, per record, the scenario's validity predicate. The verdict is ok
-    only if everything holds; otherwise the offending record indices are
-    flagged (header-level failures flag none)."""
+    """Second-stage review. ``check`` is `chain.validate_block` of the
+    proposed block against the tip; it depends on nothing else, so one
+    check serves all three validators. Per record, the scenario's validity
+    predicate is applied too. The verdict is ok only if everything holds;
+    otherwise the offending record indices are flagged (header-level
+    failures flag none)."""
     if validator_id not in proposal.validator_ids:
         raise ProtocolError(f"node {validator_id} is not an assigned validator")
     block = proposal.block
-    check = chain_mod.validate_block(block, prev_block)
     bad: tuple[int, ...] = ()
     if check.fault is None:
         bad = tuple(

@@ -899,10 +899,11 @@ class Sim:
             )
         votes = []
         block_digest_value = chain_mod.block_digest(proposal.block)
+        check = chain_mod.validate_block(proposal.block, self.chain.tip)
         for vid in proposal.validator_ids:
             validator = self.nodes[vid]
             vote = record_mod.validate_proposal(
-                validator.keypair, vid, proposal, self.chain.tip, self._predicate
+                validator.keypair, vid, proposal, check, self._predicate
             )
             if validator.byzantine:
                 inverted_ok = not vote.ok
@@ -981,9 +982,14 @@ class Sim:
     # --- reporting ---------------------------------------------------------------
 
     def _build_report(self, until_tick: int) -> SimReport:
+        """Snapshot the run. The canonical chain is verified once; each
+        node's copy reuses that verdict for the blocks it shares with it
+        (`chain.verify_copy`). Fault outcomes are annotated on copies, so a
+        later `run()` leaves this report as it is."""
         node_status = {}
         node_chain_status = {}
         violations = {}
+        verdict = chain_mod.verify_chain(self.chain)
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
             flags = []
@@ -992,24 +998,28 @@ class Sim:
             if node.byzantine:
                 flags.append("byzantine")
             node_status[nid] = ",".join(flags) if flags else "ok"
-            violations[nid] = chain_mod.verify_chain(Chain(tuple(node.local_chain)))
+            violations[nid] = chain_mod.verify_copy(node.local_chain, self.chain, verdict)
             if violations[nid] is None:
                 node_chain_status[nid] = "ok"
             else:
                 node_chain_status[nid] = f"violation@{violations[nid].index}:{violations[nid].reason}"
-        for fo in self._tampered_copies:
-            fo.outcome += f"; local-verify={node_chain_status[fo.spec.target]}"
-            if violations[fo.spec.target] is not None:
-                fo.detected_tick = until_tick
+        tampered = {id(fo) for fo in self._tampered_copies}
+        fault_outcomes = []
         for fo in self.fault_outcomes:
-            if fo.spec.kind is FaultKind.BYZANTINE_VALIDATOR:
+            outcome, detected_tick = fo.outcome, fo.detected_tick
+            if id(fo) in tampered:
+                outcome += f"; local-verify={node_chain_status[fo.spec.target]}"
+                if violations[fo.spec.target] is not None:
+                    detected_tick = until_tick
+            elif fo.spec.kind is FaultKind.BYZANTINE_VALIDATOR:
                 dissent_ticks = [
                     e.tick
                     for e in self.ledger.events
                     if e.node_id == fo.spec.target and e.reason is CreditReason.VALIDATOR_DISSENTED
                 ]
-                fo.outcome += f"; dissents={len(dissent_ticks)}"
-                fo.detected_tick = dissent_ticks[0] if dissent_ticks else None
+                outcome += f"; dissents={len(dissent_ticks)}"
+                detected_tick = dissent_ticks[0] if dissent_ticks else None
+            fault_outcomes.append(replace(fo, outcome=outcome, detected_tick=detected_tick))
         return SimReport(
             config=self.config,
             until_tick=until_tick,
@@ -1024,7 +1034,7 @@ class Sim:
             rejections=tuple(self.rejections),
             store_audit=tuple(self.store.audit()),
             repair_reports=tuple(self.repair_reports),
-            fault_outcomes=tuple(self.fault_outcomes),
+            fault_outcomes=tuple(fault_outcomes),
             epoch_changes=tuple(self.epoch_changes),
             deliveries=tuple(self.deliveries),
             share_failures=tuple(self.share_failures),

@@ -12,6 +12,7 @@ from gridledger.chain import (
     Block,
     BlockDecodeError,
     Chain,
+    DuplicateRecordError,
     EncodingError,
     ExportFormatError,
     LinkMismatchError,
@@ -20,6 +21,7 @@ from gridledger.chain import (
     RecordMetadata,
     RootMismatchError,
     TimestampRegressionError,
+    Violation,
     block_bytes,
     block_from_bytes,
     export_chain,
@@ -29,6 +31,7 @@ from gridledger.chain import (
     record_bytes,
     trace,
     verify_chain,
+    verify_copy,
 )
 from gridledger.merkle import EMPTY_ROOT
 
@@ -208,6 +211,93 @@ class TestVerifyChain:
                 violation = verify_chain(Chain(tuple(blocks)))
                 assert violation is not None, f"block {i} byte {pos} undetected"
                 assert violation.index <= i + 1
+
+
+def duplicated_last_record(chain: Chain, index: int) -> Chain:
+    """``chain`` with block ``index``'s last record listed a second time,
+    under the same header."""
+    target = chain.blocks[index]
+    blocks = list(chain.blocks)
+    blocks[index] = Block(header=target.header, records=target.records + target.records[-1:])
+    return Chain(tuple(blocks))
+
+
+class TestDuplicateRecord:
+    def test_repeated_last_record_keeps_root_but_is_rejected(self):
+        chain = build_chain(2)  # three records per block: an odd Merkle level
+        mutated = duplicated_last_record(chain, 1)
+        assert merkle_root_of(mutated.blocks[1].records) == chain.blocks[1].header.merkle_root
+        assert verify_chain(mutated) == Violation(1, "duplicate-record")
+
+    def test_signed_block_with_a_repeated_record_cannot_append(self):
+        chain = build_chain(1)
+        record = signed_record(keypair(5), b"data", tick=700)
+        block = chain_mod.make_block(keypair(1000), chain.tip_digest, 700, (record, record))
+        check = chain_mod.validate_block(block, chain.tip)
+        assert isinstance(check.fault, DuplicateRecordError)
+        with pytest.raises(DuplicateRecordError):
+            chain.append(block)
+
+
+def flipped_root(block: Block) -> Block:
+    root = bytearray(block.header.merkle_root)
+    root[0] ^= 1
+    return replace(block, header=replace(block.header, merkle_root=bytes(root)))
+
+
+class TestVerifyCopy:
+    """`verify_copy` must give exactly what a full `verify_chain` of the
+    copy gives."""
+
+    @staticmethod
+    def assert_matches_full_verify(copy, verified):
+        verdict = verify_copy(copy, verified, verify_chain(verified))
+        assert verdict == verify_chain(Chain(tuple(copy)))
+        return verdict
+
+    def test_untouched_copy_ok(self):
+        chain = build_chain(4)
+        assert self.assert_matches_full_verify(list(chain.blocks), chain) is None
+
+    def test_tampered_genesis(self):
+        chain = build_chain(4)
+        copy = [flipped_root(chain.blocks[0])] + list(chain.blocks[1:])
+        assert self.assert_matches_full_verify(copy, chain) == Violation(0, "root-mismatch")
+
+    def test_tampered_last_block(self):
+        chain = build_chain(4)
+        copy = list(chain.blocks[:-1]) + [flipped_root(chain.tip)]
+        assert self.assert_matches_full_verify(copy, chain) == Violation(4, "root-mismatch")
+
+    def test_crashed_node_prefix(self):
+        chain = build_chain(4)
+        assert self.assert_matches_full_verify(list(chain.blocks[:2]), chain) is None
+        assert self.assert_matches_full_verify([], chain) is None
+
+    def test_equal_but_distinct_block_still_ok(self):
+        chain = build_chain(4)
+        copy = list(chain.blocks)
+        copy[2] = Block(header=replace(copy[2].header), records=tuple(copy[2].records))
+        assert copy[2] == chain.blocks[2] and copy[2] is not chain.blocks[2]
+        assert self.assert_matches_full_verify(copy, chain) is None
+
+    def test_violation_in_shared_prefix_is_the_copy_violation(self):
+        chain = build_chain(4)
+        broken = Chain(chain.blocks[:1] + (flipped_root(chain.blocks[1]),) + chain.blocks[2:])
+        copy = list(broken.blocks[:3]) + [flipped_root(broken.blocks[3])]
+        assert self.assert_matches_full_verify(copy, broken) == Violation(1, "root-mismatch")
+
+    def test_violation_past_a_shorter_copy_is_not_the_copy_violation(self):
+        chain = build_chain(4)
+        broken = Chain(chain.blocks[:3] + (flipped_root(chain.blocks[3]),) + chain.blocks[4:])
+        assert self.assert_matches_full_verify(list(broken.blocks[:3]), broken) is None
+
+    def test_copy_longer_than_verified_chain(self):
+        chain = build_chain(4)
+        short = Chain(chain.blocks[:3])
+        assert self.assert_matches_full_verify(list(chain.blocks), short) is None
+        copy = list(chain.blocks[:4]) + [flipped_root(chain.tip)]
+        assert self.assert_matches_full_verify(copy, short) == Violation(4, "root-mismatch")
 
 
 class TestTrace:

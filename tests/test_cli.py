@@ -4,7 +4,10 @@ from pathlib import Path
 import pytest
 
 from gridledger import chain as chain_mod
+from gridledger.chain import Block, Chain
 from gridledger.cli import main
+
+from testutil import build_chain
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -62,6 +65,15 @@ class TestVerify:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(bad)]) == 1
         assert "violation at block 1" in capsys.readouterr().out
+
+    def test_repeated_record_exits_one(self, tmp_path, capsys):
+        chain = build_chain(2)
+        block = chain.blocks[1]
+        duplicated = Block(header=block.header, records=block.records + block.records[-1:])
+        path = tmp_path / "duplicated.txt"
+        path.write_text(chain_mod.export_chain(Chain((chain.blocks[0], duplicated, chain.blocks[2]))))
+        assert main(["verify", str(path)]) == 1
+        assert "violation at block 1: duplicate-record" in capsys.readouterr().out
 
     def test_empty_file_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -186,6 +186,38 @@ def test_golden_vectors_pin_the_scheme():
         assert verify(kp.public_key, message, bytes.fromhex(signature_hex))
 
 
+class TestSignerCache:
+    """`sign` derives each key's signer once; the signatures must be the
+    ones a fresh derivation gives."""
+
+    def test_cached_signatures_match_golden_vectors(self):
+        from pathlib import Path
+
+        crypto._signer.cache_clear()
+        fixture = Path(__file__).parent / "fixtures" / "crypto_vectors.txt"
+        for _ in range(2):  # derived, then cached
+            for line in fixture.read_text().splitlines():
+                seed_hex, message_hex, _, _, signature_hex = line.split("\t")
+                kp = generate_keypair(bytes.fromhex(seed_hex))
+                assert sign(kp.private_key, bytes.fromhex(message_hex)).hex() == signature_hex
+        assert crypto._signer.cache_info().hits > 0
+
+    def test_interleaved_keys_sign_under_their_own_key(self):
+        a, b = keypair(31), keypair(32)
+        for i in range(4):
+            message = b"message %d" % i
+            sig_a, sig_b = sign(a.private_key, message), sign(b.private_key, message)
+            assert verify(a.public_key, message, sig_a) and not verify(b.public_key, message, sig_a)
+            assert verify(b.public_key, message, sig_b) and not verify(a.public_key, message, sig_b)
+
+    def test_malformed_private_key_still_raises(self):
+        kp = keypair(33)
+        sign(kp.private_key, b"warm the cache")
+        for bad in (b"", kp.private_key[:63], kp.private_key + b"\x00"):
+            with pytest.raises(ValueError):
+                sign(bad, b"message")
+
+
 def test_round_trip_property_sweep():
     rng = random.Random(123)
     for _ in range(50):

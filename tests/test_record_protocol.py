@@ -193,11 +193,15 @@ def make_proposal(net, payloads, rng_seed=1):
     return chain, proposal
 
 
+def check_of(proposal, tip):
+    return chain_mod.validate_block(proposal.block, tip)
+
+
 class TestValidateProposal:
     def test_clean_block_gets_ok_vote(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [(10, b"fine")])
-        vote = validate_proposal(keys[3], 3, proposal, chain.tip, lambda r: True)
+        vote = validate_proposal(keys[3], 3, proposal, check_of(proposal, chain.tip), lambda r: True)
         assert vote.ok and vote.bad_indices == ()
 
     def test_fabricated_record_flagged(self, net):
@@ -205,7 +209,7 @@ class TestValidateProposal:
         chain, proposal = make_proposal(net, [(10, b"good"), (20, b"fake"), (30, b"good2")])
         fake = crypto.digest(b"fake")
         vote = validate_proposal(
-            keys[3], 3, proposal, chain.tip, lambda r: r.payload_digest != fake
+            keys[3], 3, proposal, check_of(proposal, chain.tip), lambda r: r.payload_digest != fake
         )
         assert not vote.ok
         assert vote.bad_indices == (1,)
@@ -213,19 +217,19 @@ class TestValidateProposal:
     def test_header_level_failure_flags_no_records(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [(10, b"x")])
-        vote = validate_proposal(keys[3], 3, proposal, genesis("other"), lambda r: True)
+        vote = validate_proposal(keys[3], 3, proposal, check_of(proposal, genesis("other")), lambda r: True)
         assert not vote.ok and vote.bad_indices == ()
 
     def test_unassigned_validator_rejected(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [])
         with pytest.raises(ProtocolError):
-            validate_proposal(keys[1], 1, proposal, chain.tip, lambda r: True)
+            validate_proposal(keys[1], 1, proposal, check_of(proposal, chain.tip), lambda r: True)
 
     def test_vote_signature_verifies(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [(10, b"x")])
-        vote = validate_proposal(keys[3], 3, proposal, chain.tip, lambda r: True)
+        vote = validate_proposal(keys[3], 3, proposal, check_of(proposal, chain.tip), lambda r: True)
         from gridledger.record_protocol import vote_signing_bytes
 
         assert crypto.verify(
@@ -330,7 +334,7 @@ class TestCommit:
                 keys[1], 1, pending, chain.tip_digest, tick, 3, assignment.candidates, random.Random(1)
             )
             votes = [
-                validate_proposal(keys[v], v, proposal, chain.tip, lambda r: True)
+                validate_proposal(keys[v], v, proposal, check_of(proposal, chain.tip), lambda r: True)
                 for v in proposal.validator_ids
             ]
             assert [(v.ok, v.bad_indices) for v in votes] == [(ok, ())] * 3, tick

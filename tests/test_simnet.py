@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,19 @@ class TestRun:
         assert report.blocks_committed == 2
         assert report.records_committed == 12
         assert [len(b.records) for b in report.chain.blocks] == [0, 6, 6]
+        assert chain_mod.verify_chain(report.chain) is None
+
+    def test_identical_uploads_commit_one_record(self):
+        scenario = (
+            SIX_NODES
+            + "authorize 2\n"
+            + "upload 2 load 0 at 10\n" * 2
+            + "upload 2 load 32 at 700\n"
+            + "run until 1800\n"
+        )
+        report = run(new_sim(desk_config(seed=3), scenario))
+        assert [len(b.records) for b in report.chain.blocks] == [0, 1, 1, 0]
+        assert report.blocks_rejected == 0
         assert chain_mod.verify_chain(report.chain) is None
 
     def test_step_advances_one_tick(self):
@@ -413,6 +428,17 @@ run until 1200
         outcome = next(f for f in report.fault_outcomes if f.spec.kind == "fail-storage-unit")
         assert "recovered@500" in outcome.outcome
 
+    def test_rerun_leaves_earlier_report_as_it_was(self):
+        sim = new_sim(desk_config(seed=11), (SCENARIOS / "faults.txt").read_text())
+        first = sim.run(700)
+        second = sim.run(1200)
+
+        def byzantine(report):
+            return next(f for f in report.fault_outcomes if f.spec.kind == "byzantine-validator")
+
+        assert byzantine(first).outcome == "byzantine@10; dissents=1"
+        assert byzantine(second).outcome == "byzantine@10; dissents=2"
+
     def test_inject_fault_validates_target(self):
         sim = new_sim(desk_config(), SIX_NODES + "run until 0\n")
         with pytest.raises(ScenarioError):
@@ -529,6 +555,31 @@ def test_metrics_summary():
     honest_validators = [4, 5]
     honest_mean = sum(report.credits[n] for n in honest_validators) / 2
     assert report.credits[3] < honest_mean
+
+
+def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
+    # Block checks (`chain.validate_block`) run once per round, once in
+    # Chain.append and once for the report; every other caller verifies a
+    # signature once, as a protocol step of its own: the recorder's intake
+    # and the share receiver check the record signature, commit the votes.
+    counts = Counter()
+    original = crypto.verify
+
+    def counting(public_key, message, signature):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a generator expression
+            frame = frame.f_back
+        counts[frame.f_code.co_name, public_key, message, signature] += 1
+        return original(public_key, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    report = run(new_sim(desk_config(seed=7), (SCENARIOS / "sharing.txt").read_text()))
+    assert report.records_committed > 0 and report.deliveries
+    assert {key[0] for key in counts} == {
+        "validate_block", "receive_upload", "receive_share", "commit"
+    }
+    for (caller, *_), n in counts.items():
+        assert n <= (3 if caller == "validate_block" else 1), (caller, n)
 
 
 def test_fault_artifacts_and_detection_pinned():

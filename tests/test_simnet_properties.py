@@ -1,5 +1,6 @@
 """Property tests over random scenarios: a scenario either fails to load with
-ScenarioError/ValueError, or runs to its horizon without raising."""
+ScenarioError/ValueError, or runs to its horizon without raising, and every
+node's reported chain status is what a full verify of its copy gives."""
 
 import tempfile
 from pathlib import Path
@@ -74,6 +75,14 @@ directives = st.one_of(
     ],
     horizon=1400,
 )
+@example(  # copies tampered before and after a crash, then grown by later blocks
+    seed=1,
+    lines=[
+        "authorize 2", "upload 2 load 16 at 10", "fault tamper-chain-copy 4 at 5",
+        "fault tamper-chain-copy 5 at 650", "fault crash-node 1 at 700",
+    ],
+    horizon=1300,
+)
 def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     text = HEADER + "".join(line + "\n" for line in lines) + f"run until {horizon}\n"
     try:
@@ -83,3 +92,7 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     report = sim.run()
     assert chain_mod.verify_chain(report.chain) is None
     assert fold_events(report.credits.keys(), report.events) == report.credits
+    for nid, node in sim.nodes.items():
+        full = chain_mod.verify_chain(chain_mod.Chain(tuple(node.local_chain)))
+        expected = "ok" if full is None else f"violation@{full.index}:{full.reason}"
+        assert report.node_chain_status[nid] == expected
