@@ -8,11 +8,20 @@ Timestamps are simulation ticks, never wall-clock.
 `validate_block` is the one definition of a valid block: `Chain.append`,
 `verify_chain`, `verify_copy` and the simulator's per-round check, whose
 result `record_protocol.validate_proposal` takes, all call it.
+
+A `Chain` remembers how far `append` vouches for it: ``checked_from`` is
+the index from which `append` validated every block against its
+predecessor, so `verify_chain` checks only the blocks before it. A chain
+built any other way (the constructor, `import_chain`,
+`dataclasses.replace`) starts with ``checked_from == len(blocks)`` and is
+checked in full. `append` in turn takes the `BlockCheck` its caller already
+computed, and reuses it only when it judged this very block against this
+very tip object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -264,6 +273,11 @@ def genesis(network_id: str = "grid") -> Block:
 @dataclass(frozen=True)
 class Chain:
     blocks: tuple[Block, ...]
+    # `append` validated each block from this index on against its predecessor
+    checked_from: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "checked_from", len(self.blocks))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -276,22 +290,30 @@ class Chain:
     def tip_digest(self) -> bytes:
         return block_digest(self.tip)
 
-    def append(self, block: Block) -> "Chain":
-        """The chain with ``block`` added; raises the block's first fault."""
-        error = validate_block(block, self.tip).error()
+    def append(self, block: Block, check: BlockCheck | None = None) -> "Chain":
+        """The chain with ``block`` added; raises the block's first fault.
+        ``check`` is reused only if it is `validate_block` of this very
+        block against this very tip; any other check is ignored."""
+        if check is None or check.block is not block or check.prev is not self.tip:
+            check = validate_block(block, self.tip)
+        error = check.error()
         if error is not None:
             raise error
-        return Chain(self.blocks + (block,))
+        grown = Chain(self.blocks + (block,))
+        object.__setattr__(grown, "checked_from", self.checked_from)
+        return grown
 
 
 @dataclass(frozen=True)
 class BlockCheck:
     """Result of `validate_block`: the first header-level fault, and the
     indices of records whose uploader signature fails (checked only when
-    the header holds)."""
+    the header holds). ``block`` and ``prev`` are the objects it judged."""
 
     fault: ChainError | EncodingError | None
     bad_records: tuple[int, ...] = ()
+    block: Block | None = field(default=None, compare=False, repr=False)
+    prev: Block | None = field(default=None, compare=False, repr=False)
 
     def error(self) -> ChainError | EncodingError | None:
         """The block's first fault, header before records."""
@@ -304,35 +326,40 @@ def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
     """Check one block against its predecessor: link, timestamp, Merkle
     root, distinct records and recorder signature, in that order, then
     every record's uploader signature. Genesis passes ``prev_block=None``."""
+
+    def judged(fault: ChainError | EncodingError | None, bad: tuple[int, ...] = ()) -> BlockCheck:
+        return BlockCheck(fault, bad, block=block, prev=prev_block)
+
     header = block.header
     try:
         expected_prev = ZERO_DIGEST if prev_block is None else block_digest(prev_block)
         if header.prev_block_digest != expected_prev:
-            return BlockCheck(LinkMismatchError("prev_block_digest does not match prior block"))
+            return judged(LinkMismatchError("prev_block_digest does not match prior block"))
         if prev_block is not None and header.timestamp_tick < prev_block.header.timestamp_tick:
-            return BlockCheck(TimestampRegressionError("timestamp_tick decreased"))
+            return judged(TimestampRegressionError("timestamp_tick decreased"))
         leaves = [record_digest(r) for r in block.records]
         if header.merkle_root != build_tree(leaves).root:
-            return BlockCheck(RootMismatchError("merkle_root does not match records"))
+            return judged(RootMismatchError("merkle_root does not match records"))
         if len(set(leaves)) != len(leaves):
-            return BlockCheck(DuplicateRecordError("block lists a record twice"))
+            return judged(DuplicateRecordError("block lists a record twice"))
         signing = header_signing_bytes(header)
     except EncodingError as exc:
-        return BlockCheck(exc)
+        return judged(exc)
     if not crypto.verify(header.recorder_public_key, signing, header.recorder_signature):
-        return BlockCheck(BadSignatureError("recorder signature invalid"))
+        return judged(BadSignatureError("recorder signature invalid"))
     bad = tuple(
         i
         for i, r in enumerate(block.records)
         if not crypto.verify(r.uploader_public_key, r.payload_digest, r.uploader_signature)
     )
-    return BlockCheck(None, bad)
+    return judged(None, bad)
 
 
 def verify_chain(chain: Chain) -> Violation | None:
     """Full-chain audit: returns None when every link, root, and signature
-    holds, else the earliest violation."""
-    return _first_violation(chain.blocks, 0)
+    holds, else the earliest violation. Blocks from ``chain.checked_from``
+    on passed this check in `append` and are not checked again."""
+    return _first_violation(chain.blocks[: chain.checked_from], 0)
 
 
 def verify_copy(

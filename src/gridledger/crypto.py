@@ -191,6 +191,14 @@ def encrypt_for(public_key: bytes, plaintext: bytes, rng=None) -> Envelope:
     )
 
 
+@lru_cache(maxsize=1024)
+def _opener(private_key: bytes) -> tuple[X25519PrivateKey, bytes]:
+    """The X25519 key of ``private_key``'s sealing half and its public
+    bytes, derived once per key as `_signer` does for signing."""
+    seal_priv = X25519PrivateKey.from_private_bytes(private_key[32:])
+    return seal_priv, seal_priv.public_key().public_bytes_raw()
+
+
 def decrypt(private_key: bytes, envelope: Envelope) -> bytes:
     """Open an envelope. Raises DecryptionError for a non-matching key,
     MalformedEnvelopeError for structurally broken envelopes."""
@@ -204,8 +212,7 @@ def decrypt(private_key: bytes, envelope: Envelope) -> bytes:
         raise MalformedEnvelopeError("ciphertext shorter than its tag")
     ephemeral_pub = envelope.encrypted_key[:32]
     wrapped = envelope.encrypted_key[32:]
-    seal_priv = X25519PrivateKey.from_private_bytes(private_key[32:])
-    recipient_seal = seal_priv.public_key().public_bytes_raw()
+    seal_priv, recipient_seal = _opener(bytes(private_key))
     shared = seal_priv.exchange(X25519PublicKey.from_public_bytes(ephemeral_pub))
     kek = _wrap_kek(shared, ephemeral_pub, recipient_seal)
     try:

@@ -254,12 +254,15 @@ def commit(
     ledger: CreditLedger,
     public_keys: Mapping[int, bytes],
     uploader_ids: Mapping[bytes, int],
+    check: BlockCheck | None = None,
 ) -> CommitResult:
     """Tally exactly three verified votes. Majority ok appends the block and
     rewards the recorder and every uploader; majority erroneous drops the
     quorum-flagged records to quarantine, penalizes their uploaders and the
     recorder, and keeps the surviving records pending. Validator agreement
-    credits apply either way."""
+    credits apply either way. ``check``, the validators' `validate_block` of
+    the block against the tip, goes to `Chain.append`, which reuses it only
+    if it judged this block against ``chain.tip``."""
     if len(votes) != VALIDATOR_COUNT:
         raise ProtocolError(f"expected {VALIDATOR_COUNT} votes, got {len(votes)}")
     block_digest = chain_mod.block_digest(proposal.block)
@@ -281,7 +284,7 @@ def commit(
     )
 
     if majority_ok:
-        new_chain = chain.append(proposal.block)
+        new_chain = chain.append(proposal.block, check)
         events.append(credit_mod.apply_block_outcome(ledger, proposal.proposer_id, False, tick))
         for record in proposal.block.records:
             uploader = uploader_ids[record.uploader_public_key]

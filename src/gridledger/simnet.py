@@ -6,11 +6,16 @@ labeled line in the trace, so a (seed, config, scenario) triple always
 reproduces byte-identical outputs.
 
 Time is discrete ticks (1 tick = 1 simulated second by default; the
-10-minute block interval is 600 ticks). Data-path messages (upload request,
-grant, envelope, share envelope) travel with a configurable delay, default
-one tick. The seal/validate/vote/commit round runs atomically at each
-interval-boundary tick, with its proposal/vote/commit-notice messages traced
-at that tick; a block sealed at tick T is therefore decided at tick T.
+10-minute block interval is 600 ticks). `Sim.step` advances one tick;
+`Sim.run` visits only the ticks where something happens (a due event or an
+interval boundary) and jumps over the rest, on which `step` would do
+nothing. Data-path messages (upload request, grant, envelope, share
+envelope) travel with a configurable delay, default one tick. The
+seal/validate/vote/commit round runs atomically at each interval-boundary
+tick, with its proposal/vote/commit-notice messages traced at that tick; a
+block sealed at tick T is therefore decided at tick T. The round validates
+its block once: the validators share that check, and `Chain.append`
+reuses it.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation.
@@ -50,7 +55,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import chain as chain_mod
 from . import credit as credit_mod
@@ -301,8 +306,7 @@ class _Msg:
     tampered_by: FaultOutcome | None = None
 
 
-@dataclass(frozen=True)
-class TapEntry:
+class TapEntry(NamedTuple):
     tick: int
     kind: str
     src: int
@@ -505,6 +509,8 @@ class Sim:
         self.permissions = PermissionList(
             frozenset(self.nodes[nid].keypair.public_key for nid, _ in scenario.authorized)
         )
+        self.public_keys = {nid: node.keypair.public_key for nid, node in self.nodes.items()}
+        self.uploader_ids = {key: nid for nid, key in self.public_keys.items()}
 
         genesis_block = chain_mod.genesis(config.network_id)
         self.chain = Chain((genesis_block,))
@@ -626,12 +632,20 @@ class Sim:
         return self
 
     def run(self, until_tick: int | None = None) -> SimReport:
+        """Step to ``until_tick`` and report. Between steps, time jumps to
+        the next tick with an event due or an interval boundary: a tick with
+        neither is one `step` would only count."""
         if until_tick is None:
             until_tick = self.scenario.run_until
         if until_tick is None:
             raise ValueError("no horizon: scenario has no 'run until' and none was given")
+        interval = self.config.block_interval_ticks
         while self.tick <= until_tick:
             self.step()
+            upcoming = min(-(-self.tick // interval) * interval, until_tick + 1)
+            if self._events:
+                upcoming = min(upcoming, self._events[0][0])
+            self.tick = max(self.tick, upcoming)
         return self._build_report(until_tick)
 
     # --- scheduled actions ---------------------------------------------------
@@ -919,19 +933,20 @@ class Sim:
                 f"verdict={verdict}",
             )
             votes.append(vote)
-        public_keys = {nid: node.keypair.public_key for nid, node in self.nodes.items()}
-        uploader_ids = {node.keypair.public_key: nid for nid, node in self.nodes.items()}
         result = record_mod.commit(
-            proposal, votes, self.chain, self.ledger, public_keys, uploader_ids
+            proposal, votes, self.chain, self.ledger, self.public_keys, self.uploader_ids, check
         )
         if result.committed:
             self.chain = result.chain
             self.pending = []
+            # per live node, the tap entry and trace line _note_sync_message would add
+            notice = f"{self.tick}\tcommit-notice\t{duty}\t"
             for nid, node in self.nodes.items():
                 if node.crashed:
                     continue
                 node.local_chain.append(proposal.block)
-                self._note_sync_message("commit-notice", duty, nid, block_digest_value, "committed")
+                self.tap.append(TapEntry(self.tick, "commit-notice", duty, nid, block_digest_value))
+                self.trace_lines.append(f"{notice}{nid}\tcommitted")
             for record in proposal.block.records:
                 forge = self._forged.pop(record, None)
                 if forge is not None:

@@ -244,6 +244,90 @@ def flipped_root(block: Block) -> Block:
     root[0] ^= 1
     return replace(block, header=replace(block.header, merkle_root=bytes(root)))
 
+def counting_validate_block(monkeypatch) -> list:
+    """Patch `chain.validate_block` to record the blocks it judges."""
+    judged = []
+    original = chain_mod.validate_block
+
+    def counting(block, prev_block):
+        judged.append(block)
+        return original(block, prev_block)
+
+    monkeypatch.setattr(chain_mod, "validate_block", counting)
+    return judged
+
+
+class TestAppendedMark:
+    """`append` vouches only for what it validated: the blocks it appended
+    on a chain it was given, with a check of that very block and tip."""
+
+    def test_appended_chain_verifies_its_unappended_prefix_only(self, monkeypatch):
+        chain = build_chain(4)
+        assert chain.checked_from == 1
+        judged = counting_validate_block(monkeypatch)
+        assert verify_chain(chain) is None
+        assert judged == [chain.blocks[0]]
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda chain, blocks: Chain(blocks),
+        lambda chain, blocks: replace(chain, blocks=blocks),
+    ])
+    def test_rebuilt_chain_is_checked_in_full(self, rebuild):
+        chain = build_chain(4)
+        blocks = list(chain.blocks)
+        record = blocks[2].records[0]
+        blocks[2] = replace(blocks[2], records=(
+            replace(record, payload_digest=crypto.digest(b"flipped")),
+        ) + blocks[2].records[1:])
+        rebuilt = rebuild(chain, tuple(blocks))
+        assert rebuilt.checked_from == len(rebuilt)
+        assert verify_chain(rebuilt) == Violation(2, "root-mismatch")
+
+    def test_appending_to_a_broken_chain_keeps_its_violation(self):
+        chain = build_chain(3)
+        broken = Chain(chain.blocks[:1] + (flipped_root(chain.blocks[1]),) + chain.blocks[2:])
+        block = chain_mod.make_block(keypair(1000), broken.tip_digest, 9000, ())
+        grown = broken.append(block)
+        assert grown.checked_from == len(broken)
+        assert verify_chain(grown) == Violation(1, "root-mismatch")
+
+    def test_check_of_this_block_on_this_tip_is_reused(self, monkeypatch):
+        chain = build_chain(2)
+        block = chain_mod.make_block(keypair(1000), chain.tip_digest, 9000, ())
+        check = chain_mod.validate_block(block, chain.tip)
+        judged = counting_validate_block(monkeypatch)
+        assert chain.append(block, check).tip is block
+        assert judged == []
+
+    def test_check_of_another_block_is_not_reused(self, monkeypatch):
+        chain = build_chain(2)
+        block = chain_mod.make_block(keypair(1000), chain.tip_digest, 9000, ())
+        equal = Block(header=replace(block.header), records=block.records)
+        check = chain_mod.validate_block(equal, chain.tip)
+        judged = counting_validate_block(monkeypatch)
+        chain.append(block, check)
+        assert judged == [block]
+
+    def test_check_on_another_tip_is_not_reused(self, monkeypatch):
+        chain = build_chain(2)
+        block = chain_mod.make_block(keypair(1000), chain.tip_digest, 9000, ())
+        equal_tip = Block(header=replace(chain.tip.header), records=chain.tip.records)
+        check = chain_mod.validate_block(block, equal_tip)
+        judged = counting_validate_block(monkeypatch)
+        chain.append(block, check)
+        assert judged == [block]
+
+    def test_bad_block_with_a_clean_check_raises(self):
+        chain = build_chain(2)
+        good = chain_mod.make_block(keypair(1000), chain.tip_digest, 9000, ())
+        clean = chain_mod.validate_block(good, chain.tip)
+        assert clean.error() is None
+        with pytest.raises(RootMismatchError):
+            chain.append(flipped_root(good), clean)
+        stale = chain_mod.make_block(keypair(1000), chain_mod.block_digest(chain.blocks[0]), 9000, ())
+        with pytest.raises(LinkMismatchError):
+            chain.append(stale, chain_mod.validate_block(stale, chain.blocks[0]))
+
 
 class TestVerifyCopy:
     """`verify_copy` must give exactly what a full `verify_chain` of the

@@ -218,6 +218,40 @@ class TestSignerCache:
                 sign(bad, b"message")
 
 
+class TestOpenerCache:
+    """`decrypt` derives each key's X25519 half once; opening must behave
+    as a fresh derivation does."""
+
+    def test_interleaved_keys_open_their_own_envelopes(self):
+        crypto._opener.cache_clear()
+        rng = random.Random(41)
+        a, b = keypair(41), keypair(42)
+        sealed = [
+            (kp, other, payload, encrypt_for(kp.public_key, payload, rng=rng))
+            for i in range(3)
+            for kp, other, payload in ((a, b, b"to a %d" % i), (b, a, b"to b %d" % i))
+        ]
+        for kp, other, payload, env in sealed:
+            assert decrypt(kp.private_key, env) == payload
+            with pytest.raises(DecryptionError):
+                decrypt(other.private_key, env)
+        assert crypto._opener.cache_info().hits > 0
+
+    def test_malformed_private_key_still_raises(self):
+        kp = keypair(43)
+        env = encrypt_for(kp.public_key, b"payload")
+        decrypt(kp.private_key, env)  # warm the cache
+        for bad in (b"", kp.private_key[:63], kp.private_key + b"\x00"):
+            with pytest.raises(ValueError):
+                decrypt(bad, env)
+
+    def test_wrong_key_still_raises_once_cached(self):
+        kp, wrong = keypair(44), keypair(45)
+        decrypt(wrong.private_key, encrypt_for(wrong.public_key, b"warm"))
+        with pytest.raises(DecryptionError):
+            decrypt(wrong.private_key, encrypt_for(kp.public_key, b"secret"))
+
+
 def test_round_trip_property_sweep():
     rng = random.Random(123)
     for _ in range(50):

@@ -187,6 +187,23 @@ class TestRun:
         step(sim)
         assert sim.tick == 1
 
+    def test_run_steps_only_ticks_with_something_due(self, monkeypatch):
+        scenario = SIX_NODES + "authorize 2\nupload 2 load 8 at 10\nrun until 1300\n"
+        sim = new_sim(desk_config(), scenario)
+        stepped = []
+        original = type(sim).step
+
+        def counting(self):
+            stepped.append(self.tick)
+            return original(self)
+
+        monkeypatch.setattr(type(sim), "step", counting)
+        report = sim.run()
+        # start, upload plan, request/grant/envelope deliveries, rounds
+        assert stepped == [0, 10, 11, 12, 13, 600, 1200]
+        assert sim.tick == 1301
+        assert report.records_committed == 1
+
     def test_missing_horizon_errors(self):
         sim = new_sim(desk_config(), SIX_NODES)
         with pytest.raises(ValueError):
@@ -580,6 +597,33 @@ def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
     }
     for (caller, *_), n in counts.items():
         assert n <= (3 if caller == "validate_block" else 1), (caller, n)
+
+
+@pytest.mark.parametrize("name", ["sharing.txt", "all_faults.txt"])
+def test_block_checks_verify_each_signature_once_per_block(monkeypatch, name):
+    # The round's check is the one `Chain.append` commits with, and the
+    # report's verify_chain re-checks only genesis, so `validate_block`
+    # verifies each (key, message, signature) once per block it judges. A
+    # record that survives a rejected block is judged again in the next.
+    counts = Counter()
+    original = crypto.verify
+
+    def counting(public_key, message, signature):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a generator expression
+            frame = frame.f_back
+        if frame.f_code.co_name == "validate_block":
+            block = frame.f_locals["block"]
+            counts[block.header.recorder_signature, public_key, message, signature] += 1
+        return original(public_key, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    report = run(new_sim(desk_config(seed=7), (SCENARIOS / name).read_text()))
+    assert report.records_committed > 0
+    assert counts and set(counts.values()) == {1}
+    if not report.rejections:
+        per_signature = Counter(key[1:] for key in counts)
+        assert set(per_signature.values()) == {1}
 
 
 def test_fault_artifacts_and_detection_pinned():

@@ -1,6 +1,8 @@
 """Property tests over random scenarios: a scenario either fails to load with
 ScenarioError/ValueError, or runs to its horizon without raising, and every
-node's reported chain status is what a full verify of its copy gives."""
+node's reported chain status is what a full verify of its copy gives.
+`Sim.run` jumps over ticks with nothing due; its artifacts must be those of
+a `Sim.step` loop over every tick."""
 
 import tempfile
 from pathlib import Path
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
 from gridledger.credit import fold_events
-from gridledger.simnet import FaultKind, ScenarioError, SimConfig, new_sim
+from gridledger.simnet import FaultKind, FaultSpec, ScenarioError, SimConfig, new_sim
 
 # While pytest collects, Hypothesis caches constants scraped from local
 # sources under its home directory (./.hypothesis by default), even with
@@ -96,3 +98,117 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
         full = chain_mod.verify_chain(chain_mod.Chain(tuple(node.local_chain)))
         expected = "ok" if full is None else f"violation@{full.index}:{full.reason}"
         assert report.node_chain_status[nid] == expected
+
+
+def artifacts(report) -> tuple[str, ...]:
+    return (
+        report.chain_export_text(), report.credit_log_text(), report.trace_text(),
+        report.metrics_text(),
+    )
+
+
+def step_to(sim, until_tick: int):
+    """The report of a `step` loop over every tick up to ``until_tick``."""
+    while sim.tick <= until_tick:
+        sim.step()
+    return sim.run(until_tick)  # past the horizon: reports without stepping
+
+
+timing = {
+    # 0: a message is delivered within the tick it was sent
+    "delay": st.sampled_from([0, 1, 3]),
+    # 250 and 97 do not divide the horizons below
+    "interval": st.sampled_from([600, 250, 97]),
+}
+jump_settings = settings(
+    max_examples=40,
+    database=None,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def config_of(seed: int, delay: int, interval: int) -> SimConfig:
+    return SimConfig(
+        seed=seed, r_max=3, s_max=1, message_delay_ticks=delay, block_interval_ticks=interval
+    )
+
+
+@jump_settings
+@given(
+    seed=st.integers(0, 3),
+    lines=st.lists(directives, max_size=10),
+    horizon=st.integers(0, 1300),
+    **timing,
+)
+@example(
+    seed=0, lines=["authorize 2", "upload 2 load 8 at 10", "share 2 4 0 at 700"],
+    horizon=1300, delay=0, interval=250,
+)
+@example(  # with no delay the whole upload runs at 599, the tick before a boundary
+    seed=0, lines=["authorize 2", "upload 2 load 8 at 599"], horizon=1300, delay=0, interval=600,
+)
+def test_run_gives_the_artifacts_of_a_step_loop(seed, lines, horizon, delay, interval):
+    text = HEADER + "".join(line + "\n" for line in lines)
+    config = config_of(seed, delay, interval)
+    try:
+        jumped = new_sim(config, text)
+    except (ScenarioError, ValueError):
+        return
+    assert artifacts(jumped.run(horizon)) == artifacts(step_to(new_sim(config, text), horizon))
+    assert jumped.tick == horizon + 1
+
+
+injected = st.one_of(
+    st.tuples(
+        st.sampled_from([
+            FaultKind.CRASH_NODE, FaultKind.BYZANTINE_VALIDATOR, FaultKind.TAMPER_IN_FLIGHT,
+            FaultKind.TAMPER_CHAIN_COPY,
+        ]),
+        st.integers(0, 5),
+        st.just({}),
+    ),
+    st.tuples(st.just(FaultKind.FORGE_RECORD), st.integers(0, 5), st.builds(dict, size=st.integers(0, 64))),
+    st.tuples(
+        st.just(FaultKind.FAIL_STORAGE_UNIT),
+        st.integers(0, 4).map("u{}".format),
+        st.builds(dict, recover=st.integers(1, 400)),  # ticks after the fault
+    ),
+)
+
+
+@jump_settings
+@given(
+    seed=st.integers(0, 3),
+    lines=st.lists(directives, max_size=6),
+    first=st.integers(0, 900),
+    gap=st.integers(0, 700),
+    second=st.integers(0, 900),
+    fault=injected,
+    **timing,
+)
+@example(
+    seed=1, lines=["authorize 2", "upload 2 load 8 at 10", "upload 2 load 8 at 400"],
+    first=300, gap=50, second=600, fault=(FaultKind.FORGE_RECORD, 2, {"size": 0}),
+    delay=1, interval=600,
+)
+def test_split_run_with_an_injected_fault_matches_a_step_loop(
+    seed, lines, first, gap, second, fault, delay, interval
+):
+    text = HEADER + "".join(line + "\n" for line in lines)
+    config = config_of(seed, delay, interval)
+    try:
+        jumped, stepped = new_sim(config, text), new_sim(config, text)
+    except (ScenarioError, ValueError):
+        return
+    assert artifacts(jumped.run(first)) == artifacts(step_to(stepped, first))
+    assert jumped.tick == stepped.tick == first + 1
+    kind, target, params = fault
+    tick = jumped.tick + gap
+    if "recover" in params:
+        params = {"recover": tick + params["recover"]}
+    for sim in (jumped, stepped):
+        sim.inject_fault(FaultSpec(kind=kind, target=target, tick=tick, params=dict(params)))
+    horizon = first + second
+    assert artifacts(jumped.run(horizon)) == artifacts(step_to(stepped, horizon))
