@@ -17,10 +17,20 @@ built any other way (the constructor, `import_chain`,
 checked in full. `append` in turn takes the `BlockCheck` its caller already
 computed, and reuses it only when it judged this very block against this
 very tip object.
+
+Digests are once-per-object values. `record_digest` and `block_digest`
+store their result on the frozen `Record` or `Block` the first time they
+are asked (a `dataclasses.replace` copy, as the tamper faults make, starts
+without one). `block_from_bytes` fills them in as it decodes: each record
+gets the digest of the exact slice it was read from and each block the
+digest of its raw header bytes, so nothing decoded is encoded again. The
+slices are the decoder's own: they are hashed and dropped, and a decoded
+object keeps only its fields and digest.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -28,7 +38,7 @@ from typing import Sequence
 from . import crypto
 from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
 from .crypto import Keypair, digest
-from .merkle import build_tree
+from .merkle import merkle_root
 
 ZERO_DIGEST = b"\x00" * crypto.DIGEST_LEN
 MAX_DATA_CLASS_LEN = 64
@@ -101,6 +111,7 @@ class Record:
     payload_digest: bytes
     metadata: RecordMetadata
     uploader_signature: bytes
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,7 @@ class BlockHeader:
 class Block:
     header: BlockHeader
     records: tuple[Record, ...]
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -159,33 +171,46 @@ def record_bytes(record: Record) -> bytes:
     )
 
 
+# The fixed-width runs of the layouts above, each read in one `unpack`: the
+# header, and a record's fields before and after its data_class bytes.
+_HEADER = struct.Struct(
+    f">{crypto.DIGEST_LEN}sQ{crypto.DIGEST_LEN}s{crypto.PUBLIC_KEY_LEN}s{crypto.SIGNATURE_LEN}s"
+)
+_RECORD_HEAD = struct.Struct(f">{crypto.PUBLIC_KEY_LEN}s{crypto.DIGEST_LEN}sBI")
+_RECORD_TAIL = struct.Struct(f">Q{crypto.SIGNATURE_LEN}s")
+_KIND_BY_VALUE = {kind.value: kind for kind in RecordKind}
+
+
 def record_from_reader(reader: ByteReader) -> Record:
-    uploader = reader.take(crypto.PUBLIC_KEY_LEN)
-    payload_digest = reader.take(crypto.DIGEST_LEN)
-    kind_value = reader.u8()
-    try:
-        kind = RecordKind(kind_value)
-    except ValueError:
-        raise EncodingError(f"unknown record kind {kind_value}") from None
-    raw_class = reader.var_bytes()
-    if not raw_class or len(raw_class) > MAX_DATA_CLASS_LEN:
+    """Read one record; it carries the digest of the bytes it was read from."""
+    start = reader.mark()
+    uploader, payload_digest, kind_value, class_len = reader.unpack(_RECORD_HEAD)
+    kind = _KIND_BY_VALUE.get(kind_value)
+    if kind is None:
+        raise EncodingError(f"unknown record kind {kind_value}")
+    raw_class = reader.take(class_len)
+    if not 0 < class_len <= MAX_DATA_CLASS_LEN:
         raise EncodingError("data_class length out of bounds")
     try:
         data_class = raw_class.decode("utf-8")
     except UnicodeDecodeError:
         raise EncodingError("data_class is not valid UTF-8") from None
-    created_tick = reader.u64()
-    signature = reader.take(crypto.SIGNATURE_LEN)
-    return Record(
+    created_tick, signature = reader.unpack(_RECORD_TAIL)
+    record = Record(
         uploader_public_key=uploader,
         payload_digest=payload_digest,
         metadata=RecordMetadata(kind=kind, data_class=data_class, created_tick=created_tick),
         uploader_signature=signature,
     )
+    object.__setattr__(record, "_digest", digest(reader.since(start)))
+    return record
 
 
 def record_digest(record: Record) -> bytes:
-    return digest(record_bytes(record))
+    """Digest of the record's canonical bytes, computed once per object."""
+    if record._digest is None:
+        object.__setattr__(record, "_digest", digest(record_bytes(record)))
+    return record._digest
 
 
 def header_signing_bytes(header: BlockHeader) -> bytes:
@@ -213,16 +238,15 @@ def block_bytes(block: Block) -> bytes:
 
 
 def block_from_bytes(data: bytes) -> Block:
+    """Decode one block; it and its records carry the digests of the bytes
+    they were read from."""
     reader = ByteReader(data)
-    prev = reader.take(crypto.DIGEST_LEN)
-    tick = reader.u64()
-    root = reader.take(crypto.DIGEST_LEN)
-    recorder = reader.take(crypto.PUBLIC_KEY_LEN)
-    signature = reader.take(crypto.SIGNATURE_LEN)
+    prev, tick, root, recorder, signature = reader.unpack(_HEADER)
+    header_digest = digest(reader.since(0))
     count = reader.u32()
     records = tuple(record_from_reader(reader) for _ in range(count))
     reader.expect_end()
-    return Block(
+    block = Block(
         header=BlockHeader(
             prev_block_digest=prev,
             timestamp_tick=tick,
@@ -232,16 +256,20 @@ def block_from_bytes(data: bytes) -> Block:
         ),
         records=records,
     )
+    object.__setattr__(block, "_digest", header_digest)
+    return block
 
 
 def block_digest(block: Block) -> bytes:
     """Digest of the full header (signature included); records are covered
-    transitively through the Merkle root."""
-    return digest(header_bytes(block.header))
+    transitively through the Merkle root. Computed once per object."""
+    if block._digest is None:
+        object.__setattr__(block, "_digest", digest(header_bytes(block.header)))
+    return block._digest
 
 
 def merkle_root_of(records: tuple[Record, ...]) -> bytes:
-    return build_tree([record_digest(r) for r in records]).root
+    return merkle_root([record_digest(r) for r in records])
 
 
 def make_block(
@@ -338,7 +366,7 @@ def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
         if prev_block is not None and header.timestamp_tick < prev_block.header.timestamp_tick:
             return judged(TimestampRegressionError("timestamp_tick decreased"))
         leaves = [record_digest(r) for r in block.records]
-        if header.merkle_root != build_tree(leaves).root:
+        if header.merkle_root != merkle_root(leaves):
             return judged(RootMismatchError("merkle_root does not match records"))
         if len(set(leaves)) != len(leaves):
             return judged(DuplicateRecordError("block lists a record twice"))

@@ -3,7 +3,8 @@
 Fixed-width fields are written raw, integers big-endian, and variable
 fields get a u32 length prefix. `ByteReader` is the one strict parser of
 that layout: it rejects truncated input and, at `expect_end`, trailing
-bytes.
+bytes. A reader only borrows its input: every field it returns (`take`,
+`unpack`, `since`) is a copy, so the caller decides what outlives the parse.
 """
 
 from __future__ import annotations
@@ -45,14 +46,27 @@ class ByteReader:
         self._pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """The next ``layout.size`` bytes, unpacked by ``layout``."""
+        start = self._pos
+        if start + layout.size > len(self._data):
+            raise self._error("truncated input")
+        self._pos = start + layout.size
+        return layout.unpack_from(self._data, start)
+
+    def mark(self) -> int:
+        """The read position, for `since`."""
+        return self._pos
+
+    def since(self, mark: int) -> bytes:
+        """The bytes read from ``mark`` up to the read position."""
+        return self._data[mark : self._pos]
 
     def u32(self) -> int:
-        return U32.unpack(self.take(4))[0]
+        return self.unpack(U32)[0]
 
     def u64(self) -> int:
-        return U64.unpack(self.take(8))[0]
+        return self.unpack(U64)[0]
 
     def var_bytes(self) -> bytes:
         return self.take(self.u32())

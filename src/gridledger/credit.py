@@ -173,10 +173,3 @@ def duty_recorder(assignment: RoleAssignment, round_index: int) -> int:
     if not assignment.recorders:
         raise ValueError("no recorders available")
     return assignment.recorders[round_index % len(assignment.recorders)]
-
-
-def duty_supervisor(assignment: RoleAssignment, round_index: int) -> int:
-    """Round-robin over supervisors, one per block interval."""
-    if not assignment.supervisors:
-        raise ValueError("no supervisors available")
-    return assignment.supervisors[round_index % len(assignment.supervisors)]

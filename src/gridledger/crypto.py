@@ -144,15 +144,23 @@ def sign(private_key: bytes, message: bytes) -> bytes:
     return signer.sign(key_digest + message)
 
 
+@lru_cache(maxsize=1024)
+def _verifier(public_key: bytes) -> tuple[Ed25519PublicKey, bytes]:
+    """The Ed25519 verify key of a composite ``public_key`` and the digest
+    that prefixes every message it signs, derived once per key as `_signer`
+    does for signing. Only the key is cached, never a verdict. A verify
+    half the backend refuses to load raises ValueError, and is not cached."""
+    return Ed25519PublicKey.from_public_bytes(public_key[:32]), digest(public_key)
+
+
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` was produced by the matching private key over
     exactly ``message``. Malformed inputs verify false, never raise."""
     if len(public_key) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(
-            signature, digest(public_key) + message
-        )
+        verifier, key_digest = _verifier(bytes(public_key))
+        verifier.verify(signature, key_digest + message)
     except (InvalidSignature, ValueError):
         return False
     return True

@@ -8,6 +8,7 @@ root; the empty tree's root is the digest of the empty byte string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .crypto import DIGEST_LEN, digest
 
@@ -26,20 +27,26 @@ class InclusionProof:
     path: tuple[tuple[bytes, bool], ...]
 
 
+def _check_leaves(leaves: Sequence[bytes]) -> None:
+    for leaf in leaves:
+        if len(leaf) != DIGEST_LEN:
+            raise ValueError("leaves must be 32-byte digests")
+
+
+def _parent_level(level: list[bytes]) -> list[bytes]:
+    """The level above ``level``: adjacent nodes pair left to right, and the
+    last node of an odd level pairs with itself."""
+    if len(level) % 2:
+        level = level + level[-1:]
+    return [digest(left + right) for left, right in zip(level[::2], level[1::2])]
+
+
 class MerkleTree:
     def __init__(self, leaves: list[bytes]):
-        for leaf in leaves:
-            if len(leaf) != DIGEST_LEN:
-                raise ValueError("leaves must be 32-byte digests")
+        _check_leaves(leaves)
         levels = [list(leaves)]
         while len(levels[-1]) > 1:
-            current = levels[-1]
-            nxt = []
-            for i in range(0, len(current), 2):
-                left = current[i]
-                right = current[i + 1] if i + 1 < len(current) else current[i]
-                nxt.append(digest(left + right))
-            levels.append(nxt)
+            levels.append(_parent_level(levels[-1]))
         self.leaves = tuple(leaves)
         self.levels = tuple(tuple(level) for level in levels)
 
@@ -69,6 +76,17 @@ class MerkleTree:
 
 def build_tree(leaf_digests: list[bytes]) -> MerkleTree:
     return MerkleTree(list(leaf_digests))
+
+
+def merkle_root(leaf_digests: Sequence[bytes]) -> bytes:
+    """``build_tree(leaf_digests).root``, keeping only one level at a time."""
+    _check_leaves(leaf_digests)
+    level = list(leaf_digests)
+    if not level:
+        return EMPTY_ROOT
+    while len(level) > 1:
+        level = _parent_level(level)
+    return level[0]
 
 
 def prove_inclusion(tree: MerkleTree, index: int) -> InclusionProof:

@@ -585,10 +585,12 @@ class Sim:
     def _trace_rng(self, label: str, note: str) -> None:
         self._trace("rng", None, None, f"label={label};{note}")
 
-    def _rng_bytes(self, label: str, n: int) -> bytes:
+    def _rng_bytes(self, label: str, n: int) -> tuple[bytes, bytes]:
+        """``n`` bytes from the seeded stream, and their digest."""
         data = self.rng.randbytes(n)
-        self._trace_rng(label, f"n={n};digest={digest(data)[:8].hex()}")
-        return data
+        data_digest = digest(data)
+        self._trace_rng(label, f"n={n};digest={data_digest[:8].hex()}")
+        return data, data_digest
 
     def _send(
         self, kind: str, src: int, dst: int, obj: object, data: bytes, flow: _UploadFlow | None = None
@@ -634,11 +636,15 @@ class Sim:
     def run(self, until_tick: int | None = None) -> SimReport:
         """Step to ``until_tick`` and report. Between steps, time jumps to
         the next tick with an event due or an interval boundary: a tick with
-        neither is one `step` would only count."""
+        neither is one `step` would only count. A horizon before the last
+        tick already stepped raises ValueError; the last tick itself reports
+        without stepping."""
         if until_tick is None:
             until_tick = self.scenario.run_until
         if until_tick is None:
             raise ValueError("no horizon: scenario has no 'run until' and none was given")
+        if until_tick < self.tick - 1:
+            raise ValueError(f"horizon {until_tick} is before tick {self.tick - 1}, already stepped")
         interval = self.config.block_interval_ticks
         while self.tick <= until_tick:
             self.step()
@@ -654,8 +660,8 @@ class Sim:
         if self.nodes[plan.node_id].crashed:
             self._trace("upload-skip", plan.node_id, None, "uploader crashed")
             return
-        payload = self._rng_bytes("payload", plan.size)
-        self.upload_digests[plan.ordinal] = digest(payload)
+        payload, payload_digest = self._rng_bytes("payload", plan.size)
+        self.upload_digests[plan.ordinal] = payload_digest
         self.upload_payloads[plan.ordinal] = payload
         self._start_upload(_UploadFlow(plan.node_id, payload, self._grid_metadata(plan.data_class)))
 
@@ -726,7 +732,7 @@ class Sim:
         if self.nodes[spec.target].crashed:
             outcome.outcome = "skipped: forger crashed"
             return
-        payload = self._rng_bytes("forged-payload", spec.params.get("size", 32))
+        payload, _ = self._rng_bytes("forged-payload", spec.params.get("size", 32))
         outcome.outcome = f"submitted@{self.tick}"
         self._trace_fault(spec)
         metadata = self._grid_metadata(spec.params.get("class", "grid"))

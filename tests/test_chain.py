@@ -3,6 +3,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
 from gridledger import crypto
@@ -11,6 +13,7 @@ from gridledger.chain import (
     BadSignatureError,
     Block,
     BlockDecodeError,
+    BlockHeader,
     Chain,
     DuplicateRecordError,
     EncodingError,
@@ -23,12 +26,14 @@ from gridledger.chain import (
     TimestampRegressionError,
     Violation,
     block_bytes,
+    block_digest,
     block_from_bytes,
     export_chain,
     genesis,
     import_chain,
     merkle_root_of,
     record_bytes,
+    record_digest,
     trace,
     verify_chain,
     verify_copy,
@@ -452,3 +457,116 @@ class TestExportImport:
         with pytest.raises(BlockDecodeError) as exc_info:
             import_chain("\n".join(lines))
         assert exc_info.value.index == 1
+
+
+def fresh_chain(chain: Chain) -> Chain:
+    """An equal chain of newly constructed objects, none of them digested."""
+    blocks = []
+    for block in chain.blocks:
+        records = tuple(
+            Record(
+                uploader_public_key=r.uploader_public_key,
+                payload_digest=r.payload_digest,
+                metadata=RecordMetadata(
+                    kind=r.metadata.kind,
+                    data_class=r.metadata.data_class,
+                    created_tick=r.metadata.created_tick,
+                ),
+                uploader_signature=r.uploader_signature,
+            )
+            for r in block.records
+        )
+        h = block.header
+        header = BlockHeader(
+            prev_block_digest=h.prev_block_digest,
+            timestamp_tick=h.timestamp_tick,
+            merkle_root=h.merkle_root,
+            recorder_public_key=h.recorder_public_key,
+            recorder_signature=h.recorder_signature,
+        )
+        blocks.append(Block(header=header, records=records))
+    return Chain(tuple(blocks))
+
+
+FLIP_EXPORT = export_chain(build_chain(3))
+FLIP_LINES = [bytes.fromhex(line) for line in FLIP_EXPORT.splitlines()]
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(line=st.integers(0, len(FLIP_LINES) - 1), bit=st.integers(0, 8 * max(map(len, FLIP_LINES)) - 1))
+def test_flipped_export_verdict_is_that_of_fresh_objects(line, bit):
+    # A decoded block and its records carry digests of the bytes they were
+    # read from; the verdict must be the one re-encoding fresh objects gives.
+    raw = bytearray(FLIP_LINES[line])
+    bit %= 8 * len(raw)
+    raw[bit // 8] ^= 1 << (bit % 8)
+    lines = [b.hex() for b in FLIP_LINES]
+    lines[line] = raw.hex()
+    try:
+        decoded = import_chain("\n".join(lines))
+    except BlockDecodeError as exc:
+        assert exc.index == line
+        return
+    fresh = fresh_chain(decoded)
+    assert all(b._digest is None and all(r._digest is None for r in b.records) for b in fresh.blocks)
+    verdict = verify_chain(decoded)
+    assert verdict is not None and verdict.index == line
+    assert verify_chain(fresh) == verdict
+
+
+class TestDigestOnce:
+    def test_import_digests_are_those_of_fresh_objects(self):
+        decoded = import_chain(FLIP_EXPORT)
+        fresh = fresh_chain(decoded)
+        for got, want in zip(decoded.blocks, fresh.blocks):
+            assert got._digest is not None and got._digest == block_digest(want)
+            assert [r._digest for r in got.records] == [record_digest(r) for r in want.records]
+        assert verify_chain(decoded) is None and verify_chain(fresh) is None
+
+    def test_verify_of_an_import_encodes_nothing(self, monkeypatch):
+        decoded = import_chain(FLIP_EXPORT)
+        encoded = []
+        record_bytes_, header_bytes_ = chain_mod.record_bytes, chain_mod.header_bytes
+
+        def counting_record_bytes(record):
+            encoded.append(record)
+            return record_bytes_(record)
+
+        def counting_header_bytes(header):
+            encoded.append(header)
+            return header_bytes_(header)
+
+        monkeypatch.setattr(chain_mod, "record_bytes", counting_record_bytes)
+        monkeypatch.setattr(chain_mod, "header_bytes", counting_header_bytes)
+        assert verify_chain(decoded) is None
+        assert encoded == []
+        # the counters do count: fresh objects encode every record and every
+        # header but the tip's, which no block links to
+        assert verify_chain(fresh_chain(decoded)) is None
+        assert len(encoded) == len(decoded) - 1 + sum(len(b.records) for b in decoded.blocks)
+
+    def test_digest_is_computed_once_per_object(self, monkeypatch):
+        block = fresh_chain(build_chain(1)).tip
+        hashed = []
+        digest_ = chain_mod.digest
+
+        def counting_digest(data):
+            hashed.append(data)
+            return digest_(data)
+
+        monkeypatch.setattr(chain_mod, "digest", counting_digest)
+        first = [record_digest(r) for r in block.records], block_digest(block)
+        assert len(hashed) == len(block.records) + 1
+        assert ([record_digest(r) for r in block.records], block_digest(block)) == first
+        assert len(hashed) == len(block.records) + 1
+
+    def test_replace_copy_is_digested_afresh(self):
+        block = build_chain(1).tip
+        record = block.records[0]
+        record_digest(record)
+        block_digest(block)
+        forged = replace(record, payload_digest=crypto.digest(b"other"))
+        assert record_digest(forged) == crypto.digest(record_bytes(forged)) != record_digest(record)
+        moved = replace(block, header=replace(block.header, timestamp_tick=1))
+        assert block_digest(moved) == crypto.digest(chain_mod.header_bytes(moved.header))
+        assert block_digest(moved) != block_digest(block)

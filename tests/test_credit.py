@@ -12,11 +12,11 @@ from gridledger.credit import (
     apply_record_outcome,
     apply_validator_outcomes,
     duty_recorder,
-    duty_supervisor,
     fold_events,
     initialize_roles,
     reelect,
 )
+from gridledger.record_protocol import ProtocolError, choose_validators
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -245,12 +245,13 @@ class TestDutyRotation:
         stripped = type(assignment)(recorders=(), supervisors=(), candidates=(0, 1), epoch=0)
         with pytest.raises(ValueError):
             duty_recorder(stripped, 0)
-        with pytest.raises(ValueError):
-            duty_supervisor(stripped, 0)
+        with pytest.raises(ProtocolError):
+            choose_validators(stripped, 0)
 
     def test_supervisor_rotation(self):
-        assignment = initialize_roles(profiles([5, 4, 3, 2]), r_max=1, s_max=2)
-        assert [duty_supervisor(assignment, r) for r in range(4)] == [1, 2, 1, 2]
+        # two candidates, the fewest `choose_validators` draws validators from
+        assignment = initialize_roles(profiles([5, 4, 3, 2, 1]), r_max=1, s_max=2)
+        assert [choose_validators(assignment, r)[0] for r in range(4)] == [1, 2, 1, 2]
 
 
 class TestAuditLog:

@@ -218,6 +218,58 @@ class TestSignerCache:
                 sign(bad, b"message")
 
 
+class TestVerifierCache:
+    """`verify` derives each key's verify half and key digest once; every
+    call must still run Ed25519 and give a fresh derivation's verdict."""
+
+    def test_flipped_signature_fails_once_the_key_is_cached(self):
+        crypto._verifier.cache_clear()
+        kp = keypair(51)
+        sig = sign(kp.private_key, b"message")
+        assert verify(kp.public_key, b"message", sig)
+        for i in range(0, 8 * len(sig), 61):
+            bad = bytearray(sig)
+            bad[i // 8] ^= 1 << (i % 8)
+            assert not verify(kp.public_key, b"message", bytes(bad))
+        assert verify(kp.public_key, b"message", sig)
+        assert crypto._verifier.cache_info().hits > 0
+
+    def test_invalid_point_verifies_false(self):
+        kp = keypair(52)
+        sig = sign(kp.private_key, b"m")
+        for point in (b"\xff" * 32, bytes([2]) + bytes(31), bytes([0xED]) + b"\xff" * 30 + b"\x7f"):
+            for _ in range(2):  # derived, then cached
+                assert verify(point + kp.public_key[32:], b"m", sig) is False
+
+    def test_bytearray_key(self):
+        kp = keypair(53)
+        sig = sign(kp.private_key, b"m")
+        assert verify(bytearray(kp.public_key), b"m", sig)
+        assert not verify(bytearray(kp.public_key), b"n", sig)
+
+    def test_same_triple_runs_ed25519_each_time(self, monkeypatch):
+        kp = keypair(54)
+        sig = sign(kp.private_key, b"m")
+        calls = []
+        real_verifier = crypto._verifier
+
+        class CountingKey:
+            def __init__(self, key):
+                self.key = key
+
+            def verify(self, signature, data):
+                calls.append(signature)
+                return self.key.verify(signature, data)
+
+        def counting_verifier(public_key):
+            key, key_digest = real_verifier(public_key)
+            return CountingKey(key), key_digest
+
+        monkeypatch.setattr(crypto, "_verifier", counting_verifier)
+        assert verify(kp.public_key, b"m", sig) and verify(kp.public_key, b"m", sig)
+        assert len(calls) == 2
+
+
 class TestOpenerCache:
     """`decrypt` derives each key's X25519 half once; opening must behave
     as a fresh derivation does."""

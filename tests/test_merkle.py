@@ -9,6 +9,7 @@ from gridledger.merkle import (
     EMPTY_ROOT,
     InclusionProof,
     build_tree,
+    merkle_root,
     prove_inclusion,
     verify_inclusion,
 )
@@ -58,6 +59,16 @@ class TestRoot:
             leaves = random_leaves(rng, count)
             assert build_tree(leaves).root == oracle_root(leaves), f"count={count}"
 
+    def test_root_only_matches_tree_and_oracle(self):
+        rng = random.Random(2025)
+        for count in range(65):
+            leaves = random_leaves(rng, count)
+            assert merkle_root(leaves) == build_tree(leaves).root == oracle_root(leaves), count
+
+    def test_root_only_rejects_wrong_leaf_size(self):
+        with pytest.raises(ValueError):
+            merkle_root([digest(b"a"), b"too short"])
+
     def test_golden_roots_fixture(self):
         import struct
 
@@ -66,7 +77,7 @@ class TestRoot:
             leaves = [
                 digest(b"leaf" + struct.pack(">I", i)) for i in range(int(count_str))
             ]
-            assert build_tree(leaves).root.hex() == root_hex
+            assert build_tree(leaves).root.hex() == merkle_root(leaves).hex() == root_hex
 
     def test_any_leaf_change_changes_root(self):
         rng = random.Random(31)

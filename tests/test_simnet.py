@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gridledger import chain as chain_mod
-from gridledger import crypto
+from gridledger import crypto, simnet
 from gridledger.chain import Chain, RecordKind
 from gridledger.credit import CreditReason, fold_events
 from gridledger.simnet import (
@@ -208,6 +208,35 @@ class TestRun:
         sim = new_sim(desk_config(), SIX_NODES)
         with pytest.raises(ValueError):
             run(sim)
+
+    def test_horizon_before_stepped_tick_errors(self):
+        sim = new_sim(desk_config(seed=11), (SCENARIOS / "faults.txt").read_text())
+        sim.run(1200)
+        for behind in (700, 1199):
+            with pytest.raises(ValueError):
+                sim.run(behind)
+        # the last tick stepped still reports, without stepping again
+        report = sim.run(1200)
+        assert "run_until_tick=1200 " in report.metrics_text()
+        assert sim.tick == 1201
+
+    def test_upload_payload_hashed_three_times(self, monkeypatch):
+        # The plan's trace line and `upload_digests` share one digest; then
+        # `prepare_upload` and `receive_upload` hash the payload once each.
+        size = 65536
+        hashed = []
+        real_digest = crypto.digest
+
+        def counting_digest(data):
+            hashed.append(len(data))
+            return real_digest(data)
+
+        monkeypatch.setattr(crypto, "digest", counting_digest)
+        monkeypatch.setattr(simnet, "digest", counting_digest)
+        scenario = SIX_NODES + f"authorize 2\nupload 2 load {size} at 10\nrun until 600\n"
+        report = run(new_sim(desk_config(seed=3), scenario))
+        assert report.records_committed == 1
+        assert hashed.count(size) == 3
 
     def test_report_is_deterministic(self):
         scenario = (SCENARIOS / "faults.txt").read_text()
@@ -575,10 +604,13 @@ def test_metrics_summary():
 
 
 def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
-    # Block checks (`chain.validate_block`) run once per round, once in
-    # Chain.append and once for the report; every other caller verifies a
-    # signature once, as a protocol step of its own: the recorder's intake
-    # and the share receiver check the record signature, commit the votes.
+    # Block checks (`chain.validate_block`) run once per round: `Chain.append`
+    # commits with the round's check, and the report's verify_chain checks
+    # only genesis. Three is a ceiling, not the count; the test below pins
+    # one verify per signature per block judged. Every other caller
+    # verifies a signature once, as a protocol step of its own: the
+    # recorder's intake and the share receiver check the record signature,
+    # commit the votes.
     counts = Counter()
     original = crypto.verify
 

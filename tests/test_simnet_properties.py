@@ -4,20 +4,12 @@ node's reported chain status is what a full verify of its copy gives.
 `Sim.run` jumps over ticks with nothing due; its artifacts must be those of
 a `Sim.step` loop over every tick."""
 
-import tempfile
-from pathlib import Path
-
-from hypothesis import HealthCheck, configuration, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
 from gridledger.credit import fold_events
 from gridledger.simnet import FaultKind, FaultSpec, ScenarioError, SimConfig, new_sim
-
-# While pytest collects, Hypothesis caches constants scraped from local
-# sources under its home directory (./.hypothesis by default), even with
-# database=None. Keep that cache out of the checkout.
-configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "gridledger-hypothesis")
 
 HEADER = """\
 node 0 assessment 60
