@@ -7,7 +7,11 @@ Timestamps are simulation ticks, never wall-clock.
 
 `validate_block` is the one definition of a valid block: `Chain.append`,
 `verify_chain`, `verify_copy` and the simulator's per-round check, whose
-result `record_protocol.validate_proposal` takes, all call it.
+result `record_protocol.validate_proposal` takes, all call it. It is built
+from two steps, `_check_structure` and the block's signature triples, which
+a long full-chain check also takes on their own: the structure of every
+block first, then the triples across processes (`sigpass`), and
+`validate_block` of the first block either flags gives the verdict.
 
 A `Chain` remembers how far `append` vouches for it: ``checked_from`` is
 the index from which `append` validated every block against its
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
-from . import crypto
+from . import crypto, sigpass
 from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
 from .crypto import Keypair, digest
 from .merkle import merkle_root
@@ -350,6 +354,33 @@ class BlockCheck:
         return self.fault
 
 
+def _check_structure(block: Block, prev_block: Block | None) -> bytes:
+    """Raise the block's first fault other than a signature: link,
+    timestamp, Merkle root, distinct records, header encoding, in that
+    order. Returns the header's signing bytes."""
+    header = block.header
+    expected_prev = ZERO_DIGEST if prev_block is None else block_digest(prev_block)
+    if header.prev_block_digest != expected_prev:
+        raise LinkMismatchError("prev_block_digest does not match prior block")
+    if prev_block is not None and header.timestamp_tick < prev_block.header.timestamp_tick:
+        raise TimestampRegressionError("timestamp_tick decreased")
+    leaves = [record_digest(r) for r in block.records]
+    if header.merkle_root != merkle_root(leaves):
+        raise RootMismatchError("merkle_root does not match records")
+    if len(set(leaves)) != len(leaves):
+        raise DuplicateRecordError("block lists a record twice")
+    return header_signing_bytes(header)
+
+
+def _signature_triples(block: Block, signing: bytes) -> list[sigpass.Triple]:
+    """The block's (key, message, signature) triples: the recorder's over
+    ``signing``, then each record's uploader's over its payload digest."""
+    header = block.header
+    triples = [(header.recorder_public_key, signing, header.recorder_signature)]
+    triples += [(r.uploader_public_key, r.payload_digest, r.uploader_signature) for r in block.records]
+    return triples
+
+
 def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
     """Check one block against its predecessor: link, timestamp, Merkle
     root, distinct records and recorder signature, in that order, then
@@ -358,29 +389,14 @@ def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
     def judged(fault: ChainError | EncodingError | None, bad: tuple[int, ...] = ()) -> BlockCheck:
         return BlockCheck(fault, bad, block=block, prev=prev_block)
 
-    header = block.header
     try:
-        expected_prev = ZERO_DIGEST if prev_block is None else block_digest(prev_block)
-        if header.prev_block_digest != expected_prev:
-            return judged(LinkMismatchError("prev_block_digest does not match prior block"))
-        if prev_block is not None and header.timestamp_tick < prev_block.header.timestamp_tick:
-            return judged(TimestampRegressionError("timestamp_tick decreased"))
-        leaves = [record_digest(r) for r in block.records]
-        if header.merkle_root != merkle_root(leaves):
-            return judged(RootMismatchError("merkle_root does not match records"))
-        if len(set(leaves)) != len(leaves):
-            return judged(DuplicateRecordError("block lists a record twice"))
-        signing = header_signing_bytes(header)
-    except EncodingError as exc:
+        signing = _check_structure(block, prev_block)
+    except (ChainError, EncodingError) as exc:
         return judged(exc)
-    if not crypto.verify(header.recorder_public_key, signing, header.recorder_signature):
+    recorder, *records = _signature_triples(block, signing)
+    if not crypto.verify(*recorder):
         return judged(BadSignatureError("recorder signature invalid"))
-    bad = tuple(
-        i
-        for i, r in enumerate(block.records)
-        if not crypto.verify(r.uploader_public_key, r.payload_digest, r.uploader_signature)
-    )
-    return judged(None, bad)
+    return judged(None, tuple(i for i, triple in enumerate(records) if not crypto.verify(*triple)))
 
 
 def verify_chain(chain: Chain) -> Violation | None:
@@ -412,7 +428,42 @@ def verify_copy(
 
 def _first_violation(blocks: Sequence[Block], start: int) -> Violation | None:
     """The earliest violation in ``blocks[start:]``, each block checked
-    against its predecessor in ``blocks``."""
+    against its predecessor in ``blocks``: what `validate_block` of each
+    block in turn finds first.
+
+    When the signatures would all be verified in this process anyway
+    (`sigpass.processes`), that is what it does. Otherwise it takes three
+    steps:
+
+    1. A serial structural pass (`_check_structure`) stops at the first
+       block with a fault other than a signature.
+    2. `sigpass.first_failing` verifies the signature triples of the blocks
+       before it, in chain order, across processes.
+    3. The first block either step flags is judged again by `validate_block`,
+       whose error is the verdict; `_judge_from` goes on from there."""
+    if sigpass.processes(sum(len(b.records) + 1 for b in blocks[start:])) == 1:
+        return _judge_from(blocks, start)
+    triples: list[sigpass.Triple] = []
+    owner: list[int] = []  # the block index of each triple
+    flagged = len(blocks)
+    prev = blocks[start - 1] if start > 0 else None
+    for i in range(start, len(blocks)):
+        try:
+            signing = _check_structure(blocks[i], prev)
+        except (ChainError, EncodingError):
+            flagged = i
+            break
+        block_triples = _signature_triples(blocks[i], signing)
+        triples += block_triples
+        owner += [i] * len(block_triples)
+        prev = blocks[i]
+    bad = sigpass.first_failing(triples)
+    return _judge_from(blocks, flagged if bad is None else owner[bad])
+
+
+def _judge_from(blocks: Sequence[Block], start: int) -> Violation | None:
+    """`validate_block` of each block from ``start`` on, against its
+    predecessor in ``blocks``, up to the first error."""
     prev = blocks[start - 1] if start > 0 else None
     for i in range(start, len(blocks)):
         error = validate_block(blocks[i], prev).error()
