@@ -37,7 +37,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import crypto, sigpass
 from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
@@ -406,24 +406,31 @@ def verify_chain(chain: Chain) -> Violation | None:
     return _first_violation(chain.blocks[: chain.checked_from], 0)
 
 
-def verify_copy(
-    copy: Sequence[Block], verified: Chain, verdict: Violation | None
-) -> Violation | None:
-    """What `verify_chain` returns for ``copy``, given ``verdict``, the
-    result of `verify_chain(verified)`.
+def replica(verified: Chain, held: int, overrides: Mapping[int, Block]) -> Chain:
+    """The copy a replica view stands for: the first ``held`` blocks of
+    ``verified``, each index in ``overrides`` holding its block instead."""
+    return Chain(tuple(overrides.get(i, b) for i, b in enumerate(verified.blocks[:held])))
 
-    The leading blocks of ``copy`` that are the very objects at the same
-    index of ``verified`` share its verdict: blocks are frozen, so such a
-    block has the same bytes and the same predecessor in both chains.
-    Checking resumes at the first block that differs, against the copy's
-    own predecessor."""
-    shared = 0
-    limit = min(len(copy), len(verified.blocks))
-    while shared < limit and copy[shared] is verified.blocks[shared]:
-        shared += 1
-    if verdict is not None and verdict.index < shared:
+
+def verify_copy(
+    verified: Chain, verdict: Violation | None, held: int, overrides: Mapping[int, Block]
+) -> Violation | None:
+    """What `verify_chain` returns for `replica(verified, held, overrides)`,
+    given ``verdict``, the result of `verify_chain(verified)`. Raises
+    ValueError for a ``held`` past the end of ``verified``.
+
+    Up to its first override, or its end, the copy is ``verified``: a
+    violation before that index is the copy's too, and none before it
+    means the copy is clean that far. From its first override on, the copy
+    is checked against its own predecessors."""
+    if not 0 <= held <= len(verified.blocks):
+        raise ValueError(f"a copy of a {len(verified.blocks)}-block chain cannot hold {held}")
+    first = min(min(overrides, default=held), held)
+    if verdict is not None and verdict.index < first:
         return verdict
-    return _first_violation(copy, shared)
+    if first == held:
+        return None
+    return _first_violation(replica(verified, held, overrides).blocks, first)
 
 
 def _first_violation(blocks: Sequence[Block], start: int) -> Violation | None:

@@ -20,6 +20,13 @@ Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation.
 
+A round is committed once, not once per node. Each node's replica is a view
+of the canonical chain: the number of its blocks the node holds (all of
+them while it is live, frozen at its first crash) and the blocks a
+`tamper-chain-copy` fault replaced (`Sim.replica`). A committed round keeps
+one `CommitNotice` for the notices its recorder sends every live node; the
+report's ``trace_lines`` and ``tap`` expand it when they are read.
+
 Scenario files are line-oriented text; ``#`` starts a comment::
 
     node <id> assessment <n>
@@ -55,7 +62,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, NamedTuple
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple
 
 from . import chain as chain_mod
 from . import credit as credit_mod
@@ -278,7 +286,8 @@ class _Node:
     crash: FaultOutcome | None = None  # the crash-node fault that took it down
     byzantine: bool = False
     tamper_armed: list[FaultOutcome] = field(default_factory=list)
-    local_chain: list[Block] = field(default_factory=list)
+    held: int | None = None  # canonical blocks its replica holds; None (all) until it crashes
+    overrides: dict[int, Block] = field(default_factory=dict)  # tampered blocks by index
 
     @property
     def crashed(self) -> bool:
@@ -312,6 +321,52 @@ class TapEntry(NamedTuple):
     src: int
     dst: int
     data: bytes
+
+
+class CommitNotice(NamedTuple):
+    """The ``commit-notice`` messages of one committed round: at ``tick``
+    the duty ``recorder`` sends ``block_digest`` to each node in ``live``."""
+
+    tick: int
+    recorder: int
+    live: tuple[int, ...]
+    block_digest: bytes
+
+    def trace_text(self, ends: dict[tuple[int, ...], list[str]]) -> str:
+        """The notice's trace lines, each ending in a newline. They differ
+        only after their head; ``ends`` holds that part for each live tuple
+        (a run reuses one until a crash), and is filled on first use."""
+        tails = ends.get(self.live)
+        if tails is None:
+            tails = ends[self.live] = [f"{nid}\tcommitted\n" for nid in self.live]
+        head = f"{self.tick}\tcommit-notice\t{self.recorder}\t"
+        return head + head.join(tails) if tails else ""
+
+    def tap_entries(self) -> Iterator[TapEntry]:
+        return (
+            TapEntry(self.tick, "commit-notice", self.recorder, nid, self.block_digest)
+            for nid in self.live
+        )
+
+
+@dataclass(frozen=True)
+class _Log:
+    """The first ``length`` entries of a list the simulator only appends
+    to, so a later `Sim.run` leaves what it shows unchanged."""
+
+    entries: list
+    length: int
+
+    def __iter__(self) -> Iterator:
+        return islice(self.entries, self.length)
+
+    def expanded(self, notice_entries: Callable[[CommitNotice], Iterator]) -> Iterator:
+        """The entries, each `CommitNotice` replaced by ``notice_entries`` of it."""
+        for entry in self:
+            if isinstance(entry, CommitNotice):
+                yield from notice_entries(entry)
+            else:
+                yield entry
 
 
 @dataclass(frozen=True)
@@ -380,8 +435,8 @@ class SimReport:
     share_failures: tuple[tuple[int, int, int, str], ...]
     upload_failures: tuple[tuple[int, int, str], ...]
     rounds_skipped: int
-    trace_lines: tuple[str, ...]
-    tap: tuple[TapEntry, ...]
+    trace_log: _Log  # trace lines and `CommitNotice`s
+    tap_log: _Log  # tap entries and `CommitNotice`s
     upload_digests: dict[int, bytes]
     upload_payloads: dict[int, bytes]
     pending_left: tuple[Record, ...]
@@ -403,8 +458,23 @@ class SimReport:
         return len(self.quarantine)
 
     @property
+    def trace_lines(self) -> tuple[str, ...]:
+        ends: dict[tuple[int, ...], list[str]] = {}
+        return tuple(self.trace_log.expanded(lambda notice: notice.trace_text(ends).splitlines()))
+
+    @property
+    def tap(self) -> tuple[TapEntry, ...]:
+        return tuple(self.tap_log.expanded(CommitNotice.tap_entries))
+
+    @property
     def message_counts(self) -> dict[str, int]:
-        return dict(Counter(entry.kind for entry in self.tap))
+        counts: Counter[str] = Counter()
+        for entry in self.tap_log:
+            if isinstance(entry, CommitNotice):
+                counts["commit-notice"] += len(entry.live)
+            else:
+                counts[entry.kind] += 1
+        return dict(counts)
 
     def chain_export_text(self) -> str:
         return chain_mod.export_chain(self.chain)
@@ -415,7 +485,11 @@ class SimReport:
         )
 
     def trace_text(self) -> str:
-        return "".join(line + "\n" for line in self.trace_lines)
+        ends: dict[tuple[int, ...], list[str]] = {}
+        return "".join(
+            entry.trace_text(ends) if isinstance(entry, CommitNotice) else entry + "\n"
+            for entry in self.trace_log
+        )
 
     def metrics_text(self) -> str:
         cfg = self.config
@@ -512,10 +586,8 @@ class Sim:
         self.public_keys = {nid: node.keypair.public_key for nid, node in self.nodes.items()}
         self.uploader_ids = {key: nid for nid, key in self.public_keys.items()}
 
-        genesis_block = chain_mod.genesis(config.network_id)
-        self.chain = Chain((genesis_block,))
-        for node in self.nodes.values():
-            node.local_chain.append(genesis_block)
+        self.chain = Chain((chain_mod.genesis(config.network_id),))
+        self._live = tuple(self.nodes)  # ids of the nodes not crashed, in `nodes` order
 
         self.store = DataStore(
             [(f"u{i}", f"region-{i}") for i in range(config.storage_unit_count)],
@@ -526,8 +598,8 @@ class Sim:
         self._forged: dict[Record, FaultOutcome] = {}  # accepted forged records, until decided
         self.upload_digests: dict[int, bytes] = {}
         self.upload_payloads: dict[int, bytes] = {}
-        self.trace_lines: list[str] = []
-        self.tap: list[TapEntry] = []
+        self.trace_log: list[str | CommitNotice] = []
+        self.tap_log: list[TapEntry | CommitNotice] = []
         self.quarantine: list[QuarantineEntry] = []
         self.rejections: list[RejectionEntry] = []
         self.deliveries: list[ShareDelivery] = []
@@ -580,7 +652,7 @@ class Sim:
     def _trace(self, kind: str, src: int | None, dst: int | None, detail: str) -> None:
         s = "-" if src is None else str(src)
         d = "-" if dst is None else str(dst)
-        self.trace_lines.append(f"{self.tick}\t{kind}\t{s}\t{d}\t{detail}")
+        self.trace_log.append(f"{self.tick}\t{kind}\t{s}\t{d}\t{detail}")
 
     def _trace_rng(self, label: str, note: str) -> None:
         self._trace("rng", None, None, f"label={label};{note}")
@@ -595,14 +667,22 @@ class Sim:
     def _send(
         self, kind: str, src: int, dst: int, obj: object, data: bytes, flow: _UploadFlow | None = None
     ) -> None:
-        self.tap.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
+        self.tap_log.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
         msg = _Msg(kind=kind, src=src, dst=dst, obj=obj, flow=flow)
         self._schedule(self.tick + self.config.message_delay_ticks, self._deliver, msg)
 
     def _note_sync_message(self, kind: str, src: int, dst: int, data: bytes, detail: str) -> None:
         # consensus-phase messages are same-tick; trace and tap them directly
-        self.tap.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
+        self.tap_log.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
         self._trace(kind, src, dst, detail)
+
+    def replica(self, nid: int) -> Chain:
+        """Node ``nid``'s copy of the chain, built from its view."""
+        node = self.nodes[nid]
+        return chain_mod.replica(self.chain, self._held(node), node.overrides)
+
+    def _held(self, node: _Node) -> int:
+        return len(self.chain) if node.held is None else node.held
 
     def inject_fault(self, spec: FaultSpec) -> None:
         """Arm a fault; its perturbation fires at the activation tick.
@@ -704,7 +784,10 @@ class Sim:
 
     def _on_crash_node(self, outcome: FaultOutcome) -> None:
         node = self.nodes[outcome.spec.target]
-        node.crash = node.crash or outcome
+        if node.crash is None:
+            node.crash = outcome
+            node.held = len(self.chain)
+            self._live = tuple(nid for nid in self._live if nid != outcome.spec.target)
         outcome.outcome = f"crashed@{self.tick}"
         self._trace_fault(outcome.spec)
 
@@ -740,16 +823,17 @@ class Sim:
 
     def _on_tamper_chain_copy(self, outcome: FaultOutcome) -> None:
         spec = outcome.spec
-        local = self.nodes[spec.target].local_chain
+        node = self.nodes[spec.target]
+        held = self._held(node)
         if "block" in spec.params:
             index = spec.params["block"]
-            if not 0 <= index < len(local):
+            if not 0 <= index < held:
                 outcome.outcome = f"skipped: block {index} out of range"
                 return
         else:
-            index = self.rng.randrange(len(local))
+            index = self.rng.randrange(held)
             self._trace_rng("tamper-target", f"block={index}")
-        block = local[index]
+        block = node.overrides.get(index, self.chain.blocks[index])
         if block.records:
             rec_index = self.rng.randrange(len(block.records))
             byte_index = self.rng.randrange(len(block.records[rec_index].payload_digest))
@@ -757,12 +841,12 @@ class Sim:
             records = list(block.records)
             record = records[rec_index]
             records[rec_index] = replace(record, payload_digest=_flip_bit(record.payload_digest, byte_index))
-            local[index] = replace(block, records=tuple(records))
+            node.overrides[index] = replace(block, records=tuple(records))
         else:
             byte_index = self.rng.randrange(len(block.header.merkle_root))
             self._trace_rng("tamper-byte", f"header-root;byte={byte_index}")
             root = _flip_bit(block.header.merkle_root, byte_index)
-            local[index] = replace(block, header=replace(block.header, merkle_root=root))
+            node.overrides[index] = replace(block, header=replace(block.header, merkle_root=root))
         outcome.outcome = f"tampered block {index}@{self.tick}"
         self._tampered_copies.append(outcome)
         self._trace_fault(spec, f";block={index}")
@@ -945,14 +1029,11 @@ class Sim:
         if result.committed:
             self.chain = result.chain
             self.pending = []
-            # per live node, the tap entry and trace line _note_sync_message would add
-            notice = f"{self.tick}\tcommit-notice\t{duty}\t"
-            for nid, node in self.nodes.items():
-                if node.crashed:
-                    continue
-                node.local_chain.append(proposal.block)
-                self.tap.append(TapEntry(self.tick, "commit-notice", duty, nid, block_digest_value))
-                self.trace_lines.append(f"{notice}{nid}\tcommitted")
+            # stands for the tap entry and trace line per live node that
+            # _note_sync_message would add
+            notice = CommitNotice(self.tick, duty, self._live, block_digest_value)
+            self.tap_log.append(notice)
+            self.trace_log.append(notice)
             for record in proposal.block.records:
                 forge = self._forged.pop(record, None)
                 if forge is not None:
@@ -1004,8 +1085,9 @@ class Sim:
 
     def _build_report(self, until_tick: int) -> SimReport:
         """Snapshot the run. The canonical chain is verified once; each
-        node's copy reuses that verdict for the blocks it shares with it
-        (`chain.verify_copy`). Fault outcomes are annotated on copies, so a
+        node's replica reuses that verdict up to the first block a tamper
+        replaced (`chain.verify_copy`). Fault outcomes are annotated on
+        copies and the trace and tap are views of their first entries, so a
         later `run()` leaves this report as it is."""
         node_status = {}
         node_chain_status = {}
@@ -1019,7 +1101,9 @@ class Sim:
             if node.byzantine:
                 flags.append("byzantine")
             node_status[nid] = ",".join(flags) if flags else "ok"
-            violations[nid] = chain_mod.verify_copy(node.local_chain, self.chain, verdict)
+            violations[nid] = chain_mod.verify_copy(
+                self.chain, verdict, self._held(node), node.overrides
+            )
             if violations[nid] is None:
                 node_chain_status[nid] = "ok"
             else:
@@ -1061,8 +1145,8 @@ class Sim:
             share_failures=tuple(self.share_failures),
             upload_failures=tuple(self.upload_failures),
             rounds_skipped=self.rounds_skipped,
-            trace_lines=tuple(self.trace_lines),
-            tap=tuple(self.tap),
+            trace_log=_Log(self.trace_log, len(self.trace_log)),
+            tap_log=_Log(self.tap_log, len(self.tap_log)),
             upload_digests=dict(self.upload_digests),
             upload_payloads=dict(self.upload_payloads),
             pending_left=tuple(self.pending),

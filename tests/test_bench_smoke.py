@@ -1,8 +1,14 @@
-"""One untraced audit batch of the benchmark (bench/child.py) in a fresh
-interpreter: the CLI `verify` of a 300-block export, clean and with one bit
-flipped, and `trace` lineage queries, all under the harness's reference
-slices (a SIGALRM timer in the process that forks the signature pass). The
-batch checks every verdict and lineage row itself; none may be wrong."""
+"""Untraced batches of the benchmark (bench/child.py), each in a fresh
+interpreter, under the harness's reference slices (a SIGALRM timer in the
+process that runs the batch). Each batch checks its own outputs; none may be
+wrong.
+
+- audit: the CLI `verify` of a 300-block export, clean and with one bit
+  flipped (the process forks the signature pass), and `trace` lineage
+  queries.
+- idle: the 150-node network over 200 empty block intervals. After the timed
+  run the batch reads the report's trace and tap, which the report expands
+  from its commit notices when they are read."""
 
 import json
 import subprocess
@@ -12,10 +18,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_audit_batch_has_no_wrong_output(tmp_path):
+def run_batch(workload: str, work: Path) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "child.py"), "--root", str(ROOT), "--workload", "audit",
-         "--seed", "3", "--index", "0", "--trace", "0", "--work", str(tmp_path)],
+        [sys.executable, str(ROOT / "bench" / "child.py"), "--root", str(ROOT), "--workload", workload,
+         "--seed", "3", "--index", "0", "--trace", "0", "--work", str(work)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -26,4 +32,22 @@ def test_audit_batch_has_no_wrong_output(tmp_path):
     assert result["attempted"] > 0
     assert result["failed"] == 0
     assert result["errors"] == []
-    assert result["blocks"] == 301
+    return result
+
+
+def test_audit_batch_has_no_wrong_output(tmp_path):
+    assert run_batch("audit", tmp_path)["blocks"] == 301
+
+
+def test_idle_batch_has_no_wrong_output(tmp_path):
+    # bench.py writes the scenario a simulator batch reads; so does this,
+    # from a fresh interpreter, so no bench module is imported here
+    scenario = subprocess.run(
+        [sys.executable, "-c", "import sys, workloads; sys.stdout.write(workloads.idle_inputs(3).scenario)"],
+        cwd=ROOT / "bench", capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    (tmp_path / "scenario.txt").write_text(scenario, encoding="utf-8")
+    result = run_batch("idle", tmp_path)
+    assert result["blocks"] == 200
+    assert result["sim_counts"]["trace_lines"] == 31_620
+    assert result["sim_counts"]["tap_entries"] == 31_200

@@ -335,58 +335,66 @@ class TestAppendedMark:
 
 
 class TestVerifyCopy:
-    """`verify_copy` must give exactly what a full `verify_chain` of the
-    copy gives."""
+    """`verify_copy` of a view (a held count and the blocks that override
+    the verified chain's) must give exactly what a full `verify_chain` of
+    the copy the view stands for gives."""
 
     @staticmethod
-    def assert_matches_full_verify(copy, verified):
-        verdict = verify_copy(copy, verified, verify_chain(verified))
-        assert verdict == verify_chain(Chain(tuple(copy)))
+    def assert_matches_full_verify(verified, held, overrides):
+        verdict = verify_copy(verified, verify_chain(verified), held, overrides)
+        assert verdict == verify_chain(chain_mod.replica(verified, held, overrides))
         return verdict
 
     def test_untouched_copy_ok(self):
         chain = build_chain(4)
-        assert self.assert_matches_full_verify(list(chain.blocks), chain) is None
+        assert self.assert_matches_full_verify(chain, len(chain), {}) is None
 
     def test_tampered_genesis(self):
         chain = build_chain(4)
-        copy = [flipped_root(chain.blocks[0])] + list(chain.blocks[1:])
-        assert self.assert_matches_full_verify(copy, chain) == Violation(0, "root-mismatch")
+        overrides = {0: flipped_root(chain.blocks[0])}
+        assert self.assert_matches_full_verify(chain, 5, overrides) == Violation(0, "root-mismatch")
 
     def test_tampered_last_block(self):
         chain = build_chain(4)
-        copy = list(chain.blocks[:-1]) + [flipped_root(chain.tip)]
-        assert self.assert_matches_full_verify(copy, chain) == Violation(4, "root-mismatch")
+        overrides = {4: flipped_root(chain.tip)}
+        assert self.assert_matches_full_verify(chain, 5, overrides) == Violation(4, "root-mismatch")
 
     def test_crashed_node_prefix(self):
         chain = build_chain(4)
-        assert self.assert_matches_full_verify(list(chain.blocks[:2]), chain) is None
-        assert self.assert_matches_full_verify([], chain) is None
+        assert self.assert_matches_full_verify(chain, 2, {}) is None
+        assert self.assert_matches_full_verify(chain, 0, {}) is None
 
     def test_equal_but_distinct_block_still_ok(self):
         chain = build_chain(4)
-        copy = list(chain.blocks)
-        copy[2] = Block(header=replace(copy[2].header), records=tuple(copy[2].records))
-        assert copy[2] == chain.blocks[2] and copy[2] is not chain.blocks[2]
-        assert self.assert_matches_full_verify(copy, chain) is None
+        equal = Block(header=replace(chain.blocks[2].header), records=tuple(chain.blocks[2].records))
+        assert equal == chain.blocks[2] and equal is not chain.blocks[2]
+        assert self.assert_matches_full_verify(chain, 5, {2: equal}) is None
+        # checking from the override on still finds a later violation
+        broken = Chain(chain.blocks[:3] + (flipped_root(chain.blocks[3]),) + chain.blocks[4:])
+        assert self.assert_matches_full_verify(broken, 5, {2: equal}) == Violation(3, "root-mismatch")
 
     def test_violation_in_shared_prefix_is_the_copy_violation(self):
         chain = build_chain(4)
         broken = Chain(chain.blocks[:1] + (flipped_root(chain.blocks[1]),) + chain.blocks[2:])
-        copy = list(broken.blocks[:3]) + [flipped_root(broken.blocks[3])]
-        assert self.assert_matches_full_verify(copy, broken) == Violation(1, "root-mismatch")
+        overrides = {3: flipped_root(broken.blocks[3])}
+        assert self.assert_matches_full_verify(broken, 4, overrides) == Violation(1, "root-mismatch")
+        # an override before that violation comes first in the copy
+        overrides = {0: flipped_root(broken.blocks[0])}
+        assert self.assert_matches_full_verify(broken, 4, overrides) == Violation(0, "root-mismatch")
 
     def test_violation_past_a_shorter_copy_is_not_the_copy_violation(self):
         chain = build_chain(4)
         broken = Chain(chain.blocks[:3] + (flipped_root(chain.blocks[3]),) + chain.blocks[4:])
-        assert self.assert_matches_full_verify(list(broken.blocks[:3]), broken) is None
+        assert self.assert_matches_full_verify(broken, 3, {}) is None
+        tampered = {1: flipped_root(chain.blocks[1])}
+        assert self.assert_matches_full_verify(broken, 3, tampered) == Violation(1, "root-mismatch")
 
     def test_copy_longer_than_verified_chain(self):
+        # a copy holds a prefix of the verified chain, never more
         chain = build_chain(4)
-        short = Chain(chain.blocks[:3])
-        assert self.assert_matches_full_verify(list(chain.blocks), short) is None
-        copy = list(chain.blocks[:4]) + [flipped_root(chain.tip)]
-        assert self.assert_matches_full_verify(copy, short) == Violation(4, "root-mismatch")
+        for held in (len(chain) + 1, -1):
+            with pytest.raises(ValueError):
+                verify_copy(chain, verify_chain(chain), held, {})
 
 
 class TestTrace:

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -408,6 +410,26 @@ class TestFaults:
         assert "tampered block 1" in outcome.outcome
         assert "local-verify=violation@1" in outcome.outcome
 
+    def test_crashed_node_copy_stops_at_its_crash(self):
+        scenario = (
+            SIX_NODES
+            + "authorize 2\n"
+            + "upload 2 load 16 at 10\n"
+            + "fault crash-node 0 at 650\n"
+            + "fault tamper-chain-copy 0 at 1250 block=2\n"
+            + "fault tamper-chain-copy 0 at 1260 block=1\n"
+            + "run until 1300\n"
+        )
+        sim = new_sim(desk_config(), scenario)
+        report = sim.run()
+        # node 0 holds genesis and the block of tick 600, not that of 1200
+        assert len(report.chain) == 3
+        assert [len(sim.replica(nid)) for nid in range(6)] == [2, 3, 3, 3, 3, 3]
+        outcomes = [f.outcome for f in report.fault_outcomes if f.spec.kind == "tamper-chain-copy"]
+        assert outcomes[0] == "skipped: block 2 out of range"
+        assert outcomes[1].startswith("tampered block 1@1260")
+        assert report.node_chain_status[0] == "violation@1:root-mismatch"
+
     def test_tamper_in_flight_rejected_by_receiver(self):
         # the share envelope at its receiver, then the upload envelope at
         # the duty recorder
@@ -477,6 +499,7 @@ run until 1200
     def test_rerun_leaves_earlier_report_as_it_was(self):
         sim = new_sim(desk_config(seed=11), (SCENARIOS / "faults.txt").read_text())
         first = sim.run(700)
+        inject_fault(sim, FaultSpec(kind="tamper-chain-copy", target=4, tick=800, params={"block": 0}))
         second = sim.run(1200)
 
         def byzantine(report):
@@ -484,6 +507,12 @@ run until 1200
 
         assert byzantine(first).outcome == "byzantine@10; dissents=1"
         assert byzantine(second).outcome == "byzantine@10; dissents=2"
+        # the first report's trace, tap and replica verdicts stop at tick 700
+        fresh = new_sim(desk_config(seed=11), (SCENARIOS / "faults.txt").read_text()).run(700)
+        assert first.trace_text() == fresh.trace_text() != second.trace_text()
+        assert first.tap == fresh.tap != second.tap
+        assert first.node_chain_status == fresh.node_chain_status
+        assert second.node_chain_status[4] == "violation@0:root-mismatch" != first.node_chain_status[4]
 
     def test_inject_fault_validates_target(self):
         sim = new_sim(desk_config(), SIX_NODES + "run until 0\n")
@@ -603,6 +632,37 @@ def test_metrics_summary():
     assert report.credits[3] < honest_mean
 
 
+def retained_per_empty_round(node_count: int, warm: int = 20, rounds: int = 40) -> float:
+    """Bytes an empty round leaves allocated once a run is under way, on a
+    network with 20 recorders and 4 supervisors. Every node's signing and
+    verify keys are derived before measuring, so the key caches, which fill
+    once per node, do not count."""
+    config = SimConfig(seed=4, node_count=node_count, r_max=20, s_max=4)
+    sim = new_sim(config, "")
+    for node in sim.nodes.values():
+        signature = crypto.sign(node.keypair.private_key, b"warm")
+        assert crypto.verify(node.keypair.public_key, b"warm", signature)
+    sim.run(warm * config.block_interval_ticks)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = sim.run((warm + rounds) * config.block_interval_ticks)
+        assert report.blocks_committed == warm + rounds
+        del report
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained / rounds
+
+
+def test_empty_round_memory_does_not_grow_with_node_count():
+    # a committed round keeps one commit notice and no per-node replica
+    # entry, so 150 nodes retain what 30 do, give or take longer node ids
+    small, large = retained_per_empty_round(30), retained_per_empty_round(150)
+    assert large < 1.1 * small, (small, large)
+
+
 def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
     # Block checks (`chain.validate_block`) run once per round: `Chain.append`
     # commits with the round's check, and the report's verify_chain checks
@@ -676,3 +736,20 @@ def test_fault_artifacts_and_detection_pinned():
     assert detection == golden["detection"]
     assert len(detection) == 6
     assert all(entry == {"injected": 1, "detected": 1} for entry in detection.values())
+
+
+@pytest.mark.parametrize(
+    "name, entries, expected",
+    [
+        ("sharing.txt", 31, "bf5e1a9b2c4e3a6b450b35e1964a9b39ecfd1dc731ddbe546039d1dae3b6a0a0"),
+        ("all_faults.txt", 45, "bd736998fc9d74c33258bda83aaf46224bc4c0cf2f1709f8f03914cfd96f87f3"),
+    ],
+)
+def test_tap_pinned(name, entries, expected):
+    # the expanded tap, commit notices included, at seed 7: the artifacts
+    # pin the trace but not the bytes each message carries
+    report = run(new_sim(desk_config(seed=7), (SCENARIOS / name).read_text()))
+    rows = "".join(f"{e.tick}\t{e.kind}\t{e.src}\t{e.dst}\t{e.data.hex()}\n" for e in report.tap)
+    assert len(report.tap) == entries
+    assert hashlib.sha256(rows.encode("utf-8")).hexdigest() == expected
+    assert report.message_counts == dict(Counter(e.kind for e in report.tap))

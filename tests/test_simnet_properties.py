@@ -77,6 +77,23 @@ directives = st.one_of(
     ],
     horizon=1300,
 )
+@example(  # node 0 crashes holding 2 blocks: block 2 is out of its range, not the chain's
+    seed=0,
+    lines=[
+        "authorize 2", "upload 2 load 16 at 10", "fault crash-node 0 at 650",
+        "fault tamper-chain-copy 0 at 1250 block=2",
+    ],
+    horizon=1300,
+)
+@example(  # one block of one copy tampered twice
+    seed=0,
+    lines=[
+        "authorize 2", "upload 2 load 16 at 10", "fault tamper-chain-copy 4 at 700 block=1",
+        "fault tamper-chain-copy 4 at 800 block=1",
+    ],
+    horizon=1300,
+)
+@example(seed=0, lines=["fault tamper-chain-copy 3 at 650 block=0"], horizon=1300)  # genesis
 def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     text = HEADER + "".join(line + "\n" for line in lines) + f"run until {horizon}\n"
     try:
@@ -86,8 +103,8 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     report = sim.run()
     assert chain_mod.verify_chain(report.chain) is None
     assert fold_events(report.credits.keys(), report.events) == report.credits
-    for nid, node in sim.nodes.items():
-        full = chain_mod.verify_chain(chain_mod.Chain(tuple(node.local_chain)))
+    for nid in sim.nodes:
+        full = chain_mod.verify_chain(sim.replica(nid))
         expected = "ok" if full is None else f"violation@{full.index}:{full.reason}"
         assert report.node_chain_status[nid] == expected
 
