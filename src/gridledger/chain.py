@@ -37,7 +37,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from . import crypto, sigpass
 from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
@@ -372,19 +372,27 @@ def _check_structure(block: Block, prev_block: Block | None) -> bytes:
     return header_signing_bytes(header)
 
 
+def signature_triple(record: Record) -> sigpass.Triple:
+    """The (key, message, signature) triple of a record's uploader signature."""
+    return (record.uploader_public_key, record.payload_digest, record.uploader_signature)
+
+
 def _signature_triples(block: Block, signing: bytes) -> list[sigpass.Triple]:
     """The block's (key, message, signature) triples: the recorder's over
     ``signing``, then each record's uploader's over its payload digest."""
     header = block.header
     triples = [(header.recorder_public_key, signing, header.recorder_signature)]
-    triples += [(r.uploader_public_key, r.payload_digest, r.uploader_signature) for r in block.records]
+    triples += map(signature_triple, block.records)
     return triples
 
 
-def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
+def validate_block(block: Block, prev_block: Block | None, verified: Container[sigpass.Triple] = ()) -> BlockCheck:
     """Check one block against its predecessor: link, timestamp, Merkle
     root, distinct records and recorder signature, in that order, then
-    every record's uploader signature. Genesis passes ``prev_block=None``."""
+    every record's uploader signature. Genesis passes ``prev_block=None``.
+    ``verified`` holds record triples (`signature_triple`) `crypto.verify`
+    accepted in this process; a record whose exact triple is in it is not
+    verified again, so the verdict is the one verifying it would give."""
 
     def judged(fault: ChainError | EncodingError | None, bad: tuple[int, ...] = ()) -> BlockCheck:
         return BlockCheck(fault, bad, block=block, prev=prev_block)
@@ -396,7 +404,7 @@ def validate_block(block: Block, prev_block: Block | None) -> BlockCheck:
     recorder, *records = _signature_triples(block, signing)
     if not crypto.verify(*recorder):
         return judged(BadSignatureError("recorder signature invalid"))
-    return judged(None, tuple(i for i, triple in enumerate(records) if not crypto.verify(*triple)))
+    return judged(None, tuple(i for i, t in enumerate(records) if t not in verified and not crypto.verify(*t)))
 
 
 def verify_chain(chain: Chain) -> Violation | None:

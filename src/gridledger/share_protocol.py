@@ -17,7 +17,7 @@ from enum import Enum
 from . import chain as chain_mod
 from . import crypto
 from .chain import Chain, RecordKind, RecordMetadata
-from .codec import ByteReader, encode_u64, encode_var_bytes
+from .codec import encode_u64, encode_var_bytes
 from .crypto import Envelope, Keypair
 from .datastore import DataStore
 
@@ -75,21 +75,6 @@ def transaction_bytes(tx: ShareTransaction) -> bytes:
             tx.payload_digest,
             encode_u64(tx.tick),
         )
-    )
-
-
-def transaction_from_bytes(data: bytes) -> ShareTransaction:
-    reader = ByteReader(data)
-    sender = reader.take(crypto.PUBLIC_KEY_LEN)
-    receiver = reader.take(crypto.PUBLIC_KEY_LEN)
-    payload_digest = reader.take(crypto.DIGEST_LEN)
-    tick = reader.u64()
-    reader.expect_end()
-    return ShareTransaction(
-        sender_public_key=sender,
-        receiver_public_key=receiver,
-        payload_digest=payload_digest,
-        tick=tick,
     )
 
 

@@ -14,8 +14,8 @@ envelope) travel with a configurable delay, default one tick. The
 seal/validate/vote/commit round runs atomically at each interval-boundary
 tick, with its proposal/vote/commit-notice messages traced at that tick; a
 block sealed at tick T is therefore decided at tick T. The round validates
-its block once: the validators share that check, and `Chain.append`
-reuses it.
+its block once, skipping the record signatures intake verified (by exact
+triple): the validators share that check, and `Chain.append` reuses it.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation.
@@ -595,6 +595,7 @@ class Sim:
         )
 
         self.pending: list[Record] = []
+        self._verified: set[tuple] = set()  # triples intake verified, until committed or quarantined
         self._forged: dict[Record, FaultOutcome] = {}  # accepted forged records, until decided
         self.upload_digests: dict[int, bytes] = {}
         self.upload_payloads: dict[int, bytes] = {}
@@ -930,6 +931,7 @@ class Sim:
             self._note_tamper_caught(msg, exc.reason.value)
             return
         self.pending.append(accepted.record)
+        self._verified.add(chain_mod.signature_triple(accepted.record))
         if flow.forge is not None:
             self._forged[accepted.record] = flow.forge
         try:
@@ -1003,7 +1005,7 @@ class Sim:
             )
         votes = []
         block_digest_value = chain_mod.block_digest(proposal.block)
-        check = chain_mod.validate_block(proposal.block, self.chain.tip)
+        check = chain_mod.validate_block(proposal.block, self.chain.tip, self._verified)
         for vid in proposal.validator_ids:
             validator = self.nodes[vid]
             vote = record_mod.validate_proposal(
@@ -1029,6 +1031,7 @@ class Sim:
         if result.committed:
             self.chain = result.chain
             self.pending = []
+            self._verified.clear()
             # stands for the tap entry and trace line per live node that
             # _note_sync_message would add
             notice = CommitNotice(self.tick, duty, self._live, block_digest_value)
@@ -1044,6 +1047,7 @@ class Sim:
             )
         else:
             for index, record in result.quarantined:
+                self._verified.discard(chain_mod.signature_triple(record))
                 self.quarantine.append(
                     QuarantineEntry(tick=self.tick, proposer_id=duty, index=index, record=record)
                 )
@@ -1071,7 +1075,9 @@ class Sim:
             return
         old = self.assignment
         new = credit_mod.reelect(self.ledger, old, self.config.r_max, self.config.s_max)
-        changed = sum(1 for nid in new.all_nodes() if new.role_of(nid) != old.role_of(nid))
+        # a node changed role iff it is not in the same group of both
+        changed = sum(len(set(n).difference(o)) for n, o in zip(
+            (new.recorders, new.supervisors, new.candidates), (old.recorders, old.supervisors, old.candidates)))
         self.assignment = new
         self.epoch_changes.append(
             EpochChange(

@@ -6,6 +6,8 @@ wrong.
 - audit: the CLI `verify` of a 300-block export, clean and with one bit
   flipped (the process forks the signature pass), and `trace` lineage
   queries.
+- ingest: the 150-node network under a skewed upload stream with shares and
+  detectable faults; the batch checks each upload, share and fault.
 - idle: the 150-node network over 200 empty block intervals. After the timed
   run the batch reads the report's trace and tap, which the report expands
   from its commit notices when they are read."""
@@ -39,14 +41,25 @@ def test_audit_batch_has_no_wrong_output(tmp_path):
     assert run_batch("audit", tmp_path)["blocks"] == 301
 
 
-def test_idle_batch_has_no_wrong_output(tmp_path):
-    # bench.py writes the scenario a simulator batch reads; so does this,
-    # from a fresh interpreter, so no bench module is imported here
+def write_scenario(workload: str, work: Path) -> None:
+    """Write the scenario a simulator batch reads, as bench.py does, from a
+    fresh interpreter, so no bench module is imported here."""
+    code = f"import sys, workloads; sys.stdout.write(workloads.{workload}_inputs(3).scenario)"
     scenario = subprocess.run(
-        [sys.executable, "-c", "import sys, workloads; sys.stdout.write(workloads.idle_inputs(3).scenario)"],
-        cwd=ROOT / "bench", capture_output=True, text=True, timeout=60, check=True,
+        [sys.executable, "-c", code], cwd=ROOT / "bench", capture_output=True, text=True, timeout=60, check=True,
     ).stdout
-    (tmp_path / "scenario.txt").write_text(scenario, encoding="utf-8")
+    (work / "scenario.txt").write_text(scenario, encoding="utf-8")
+
+
+def test_ingest_batch_has_no_wrong_output(tmp_path):
+    write_scenario("ingest", tmp_path)
+    result = run_batch("ingest", tmp_path)
+    assert result["blocks"] == 7
+    assert result["records"] == 109
+
+
+def test_idle_batch_has_no_wrong_output(tmp_path):
+    write_scenario("idle", tmp_path)
     result = run_batch("idle", tmp_path)
     assert result["blocks"] == 200
     assert result["sim_counts"]["trace_lines"] == 31_620

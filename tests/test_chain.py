@@ -522,6 +522,40 @@ def test_flipped_export_verdict_is_that_of_fresh_objects(line, bit):
     assert verify_chain(fresh) == verdict
 
 
+MEMO_CHAIN = build_chain(2)
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(
+    index=st.integers(1, len(MEMO_CHAIN) - 1),
+    position=st.integers(0, len(block_bytes(MEMO_CHAIN.tip)) - 1),
+    mask=st.integers(1, 255),
+    reseal=st.booleans(),
+)
+def test_verified_triples_of_the_unflipped_block_change_no_verdict(index, position, mask, reseal):
+    # validate_block skips a record whose exact triple it is given as
+    # verified. Given the triples of the block before one byte was flipped,
+    # its verdict on the flipped block is the one it reaches verifying all.
+    # A resealed block is signed afresh over the flipped records, so its
+    # record signatures, not its Merkle root, decide.
+    block, prev = MEMO_CHAIN.blocks[index], MEMO_CHAIN.blocks[index - 1]
+    verified = {chain_mod.signature_triple(r) for r in block.records}
+    raw = bytearray(block_bytes(block))
+    raw[position % len(raw)] ^= mask
+    try:
+        flipped = block_from_bytes(bytes(raw))
+    except EncodingError:
+        return
+    if reseal:
+        header = flipped.header
+        flipped = chain_mod.make_block(keypair(1000), header.prev_block_digest, header.timestamp_tick, flipped.records)
+
+    def verdict(check):
+        return type(check.fault), str(check.fault), check.bad_records
+
+    assert verdict(chain_mod.validate_block(flipped, prev, verified)) == verdict(chain_mod.validate_block(flipped, prev))
+
+
 class TestDigestOnce:
     def test_import_digests_are_those_of_fresh_objects(self):
         decoded = import_chain(FLIP_EXPORT)

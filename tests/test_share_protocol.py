@@ -5,6 +5,7 @@ import pytest
 from gridledger import chain as chain_mod
 from gridledger import crypto
 from gridledger.chain import Chain, RecordKind, genesis, trace
+from gridledger.codec import ByteReader
 from gridledger.crypto import Envelope
 from gridledger.datastore import DataStore, StoredObject
 from gridledger.share_protocol import (
@@ -15,10 +16,21 @@ from gridledger.share_protocol import (
     receive_share,
     record_share,
     transaction_bytes,
-    transaction_from_bytes,
 )
 
 from testutil import keypair, signed_record
+
+
+def transaction_from_bytes(data: bytes) -> ShareTransaction:
+    """Decode the payload `record_share` builds: sender key, receiver key,
+    shared digest, tick, nothing after."""
+    reader = ByteReader(data)
+    sender = reader.take(crypto.PUBLIC_KEY_LEN)
+    receiver = reader.take(crypto.PUBLIC_KEY_LEN)
+    payload_digest = reader.take(crypto.DIGEST_LEN)
+    tick = reader.u64()
+    reader.expect_end()
+    return ShareTransaction(sender, receiver, payload_digest, tick)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,22 @@ class TestEpochs:
         assert report.credits[3] >= 2
         assert report.credits[4] >= 2
         assert report.credits[5] >= 2
+
+    @pytest.mark.parametrize("name", ["all_faults.txt", "sharing.txt"])
+    def test_changed_counts_the_nodes_whose_role_changed(self, name):
+        sim = new_sim(desk_config(seed=7, epoch_length_blocks=1), (SCENARIOS / name).read_text())
+
+        def role(nid, recorders, supervisors):
+            return "recorder" if nid in recorders else "supervisor" if nid in supervisors else "candidate"
+
+        before = sim.assignment.recorders, sim.assignment.supervisors
+        report = run(sim)
+        assert len(report.epoch_changes) >= 2
+        for change in report.epoch_changes:
+            after = change.recorders, change.supervisors
+            assert change.changed == sum(1 for nid in sim.nodes if role(nid, *before) != role(nid, *after))
+            before = after
+        assert any(change.changed for change in report.epoch_changes)
 
 
 class TestFaults:
@@ -663,14 +680,9 @@ def test_empty_round_memory_does_not_grow_with_node_count():
     assert large < 1.1 * small, (small, large)
 
 
-def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
-    # Block checks (`chain.validate_block`) run once per round: `Chain.append`
-    # commits with the round's check, and the report's verify_chain checks
-    # only genesis. Three is a ceiling, not the count; the test below pins
-    # one verify per signature per block judged. Every other caller
-    # verifies a signature once, as a protocol step of its own: the
-    # recorder's intake and the share receiver check the record signature,
-    # commit the votes.
+def counting_verify(monkeypatch) -> Counter:
+    """Count each `crypto.verify` call as (calling function, block judged or
+    None, key, message, signature); the block is `validate_block`'s."""
     counts = Counter()
     original = crypto.verify
 
@@ -678,44 +690,100 @@ def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # a generator expression
             frame = frame.f_back
-        counts[frame.f_code.co_name, public_key, message, signature] += 1
+        caller = frame.f_code.co_name
+        block = frame.f_locals["block"] if caller == "validate_block" else None
+        counts[caller, block, public_key, message, signature] += 1
         return original(public_key, message, signature)
 
     monkeypatch.setattr(crypto, "verify", counting)
+    return counts
+
+
+def uploaded_records(report) -> list:
+    """Every record intake accepted: committed, quarantined or still pending."""
+    committed = [r for block in report.chain.blocks for r in block.records]
+    return committed + [entry.record for entry in report.quarantine] + list(report.pending_left)
+
+
+def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
+    # Block checks (`chain.validate_block`) run once per round: `Chain.append`
+    # commits with the round's check, and the report's verify_chain checks
+    # only genesis. Three is a ceiling, not the count; the test below pins
+    # one verify per record signature per run. Every other caller verifies a
+    # signature once, as a protocol step of its own: the recorder's intake
+    # and the share receiver check the record signature, commit the votes.
+    counts = counting_verify(monkeypatch)
     report = run(new_sim(desk_config(seed=7), (SCENARIOS / "sharing.txt").read_text()))
     assert report.records_committed > 0 and report.deliveries
     assert {key[0] for key in counts} == {
         "validate_block", "receive_upload", "receive_share", "commit"
     }
-    for (caller, *_), n in counts.items():
+    per_caller = Counter()
+    for (caller, _, *triple), n in counts.items():
+        per_caller[caller, *triple] += n
+    for (caller, *_), n in per_caller.items():
         assert n <= (3 if caller == "validate_block" else 1), (caller, n)
+    for record in uploaded_records(report):
+        triple = chain_mod.signature_triple(record)
+        assert per_caller["receive_upload", *triple] + per_caller["validate_block", *triple] == 1
 
 
 @pytest.mark.parametrize("name", ["sharing.txt", "all_faults.txt"])
 def test_block_checks_verify_each_signature_once_per_block(monkeypatch, name):
-    # The round's check is the one `Chain.append` commits with, and the
-    # report's verify_chain re-checks only genesis, so `validate_block`
-    # verifies each (key, message, signature) once per block it judges. A
-    # record that survives a rejected block is judged again in the next.
-    counts = Counter()
-    original = crypto.verify
-
-    def counting(public_key, message, signature):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a generator expression
-            frame = frame.f_back
-        if frame.f_code.co_name == "validate_block":
-            block = frame.f_locals["block"]
-            counts[block.header.recorder_signature, public_key, message, signature] += 1
-        return original(public_key, message, signature)
-
-    monkeypatch.setattr(crypto, "verify", counting)
-    report = run(new_sim(desk_config(seed=7), (SCENARIOS / name).read_text()))
+    # Intake verifies each record's uploader signature; the round's check
+    # (`validate_block`, with the triples intake verified) does not verify
+    # it again, in the block that commits it or quarantines it, nor in a
+    # rejected block it survives. The recorder signature is verified once
+    # per block judged: the round's check is the one `Chain.append` commits
+    # with, and the report's verify_chain re-checks only genesis.
+    counts = counting_verify(monkeypatch)
+    sim = new_sim(desk_config(seed=7), (SCENARIOS / name).read_text())
+    report = run(sim)
     assert report.records_committed > 0
-    assert counts and set(counts.values()) == {1}
-    if not report.rejections:
-        per_signature = Counter(key[1:] for key in counts)
-        assert set(per_signature.values()) == {1}
+    # a triple is dropped once its record is committed or quarantined
+    assert sim._verified == {chain_mod.signature_triple(r) for r in report.pending_left}
+    checked = Counter()
+    for (caller, block, *triple), n in counts.items():
+        if caller in ("receive_upload", "validate_block"):
+            checked[tuple(triple)] += n
+        if caller == "validate_block":
+            assert triple[2] == block.header.recorder_signature, "a record signature was verified again"
+            assert n == 1
+    records = uploaded_records(report)
+    assert records and all(checked[chain_mod.signature_triple(r)] == 1 for r in records)
+    if name == "all_faults.txt":  # a rejected block whose survivors commit later
+        assert report.rejections and any("survivors=2" in line for line in report.trace_lines)
+
+
+@pytest.mark.parametrize("byte", [0, 63])
+def test_a_record_changed_after_intake_is_verified_again(monkeypatch, byte):
+    # The round's check skips the signatures intake verified, by exact
+    # (key, digest, signature) triple. A pending record whose signature
+    # changed by one byte keeps its key and digest, so a memo keyed by either
+    # would pass it; its triple is new, so it is verified, flagged and
+    # quarantined, and the untouched record survives.
+    scenario = SIX_NODES + "authorize 2\nauthorize 3\nupload 2 load 64 at 50\nupload 3 load 64 at 60\n"
+    sim = new_sim(desk_config(seed=5), scenario)
+    sim.run(599)
+    original, untouched = sim.pending
+    signature = bytearray(original.uploader_signature)
+    signature[byte] ^= 0x01
+    changed = replace(original, uploader_signature=bytes(signature))
+    sim.pending[0] = changed
+    checks = []
+    validate_block = chain_mod.validate_block
+
+    def recording(*args, **kwargs):
+        checks.append(validate_block(*args, **kwargs))
+        return checks[-1]
+
+    monkeypatch.setattr(chain_mod, "validate_block", recording)
+    report = sim.run(600)
+    round_check = checks[0]
+    assert round_check.block.records == (changed, untouched)
+    assert round_check.fault is None and round_check.bad_records == (0,)
+    assert [(entry.index, entry.record) for entry in report.quarantine] == [(0, changed)]
+    assert report.blocks_committed == 0 and report.pending_left == (untouched,)
 
 
 def test_fault_artifacts_and_detection_pinned():
