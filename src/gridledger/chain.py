@@ -5,22 +5,15 @@ The canonical encoding is the injective, length-prefixed layout (see
 `codec`) every digest and signature in the system is computed over.
 Timestamps are simulation ticks, never wall-clock.
 
-`validate_block` is the one definition of a valid block: `Chain.append`,
-`verify_chain`, `verify_copy` and the simulator's per-round check, whose
-result `record_protocol.validate_proposal` takes, all call it. It is built
-from two steps, `_check_structure` and the block's signature triples, which
-a long full-chain check also takes on their own: the structure of every
-block first, then the triples across processes (`sigpass`), and
-`validate_block` of the first block either flags gives the verdict.
-
-A `Chain` remembers how far `append` vouches for it: ``checked_from`` is
-the index from which `append` validated every block against its
-predecessor, so `verify_chain` checks only the blocks before it. A chain
-built any other way (the constructor, `import_chain`,
-`dataclasses.replace`) starts with ``checked_from == len(blocks)`` and is
-checked in full. `append` in turn takes the `BlockCheck` its caller already
-computed, and reuses it only when it judged this very block against this
-very tip object.
+`validate_block` is the one definition of a valid block: `verify_chain`,
+`verify_copy` and the simulator's per-round check, whose result
+`record_protocol.validate_proposal` and `record_protocol.commit` take, all
+call it. It is built from two steps, `_check_structure` and the block's
+signature triples, which a long full-chain check also takes on their own:
+the structure of every block first, then the triples across processes
+(`sigpass`), and `validate_block` of the first block either flags gives the
+verdict. `Chain.append` judges nothing: a block reaches it only through a
+check of its own, and `verify_chain` checks every block it is given.
 
 Digests are once-per-object values. `record_digest` and `block_digest`
 store their result on the frozen `Record` or `Block` the first time they
@@ -305,11 +298,6 @@ def genesis(network_id: str = "grid") -> Block:
 @dataclass(frozen=True)
 class Chain:
     blocks: tuple[Block, ...]
-    # `append` validated each block from this index on against its predecessor
-    checked_from: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "checked_from", len(self.blocks))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -322,30 +310,20 @@ class Chain:
     def tip_digest(self) -> bytes:
         return block_digest(self.tip)
 
-    def append(self, block: Block, check: BlockCheck | None = None) -> "Chain":
-        """The chain with ``block`` added; raises the block's first fault.
-        ``check`` is reused only if it is `validate_block` of this very
-        block against this very tip; any other check is ignored."""
-        if check is None or check.block is not block or check.prev is not self.tip:
-            check = validate_block(block, self.tip)
-        error = check.error()
-        if error is not None:
-            raise error
-        grown = Chain(self.blocks + (block,))
-        object.__setattr__(grown, "checked_from", self.checked_from)
-        return grown
+    def append(self, block: Block) -> "Chain":
+        """The chain with ``block`` added. It judges nothing: the caller
+        has checked the block against the tip (`validate_block`)."""
+        return Chain(self.blocks + (block,))
 
 
 @dataclass(frozen=True)
 class BlockCheck:
     """Result of `validate_block`: the first header-level fault, and the
     indices of records whose uploader signature fails (checked only when
-    the header holds). ``block`` and ``prev`` are the objects it judged."""
+    the header holds)."""
 
     fault: ChainError | EncodingError | None
     bad_records: tuple[int, ...] = ()
-    block: Block | None = field(default=None, compare=False, repr=False)
-    prev: Block | None = field(default=None, compare=False, repr=False)
 
     def error(self) -> ChainError | EncodingError | None:
         """The block's first fault, header before records."""
@@ -393,25 +371,20 @@ def validate_block(block: Block, prev_block: Block | None, verified: Container[s
     ``verified`` holds record triples (`signature_triple`) `crypto.verify`
     accepted in this process; a record whose exact triple is in it is not
     verified again, so the verdict is the one verifying it would give."""
-
-    def judged(fault: ChainError | EncodingError | None, bad: tuple[int, ...] = ()) -> BlockCheck:
-        return BlockCheck(fault, bad, block=block, prev=prev_block)
-
     try:
         signing = _check_structure(block, prev_block)
     except (ChainError, EncodingError) as exc:
-        return judged(exc)
+        return BlockCheck(exc)
     recorder, *records = _signature_triples(block, signing)
     if not crypto.verify(*recorder):
-        return judged(BadSignatureError("recorder signature invalid"))
-    return judged(None, tuple(i for i, t in enumerate(records) if t not in verified and not crypto.verify(*t)))
+        return BlockCheck(BadSignatureError("recorder signature invalid"))
+    return BlockCheck(None, tuple(i for i, t in enumerate(records) if t not in verified and not crypto.verify(*t)))
 
 
 def verify_chain(chain: Chain) -> Violation | None:
     """Full-chain audit: returns None when every link, root, and signature
-    holds, else the earliest violation. Blocks from ``chain.checked_from``
-    on passed this check in `append` and are not checked again."""
-    return _first_violation(chain.blocks[: chain.checked_from], 0)
+    holds, else the earliest violation."""
+    return _first_violation(chain.blocks, 0)
 
 
 def replica(verified: Chain, held: int, overrides: Mapping[int, Block]) -> Chain:
@@ -420,22 +393,18 @@ def replica(verified: Chain, held: int, overrides: Mapping[int, Block]) -> Chain
     return Chain(tuple(overrides.get(i, b) for i, b in enumerate(verified.blocks[:held])))
 
 
-def verify_copy(
-    verified: Chain, verdict: Violation | None, held: int, overrides: Mapping[int, Block]
-) -> Violation | None:
+def verify_copy(verified: Chain, held: int, overrides: Mapping[int, Block]) -> Violation | None:
     """What `verify_chain` returns for `replica(verified, held, overrides)`,
-    given ``verdict``, the result of `verify_chain(verified)`. Raises
-    ValueError for a ``held`` past the end of ``verified``.
+    where ``verified`` is a chain that verifies clean (the simulator's, each
+    block of which passed its round's check). Raises ValueError for a
+    ``held`` past the end of ``verified``.
 
-    Up to its first override, or its end, the copy is ``verified``: a
-    violation before that index is the copy's too, and none before it
-    means the copy is clean that far. From its first override on, the copy
-    is checked against its own predecessors."""
+    Up to its first override, or its end, the copy is ``verified`` and so
+    clean; from its first override on, it is checked against its own
+    predecessors."""
     if not 0 <= held <= len(verified.blocks):
         raise ValueError(f"a copy of a {len(verified.blocks)}-block chain cannot hold {held}")
     first = min(min(overrides, default=held), held)
-    if verdict is not None and verdict.index < first:
-        return verdict
     if first == held:
         return None
     return _first_violation(replica(verified, held, overrides).blocks, first)

@@ -22,9 +22,9 @@ from typing import Callable, Mapping, Sequence
 from . import chain as chain_mod
 from . import credit as credit_mod
 from . import crypto
-from .chain import Block, BlockCheck, Chain, Record, RecordMetadata
+from .chain import Block, BlockCheck, Record, RecordMetadata
 from .codec import U32, encode_u64, encode_var_bytes
-from .credit import CreditEvent, CreditLedger, RoleAssignment
+from .credit import CreditLedger, RoleAssignment
 from .crypto import Envelope, Keypair
 from .datastore import StoredObject
 
@@ -109,10 +109,8 @@ class Vote:
 @dataclass(frozen=True)
 class CommitResult:
     committed: bool
-    chain: Chain
     quarantined: tuple[tuple[int, Record], ...]
     survivors: tuple[Record, ...]
-    events: tuple[CreditEvent, ...]
 
 
 def request_upload(uploader_public_key: bytes, permissions: PermissionList) -> bool:
@@ -250,19 +248,18 @@ def validate_proposal(
 def commit(
     proposal: ProposedBlock,
     votes: Sequence[Vote],
-    chain: Chain,
+    check: BlockCheck,
     ledger: CreditLedger,
     public_keys: Mapping[int, bytes],
     uploader_ids: Mapping[bytes, int],
-    check: BlockCheck | None = None,
 ) -> CommitResult:
-    """Tally exactly three verified votes. Majority ok appends the block and
-    rewards the recorder and every uploader; majority erroneous drops the
-    quorum-flagged records to quarantine, penalizes their uploaders and the
-    recorder, and keeps the surviving records pending. Validator agreement
-    credits apply either way. ``check``, the validators' `validate_block` of
-    the block against the tip, goes to `Chain.append`, which reuses it only
-    if it judged this block against ``chain.tip``."""
+    """Tally exactly three verified votes. Validator agreement credits apply
+    either way. Majority ok rewards the recorder and every uploader, and the
+    caller appends the block; ``check``, the validators' `validate_block` of
+    the block against the tip, is the gate: if it holds a fault, that fault
+    is raised before the block and record credits. Majority erroneous drops
+    the quorum-flagged records to quarantine, penalizes their uploaders and
+    the recorder, and keeps the surviving records pending."""
     if len(votes) != VALIDATOR_COUNT:
         raise ProtocolError(f"expected {VALIDATOR_COUNT} votes, got {len(votes)}")
     block_digest = chain_mod.block_digest(proposal.block)
@@ -279,23 +276,19 @@ def commit(
             raise ProtocolError(f"vote signature from {vote.validator_id} does not verify")
 
     tick = proposal.block.header.timestamp_tick
-    events, majority_ok = credit_mod.apply_validator_outcomes(
+    _, majority_ok = credit_mod.apply_validator_outcomes(
         ledger, [(v.validator_id, v.ok) for v in votes], tick
     )
 
     if majority_ok:
-        new_chain = chain.append(proposal.block, check)
-        events.append(credit_mod.apply_block_outcome(ledger, proposal.proposer_id, False, tick))
+        error = check.error()
+        if error is not None:
+            raise error
+        credit_mod.apply_block_outcome(ledger, proposal.proposer_id, False, tick)
         for record in proposal.block.records:
             uploader = uploader_ids[record.uploader_public_key]
-            events.append(credit_mod.apply_record_outcome(ledger, uploader, True, tick))
-        return CommitResult(
-            committed=True,
-            chain=new_chain,
-            quarantined=(),
-            survivors=(),
-            events=tuple(events),
-        )
+            credit_mod.apply_record_outcome(ledger, uploader, True, tick)
+        return CommitResult(committed=True, quarantined=(), survivors=())
 
     flag_counts: dict[int, int] = {}
     for vote in votes:
@@ -311,17 +304,11 @@ def commit(
     survivors = tuple(
         record for i, record in enumerate(proposal.block.records) if i not in quarantined_set
     )
-    events.append(credit_mod.apply_block_outcome(ledger, proposal.proposer_id, True, tick))
+    credit_mod.apply_block_outcome(ledger, proposal.proposer_id, True, tick)
     for _, record in quarantined:
         uploader = uploader_ids[record.uploader_public_key]
-        events.append(credit_mod.apply_record_outcome(ledger, uploader, False, tick))
-    return CommitResult(
-        committed=False,
-        chain=chain,
-        quarantined=quarantined,
-        survivors=survivors,
-        events=tuple(events),
-    )
+        credit_mod.apply_record_outcome(ledger, uploader, False, tick)
+    return CommitResult(committed=False, quarantined=quarantined, survivors=survivors)
 
 
 def choose_validators(

@@ -15,7 +15,8 @@ seal/validate/vote/commit round runs atomically at each interval-boundary
 tick, with its proposal/vote/commit-notice messages traced at that tick; a
 block sealed at tick T is therefore decided at tick T. The round validates
 its block once, skipping the record signatures intake verified (by exact
-triple): the validators share that check, and `Chain.append` reuses it.
+triple): the validators share that check, and `record_protocol.commit`
+gates on it, so the block is appended without another check.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation.
@@ -459,8 +460,7 @@ class SimReport:
 
     @property
     def trace_lines(self) -> tuple[str, ...]:
-        ends: dict[tuple[int, ...], list[str]] = {}
-        return tuple(self.trace_log.expanded(lambda notice: notice.trace_text(ends).splitlines()))
+        return tuple(self.trace_text().split("\n")[:-1])
 
     @property
     def tap(self) -> tuple[TapEntry, ...]:
@@ -1026,10 +1026,10 @@ class Sim:
             )
             votes.append(vote)
         result = record_mod.commit(
-            proposal, votes, self.chain, self.ledger, self.public_keys, self.uploader_ids, check
+            proposal, votes, check, self.ledger, self.public_keys, self.uploader_ids
         )
         if result.committed:
-            self.chain = result.chain
+            self.chain = self.chain.append(proposal.block)
             self.pending = []
             self._verified.clear()
             # stands for the tap entry and trace line per live node that
@@ -1090,15 +1090,15 @@ class Sim:
     # --- reporting ---------------------------------------------------------------
 
     def _build_report(self, until_tick: int) -> SimReport:
-        """Snapshot the run. The canonical chain is verified once; each
-        node's replica reuses that verdict up to the first block a tamper
-        replaced (`chain.verify_copy`). Fault outcomes are annotated on
-        copies and the trace and tap are views of their first entries, so a
-        later `run()` leaves this report as it is."""
+        """Snapshot the run. The canonical chain is clean, since each of
+        its blocks passed its round's check, so a node's replica is checked
+        only from the first block a tamper replaced on (`chain.verify_copy`).
+        Fault outcomes are annotated on copies and the trace and tap are
+        views of their first entries, so a later `run()` leaves this report
+        as it is."""
         node_status = {}
         node_chain_status = {}
         violations = {}
-        verdict = chain_mod.verify_chain(self.chain)
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
             flags = []
@@ -1107,9 +1107,7 @@ class Sim:
             if node.byzantine:
                 flags.append("byzantine")
             node_status[nid] = ",".join(flags) if flags else "ok"
-            violations[nid] = chain_mod.verify_copy(
-                self.chain, verdict, self._held(node), node.overrides
-            )
+            violations[nid] = chain_mod.verify_copy(self.chain, self._held(node), node.overrides)
             if violations[nid] is None:
                 node_chain_status[nid] = "ok"
             else:

@@ -108,7 +108,16 @@ class TestGenesis:
         assert verify_chain(Chain((genesis("net-a"),))) is None
 
 
+def fault_of(block: Block, tip: Block):
+    """The first fault `validate_block` finds in ``block`` on ``tip``: the
+    one `record_protocol.commit` raises before the block is appended."""
+    return chain_mod.validate_block(block, tip).error()
+
+
 class TestAppend:
+    """What a block must pass against the tip before it is appended;
+    `Chain.append` itself judges nothing."""
+
     def test_valid_block_appends(self):
         chain = build_chain(3)
         assert len(chain) == 4
@@ -118,28 +127,26 @@ class TestAppend:
         chain = build_chain(3)
         stale_prev = chain_mod.block_digest(chain.blocks[1])  # N-2, not the tip
         block = chain_mod.make_block(keypair(1000), stale_prev, 9999, ())
-        with pytest.raises(LinkMismatchError):
-            chain.append(block)
+        assert isinstance(fault_of(block, chain.tip), LinkMismatchError)
 
     def test_root_mismatch_after_record_swap(self):
         chain = build_chain(2)
         tip = chain.tip
         swapped = (tip.records[1], tip.records[0]) + tip.records[2:]
         bad = Block(header=tip.header, records=swapped)
-        with pytest.raises(RootMismatchError):
-            Chain(chain.blocks[:-1]).append(bad)
+        assert isinstance(fault_of(bad, chain.blocks[-2]), RootMismatchError)
 
     def test_timestamp_regression(self):
         chain = build_chain(2)
         block = chain_mod.make_block(keypair(1000), chain.tip_digest, 5, ())
-        with pytest.raises(TimestampRegressionError):
-            chain.append(block)
+        assert isinstance(fault_of(block, chain.tip), TimestampRegressionError)
 
     def test_equal_timestamp_allowed(self):
         chain = build_chain(1)
         tick = chain.tip.header.timestamp_tick
         block = chain_mod.make_block(keypair(1000), chain.tip_digest, tick, ())
-        assert len(chain.append(block)) == 3
+        assert fault_of(block, chain.tip) is None
+        assert verify_chain(chain.append(block)) is None
 
     def test_bad_header_signature(self):
         chain = build_chain(1)
@@ -148,16 +155,14 @@ class TestAppend:
             header=replace(good.header, recorder_public_key=keypair(1001).public_key),
             records=good.records,
         )
-        with pytest.raises(BadSignatureError):
-            chain.append(forged)
+        assert isinstance(fault_of(forged, chain.tip), BadSignatureError)
 
     def test_bad_record_signature(self):
         chain = build_chain(1)
         record = signed_record(keypair(5), b"data", tick=700)
         record = replace(record, payload_digest=crypto.digest(b"other"))
         block = chain_mod.make_block(keypair(1000), chain.tip_digest, 700, (record,))
-        with pytest.raises(BadSignatureError):
-            chain.append(block)
+        assert isinstance(fault_of(block, chain.tip), BadSignatureError)
 
 
 class TestVerifyChain:
@@ -238,10 +243,7 @@ class TestDuplicateRecord:
         chain = build_chain(1)
         record = signed_record(keypair(5), b"data", tick=700)
         block = chain_mod.make_block(keypair(1000), chain.tip_digest, 700, (record, record))
-        check = chain_mod.validate_block(block, chain.tip)
-        assert isinstance(check.fault, DuplicateRecordError)
-        with pytest.raises(DuplicateRecordError):
-            chain.append(block)
+        assert isinstance(fault_of(block, chain.tip), DuplicateRecordError)
 
 
 def flipped_root(block: Block) -> Block:
@@ -263,15 +265,14 @@ def counting_validate_block(monkeypatch) -> list:
 
 
 class TestAppendedMark:
-    """`append` vouches only for what it validated: the blocks it appended
-    on a chain it was given, with a check of that very block and tip."""
+    """`append` leaves no mark for `verify_chain` to trust: every chain is
+    checked in full, however it was built."""
 
-    def test_appended_chain_verifies_its_unappended_prefix_only(self, monkeypatch):
+    def test_appended_chain_is_checked_in_full(self, monkeypatch):
         chain = build_chain(4)
-        assert chain.checked_from == 1
         judged = counting_validate_block(monkeypatch)
         assert verify_chain(chain) is None
-        assert judged == [chain.blocks[0]]
+        assert judged == list(chain.blocks)
 
     @pytest.mark.parametrize("rebuild", [
         lambda chain, blocks: Chain(blocks),
@@ -284,66 +285,44 @@ class TestAppendedMark:
         blocks[2] = replace(blocks[2], records=(
             replace(record, payload_digest=crypto.digest(b"flipped")),
         ) + blocks[2].records[1:])
-        rebuilt = rebuild(chain, tuple(blocks))
-        assert rebuilt.checked_from == len(rebuilt)
-        assert verify_chain(rebuilt) == Violation(2, "root-mismatch")
+        assert verify_chain(rebuild(chain, tuple(blocks))) == Violation(2, "root-mismatch")
 
     def test_appending_to_a_broken_chain_keeps_its_violation(self):
         chain = build_chain(3)
         broken = Chain(chain.blocks[:1] + (flipped_root(chain.blocks[1]),) + chain.blocks[2:])
         block = chain_mod.make_block(keypair(1000), broken.tip_digest, 9000, ())
-        grown = broken.append(block)
-        assert grown.checked_from == len(broken)
-        assert verify_chain(grown) == Violation(1, "root-mismatch")
+        assert verify_chain(broken.append(block)) == Violation(1, "root-mismatch")
 
-    def test_check_of_this_block_on_this_tip_is_reused(self, monkeypatch):
-        chain = build_chain(2)
-        block = chain_mod.make_block(keypair(1000), chain.tip_digest, 9000, ())
-        check = chain_mod.validate_block(block, chain.tip)
-        judged = counting_validate_block(monkeypatch)
-        assert chain.append(block, check).tip is block
-        assert judged == []
 
-    def test_check_of_another_block_is_not_reused(self, monkeypatch):
-        chain = build_chain(2)
-        block = chain_mod.make_block(keypair(1000), chain.tip_digest, 9000, ())
-        equal = Block(header=replace(block.header), records=block.records)
-        check = chain_mod.validate_block(equal, chain.tip)
-        judged = counting_validate_block(monkeypatch)
-        chain.append(block, check)
-        assert judged == [block]
+def equal_copy(block: Block) -> Block:
+    """A block equal to ``block`` but a distinct object, digested afresh."""
+    return Block(header=replace(block.header), records=tuple(block.records))
 
-    def test_check_on_another_tip_is_not_reused(self, monkeypatch):
-        chain = build_chain(2)
-        block = chain_mod.make_block(keypair(1000), chain.tip_digest, 9000, ())
-        equal_tip = Block(header=replace(chain.tip.header), records=chain.tip.records)
-        check = chain_mod.validate_block(block, equal_tip)
-        judged = counting_validate_block(monkeypatch)
-        chain.append(block, check)
-        assert judged == [block]
 
-    def test_bad_block_with_a_clean_check_raises(self):
-        chain = build_chain(2)
-        good = chain_mod.make_block(keypair(1000), chain.tip_digest, 9000, ())
-        clean = chain_mod.validate_block(good, chain.tip)
-        assert clean.error() is None
-        with pytest.raises(RootMismatchError):
-            chain.append(flipped_root(good), clean)
-        stale = chain_mod.make_block(keypair(1000), chain_mod.block_digest(chain.blocks[0]), 9000, ())
-        with pytest.raises(LinkMismatchError):
-            chain.append(stale, chain_mod.validate_block(stale, chain.blocks[0]))
+COPY_OF = build_chain(4)
 
 
 class TestVerifyCopy:
     """`verify_copy` of a view (a held count and the blocks that override
-    the verified chain's) must give exactly what a full `verify_chain` of
-    the copy the view stands for gives."""
+    the clean verified chain's) must give exactly what a full `verify_chain`
+    of the copy the view stands for gives."""
 
     @staticmethod
     def assert_matches_full_verify(verified, held, overrides):
-        verdict = verify_copy(verified, verify_chain(verified), held, overrides)
+        verdict = verify_copy(verified, held, overrides)
         assert verdict == verify_chain(chain_mod.replica(verified, held, overrides))
         return verdict
+
+    @settings(max_examples=100, database=None, deadline=None, derandomize=True)
+    @given(
+        held=st.integers(0, len(COPY_OF)),
+        overrides=st.dictionaries(st.integers(0, len(COPY_OF) - 1), st.booleans()),
+    )
+    def test_any_view_matches_full_verify(self, held, overrides):
+        # each override is a flipped root (True) or an equal-but-distinct copy
+        blocks = COPY_OF.blocks
+        replaced = {i: flipped_root(blocks[i]) if flip else equal_copy(blocks[i]) for i, flip in overrides.items()}
+        self.assert_matches_full_verify(COPY_OF, held, replaced)
 
     def test_untouched_copy_ok(self):
         chain = build_chain(4)
@@ -366,35 +345,23 @@ class TestVerifyCopy:
 
     def test_equal_but_distinct_block_still_ok(self):
         chain = build_chain(4)
-        equal = Block(header=replace(chain.blocks[2].header), records=tuple(chain.blocks[2].records))
+        equal = equal_copy(chain.blocks[2])
         assert equal == chain.blocks[2] and equal is not chain.blocks[2]
         assert self.assert_matches_full_verify(chain, 5, {2: equal}) is None
-        # checking from the override on still finds a later violation
-        broken = Chain(chain.blocks[:3] + (flipped_root(chain.blocks[3]),) + chain.blocks[4:])
-        assert self.assert_matches_full_verify(broken, 5, {2: equal}) == Violation(3, "root-mismatch")
-
-    def test_violation_in_shared_prefix_is_the_copy_violation(self):
-        chain = build_chain(4)
-        broken = Chain(chain.blocks[:1] + (flipped_root(chain.blocks[1]),) + chain.blocks[2:])
-        overrides = {3: flipped_root(broken.blocks[3])}
-        assert self.assert_matches_full_verify(broken, 4, overrides) == Violation(1, "root-mismatch")
-        # an override before that violation comes first in the copy
-        overrides = {0: flipped_root(broken.blocks[0])}
-        assert self.assert_matches_full_verify(broken, 4, overrides) == Violation(0, "root-mismatch")
 
     def test_violation_past_a_shorter_copy_is_not_the_copy_violation(self):
+        # a block replaced past the end of the copy is not in it
         chain = build_chain(4)
-        broken = Chain(chain.blocks[:3] + (flipped_root(chain.blocks[3]),) + chain.blocks[4:])
-        assert self.assert_matches_full_verify(broken, 3, {}) is None
-        tampered = {1: flipped_root(chain.blocks[1])}
-        assert self.assert_matches_full_verify(broken, 3, tampered) == Violation(1, "root-mismatch")
+        assert self.assert_matches_full_verify(chain, 3, {3: flipped_root(chain.blocks[3])}) is None
+        tampered = {1: flipped_root(chain.blocks[1]), 3: flipped_root(chain.blocks[3])}
+        assert self.assert_matches_full_verify(chain, 3, tampered) == Violation(1, "root-mismatch")
 
     def test_copy_longer_than_verified_chain(self):
         # a copy holds a prefix of the verified chain, never more
         chain = build_chain(4)
         for held in (len(chain) + 1, -1):
             with pytest.raises(ValueError):
-                verify_copy(chain, verify_chain(chain), held, {})
+                verify_copy(chain, held, {})
 
 
 class TestTrace:

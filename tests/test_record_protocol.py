@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from gridledger import chain as chain_mod
 from gridledger import crypto
-from gridledger.chain import Chain, RecordKind, RecordMetadata, genesis
+from gridledger.chain import Chain, LinkMismatchError, RecordKind, RecordMetadata, RootMismatchError, genesis
 from gridledger.credit import CreditLedger, CreditReason, NodeProfile, initialize_roles
 from gridledger.merkle import build_tree
 from gridledger.record_protocol import (
@@ -260,9 +261,8 @@ class TestCommit:
     def test_unanimous_ok_appends_and_credits(self, net):
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a"), (20, b"b")])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
-        result = commit(proposal, votes, chain, ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
         assert result.committed
-        assert len(result.chain) == 2
         assert ledger.credit(0) == 1  # recorder block-clean
         assert ledger.credit(2) == 2  # uploader, two records
         for vid in proposal.validator_ids:
@@ -273,9 +273,8 @@ class TestCommit:
             net, [(10, b"good"), (20, b"bad"), (30, b"good2")]
         )
         votes = votes_for(keys, proposal, [(False, (1,)), (False, (1,)), (True, ())])
-        result = commit(proposal, votes, chain, ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
         assert not result.committed
-        assert len(result.chain) == 1
         assert [i for i, _ in result.quarantined] == [1]
         assert [r.payload_digest for r in result.survivors] == [
             crypto.digest(b"good"),
@@ -289,7 +288,7 @@ class TestCommit:
     def test_ok_majority_with_dissenter_appends(self, net):
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a")])
         votes = votes_for(keys, proposal, [(True, ()), (True, ()), (False, (0,))])
-        result = commit(proposal, votes, chain, ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
         assert result.committed
         dissenter = proposal.validator_ids[2]
         assert ledger.credit(dissenter) == -1
@@ -298,7 +297,7 @@ class TestCommit:
         # two erroneous votes naming different records: neither reaches quorum
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a"), (20, b"b")])
         votes = votes_for(keys, proposal, [(False, (0,)), (False, (1,)), (True, ())])
-        result = commit(proposal, votes, chain, ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
         assert not result.committed
         assert result.quarantined == ()
         assert len(result.survivors) == 2
@@ -307,7 +306,7 @@ class TestCommit:
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         with pytest.raises(ProtocolError):
-            commit(proposal, votes[:2], chain, ledger, pks, uids)
+            commit(proposal, votes[:2], check_of(proposal, chain.tip), ledger, pks, uids)
 
     def test_unverifiable_vote_signature_rejected(self, net):
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
@@ -319,7 +318,7 @@ class TestCommit:
             signature=votes[0].signature,
         )
         with pytest.raises(ProtocolError):
-            commit(proposal, [forged, votes[1], votes[2]], chain, ledger, pks, uids)
+            commit(proposal, [forged, votes[1], votes[2]], check_of(proposal, chain.tip), ledger, pks, uids)
 
     def test_timestamp_regression_voted_erroneous_and_not_committed(self, net):
         keys, assignment, permissions = net
@@ -338,19 +337,40 @@ class TestCommit:
                 for v in proposal.validator_ids
             ]
             assert [(v.ok, v.bad_indices) for v in votes] == [(ok, ())] * 3, tick
-        result = commit(proposal, votes, chain, ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
         assert not result.committed
-        assert result.chain is chain
         assert result.quarantined == ()
         assert result.survivors == tuple(pending)
         assert ledger.credit(1) == -1  # recorder block-erroneous
+
+    @pytest.mark.parametrize("fault", ["flipped-root", "stale-link"])
+    def test_ok_votes_on_a_faulty_block_raise_its_fault(self, net, fault):
+        # the round's check is commit's gate: three ok votes do not commit a
+        # block it faults, and only the validator credits are applied
+        keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a")])
+        if fault == "flipped-root":
+            header = proposal.block.header
+            root = bytes([header.merkle_root[0] ^ 1]) + header.merkle_root[1:]
+            block = replace(proposal.block, header=replace(header, merkle_root=root))
+            proposal, expected = replace(proposal, block=block), RootMismatchError
+        else:  # sealed on genesis, judged against a block appended since
+            chain = chain.append(chain_mod.make_block(keys[1], chain.tip_digest, 300, ()))
+            expected = LinkMismatchError
+        check = check_of(proposal, chain.tip)
+        assert isinstance(check.error(), expected)
+        votes = votes_for(keys, proposal, [(True, ())] * 3)
+        with pytest.raises(expected):
+            commit(proposal, votes, check, ledger, pks, uids)
+        assert [(e.node_id, e.reason) for e in ledger.events] == [
+            (vid, CreditReason.VALIDATOR_AGREED) for vid in proposal.validator_ids
+        ]
 
     def test_vote_from_unassigned_validator_rejected(self, net):
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         outsider = sign_vote(keys[1], 1, chain_mod.block_digest(proposal.block), True, ())
         with pytest.raises(ProtocolError):
-            commit(proposal, [outsider, votes[1], votes[2]], chain, ledger, pks, uids)
+            commit(proposal, [outsider, votes[1], votes[2]], check_of(proposal, chain.tip), ledger, pks, uids)
 
 
 class TestChooseValidators:

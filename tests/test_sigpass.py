@@ -167,7 +167,7 @@ def test_tampered_chain_verdict_is_the_serial_one(bad_sigs, root_faults, expecte
 
 
 def test_clean_chain_splits_over_every_cpu():
-    chain = Chain(build_chain(N_BLOCKS, PER_BLOCK).blocks)  # checked in full, not from `append`
+    chain = build_chain(N_BLOCKS, PER_BLOCK)
     with forced_split(3) as forks:
         assert verify_chain(chain) is None
     assert len(forks) == 2

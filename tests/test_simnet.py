@@ -706,10 +706,10 @@ def uploaded_records(report) -> list:
 
 
 def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
-    # Block checks (`chain.validate_block`) run once per round: `Chain.append`
-    # commits with the round's check, and the report's verify_chain checks
-    # only genesis. Three is a ceiling, not the count; the test below pins
-    # one verify per record signature per run. Every other caller verifies a
+    # Block checks (`chain.validate_block`) run once per round: `commit`
+    # gates on the round's check, and neither `Chain.append` nor the report
+    # checks a block again. Three is a ceiling, not the count; the test below
+    # pins one verify per record signature per run. Every other caller verifies a
     # signature once, as a protocol step of its own: the recorder's intake
     # and the share receiver check the record signature, commit the votes.
     counts = counting_verify(monkeypatch)
@@ -734,8 +734,8 @@ def test_block_checks_verify_each_signature_once_per_block(monkeypatch, name):
     # (`validate_block`, with the triples intake verified) does not verify
     # it again, in the block that commits it or quarantines it, nor in a
     # rejected block it survives. The recorder signature is verified once
-    # per block judged: the round's check is the one `Chain.append` commits
-    # with, and the report's verify_chain re-checks only genesis.
+    # per block judged: the round's check is the one `commit` gates on, and
+    # neither `Chain.append` nor the report checks a block again.
     counts = counting_verify(monkeypatch)
     sim = new_sim(desk_config(seed=7), (SCENARIOS / name).read_text())
     report = run(sim)
@@ -770,20 +770,45 @@ def test_a_record_changed_after_intake_is_verified_again(monkeypatch, byte):
     signature[byte] ^= 0x01
     changed = replace(original, uploader_signature=bytes(signature))
     sim.pending[0] = changed
-    checks = []
+    calls = []
     validate_block = chain_mod.validate_block
 
-    def recording(*args, **kwargs):
-        checks.append(validate_block(*args, **kwargs))
-        return checks[-1]
+    def recording(block, *args, **kwargs):
+        calls.append((block, validate_block(block, *args, **kwargs)))
+        return calls[-1][1]
 
     monkeypatch.setattr(chain_mod, "validate_block", recording)
     report = sim.run(600)
-    round_check = checks[0]
-    assert round_check.block.records == (changed, untouched)
+    round_block, round_check = calls[0]
+    assert round_block.records == (changed, untouched)
     assert round_check.fault is None and round_check.bad_records == (0,)
     assert [(entry.index, entry.record) for entry in report.quarantine] == [(0, changed)]
     assert report.blocks_committed == 0 and report.pending_left == (untouched,)
+
+
+def test_verify_chain_judges_every_block_of_the_report_chain(monkeypatch):
+    # `verify_chain(report.chain) is None` checks the whole simulated chain:
+    # nothing the rounds appended is taken on trust
+    report = run(new_sim(desk_config(seed=7), (SCENARIOS / "sharing.txt").read_text()))
+    judged = []
+    validate_block = chain_mod.validate_block
+
+    def recording(block, prev_block):
+        judged.append(block)
+        return validate_block(block, prev_block)
+
+    monkeypatch.setattr(chain_mod, "validate_block", recording)
+    assert chain_mod.verify_chain(report.chain) is None
+    assert len(report.chain) == 3 and judged == list(report.chain.blocks)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_report_chain_with_a_zeroed_root_fails_verify(index):
+    report = run(new_sim(desk_config(seed=7), (SCENARIOS / "sharing.txt").read_text()))
+    blocks = list(report.chain.blocks)
+    blocks[index] = replace(blocks[index], header=replace(blocks[index].header, merkle_root=bytes(32)))
+    mutated = replace(report.chain, blocks=tuple(blocks))
+    assert chain_mod.verify_chain(mutated) == chain_mod.Violation(index, "root-mismatch")
 
 
 def test_fault_artifacts_and_detection_pinned():
