@@ -11,15 +11,22 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import chain as chain_mod
 from . import simnet
+from .credit import CreditReason
 
 CHAIN_FILE = "chain.txt"
 CREDITS_FILE = "credits.txt"
 TRACE_FILE = "trace.txt"
 METRICS_FILE = "metrics.txt"
+
+# One credits.txt line: tick, node id, +1 or -1, a CreditReason value.
+_CREDIT_LINE = re.compile(
+    r"([0-9]+)\t([0-9]+)\t([+-]1)\t(%s)" % "|".join(re.escape(r.value) for r in CreditReason)
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +70,9 @@ def _read_file(path: str) -> str | None:
             return fh.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError:
+        print(f"error: {path}: not UTF-8 text", file=sys.stderr)
+    return None
 
 
 def _cmd_run(args) -> int:
@@ -204,15 +213,19 @@ def _metrics_section(text: str, name: str) -> list[str] | None:
 
 
 def _cmd_credits(args) -> int:
-    text = _read_file(os.path.join(args.report_dir, CREDITS_FILE))
+    path = os.path.join(args.report_dir, CREDITS_FILE)
+    text = _read_file(path)
     if text is None:
         return 2
     credits: dict[int, int] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        _, node_id, delta, _ = line.split("\t")
-        credits[int(node_id)] = credits.get(int(node_id), 0) + int(delta)
+    tick = 0
+    for number, line in enumerate(text.splitlines(), 1):
+        match = _CREDIT_LINE.fullmatch(line)
+        if match is None or int(match[1]) < tick:
+            print(f"error: {path}: line {number} is not a credit event in tick order", file=sys.stderr)
+            return 2
+        tick, node_id = int(match[1]), int(match[2])
+        credits[node_id] = credits.get(node_id, 0) + int(match[3])
     print("node_id\tcredit")
     for nid in sorted(credits):
         print(f"{nid}\t{credits[nid]}")

@@ -75,7 +75,6 @@ class CreditLedger:
 
     def __init__(self, node_ids: Iterable[int], initial_credit: int = 0):
         self._credits: dict[int, int] = {nid: initial_credit for nid in node_ids}
-        self._initial_credit = initial_credit
         self.events: list[CreditEvent] = []
 
     def credit(self, node_id: int) -> int:
@@ -93,11 +92,6 @@ class CreditLedger:
         event = CreditEvent(node_id=node_id, delta=delta, reason=reason, tick=tick)
         self.events.append(event)
         return event
-
-    def replay_matches(self) -> bool:
-        """The ledger must equal the fold of its own audit log from the
-        initial credit."""
-        return fold_events(self._credits, self.events, self._initial_credit) == self._credits
 
 
 def fold_events(node_ids: Iterable[int], events: Iterable[CreditEvent], initial_credit: int = 0) -> dict[int, int]:

@@ -4,7 +4,9 @@ One pinned suite, chosen behind this module boundary: Ed25519 signatures
 (deterministic, so replayed simulations produce byte-identical chains),
 X25519 + HKDF-SHA256 + AES-256-GCM for the hybrid envelope, and SHA-256
 digests. A node keypair bundles one signing key and one sealing key, both
-derived from a single 32-byte seed.
+derived from a single 32-byte seed. `generate_keypair` loads both halves
+once, into the key cache `sign` and `decrypt` read; `verify` caches each
+public key's loaded verify half, never a verdict.
 
 Every operation that needs entropy (`generate_keypair` aside, which is
 seed-driven by contract) accepts an optional ``rng`` with a ``randbytes``
@@ -18,6 +20,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -99,39 +102,37 @@ def generate_keypair(seed: bytes) -> Keypair:
     """Derive a signing+sealing keypair from a 32-byte seed.
 
     Deterministic: the same seed always yields the same keypair, which is
-    what makes simulation replays byte-identical.
+    what makes simulation replays byte-identical. The halves it loads stay
+    in `_node_key` for `sign` and `decrypt`.
     """
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
         raise ValueError(f"seed must be exactly {SEED_LEN} bytes")
-    expanded = HKDF(
+    private_key = HKDF(
         algorithm=hashes.SHA256(),
-        length=64,
+        length=PRIVATE_KEY_LEN,
         salt=None,
         info=_KEY_DERIVE_INFO,
     ).derive(bytes(seed))
-    sign_seed, seal_seed = expanded[:32], expanded[32:]
-    verify_key = (
-        Ed25519PrivateKey.from_private_bytes(sign_seed).public_key().public_bytes_raw()
-    )
-    seal_key = (
-        X25519PrivateKey.from_private_bytes(seal_seed).public_key().public_bytes_raw()
-    )
-    return Keypair(
-        public_key=verify_key + seal_key,
-        private_key=sign_seed + seal_seed,
-    )
+    return Keypair(public_key=_node_key(private_key).public_key, private_key=private_key)
+
+
+class _NodeKey(NamedTuple):
+    signer: Ed25519PrivateKey
+    opener: X25519PrivateKey
+    public_key: bytes  # verify key || seal key
+    key_digest: bytes  # digest(public_key), prefixes every signed message
 
 
 @lru_cache(maxsize=1024)
-def _signer(private_key: bytes) -> tuple[Ed25519PrivateKey, bytes]:
-    """The Ed25519 signer of ``private_key`` and the digest of its composite
-    public key, which prefixes every message it signs. Both are derived once
-    per key: deriving them is most of the cost of a signature."""
+def _node_key(private_key: bytes) -> _NodeKey:
+    """Both halves of a 64-byte private key, loaded once: loading a half is
+    a scalar multiplication, most of the cost of a signature."""
     signer = Ed25519PrivateKey.from_private_bytes(private_key[:32])
-    seal_key = (
-        X25519PrivateKey.from_private_bytes(private_key[32:]).public_key().public_bytes_raw()
+    opener = X25519PrivateKey.from_private_bytes(private_key[32:])
+    public_key = (
+        signer.public_key().public_bytes_raw() + opener.public_key().public_bytes_raw()
     )
-    return signer, digest(signer.public_key().public_bytes_raw() + seal_key)
+    return _NodeKey(signer, opener, public_key, digest(public_key))
 
 
 def sign(private_key: bytes, message: bytes) -> bytes:
@@ -140,15 +141,15 @@ def sign(private_key: bytes, message: bytes) -> bytes:
     signing half."""
     if len(private_key) != PRIVATE_KEY_LEN:
         raise ValueError("malformed private key")
-    signer, key_digest = _signer(bytes(private_key))
-    return signer.sign(key_digest + message)
+    key = _node_key(bytes(private_key))
+    return key.signer.sign(key.key_digest + message)
 
 
 @lru_cache(maxsize=1024)
 def _verifier(public_key: bytes) -> tuple[Ed25519PublicKey, bytes]:
     """The Ed25519 verify key of a composite ``public_key`` and the digest
-    that prefixes every message it signs, derived once per key as `_signer`
-    does for signing. Only the key is cached, never a verdict. A verify
+    that prefixes every message it signs, derived once per key as `_node_key`
+    does for private keys. Only the key is cached, never a verdict. A verify
     half the backend refuses to load raises ValueError, and is not cached."""
     return Ed25519PublicKey.from_public_bytes(public_key[:32]), digest(public_key)
 
@@ -199,14 +200,6 @@ def encrypt_for(public_key: bytes, plaintext: bytes, rng=None) -> Envelope:
     )
 
 
-@lru_cache(maxsize=1024)
-def _opener(private_key: bytes) -> tuple[X25519PrivateKey, bytes]:
-    """The X25519 key of ``private_key``'s sealing half and its public
-    bytes, derived once per key as `_signer` does for signing."""
-    seal_priv = X25519PrivateKey.from_private_bytes(private_key[32:])
-    return seal_priv, seal_priv.public_key().public_bytes_raw()
-
-
 def decrypt(private_key: bytes, envelope: Envelope) -> bytes:
     """Open an envelope. Raises DecryptionError for a non-matching key,
     MalformedEnvelopeError for structurally broken envelopes."""
@@ -220,9 +213,9 @@ def decrypt(private_key: bytes, envelope: Envelope) -> bytes:
         raise MalformedEnvelopeError("ciphertext shorter than its tag")
     ephemeral_pub = envelope.encrypted_key[:32]
     wrapped = envelope.encrypted_key[32:]
-    seal_priv, recipient_seal = _opener(bytes(private_key))
-    shared = seal_priv.exchange(X25519PublicKey.from_public_bytes(ephemeral_pub))
-    kek = _wrap_kek(shared, ephemeral_pub, recipient_seal)
+    key = _node_key(bytes(private_key))
+    shared = key.opener.exchange(X25519PublicKey.from_public_bytes(ephemeral_pub))
+    kek = _wrap_kek(shared, ephemeral_pub, key.public_key[32:])
     try:
         session_key = AESGCM(kek).decrypt(_WRAP_NONCE, wrapped, None)
     except InvalidTag:

@@ -89,10 +89,6 @@ def merkle_root(leaf_digests: Sequence[bytes]) -> bytes:
     return level[0]
 
 
-def prove_inclusion(tree: MerkleTree, index: int) -> InclusionProof:
-    return tree.prove_inclusion(index)
-
-
 def verify_inclusion(root: bytes, leaf: bytes, proof: InclusionProof) -> bool:
     """Recompute the root from ``leaf`` along ``proof`` and compare."""
     node = leaf

@@ -6,6 +6,7 @@ import pytest
 from gridledger import chain as chain_mod
 from gridledger.chain import Block, Chain
 from gridledger.cli import main
+from gridledger.credit import CreditReason
 
 from testutil import build_chain
 
@@ -143,6 +144,52 @@ class TestTables:
         ids = [int(r[0]) for r in rows]
         assert ids == sorted(ids)
         assert all(int(r[1]) >= 0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "600\t3",  # two fields
+            "600\t3\t+1\tmade-up",  # not a CreditReason
+            "600\t3\t+1\trecord-correct\textra",
+            "600\t3\t+2\trecord-correct",
+            "600\t3\t1\trecord-correct",
+            "6e2\t3\t+1\trecord-correct",
+            "600\t-3\t+1\trecord-correct",
+            "600\t3\t+1\tRECORD-CORRECT",
+            "600 3 +1 record-correct",
+            "",
+            "0\t3\t+1\trecord-correct",  # tick goes down
+        ],
+        ids=[
+            "two-fields", "made-up-reason", "five-fields", "delta-2", "unsigned-delta",
+            "float-tick", "negative-node", "upper-case-reason", "spaces", "blank", "tick-down",
+        ],
+    )
+    def test_credits_rejects_a_malformed_line(self, tmp_path, capsys, line):
+        _, out_dir = run_scenario(tmp_path, name="honest.txt")
+        log = out_dir / "credits.txt"
+        log.write_text(log.read_text() + line + "\n")
+        capsys.readouterr()
+        assert main(["credits", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+    def test_credits_rejects_a_log_that_is_not_utf8(self, tmp_path, capsys):
+        _, out_dir = run_scenario(tmp_path, name="honest.txt")
+        (out_dir / "credits.txt").write_bytes(b"600\t3\t+1\trecord-correct\xff\n")
+        capsys.readouterr()
+        assert main(["credits", str(out_dir)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_credits_accepts_every_reason_and_an_empty_log(self, tmp_path, capsys):
+        lines = [f"{i}\t{i % 2}\t{'+1' if i % 3 else '-1'}\t{r.value}" for i, r in enumerate(CreditReason)]
+        (tmp_path / "credits.txt").write_text("\n".join(lines) + "\n")
+        assert main(["credits", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "node_id\tcredit\n0\t1\n1\t1\n"
+        (tmp_path / "credits.txt").write_text("")
+        assert main(["credits", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "node_id\tcredit\n"
 
     def test_roles_reflect_reelection(self, tmp_path, capsys):
         out_dir = tmp_path / "epochy"

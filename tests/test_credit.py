@@ -271,15 +271,14 @@ class TestAuditLog:
                     ledger, [(v, rng.random() < 0.7) for v in trio], rng.randrange(1000)
                 )
         assert fold_events(range(10), ledger.events) == ledger.credits()
-        assert ledger.replay_matches()
 
     def test_replay_detects_corrupted_credit(self):
         ledger = CreditLedger(range(4), initial_credit=5)
         apply_record_outcome(ledger, 0, True, 0)
         apply_validator_outcomes(ledger, [(1, True), (2, False), (3, True)], 0)
-        assert ledger.replay_matches()
+        assert fold_events(range(4), ledger.events, initial_credit=5) == ledger.credits()
         ledger._credits[2] += 1
-        assert not ledger.replay_matches()
+        assert fold_events(range(4), ledger.events, initial_credit=5) != ledger.credits()
 
     def test_all_deltas_have_magnitude_one_and_reason(self):
         ledger = CreditLedger(range(4))

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridledger import crypto
 from gridledger.crypto import (
@@ -187,20 +190,25 @@ def test_golden_vectors_pin_the_scheme():
 
 
 class TestSignerCache:
-    """`sign` derives each key's signer once; the signatures must be the
-    ones a fresh derivation gives."""
+    """`sign` reads the key `generate_keypair` loaded into `_node_key`, or
+    loads it once itself; the signatures must be the ones a fresh load
+    gives."""
 
     def test_cached_signatures_match_golden_vectors(self):
         from pathlib import Path
 
-        crypto._signer.cache_clear()
         fixture = Path(__file__).parent / "fixtures" / "crypto_vectors.txt"
-        for _ in range(2):  # derived, then cached
-            for line in fixture.read_text().splitlines():
-                seed_hex, message_hex, _, _, signature_hex = line.split("\t")
-                kp = generate_keypair(bytes.fromhex(seed_hex))
-                assert sign(kp.private_key, bytes.fromhex(message_hex)).hex() == signature_hex
-        assert crypto._signer.cache_info().hits > 0
+        for line in fixture.read_text().splitlines():
+            seed_hex, message_hex, _, _, signature_hex = line.split("\t")
+            message = bytes.fromhex(message_hex)
+            kp = generate_keypair(bytes.fromhex(seed_hex))
+            before = crypto._node_key.cache_info()
+            assert sign(kp.private_key, message).hex() == signature_hex  # loaded by generate_keypair
+            assert crypto._node_key.cache_info().hits == before.hits + 1
+            crypto._node_key.cache_clear()
+            assert sign(kp.private_key, message).hex() == signature_hex  # loaded by sign
+            assert sign(kp.private_key, message).hex() == signature_hex  # cached by sign
+            assert crypto._node_key.cache_info()[:2] == (1, 1)  # hits, misses
 
     def test_interleaved_keys_sign_under_their_own_key(self):
         a, b = keypair(31), keypair(32)
@@ -271,11 +279,10 @@ class TestVerifierCache:
 
 
 class TestOpenerCache:
-    """`decrypt` derives each key's X25519 half once; opening must behave
-    as a fresh derivation does."""
+    """`decrypt` reads the same `_node_key` entry `sign` does; opening must
+    behave as a fresh load does."""
 
     def test_interleaved_keys_open_their_own_envelopes(self):
-        crypto._opener.cache_clear()
         rng = random.Random(41)
         a, b = keypair(41), keypair(42)
         sealed = [
@@ -283,11 +290,12 @@ class TestOpenerCache:
             for i in range(3)
             for kp, other, payload in ((a, b, b"to a %d" % i), (b, a, b"to b %d" % i))
         ]
+        crypto._node_key.cache_clear()
         for kp, other, payload, env in sealed:
             assert decrypt(kp.private_key, env) == payload
             with pytest.raises(DecryptionError):
                 decrypt(other.private_key, env)
-        assert crypto._opener.cache_info().hits > 0
+        assert crypto._node_key.cache_info()[:2] == (10, 2)  # hits, misses
 
     def test_malformed_private_key_still_raises(self):
         kp = keypair(43)
@@ -302,6 +310,31 @@ class TestOpenerCache:
         decrypt(wrong.private_key, encrypt_for(wrong.public_key, b"warm"))
         with pytest.raises(DecryptionError):
             decrypt(wrong.private_key, encrypt_for(kp.public_key, b"secret"))
+
+
+@settings(max_examples=20, database=None, deadline=None, derandomize=True)
+@given(seed=st.binary(min_size=32, max_size=32), message=st.binary(max_size=64))
+def test_sign_and_decrypt_agree_however_the_key_was_loaded(seed, message):
+    """Through `generate_keypair`'s entry, after `cache_clear()` and after
+    1,025 other keypairs evicted the entry, `sign` and `decrypt` give the
+    bytes a load outside the cache gives."""
+    kp = generate_keypair(seed)
+    signer = Ed25519PrivateKey.from_private_bytes(kp.private_key[:32])
+    expected = signer.sign(digest(kp.public_key) + message)
+    envelope = encrypt_for(kp.public_key, message, rng=random.Random(seed))
+
+    def misses_of_one_use():
+        misses = crypto._node_key.cache_info().misses
+        assert sign(kp.private_key, message) == expected
+        assert decrypt(kp.private_key, envelope) == message
+        return crypto._node_key.cache_info().misses - misses
+
+    assert misses_of_one_use() == 0
+    crypto._node_key.cache_clear()
+    assert misses_of_one_use() == 1
+    for i in range(1025):
+        generate_keypair(digest(seed + i.to_bytes(2, "big")))
+    assert misses_of_one_use() == 1
 
 
 def test_round_trip_property_sweep():

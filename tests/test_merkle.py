@@ -10,7 +10,6 @@ from gridledger.merkle import (
     InclusionProof,
     build_tree,
     merkle_root,
-    prove_inclusion,
     verify_inclusion,
 )
 
@@ -98,7 +97,7 @@ class TestInclusionProofs:
         leaves = random_leaves(rng, 12)
         tree = build_tree(leaves)
         for i in range(12):
-            proof = prove_inclusion(tree, i)
+            proof = tree.prove_inclusion(i)
             assert verify_inclusion(tree.root, leaves[i], proof)
 
     def test_path_length_is_tree_height(self):

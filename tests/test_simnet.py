@@ -651,9 +651,9 @@ def test_metrics_summary():
 
 def retained_per_empty_round(node_count: int, warm: int = 20, rounds: int = 40) -> float:
     """Bytes an empty round leaves allocated once a run is under way, on a
-    network with 20 recorders and 4 supervisors. Every node's signing and
-    verify keys are derived before measuring, so the key caches, which fill
-    once per node, do not count."""
+    network with 20 recorders and 4 supervisors. `new_sim` loads every
+    node's private key and each verify key is derived before measuring, so
+    the key caches, which fill once per node, do not count."""
     config = SimConfig(seed=4, node_count=node_count, r_max=20, s_max=4)
     sim = new_sim(config, "")
     for node in sim.nodes.values():
@@ -671,6 +671,52 @@ def retained_per_empty_round(node_count: int, warm: int = 20, rounds: int = 40) 
     finally:
         tracemalloc.stop()
     return retained / rounds
+
+
+def count_key_loads(monkeypatch) -> Counter:
+    """Count private-key loads by class name, and `crypto.encrypt_for` calls,
+    each of which loads one ephemeral X25519 key."""
+    counts = Counter()
+
+    def counting_loader(key_class):
+        class Loader:
+            @staticmethod
+            def from_private_bytes(data):
+                counts[key_class.__name__] += 1
+                return key_class.from_private_bytes(data)
+
+        return Loader
+
+    def counting_encrypt_for(*args, **kwargs):
+        counts["encrypt_for"] += 1
+        return original_encrypt_for(*args, **kwargs)
+
+    original_encrypt_for = crypto.encrypt_for
+    for name in ("Ed25519PrivateKey", "X25519PrivateKey"):
+        monkeypatch.setattr(crypto, name, counting_loader(getattr(crypto, name)))
+    monkeypatch.setattr(crypto, "encrypt_for", counting_encrypt_for)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "config, scenario",
+    [
+        (SimConfig(seed=3, node_count=150, r_max=20, s_max=4), "run until 18000\n"),
+        (desk_config(seed=7), (SCENARIOS / "sharing.txt").read_text()),
+    ],
+    ids=["idle-150", "sharing"],
+)
+def test_a_run_loads_no_node_key_after_new_sim(monkeypatch, config, scenario):
+    # start from empty key caches, so keys a previous test loaded do not count
+    for value in vars(crypto).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    sim = new_sim(config, scenario)
+    loads = count_key_loads(monkeypatch)
+    report = run(sim)
+    assert report.blocks_committed >= 2
+    assert loads["Ed25519PrivateKey"] == 0
+    assert loads["X25519PrivateKey"] == loads["encrypt_for"]
 
 
 def test_empty_round_memory_does_not_grow_with_node_count():
