@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 chain verification failure, 2 usage or parse error.
 ``run`` writes four text artifacts into the output directory (chain.txt,
 credits.txt, trace.txt, metrics.txt); ``credits``, ``roles`` and ``audit``
-read them back. The default output directory comes from the GRIDLEDGER_OUT
-environment variable, falling back to ./out.
+read them back, and ``audit`` first verifies chain.txt as ``verify`` does.
+The default output directory comes from the GRIDLEDGER_OUT environment
+variable, falling back to ./out.
 """
 
 from __future__ import annotations
@@ -139,16 +140,24 @@ def _load_chain(path: str) -> tuple[chain_mod.Chain | None, int]:
         return None, 2
 
 
-def _cmd_verify(args) -> int:
-    chain, code = _load_chain(args.chain)
+def _verify_file(path: str) -> tuple[chain_mod.Chain | None, int]:
+    """`_load_chain`, then `verify_chain`: a violation prints its line and
+    returns (None, 1)."""
+    chain, code = _load_chain(path)
     if chain is None:
-        return code
+        return None, code
     violation = chain_mod.verify_chain(chain)
     if violation is None:
-        print(f"ok: {len(chain)} blocks verified")
-        return 0
+        return chain, 0
     print(f"violation at block {violation.index}: {violation.reason}")
-    return 1
+    return None, 1
+
+
+def _cmd_verify(args) -> int:
+    chain, code = _verify_file(args.chain)
+    if chain is not None:
+        print(f"ok: {len(chain)} blocks verified")
+    return code
 
 
 def _cmd_inspect(args) -> int:
@@ -247,6 +256,9 @@ def _cmd_roles(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    _, code = _verify_file(os.path.join(args.report_dir, CHAIN_FILE))
+    if code:
+        return code
     text = _read_file(os.path.join(args.report_dir, METRICS_FILE))
     if text is None:
         return 2

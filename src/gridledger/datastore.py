@@ -8,7 +8,6 @@ loses its contents; recovery re-copies from surviving replicas.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -151,39 +150,3 @@ class DataStore:
         if unit_id not in self.units:
             raise StorageError(f"unknown unit {unit_id}")
         return self.units[unit_id]
-
-    # --- file dump/load for CLI inspection -------------------------------
-
-    def dump(self, directory: str) -> None:
-        os.makedirs(directory, exist_ok=True)
-        lines = []
-        for payload_digest, placement in sorted(self.placements.items()):
-            obj = self.get(payload_digest)
-            if obj is None:
-                continue
-            name = payload_digest.hex() + ".obj"
-            with open(os.path.join(directory, name), "w", encoding="ascii") as fh:
-                fh.write(obj.owner_public_key.hex() + "\n")
-                fh.write(obj.ciphertext.to_bytes().hex() + "\n")
-            lines.append(f"{payload_digest.hex()}\t{','.join(placement)}\n")
-        with open(os.path.join(directory, "manifest.txt"), "w", encoding="ascii") as fh:
-            fh.writelines(lines)
-
-    def load(self, directory: str) -> int:
-        count = 0
-        with open(os.path.join(directory, "manifest.txt"), encoding="ascii") as fh:
-            for line in fh:
-                digest_hex, units_csv = line.strip().split("\t")
-                payload_digest = bytes.fromhex(digest_hex)
-                with open(os.path.join(directory, digest_hex + ".obj"), encoding="ascii") as obj_fh:
-                    owner = bytes.fromhex(obj_fh.readline().strip())
-                    envelope = Envelope.from_bytes(bytes.fromhex(obj_fh.readline().strip()))
-                obj = StoredObject(
-                    payload_digest=payload_digest, ciphertext=envelope, owner_public_key=owner
-                )
-                placement = tuple(units_csv.split(","))
-                for uid in placement:
-                    self._unit(uid).objects[payload_digest] = obj
-                self.placements[payload_digest] = placement
-                count += 1
-        return count

@@ -24,9 +24,13 @@ duty rotation.
 A round is committed once, not once per node. Each node's replica is a view
 of the canonical chain: the number of its blocks the node holds (all of
 them while it is live, frozen at its first crash) and the blocks a
-`tamper-chain-copy` fault replaced (`Sim.replica`). A committed round keeps
-one `CommitNotice` for the notices its recorder sends every live node; the
-report's ``trace_lines`` and ``tap`` expand it when they are read.
+`tamper-chain-copy` fault replaced (`Sim.replica`).
+
+Each happening is appended once to one log, `Sim.log`, as a `NamedTuple`
+event that renders its own ``trace.txt`` text; a line no fold reads is a
+`Note`. A committed round is one `CommitNotice` for the notices its
+recorder sends every live node. The report's trace, tap, message counts and
+tables are folds of a snapshot of the log.
 
 Scenario files are line-oriented text; ``#`` starts a comment::
 
@@ -63,7 +67,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 from . import chain as chain_mod
@@ -316,12 +319,43 @@ class _Msg:
     tampered_by: FaultOutcome | None = None
 
 
+def _line(tick: int, kind: str, src: int | None, dst: int | None, detail: str) -> str:
+    """One ``trace.txt`` line; ``-`` stands for no source or destination."""
+    return f"{tick}\t{kind}\t{'-' if src is None else src}\t{'-' if dst is None else dst}\t{detail}\n"
+
+
+# The events of `Sim.log`. Each renders its own trace.txt text, "" for none.
+
+
+class Note(NamedTuple):
+    """A trace line no fold reads."""
+
+    tick: int
+    kind: str
+    src: int | None
+    dst: int | None
+    detail: str
+
+    def trace_text(self, ends: dict) -> str:
+        return _line(*self)
+
+
 class TapEntry(NamedTuple):
+    """A message put on the wire. A consensus message is handled within its
+    tick, so it carries its trace ``detail``; others are traced on delivery."""
+
     tick: int
     kind: str
     src: int
     dst: int
     data: bytes
+    detail: str | None = None
+
+    def trace_text(self, ends: dict) -> str:
+        return "" if self.detail is None else _line(self.tick, self.kind, self.src, self.dst, self.detail)
+
+    def tap_entries(self) -> tuple[TapEntry]:
+        return (self,)
 
 
 class CommitNotice(NamedTuple):
@@ -334,9 +368,9 @@ class CommitNotice(NamedTuple):
     block_digest: bytes
 
     def trace_text(self, ends: dict[tuple[int, ...], list[str]]) -> str:
-        """The notice's trace lines, each ending in a newline. They differ
-        only after their head; ``ends`` holds that part for each live tuple
-        (a run reuses one until a crash), and is filled on first use."""
+        """The notice's trace lines. They differ only after their head;
+        ``ends`` holds that part for each live tuple (a run reuses one until
+        a crash), and is filled on first use."""
         tails = ends.get(self.live)
         if tails is None:
             tails = ends[self.live] = [f"{nid}\tcommitted\n" for nid in self.live]
@@ -350,56 +384,90 @@ class CommitNotice(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class _Log:
-    """The first ``length`` entries of a list the simulator only appends
-    to, so a later `Sim.run` leaves what it shows unchanged."""
+class QuarantineEntry(NamedTuple):
+    """A record a rejected round quarantined; the round's `RejectionEntry` follows."""
 
-    entries: list
-    length: int
-
-    def __iter__(self) -> Iterator:
-        return islice(self.entries, self.length)
-
-    def expanded(self, notice_entries: Callable[[CommitNotice], Iterator]) -> Iterator:
-        """The entries, each `CommitNotice` replaced by ``notice_entries`` of it."""
-        for entry in self:
-            if isinstance(entry, CommitNotice):
-                yield from notice_entries(entry)
-            else:
-                yield entry
-
-
-@dataclass(frozen=True)
-class QuarantineEntry:
     tick: int
     proposer_id: int
     index: int
     record: Record
 
+    def trace_text(self, ends: dict) -> str:
+        return ""
 
-@dataclass(frozen=True)
-class RejectionEntry:
+
+class RejectionEntry(NamedTuple):
     tick: int
     proposer_id: int
+    round_index: int
+    quarantined: int
+    survivors: int
+
+    def trace_text(self, ends: dict) -> str:
+        detail = f"r={self.round_index} rejected quarantined={self.quarantined} survivors={self.survivors}"
+        return _line(self.tick, "round", None, None, detail)
 
 
-@dataclass(frozen=True)
-class ShareDelivery:
+class RoundSkipped(NamedTuple):
+    tick: int
+    round_index: int
+    reason: str
+
+    def trace_text(self, ends: dict) -> str:
+        return _line(self.tick, "round", None, None, f"r={self.round_index} skipped: {self.reason}")
+
+
+class ShareDelivery(NamedTuple):
     tick: int
     sender: int
     receiver: int
     payload_digest: bytes
     payload: bytes
 
+    def trace_text(self, ends: dict) -> str:
+        detail = f"delivered digest={self.payload_digest[:8].hex()}"
+        return _line(self.tick, "share-envelope", self.sender, self.receiver, detail)
 
-@dataclass(frozen=True)
-class EpochChange:
+
+class Refusal(NamedTuple):
+    """A refused share or upload. ``kind`` is the message refused, or
+    ``share-reject`` for a share its sender could not start."""
+
+    tick: int
+    kind: str
+    src: int
+    dst: int
+    reason: str
+
+    @property
+    def node(self) -> int:
+        """The uploader or the share's sender."""
+        return self.dst if self.kind == "upload-grant" else self.src
+
+    def trace_text(self, ends: dict) -> str:
+        detail = {"upload-grant": "denied", "share-reject": "reason={}"}.get(self.kind, "rejected={}")
+        return _line(self.tick, self.kind, self.src, self.dst, detail.format(self.reason))
+
+
+class EpochChange(NamedTuple):
     epoch: int
     tick: int
     changed: int
     recorders: tuple[int, ...]
     supervisors: tuple[int, ...]
+
+    def trace_text(self, ends: dict) -> str:
+        return _line(self.tick, "reelect", None, None, f"epoch={self.epoch};changed={self.changed}")
+
+
+class Recovery(NamedTuple):
+    tick: int
+    report: RepairReport
+
+    def trace_text(self, ends: dict) -> str:
+        r = self.report
+        detail = f"unit={r.unit_id};restored={len(r.restored)};unrecoverable={len(r.unrecoverable)}"
+        return _line(self.tick, "recover-unit", None, None, detail)
 
 
 @dataclass
@@ -426,21 +494,26 @@ class SimReport:
     assessments: dict[int, int]
     node_status: dict[int, str]
     node_chain_status: dict[int, str]
-    quarantine: tuple[QuarantineEntry, ...]
-    rejections: tuple[RejectionEntry, ...]
     store_audit: tuple[ReplicaStatus, ...]
-    repair_reports: tuple[RepairReport, ...]
     fault_outcomes: tuple[FaultOutcome, ...]
-    epoch_changes: tuple[EpochChange, ...]
-    deliveries: tuple[ShareDelivery, ...]
-    share_failures: tuple[tuple[int, int, int, str], ...]
-    upload_failures: tuple[tuple[int, int, str], ...]
-    rounds_skipped: int
-    trace_log: _Log  # trace lines and `CommitNotice`s
-    tap_log: _Log  # tap entries and `CommitNotice`s
+    log: tuple  # the run's events, in order
     upload_digests: dict[int, bytes]
     upload_payloads: dict[int, bytes]
     pending_left: tuple[Record, ...]
+
+    def _of(self, kind: type) -> tuple:
+        """The log's events of type ``kind``, in order."""
+        return tuple(e for e in self.log if type(e) is kind)
+
+    # the tables: folds of the log
+    quarantine = property(lambda self: self._of(QuarantineEntry))
+    rejections = property(lambda self: self._of(RejectionEntry))
+    rounds_skipped = property(lambda self: len(self._of(RoundSkipped)))
+    deliveries = property(lambda self: self._of(ShareDelivery))
+    share_failures = property(lambda self: tuple(e for e in self._of(Refusal) if e.kind.startswith("share")))
+    upload_failures = property(lambda self: tuple(e for e in self._of(Refusal) if e.kind.startswith("upload")))
+    epoch_changes = property(lambda self: self._of(EpochChange))
+    repair_reports = property(lambda self: tuple(e.report for e in self._of(Recovery)))
 
     @property
     def blocks_committed(self) -> int:
@@ -464,17 +537,14 @@ class SimReport:
 
     @property
     def tap(self) -> tuple[TapEntry, ...]:
-        return tuple(self.tap_log.expanded(CommitNotice.tap_entries))
+        """Every message sent, each `CommitNotice` expanded to its notices."""
+        return tuple(m for e in self.log if type(e) in (TapEntry, CommitNotice) for m in e.tap_entries())
 
     @property
     def message_counts(self) -> dict[str, int]:
-        counts: Counter[str] = Counter()
-        for entry in self.tap_log:
-            if isinstance(entry, CommitNotice):
-                counts["commit-notice"] += len(entry.live)
-            else:
-                counts[entry.kind] += 1
-        return dict(counts)
+        counts = Counter(e.kind for e in self._of(TapEntry))
+        counts["commit-notice"] += sum(len(e.live) for e in self._of(CommitNotice))
+        return dict(+counts)  # + drops a zero count
 
     def chain_export_text(self) -> str:
         return chain_mod.export_chain(self.chain)
@@ -486,10 +556,7 @@ class SimReport:
 
     def trace_text(self) -> str:
         ends: dict[tuple[int, ...], list[str]] = {}
-        return "".join(
-            entry.trace_text(ends) if isinstance(entry, CommitNotice) else entry + "\n"
-            for entry in self.trace_log
-        )
+        return "".join(e.trace_text(ends) for e in self.log)
 
     def metrics_text(self) -> str:
         cfg = self.config
@@ -599,18 +666,9 @@ class Sim:
         self._forged: dict[Record, FaultOutcome] = {}  # accepted forged records, until decided
         self.upload_digests: dict[int, bytes] = {}
         self.upload_payloads: dict[int, bytes] = {}
-        self.trace_log: list[str | CommitNotice] = []
-        self.tap_log: list[TapEntry | CommitNotice] = []
-        self.quarantine: list[QuarantineEntry] = []
-        self.rejections: list[RejectionEntry] = []
-        self.deliveries: list[ShareDelivery] = []
-        self.share_failures: list[tuple[int, int, int, str]] = []
-        self.upload_failures: list[tuple[int, int, str]] = []
+        self.log: list[tuple] = []  # every happening, once, in order; append-only
         self.fault_outcomes: list[FaultOutcome] = []
-        self.epoch_changes: list[EpochChange] = []
-        self.repair_reports: list[RepairReport] = []
         self._tampered_copies: list[FaultOutcome] = []
-        self.rounds_skipped = 0
 
         # (tick, sequence, handler, payload): a due event is handler(payload)
         self._events: list[tuple[int, int, Callable, object]] = []
@@ -651,9 +709,7 @@ class Sim:
         self._seq += 1
 
     def _trace(self, kind: str, src: int | None, dst: int | None, detail: str) -> None:
-        s = "-" if src is None else str(src)
-        d = "-" if dst is None else str(dst)
-        self.trace_log.append(f"{self.tick}\t{kind}\t{s}\t{d}\t{detail}")
+        self.log.append(Note(self.tick, kind, src, dst, detail))
 
     def _trace_rng(self, label: str, note: str) -> None:
         self._trace("rng", None, None, f"label={label};{note}")
@@ -668,14 +724,9 @@ class Sim:
     def _send(
         self, kind: str, src: int, dst: int, obj: object, data: bytes, flow: _UploadFlow | None = None
     ) -> None:
-        self.tap_log.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
+        self.log.append(TapEntry(self.tick, kind, src, dst, data))
         msg = _Msg(kind=kind, src=src, dst=dst, obj=obj, flow=flow)
         self._schedule(self.tick + self.config.message_delay_ticks, self._deliver, msg)
-
-    def _note_sync_message(self, kind: str, src: int, dst: int, data: bytes, detail: str) -> None:
-        # consensus-phase messages are same-tick; trace and tap them directly
-        self.tap_log.append(TapEntry(tick=self.tick, kind=kind, src=src, dst=dst, data=data))
-        self._trace(kind, src, dst, detail)
 
     def replica(self, nid: int) -> Chain:
         """Node ``nid``'s copy of the chain, built from its view."""
@@ -753,10 +804,8 @@ class Sim:
             return
         payload_digest = self.upload_digests.get(plan.upload_ref)
         if payload_digest is None:
-            self.share_failures.append(
-                (self.tick, plan.sender, plan.receiver, share_mod.ShareError.DIGEST_NOT_ON_CHAIN.value)
-            )
-            self._trace("share-reject", plan.sender, plan.receiver, "reason=digest-not-on-chain")
+            reason = share_mod.ShareError.DIGEST_NOT_ON_CHAIN.value
+            self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, reason))
             return
         receiver_key = self.nodes[plan.receiver].keypair.public_key
         self._trace_rng("seal-share", f"to={plan.receiver}")
@@ -765,8 +814,7 @@ class Sim:
                 sender.keypair, receiver_key, payload_digest, self.chain, self.store, self.rng
             )
         except ShareRejected as exc:
-            self.share_failures.append((self.tick, plan.sender, plan.receiver, exc.reason.value))
-            self._trace("share-reject", plan.sender, plan.receiver, f"reason={exc.reason.value}")
+            self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, exc.reason.value))
             return
         self._send("share-envelope", plan.sender, plan.receiver, envelope, envelope.to_bytes())
 
@@ -853,17 +901,12 @@ class Sim:
         self._trace_fault(spec, f";block={index}")
 
     def _on_recover_unit(self, outcome: FaultOutcome) -> None:
-        unit_id = outcome.spec.target
-        report = self.store.recover_unit(unit_id)
-        self.repair_reports.append(report)
+        report = self.store.recover_unit(outcome.spec.target)
         outcome.outcome += (
             f"; recovered@{self.tick}: restored={len(report.restored)}"
             f" unrecoverable={len(report.unrecoverable)}"
         )
-        self._trace(
-            "recover-unit", None, None,
-            f"unit={unit_id};restored={len(report.restored)};unrecoverable={len(report.unrecoverable)}",
-        )
+        self.log.append(Recovery(self.tick, report))
 
     # --- message delivery -------------------------------------------------------
 
@@ -907,8 +950,7 @@ class Sim:
         flow = msg.flow
         granted, recorder_key = msg.obj
         if not granted:
-            self.upload_failures.append((self.tick, flow.uploader_id, "permission-denied"))
-            self._trace("upload-grant", msg.src, msg.dst, "denied")
+            self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, UploadError.PERMISSION_DENIED.value))
             return
         self._trace("upload-grant", msg.src, msg.dst, "granted")
         self._trace_rng("seal-upload", f"uploader={flow.uploader_id}")
@@ -924,9 +966,9 @@ class Sim:
         try:
             accepted = record_mod.receive_upload(recorder.keypair, envelope, self.permissions, self.rng)
         except UploadRejected as exc:
-            self.upload_failures.append((self.tick, flow.uploader_id, exc.reason.value))
-            self._trace("upload-envelope", msg.src, msg.dst, f"rejected={exc.reason.value}")
-            if exc.reason is not UploadError.PERMISSION_DENIED:
+            self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
+            # nobody can be blamed for ciphertext that does not authenticate
+            if exc.reason not in (UploadError.PERMISSION_DENIED, UploadError.DECRYPTION_FAILURE):
                 credit_mod.apply_record_outcome(self.ledger, flow.uploader_id, False, self.tick)
             self._note_tamper_caught(msg, exc.reason.value)
             return
@@ -938,10 +980,8 @@ class Sim:
             self.store.put(accepted.stored)
         except StorageError as exc:
             self._trace("datastore", None, msg.dst, f"put-failed: {exc}")
-        self._trace(
-            "upload-envelope", msg.src, msg.dst,
-            f"accepted digest={accepted.record.payload_digest[:8].hex()}",
-        )
+        digest_head = accepted.record.payload_digest[:8].hex()
+        self._trace("upload-envelope", msg.src, msg.dst, f"accepted digest={digest_head}")
 
     def _on_share_envelope(self, msg: _Msg) -> None:
         envelope = msg.obj
@@ -949,20 +989,10 @@ class Sim:
         try:
             payload = share_mod.receive_share(receiver.keypair, envelope)
         except ShareRejected as exc:
-            self.share_failures.append((self.tick, msg.src, msg.dst, exc.reason.value))
-            self._trace("share-envelope", msg.src, msg.dst, f"rejected={exc.reason.value}")
+            self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
             self._note_tamper_caught(msg, exc.reason.value)
             return
-        self.deliveries.append(
-            ShareDelivery(
-                tick=self.tick, sender=msg.src, receiver=msg.dst,
-                payload_digest=envelope.claimed_digest, payload=payload,
-            )
-        )
-        self._trace(
-            "share-envelope", msg.src, msg.dst,
-            f"delivered digest={envelope.claimed_digest[:8].hex()}",
-        )
+        self.log.append(ShareDelivery(self.tick, msg.src, msg.dst, envelope.claimed_digest, payload))
         tx = ShareTransaction(
             sender_public_key=envelope.sender_public_key,
             receiver_public_key=envelope.receiver_public_key,
@@ -998,11 +1028,9 @@ class Sim:
             self.tick, supervisor_id, pool, self.rng,
         )
         block_data = chain_mod.block_bytes(proposal.block)
-        for vid in proposal.validator_ids:
-            self._note_sync_message(
-                "proposal", duty, vid,
-                block_data, f"r={round_index};records={len(proposal.block.records)}",
-            )
+        detail = f"r={round_index};records={len(proposal.block.records)}"
+        for vid in proposal.validator_ids:  # consensus messages are handled within the tick
+            self.log.append(TapEntry(self.tick, "proposal", duty, vid, block_data, detail))
         votes = []
         block_digest_value = chain_mod.block_digest(proposal.block)
         check = chain_mod.validate_block(proposal.block, self.chain.tip, self._verified)
@@ -1019,11 +1047,8 @@ class Sim:
                 )
                 self._trace("byzantine", vid, duty, f"inverted verdict to ok={inverted_ok}")
             verdict = "ok" if vote.ok else "erroneous" + str(list(vote.bad_indices))
-            self._note_sync_message(
-                "vote", vid, duty,
-                record_mod.vote_signing_bytes(block_digest_value, vote.ok, vote.bad_indices),
-                f"verdict={verdict}",
-            )
+            vote_data = record_mod.vote_signing_bytes(block_digest_value, vote.ok, vote.bad_indices)
+            self.log.append(TapEntry(self.tick, "vote", vid, duty, vote_data, f"verdict={verdict}"))
             votes.append(vote)
         result = record_mod.commit(
             proposal, votes, check, self.ledger, self.public_keys, self.uploader_ids
@@ -1032,11 +1057,8 @@ class Sim:
             self.chain = self.chain.append(proposal.block)
             self.pending = []
             self._verified.clear()
-            # stands for the tap entry and trace line per live node that
-            # _note_sync_message would add
-            notice = CommitNotice(self.tick, duty, self._live, block_digest_value)
-            self.tap_log.append(notice)
-            self.trace_log.append(notice)
+            # stands for one commit-notice TapEntry per live node
+            self.log.append(CommitNotice(self.tick, duty, self._live, block_digest_value))
             for record in proposal.block.records:
                 forge = self._forged.pop(record, None)
                 if forge is not None:
@@ -1048,25 +1070,18 @@ class Sim:
         else:
             for index, record in result.quarantined:
                 self._verified.discard(chain_mod.signature_triple(record))
-                self.quarantine.append(
-                    QuarantineEntry(tick=self.tick, proposer_id=duty, index=index, record=record)
-                )
+                self.log.append(QuarantineEntry(self.tick, duty, index, record))
                 forge = self._forged.pop(record, None)
                 if forge is not None:
                     forge.outcome = f"quarantined@{self.tick}"
                     forge.detected_tick = self.tick
-            self.rejections.append(RejectionEntry(tick=self.tick, proposer_id=duty))
             self.pending = list(result.survivors)
-            self._trace(
-                "round", None, None,
-                f"r={round_index} rejected quarantined={len(result.quarantined)}"
-                f" survivors={len(result.survivors)}",
-            )
+            quarantined = len(result.quarantined)
+            self.log.append(RejectionEntry(self.tick, duty, round_index, quarantined, len(self.pending)))
         self._after_round(round_index)
 
     def _skip_round(self, round_index: int, reason: str) -> None:
-        self.rounds_skipped += 1
-        self._trace("round", None, None, f"r={round_index} skipped: {reason}")
+        self.log.append(RoundSkipped(self.tick, round_index, reason))
         self._after_round(round_index)
 
     def _after_round(self, round_index: int) -> None:
@@ -1079,13 +1094,7 @@ class Sim:
         changed = sum(len(set(n).difference(o)) for n, o in zip(
             (new.recorders, new.supervisors, new.candidates), (old.recorders, old.supervisors, old.candidates)))
         self.assignment = new
-        self.epoch_changes.append(
-            EpochChange(
-                epoch=new.epoch, tick=self.tick, changed=changed,
-                recorders=new.recorders, supervisors=new.supervisors,
-            )
-        )
-        self._trace("reelect", None, None, f"epoch={new.epoch};changed={changed}")
+        self.log.append(EpochChange(new.epoch, self.tick, changed, new.recorders, new.supervisors))
 
     # --- reporting ---------------------------------------------------------------
 
@@ -1093,9 +1102,8 @@ class Sim:
         """Snapshot the run. The canonical chain is clean, since each of
         its blocks passed its round's check, so a node's replica is checked
         only from the first block a tamper replaced on (`chain.verify_copy`).
-        Fault outcomes are annotated on copies and the trace and tap are
-        views of their first entries, so a later `run()` leaves this report
-        as it is."""
+        Fault outcomes are annotated on copies and the log is copied, so a
+        later `run()` leaves this report as it is."""
         node_status = {}
         node_chain_status = {}
         violations = {}
@@ -1139,18 +1147,9 @@ class Sim:
             assessments={nid: node.assessment for nid, node in self.nodes.items()},
             node_status=node_status,
             node_chain_status=node_chain_status,
-            quarantine=tuple(self.quarantine),
-            rejections=tuple(self.rejections),
             store_audit=tuple(self.store.audit()),
-            repair_reports=tuple(self.repair_reports),
             fault_outcomes=tuple(fault_outcomes),
-            epoch_changes=tuple(self.epoch_changes),
-            deliveries=tuple(self.deliveries),
-            share_failures=tuple(self.share_failures),
-            upload_failures=tuple(self.upload_failures),
-            rounds_skipped=self.rounds_skipped,
-            trace_log=_Log(self.trace_log, len(self.trace_log)),
-            tap_log=_Log(self.tap_log, len(self.tap_log)),
+            log=tuple(self.log),
             upload_digests=dict(self.upload_digests),
             upload_payloads=dict(self.upload_payloads),
             pending_left=tuple(self.pending),

@@ -287,7 +287,7 @@ def test_criterion_9_sharing_round_trip():
     assert len(report.deliveries) == 1
     delivery = report.deliveries[0]
     assert delivery.payload == report.upload_payloads[0]  # exact plaintext
-    assert any(reason == "not-owner" for _, _, _, reason in report.share_failures)
+    assert any(f.reason == "not-owner" for f in report.share_failures)
     rows = chain_mod.trace(report.chain, report.upload_digests[0])
     assert [r.metadata.kind for _, _, r in rows] == [
         RecordKind.GRID_DATA,

@@ -223,6 +223,25 @@ class TestTables:
         assert main(["audit", str(out_dir)]) == 0
         assert "0 under-replicated" in capsys.readouterr().out
 
+    def test_audit_exits_one_on_a_bit_flipped_chain(self, tmp_path, capsys):
+        _, out_dir = run_scenario(tmp_path, name="all_faults.txt")
+        lines = (out_dir / "chain.txt").read_text().splitlines()
+        lines[1] = lines[1][:420] + ("0" if lines[1][420] != "0" else "1") + lines[1][421:]
+        (out_dir / "chain.txt").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["audit", str(out_dir)]) == 1
+        assert main(["verify", str(out_dir / "chain.txt")]) == 1
+        audit_out, verify_out = capsys.readouterr().out.splitlines()
+        assert audit_out == verify_out and audit_out.startswith("violation at block 1:")
+
+    def test_audit_exits_two_on_a_chain_that_is_not_hex(self, tmp_path, capsys):
+        _, out_dir = run_scenario(tmp_path, name="all_faults.txt")
+        (out_dir / "chain.txt").write_text("zz")
+        capsys.readouterr()
+        assert main(["audit", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "chain.txt" in captured.err
+
     def test_missing_dir_exits_two(self, tmp_path, capsys):
         assert main(["credits", str(tmp_path / "missing")]) == 2
         assert main(["roles", str(tmp_path / "missing")]) == 2

@@ -187,16 +187,3 @@ def test_kill_any_two_of_five_units_keeps_everything_readable():
             assert got is not None, f"lost {obj.payload_digest.hex()[:8]} killing {pair}"
             assert got.ciphertext == obj.ciphertext
 
-
-def test_dump_load_round_trip(tmp_path):
-    store = make_store()
-    owner = keypair(1)
-    objects = [make_object(owner, b"dump-%d" % i, random.Random(i)) for i in range(6)]
-    for obj in objects:
-        store.put(obj)
-    store.dump(str(tmp_path))
-    fresh = make_store()
-    assert fresh.load(str(tmp_path)) == 6
-    for obj in objects:
-        assert fresh.get(obj.payload_digest).ciphertext == obj.ciphertext
-    assert fresh.placements == store.placements

@@ -261,7 +261,7 @@ class TestRun:
         report = run(new_sim(desk_config(), scenario))
         assert report.records_committed == 0
         assert (10 + 2, 2, "permission-denied") in [
-            (t, n, r) for t, n, r in report.upload_failures
+            (f.tick, f.node, f.reason) for f in report.upload_failures
         ]
         for block in report.chain.blocks:
             assert block.records == ()
@@ -477,9 +477,11 @@ run until 1200
         for scenario, seed, failures, records in cases:
             report = run(new_sim(desk_config(seed=seed), scenario))
             assert len(report.deliveries) == 0
-            assert any(f[-1] == "decryption-failure" for f in getattr(report, failures)), failures
+            assert any(f.reason == "decryption-failure" for f in getattr(report, failures)), failures
             outcome = next(f for f in report.fault_outcomes if f.spec.kind == "tamper-in-flight")
             assert "rejected=decryption-failure" in outcome.outcome
+            # nobody is blamed for bytes that fail to decrypt: not the uploader
+            assert not any(e.reason is CreditReason.RECORD_ERRONEOUS for e in report.events)
             # nothing recorded for the failed share or upload
             assert report.records_committed == records
             shares = [
@@ -601,7 +603,7 @@ class TestShareFlow:
         assert len(rows) == 2
         kinds = [r.metadata.kind for _, _, r in rows]
         assert kinds == [RecordKind.GRID_DATA, RecordKind.SHARE_TRANSACTION]
-        assert any(r == "not-owner" for _, _, _, r in report.share_failures)
+        assert any(f.reason == "not-owner" for f in report.share_failures)
 
     def test_delivery_count_matches_committed_share_records(self):
         scenario = (SCENARIOS / "sharing.txt").read_text()
@@ -798,7 +800,7 @@ def test_block_checks_verify_each_signature_once_per_block(monkeypatch, name):
     records = uploaded_records(report)
     assert records and all(checked[chain_mod.signature_triple(r)] == 1 for r in records)
     if name == "all_faults.txt":  # a rejected block whose survivors commit later
-        assert report.rejections and any("survivors=2" in line for line in report.trace_lines)
+        assert any(rejection.survivors == 2 for rejection in report.rejections)
 
 
 @pytest.mark.parametrize("byte", [0, 63])

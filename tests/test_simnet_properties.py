@@ -1,14 +1,18 @@
 """Property tests over random scenarios: a scenario either fails to load with
 ScenarioError/ValueError, or runs to its horizon without raising, and every
-node's reported chain status is what a full verify of its copy gives.
-`Sim.run` jumps over ticks with nothing due; its artifacts must be those of
-a `Sim.step` loop over every tick."""
+node's reported chain status is what a full verify of its copy gives. The
+run's typed log must hold whole-system invariants: no upload's plaintext on
+the wire, message counts that are those of the tap, and each penalty
+matching the event that earned it. `Sim.run` jumps over ticks with nothing
+due; its artifacts must be those of a `Sim.step` loop over every tick."""
+
+from collections import Counter
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
-from gridledger.credit import fold_events
+from gridledger.credit import CreditReason, fold_events
 from gridledger.simnet import FaultKind, FaultSpec, ScenarioError, SimConfig, new_sim
 
 HEADER = """\
@@ -94,6 +98,9 @@ directives = st.one_of(
     horizon=1300,
 )
 @example(seed=0, lines=["fault tamper-chain-copy 3 at 650 block=0"], horizon=1300)  # genesis
+@example(  # the recorder cannot open the tampered envelope: no one is penalised for it
+    seed=7, lines=["authorize 4", "upload 4 load 96 at 50", "fault tamper-in-flight 0 at 40"], horizon=1200
+)
 def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     text = HEADER + "".join(line + "\n" for line in lines) + f"run until {horizon}\n"
     try:
@@ -107,6 +114,25 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
         full = chain_mod.verify_chain(sim.replica(nid))
         expected = "ok" if full is None else f"violation@{full.index}:{full.reason}"
         assert report.node_chain_status[nid] == expected
+
+    tap = report.tap
+    payloads = [p for p in report.upload_payloads.values() if len(p) >= 16]
+    assert not any(p in entry.data for entry in tap for p in payloads)
+    assert report.message_counts == Counter(entry.kind for entry in tap)
+    node_of = {node.keypair.public_key: nid for nid, node in sim.nodes.items()}
+
+    def penalised(reason):
+        return Counter((e.tick, e.node_id) for e in report.events if e.reason is reason)
+
+    blamed = Counter((q.tick, node_of[q.record.uploader_public_key]) for q in report.quarantine)
+    blamed.update(
+        (f.tick, f.node)
+        for f in report.upload_failures
+        if f.reason in ("signature-invalid", "digest-mismatch")
+    )
+    assert penalised(CreditReason.RECORD_ERRONEOUS) == blamed
+    rejected = Counter((r.tick, r.proposer_id) for r in report.rejections)
+    assert penalised(CreditReason.BLOCK_ERRONEOUS) == rejected
 
 
 def artifacts(report) -> tuple[str, ...]:
