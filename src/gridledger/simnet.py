@@ -29,8 +29,10 @@ them while it is live, frozen at its first crash) and the blocks a
 Each happening is appended once to one log, `Sim.log`, as a `NamedTuple`
 event that renders its own ``trace.txt`` text; a line no fold reads is a
 `Note`. A committed round is one `CommitNotice` for the notices its
-recorder sends every live node. The report's trace, tap, message counts and
-tables are folds of a snapshot of the log.
+recorder sends every live node; it traces one line that counts them and
+names the crashed nodes, and the tap expands it to one entry per notice.
+The report's trace, tap, message counts and tables are folds of a snapshot
+of the log.
 
 Scenario files are line-oriented text; ``#`` starts a comment::
 
@@ -43,6 +45,7 @@ Scenario files are line-oriented text; ``#`` starts a comment::
 
 ``<upload-ref>`` is the 0-based ordinal of an ``upload`` directive in file
 order (payload digests are seed-derived, so a scenario cannot name them).
+A negative node id, size or tick is a parse error.
 Fault kinds and the ``key=value`` params each takes (any other key is a parse
 error; numbers are non-negative):
 
@@ -170,6 +173,13 @@ def _int_field(token: str, line: int, what: str) -> int:
         raise ScenarioError(line, f"{what} must be an integer, got {token!r}") from None
 
 
+def _nonneg_field(token: str, line: int, what: str) -> int:
+    number = _int_field(token, line, what)
+    if number < 0:
+        raise ScenarioError(line, f"{what} must be non-negative")
+    return number
+
+
 def _fault_params(kind: FaultKind, tick: int, tokens: list[str], line: int) -> dict[str, int | str]:
     params: dict[str, int | str] = {}
     for token in tokens:
@@ -183,10 +193,7 @@ def _fault_params(kind: FaultKind, tick: int, tokens: list[str], line: int) -> d
                 raise ScenarioError(line, "class parameter must be 1..64 bytes")
             params[key] = value
             continue
-        number = _int_field(value, line, key)
-        if number < 0:
-            raise ScenarioError(line, f"{key} must be non-negative")
-        params[key] = number
+        params[key] = _nonneg_field(value, line, key)
     if params.get("recover", tick + 1) <= tick:
         raise ScenarioError(line, "recover must be after the fault tick")
     return params
@@ -204,10 +211,8 @@ def parse_scenario(text: str) -> Scenario:
         if directive == "node":
             if len(tokens) != 4 or tokens[2] != "assessment":
                 raise ScenarioError(lineno, "expected: node <id> assessment <n>")
-            nid = _int_field(tokens[1], lineno, "node id")
+            nid = _nonneg_field(tokens[1], lineno, "node id")
             score = _int_field(tokens[3], lineno, "assessment")
-            if nid < 0:
-                raise ScenarioError(lineno, "node id must be non-negative")
             if nid in seen_nodes:
                 raise ScenarioError(lineno, f"duplicate node id {nid}")
             seen_nodes.add(nid)
@@ -221,10 +226,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(lineno, "expected: upload <id> <class> <size> at <tick>")
             if not 1 <= len(tokens[2].encode("utf-8")) <= 64:
                 raise ScenarioError(lineno, "data class must be 1..64 bytes")
-            size = _int_field(tokens[3], lineno, "size")
-            tick = _int_field(tokens[5], lineno, "tick")
-            if size < 0 or tick < 0:
-                raise ScenarioError(lineno, "size and tick must be non-negative")
+            size = _nonneg_field(tokens[3], lineno, "size")
+            tick = _nonneg_field(tokens[5], lineno, "tick")
             scenario.uploads.append(
                 UploadPlan(
                     ordinal=len(scenario.uploads),
@@ -243,7 +246,7 @@ def parse_scenario(text: str) -> Scenario:
                     sender=_int_field(tokens[1], lineno, "sender id"),
                     receiver=_int_field(tokens[2], lineno, "receiver id"),
                     upload_ref=_int_field(tokens[3], lineno, "upload ref"),
-                    tick=_int_field(tokens[5], lineno, "tick"),
+                    tick=_nonneg_field(tokens[5], lineno, "tick"),
                     line=lineno,
                 )
             )
@@ -254,7 +257,7 @@ def parse_scenario(text: str) -> Scenario:
                 kind = FaultKind(tokens[1])
             except ValueError:
                 raise ScenarioError(lineno, f"unknown fault kind {tokens[1]!r}") from None
-            tick = _int_field(tokens[4], lineno, "tick")
+            tick = _nonneg_field(tokens[4], lineno, "tick")
             params = _fault_params(kind, tick, tokens[5:], lineno)
             target: int | str
             if kind is FaultKind.FAIL_STORAGE_UNIT:
@@ -267,7 +270,7 @@ def parse_scenario(text: str) -> Scenario:
         elif directive == "run":
             if len(tokens) != 3 or tokens[1] != "until":
                 raise ScenarioError(lineno, "expected: run until <tick>")
-            scenario.run_until = _int_field(tokens[2], lineno, "tick")
+            scenario.run_until = _nonneg_field(tokens[2], lineno, "tick")
         else:
             raise ScenarioError(lineno, f"unknown directive {directive!r}")
     for ref in scenario.shares:
@@ -336,7 +339,7 @@ class Note(NamedTuple):
     dst: int | None
     detail: str
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         return _line(*self)
 
 
@@ -351,7 +354,7 @@ class TapEntry(NamedTuple):
     data: bytes
     detail: str | None = None
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         return "" if self.detail is None else _line(self.tick, self.kind, self.src, self.dst, self.detail)
 
     def tap_entries(self) -> tuple[TapEntry]:
@@ -359,23 +362,19 @@ class TapEntry(NamedTuple):
 
 
 class CommitNotice(NamedTuple):
-    """The ``commit-notice`` messages of one committed round: at ``tick``
-    the duty ``recorder`` sends ``block_digest`` to each node in ``live``."""
+    """The ``commit-notice`` messages of one committed round: at ``tick`` the
+    duty ``recorder`` sends ``block_digest`` to each node in ``live``. One
+    trace line counts them and names the ``down`` nodes, which got none."""
 
     tick: int
     recorder: int
     live: tuple[int, ...]
+    down: tuple[int, ...]
     block_digest: bytes
 
-    def trace_text(self, ends: dict[tuple[int, ...], list[str]]) -> str:
-        """The notice's trace lines. They differ only after their head;
-        ``ends`` holds that part for each live tuple (a run reuses one until
-        a crash), and is filled on first use."""
-        tails = ends.get(self.live)
-        if tails is None:
-            tails = ends[self.live] = [f"{nid}\tcommitted\n" for nid in self.live]
-        head = f"{self.tick}\tcommit-notice\t{self.recorder}\t"
-        return head + head.join(tails) if tails else ""
+    def trace_text(self) -> str:
+        missed = ",".join(map(str, self.down)) or "-"
+        return _line(self.tick, "commit-notice", self.recorder, None, f"sent={len(self.live)};missed={missed}")
 
     def tap_entries(self) -> Iterator[TapEntry]:
         return (
@@ -392,7 +391,7 @@ class QuarantineEntry(NamedTuple):
     index: int
     record: Record
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         return ""
 
 
@@ -403,7 +402,7 @@ class RejectionEntry(NamedTuple):
     quarantined: int
     survivors: int
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         detail = f"r={self.round_index} rejected quarantined={self.quarantined} survivors={self.survivors}"
         return _line(self.tick, "round", None, None, detail)
 
@@ -413,7 +412,7 @@ class RoundSkipped(NamedTuple):
     round_index: int
     reason: str
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         return _line(self.tick, "round", None, None, f"r={self.round_index} skipped: {self.reason}")
 
 
@@ -424,7 +423,7 @@ class ShareDelivery(NamedTuple):
     payload_digest: bytes
     payload: bytes
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         detail = f"delivered digest={self.payload_digest[:8].hex()}"
         return _line(self.tick, "share-envelope", self.sender, self.receiver, detail)
 
@@ -444,7 +443,7 @@ class Refusal(NamedTuple):
         """The uploader or the share's sender."""
         return self.dst if self.kind == "upload-grant" else self.src
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         detail = {"upload-grant": "denied", "share-reject": "reason={}"}.get(self.kind, "rejected={}")
         return _line(self.tick, self.kind, self.src, self.dst, detail.format(self.reason))
 
@@ -456,7 +455,7 @@ class EpochChange(NamedTuple):
     recorders: tuple[int, ...]
     supervisors: tuple[int, ...]
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         return _line(self.tick, "reelect", None, None, f"epoch={self.epoch};changed={self.changed}")
 
 
@@ -464,7 +463,7 @@ class Recovery(NamedTuple):
     tick: int
     report: RepairReport
 
-    def trace_text(self, ends: dict) -> str:
+    def trace_text(self) -> str:
         r = self.report
         detail = f"unit={r.unit_id};restored={len(r.restored)};unrecoverable={len(r.unrecoverable)}"
         return _line(self.tick, "recover-unit", None, None, detail)
@@ -555,8 +554,7 @@ class SimReport:
         )
 
     def trace_text(self) -> str:
-        ends: dict[tuple[int, ...], list[str]] = {}
-        return "".join(e.trace_text(ends) for e in self.log)
+        return "".join(e.trace_text() for e in self.log)
 
     def metrics_text(self) -> str:
         cfg = self.config
@@ -655,6 +653,7 @@ class Sim:
 
         self.chain = Chain((chain_mod.genesis(config.network_id),))
         self._live = tuple(self.nodes)  # ids of the nodes not crashed, in `nodes` order
+        self._down: tuple[int, ...] = ()  # ids of the crashed nodes, in `nodes` order
 
         self.store = DataStore(
             [(f"u{i}", f"region-{i}") for i in range(config.storage_unit_count)],
@@ -837,6 +836,7 @@ class Sim:
             node.crash = outcome
             node.held = len(self.chain)
             self._live = tuple(nid for nid in self._live if nid != outcome.spec.target)
+            self._down = tuple(nid for nid in self.nodes if nid not in self._live)
         outcome.outcome = f"crashed@{self.tick}"
         self._trace_fault(outcome.spec)
 
@@ -1058,7 +1058,7 @@ class Sim:
             self.pending = []
             self._verified.clear()
             # stands for one commit-notice TapEntry per live node
-            self.log.append(CommitNotice(self.tick, duty, self._live, block_digest_value))
+            self.log.append(CommitNotice(self.tick, duty, self._live, self._down, block_digest_value))
             for record in proposal.block.records:
                 forge = self._forged.pop(record, None)
                 if forge is not None:

@@ -9,8 +9,13 @@ wrong.
 - ingest: the 150-node network under a skewed upload stream with shares and
   detectable faults; the batch checks each upload, share and fault.
 - idle: the 150-node network over 200 empty block intervals. After the timed
-  run the batch reads the report's trace and tap, which the report expands
-  from its commit notices when they are read."""
+  run the batch reads the report's trace, with one commit-notice line per
+  committed block, and its tap, which the report expands from its commit
+  notices to one entry per live node when it is read.
+
+The last test runs bench/bench.py itself once, from the root of the
+checkout: its golden gate against tests/fixtures/cli_golden.json, a short
+idle run, and its final JSON line."""
 
 import json
 import subprocess
@@ -62,5 +67,17 @@ def test_idle_batch_has_no_wrong_output(tmp_path):
     write_scenario("idle", tmp_path)
     result = run_batch("idle", tmp_path)
     assert result["blocks"] == 200
-    assert result["sim_counts"]["trace_lines"] == 31_620
+    assert result["sim_counts"]["trace_lines"] == 1_820
     assert result["sim_counts"]["tap_entries"] == 31_200
+
+
+def test_bench_entry_point_reports_end_to_end_metrics():
+    # writes only to the checkout's .bench_results/, the default --results
+    proc = subprocess.run(
+        [sys.executable, "bench/bench.py", "--workload", "idle", "--seed", "3", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert {"blocks_per_s", "peak_rss_mb", "setup_s"} <= result["metrics"].keys()

@@ -47,6 +47,18 @@ class TestRun:
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "directive", ["run until -5", "share 4 1 0 at -5", "fault crash-node 1 at -1"]
+    )
+    def test_negative_tick_is_a_parse_error(self, tmp_path, capsys, directive):
+        scenario = tmp_path / "negative.txt"
+        scenario.write_text(f"authorize 4\nupload 4 load 8 at 10\n{directive}\nrun until 700\n")
+        code = main(["run", str(scenario), "--out", str(tmp_path / "o"), *RUN_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "line 3" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestVerify:
     def test_honest_chain_exits_zero(self, tmp_path, capsys):

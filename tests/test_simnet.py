@@ -105,6 +105,15 @@ class TestParseScenario:
                 parse_scenario(SIX_NODES + directive + "\nrun until 700\n")
             assert exc_info.value.line == 8, directive
 
+    @pytest.mark.parametrize(
+        "directive", ["run until -5", "share 2 4 0 at -5", "fault crash-node 1 at -1"]
+    )
+    def test_negative_tick_rejected_with_line(self, directive):
+        with pytest.raises(ScenarioError) as exc_info:
+            parse_scenario(SIX_NODES + "upload 2 load 8 at 10\n" + directive + "\n")
+        assert exc_info.value.line == 9
+        assert "non-negative" in str(exc_info.value)
+
     def test_oversized_data_class_rejected_at_parse(self):
         with pytest.raises(ScenarioError):
             parse_scenario(f"upload 1 {'x' * 65} 4 at 0\n")
@@ -857,6 +866,38 @@ def test_report_chain_with_a_zeroed_root_fails_verify(index):
     blocks[index] = replace(blocks[index], header=replace(blocks[index].header, merkle_root=bytes(32)))
     mutated = replace(report.chain, blocks=tuple(blocks))
     assert chain_mod.verify_chain(mutated) == chain_mod.Violation(index, "root-mismatch")
+
+
+@pytest.mark.parametrize(
+    "scenario, missed",
+    [
+        # crash-node 1 fires at tick 1000; at seed 7 round 0 is rejected and
+        # round 1 skipped, so the blocks are committed at 1800 and 2400
+        ((SCENARIOS / "all_faults.txt").read_text(), ["missed=1", "missed=1"]),
+        # blocks at 600 and 1800, either side of the crash at 700
+        (SIX_NODES + "fault crash-node 1 at 700\nrun until 1800\n", ["missed=-", "missed=1"]),
+    ],
+    ids=["all_faults", "six_nodes"],
+)
+def test_one_commit_notice_line_per_committed_block(scenario, missed):
+    # each committed round traces one commit-notice line naming the nodes
+    # down at that tick; every other node is a destination of that tick's
+    # notices in the tap
+    report = run(new_sim(desk_config(seed=7), scenario))
+    notices = [line.split("\t") for line in report.trace_lines if line.split("\t")[1] == "commit-notice"]
+    assert [int(n[0]) for n in notices] == [block.header.timestamp_tick for block in report.chain.blocks[1:]]
+    assert [n[4].split(";")[1] for n in notices] == missed
+    tapped = {}
+    for entry in report.tap:
+        if entry.kind == "commit-notice":
+            tapped.setdefault(entry.tick, []).append((entry.src, entry.dst))
+    node_ids = list(report.assessments)  # in `Sim.nodes` order
+    for tick, _, recorder, dst, detail in notices:
+        assert dst == "-"
+        sent, down = detail.removeprefix("sent=").split(";missed=")
+        reached = [nid for nid in node_ids if str(nid) not in down.split(",")]
+        assert tapped[int(tick)] == [(int(recorder), nid) for nid in reached]
+        assert int(sent) == len(reached)
 
 
 def test_fault_artifacts_and_detection_pinned():
