@@ -9,11 +9,12 @@ Timestamps are simulation ticks, never wall-clock.
 `verify_copy` and the simulator's per-round check, whose result
 `record_protocol.validate_proposal` and `record_protocol.commit` take, all
 call it. It is built from two steps, `_check_structure` and the block's
-signature triples, which a long full-chain check also takes on their own:
-the structure of every block first, then the triples across processes
-(`sigpass`), and `validate_block` of the first block either flags gives the
-verdict. `Chain.append` judges nothing: a block reaches it only through a
-check of its own, and `verify_chain` checks every block it is given.
+signature triples, which every full-chain check also takes on their own:
+the structure of every block first, then the triples, in this process or
+across several (`sigpass`), and `validate_block` of the first block either
+flags gives the verdict. `Chain.append` judges nothing: a block reaches it
+only through a check of its own, and `verify_chain` checks every block it
+is given.
 
 Digests are once-per-object values. `record_digest` and `block_digest`
 store their result on the frozen `Record` or `Block` the first time they
@@ -413,20 +414,14 @@ def verify_copy(verified: Chain, held: int, overrides: Mapping[int, Block]) -> V
 def _first_violation(blocks: Sequence[Block], start: int) -> Violation | None:
     """The earliest violation in ``blocks[start:]``, each block checked
     against its predecessor in ``blocks``: what `validate_block` of each
-    block in turn finds first.
-
-    When the signatures would all be verified in this process anyway
-    (`sigpass.processes`), that is what it does. Otherwise it takes three
-    steps:
+    block in turn finds first. It takes three steps:
 
     1. A serial structural pass (`_check_structure`) stops at the first
        block with a fault other than a signature.
     2. `sigpass.first_failing` verifies the signature triples of the blocks
-       before it, in chain order, across processes.
+       before it, in chain order, in this process or across several.
     3. The first block either step flags is judged again by `validate_block`,
-       whose error is the verdict; `_judge_from` goes on from there."""
-    if sigpass.processes(sum(len(b.records) + 1 for b in blocks[start:])) == 1:
-        return _judge_from(blocks, start)
+       whose error is the verdict: no block before it has a fault."""
     triples: list[sigpass.Triple] = []
     owner: list[int] = []  # the block index of each triple
     flagged = len(blocks)
@@ -442,19 +437,12 @@ def _first_violation(blocks: Sequence[Block], start: int) -> Violation | None:
         owner += [i] * len(block_triples)
         prev = blocks[i]
     bad = sigpass.first_failing(triples)
-    return _judge_from(blocks, flagged if bad is None else owner[bad])
-
-
-def _judge_from(blocks: Sequence[Block], start: int) -> Violation | None:
-    """`validate_block` of each block from ``start`` on, against its
-    predecessor in ``blocks``, up to the first error."""
-    prev = blocks[start - 1] if start > 0 else None
-    for i in range(start, len(blocks)):
-        error = validate_block(blocks[i], prev).error()
-        if error is not None:
-            return Violation(index=i, reason=error.reason)
-        prev = blocks[i]
-    return None
+    if bad is not None:
+        flagged = owner[bad]
+    if flagged == len(blocks):
+        return None
+    error = validate_block(blocks[flagged], blocks[flagged - 1] if flagged > 0 else None).error()
+    return Violation(index=flagged, reason=error.reason)
 
 
 def trace(chain: Chain, query: bytes) -> list[tuple[int, int, Record]]:

@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     inspect_p = sub.add_parser("inspect", help="summarize an exported chain")
     inspect_p.add_argument("chain", help="chain export path")
-    inspect_p.add_argument("--tick-seconds", type=int, default=1)
 
     verify_p = sub.add_parser("verify", help="verify an exported chain")
     verify_p.add_argument("chain", help="chain export path")
@@ -108,16 +107,22 @@ def _cmd_run(args) -> int:
         print(f"error: {args.scenario}: missing 'run until <tick>' directive", file=sys.stderr)
         return 2
     report = sim.run()
-    os.makedirs(args.out, exist_ok=True)
     outputs = {
         CHAIN_FILE: report.chain_export_text(),
         CREDITS_FILE: report.credit_log_text(),
         TRACE_FILE: report.trace_text(),
         METRICS_FILE: report.metrics_text(),
     }
-    for name, content in outputs.items():
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-            fh.write(content)
+    path = args.out  # the path being written, for the error line
+    try:
+        os.makedirs(path, exist_ok=True)
+        for name, content in outputs.items():
+            path = os.path.join(args.out, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(
         f"run complete: {report.blocks_committed} blocks committed,"
         f" {report.records_committed} records, outputs in {args.out}"
@@ -167,8 +172,7 @@ def _cmd_inspect(args) -> int:
     print("block\ttick\ttime\trecords\tmerkle_root\trecorder")
     for i, block in enumerate(chain.blocks):
         h = block.header
-        seconds = h.timestamp_tick * args.tick_seconds
-        minutes = f"{seconds // 60}m{seconds % 60:02d}s"
+        minutes = f"{h.timestamp_tick // 60}m{h.timestamp_tick % 60:02d}s"
         print(
             f"{i}\t{h.timestamp_tick}\t{minutes}\t{len(block.records)}"
             f"\t{h.merkle_root[:8].hex()}\t{h.recorder_public_key[:8].hex()}"

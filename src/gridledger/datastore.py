@@ -28,7 +28,6 @@ class StoredObject:
 @dataclass
 class StorageUnit:
     unit_id: str
-    region: str
     alive: bool = True
     objects: dict[bytes, StoredObject] = field(default_factory=dict)
 
@@ -53,15 +52,13 @@ class ReplicaStatus:
 
 
 class DataStore:
-    def __init__(self, units: list[tuple[str, str]], replication_factor: int = 3):
+    def __init__(self, unit_ids: list[str], replication_factor: int = 3):
         if replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        if len({uid for uid, _ in units}) != len(units):
+        if len(set(unit_ids)) != len(unit_ids):
             raise ValueError("duplicate unit ids")
         self.replication_factor = replication_factor
-        self.units: dict[str, StorageUnit] = {
-            uid: StorageUnit(unit_id=uid, region=region) for uid, region in units
-        }
+        self.units: dict[str, StorageUnit] = {uid: StorageUnit(unit_id=uid) for uid in unit_ids}
         # placement chosen at put time, remembered for audit and recovery
         self.placements: dict[bytes, tuple[str, ...]] = {}
 

@@ -5,7 +5,7 @@ envelope entropy, validator sampling, fault targets), each draw leaving a
 labeled line in the trace, so a (seed, config, scenario) triple always
 reproduces byte-identical outputs.
 
-Time is discrete ticks (1 tick = 1 simulated second by default; the
+Time is discrete ticks (1 tick = 1 simulated second; the
 10-minute block interval is 600 ticks). `Sim.step` advances one tick;
 `Sim.run` visits only the ticks where something happens (a due event or an
 interval boundary) and jumps over the rest, on which `step` would do
@@ -45,7 +45,8 @@ Scenario files are line-oriented text; ``#`` starts a comment::
 
 ``<upload-ref>`` is the 0-based ordinal of an ``upload`` directive in file
 order (payload digests are seed-derived, so a scenario cannot name them).
-A negative node id, size or tick is a parse error.
+A negative node id, size or tick, and a second ``run until``, are parse
+errors.
 Fault kinds and the ``key=value`` params each takes (any other key is a parse
 error; numbers are non-negative):
 
@@ -113,11 +114,8 @@ class SimConfig:
     block_interval_ticks: int = 600
     epoch_length_blocks: int = 10
     replication_factor: int = 3
-    tick_length_seconds: int = 1
     message_delay_ticks: int = 1
     storage_unit_count: int = 5
-    network_id: str = "grid"
-    initial_credit: int = 0
 
 
 class ScenarioError(Exception):
@@ -180,6 +178,12 @@ def _nonneg_field(token: str, line: int, what: str) -> int:
     return number
 
 
+def _data_class_field(token: str, line: int, what: str) -> str:
+    if not 1 <= len(token.encode("utf-8")) <= chain_mod.MAX_DATA_CLASS_LEN:
+        raise ScenarioError(line, f"{what} must be 1..{chain_mod.MAX_DATA_CLASS_LEN} bytes")
+    return token
+
+
 def _fault_params(kind: FaultKind, tick: int, tokens: list[str], line: int) -> dict[str, int | str]:
     params: dict[str, int | str] = {}
     for token in tokens:
@@ -189,9 +193,7 @@ def _fault_params(kind: FaultKind, tick: int, tokens: list[str], line: int) -> d
         if key not in _FAULT_PARAMS.get(kind, ()):
             raise ScenarioError(line, f"{kind.value} takes no parameter {key!r}")
         if key == "class":
-            if not 1 <= len(value.encode("utf-8")) <= 64:
-                raise ScenarioError(line, "class parameter must be 1..64 bytes")
-            params[key] = value
+            params[key] = _data_class_field(value, line, "class parameter")
             continue
         params[key] = _nonneg_field(value, line, key)
     if params.get("recover", tick + 1) <= tick:
@@ -224,15 +226,14 @@ def parse_scenario(text: str) -> Scenario:
         elif directive == "upload":
             if len(tokens) != 6 or tokens[4] != "at":
                 raise ScenarioError(lineno, "expected: upload <id> <class> <size> at <tick>")
-            if not 1 <= len(tokens[2].encode("utf-8")) <= 64:
-                raise ScenarioError(lineno, "data class must be 1..64 bytes")
+            data_class = _data_class_field(tokens[2], lineno, "data class")
             size = _nonneg_field(tokens[3], lineno, "size")
             tick = _nonneg_field(tokens[5], lineno, "tick")
             scenario.uploads.append(
                 UploadPlan(
                     ordinal=len(scenario.uploads),
                     node_id=_int_field(tokens[1], lineno, "node id"),
-                    data_class=tokens[2],
+                    data_class=data_class,
                     size=size,
                     tick=tick,
                     line=lineno,
@@ -270,6 +271,8 @@ def parse_scenario(text: str) -> Scenario:
         elif directive == "run":
             if len(tokens) != 3 or tokens[1] != "until":
                 raise ScenarioError(lineno, "expected: run until <tick>")
+            if scenario.run_until is not None:
+                raise ScenarioError(lineno, "second 'run until' directive")
             scenario.run_until = _nonneg_field(tokens[2], lineno, "tick")
         else:
             raise ScenarioError(lineno, f"unknown directive {directive!r}")
@@ -557,10 +560,8 @@ class SimReport:
         return "".join(e.trace_text() for e in self.log)
 
     def metrics_text(self) -> str:
-        cfg = self.config
         out = ["[summary]"]
-        seconds = self.until_tick * cfg.tick_length_seconds
-        out.append(f"run_until_tick={self.until_tick} ({seconds}s simulated)")
+        out.append(f"run_until_tick={self.until_tick} ({self.until_tick}s simulated)")
         out.append(f"blocks_committed={self.blocks_committed}")
         out.append(f"blocks_rejected={self.blocks_rejected}")
         out.append(f"records_committed={self.records_committed}")
@@ -635,7 +636,7 @@ class Sim:
             profiles.append(
                 NodeProfile(node_id=nid, public_key=keypair.public_key, assessment=assessment)
             )
-        self.ledger = CreditLedger(self.nodes.keys(), config.initial_credit)
+        self.ledger = CreditLedger(self.nodes.keys())
         self.assignment = credit_mod.initialize_roles(profiles, config.r_max, config.s_max)
         if not self.assignment.supervisors or len(self.assignment.candidates) < 2:
             raise ValueError(
@@ -651,14 +652,11 @@ class Sim:
         self.public_keys = {nid: node.keypair.public_key for nid, node in self.nodes.items()}
         self.uploader_ids = {key: nid for nid, key in self.public_keys.items()}
 
-        self.chain = Chain((chain_mod.genesis(config.network_id),))
+        self.chain = Chain((chain_mod.genesis(),))
         self._live = tuple(self.nodes)  # ids of the nodes not crashed, in `nodes` order
         self._down: tuple[int, ...] = ()  # ids of the crashed nodes, in `nodes` order
 
-        self.store = DataStore(
-            [(f"u{i}", f"region-{i}") for i in range(config.storage_unit_count)],
-            config.replication_factor,
-        )
+        self.store = DataStore([f"u{i}" for i in range(config.storage_unit_count)], config.replication_factor)
 
         self.pending: list[Record] = []
         self._verified: set[tuple] = set()  # triples intake verified, until committed or quarantined

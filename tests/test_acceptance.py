@@ -319,7 +319,7 @@ def test_criterion_10_storage_resilience():
     owner = keypair(10)
     pairs = list(itertools.combinations(range(5), 2))
     for pair in pairs:
-        store = DataStore([(f"u{i}", f"region-{i}") for i in range(5)], replication_factor=3)
+        store = DataStore([f"u{i}" for i in range(5)], replication_factor=3)
         objects = []
         for i in range(12):
             payload = b"grid-object-%d" % i

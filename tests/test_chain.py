@@ -251,28 +251,21 @@ def flipped_root(block: Block) -> Block:
     root[0] ^= 1
     return replace(block, header=replace(block.header, merkle_root=bytes(root)))
 
-def counting_validate_block(monkeypatch) -> list:
-    """Patch `chain.validate_block` to record the blocks it judges."""
-    judged = []
-    original = chain_mod.validate_block
-
-    def counting(block, prev_block):
-        judged.append(block)
-        return original(block, prev_block)
-
-    monkeypatch.setattr(chain_mod, "validate_block", counting)
-    return judged
-
 
 class TestAppendedMark:
     """`append` leaves no mark for `verify_chain` to trust: every chain is
     checked in full, however it was built."""
 
-    def test_appended_chain_is_checked_in_full(self, monkeypatch):
+    @pytest.mark.parametrize("index", range(5))
+    def test_appended_chain_with_a_flipped_recorder_signature_fails_verify(self, index):
         chain = build_chain(4)
-        judged = counting_validate_block(monkeypatch)
-        assert verify_chain(chain) is None
-        assert judged == list(chain.blocks)
+        assert len(chain) == 5 and verify_chain(chain) is None
+        block = chain.blocks[index]
+        signature = bytearray(block.header.recorder_signature)
+        signature[0] ^= 0x01
+        blocks = list(chain.blocks)
+        blocks[index] = replace(block, header=replace(block.header, recorder_signature=bytes(signature)))
+        assert verify_chain(Chain(tuple(blocks))) == Violation(index, "bad-signature")
 
     @pytest.mark.parametrize("rebuild", [
         lambda chain, blocks: Chain(blocks),

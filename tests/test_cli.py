@@ -59,6 +59,30 @@ class TestRun:
         assert err.count("\n") == 1 and "line 3" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_second_run_until_is_a_parse_error(self, tmp_path, capsys):
+        scenario = tmp_path / "twice.txt"
+        scenario.write_text("authorize 4\nrun until 600\nrun until 1200\n")
+        code = main(["run", str(scenario), "--out", str(tmp_path / "o"), *RUN_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "line 3" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("blocker", ["out", "out/chain.txt"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, blocker):
+        # a regular file where the output directory should be, or a
+        # directory where an artifact should be
+        if blocker == "out":
+            (tmp_path / "out").write_text("")
+            out = tmp_path / "out" / "run"
+        else:
+            (tmp_path / blocker).mkdir(parents=True)
+            out = tmp_path / "out"
+        code = main(["run", str(SCENARIOS / "sharing.txt"), "--out", str(out), *RUN_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: cannot write ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_honest_chain_exits_zero(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from testutil import keypair
 
 
 def make_store(n_units=5, r=3):
-    return DataStore([(f"u{i}", f"region-{i}") for i in range(n_units)], replication_factor=r)
+    return DataStore([f"u{i}" for i in range(n_units)], replication_factor=r)
 
 
 def make_object(owner, payload, rng=None):

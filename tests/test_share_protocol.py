@@ -42,7 +42,7 @@ def world():
     record = signed_record(alice, payload, tick=600)
     chain = Chain((genesis("t"),))
     chain = chain.append(chain_mod.make_block(recorder, chain.tip_digest, 600, (record,)))
-    store = DataStore([(f"u{i}", f"r{i}") for i in range(5)], 3)
+    store = DataStore([f"u{i}" for i in range(5)], 3)
     store.put(
         StoredObject(
             payload_digest=crypto.digest(payload),
@@ -84,7 +84,7 @@ class TestInitiateShare:
         # the store keeps the first copy put under a digest; here that is
         # carol's, sealed to her, while alice owns the digest on chain
         alice, bob, carol, chain, _, payload = world
-        store = DataStore([(f"u{i}", f"r{i}") for i in range(5)], 3)
+        store = DataStore([f"u{i}" for i in range(5)], 3)
         store.put(
             StoredObject(
                 payload_digest=crypto.digest(payload),
