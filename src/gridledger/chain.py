@@ -5,16 +5,24 @@ The canonical encoding is the injective, length-prefixed layout (see
 `codec`) every digest and signature in the system is computed over.
 Timestamps are simulation ticks, never wall-clock.
 
-`validate_block` is the one definition of a valid block: `verify_chain`,
-`verify_copy` and the simulator's per-round check, whose result
-`record_protocol.validate_proposal` and `record_protocol.commit` take, all
-call it. It is built from two steps, `_check_structure` and the block's
-signature triples, which every full-chain check also takes on their own:
-the structure of every block first, then the triples, in this process or
-across several (`sigpass`), and `validate_block` of the first block either
-flags gives the verdict. `Chain.append` judges nothing: a block reaches it
-only through a check of its own, and `verify_chain` checks every block it
-is given.
+`validate_block` is the one definition of a valid block; the simulator's
+per-round check calls it, and `record_protocol.validate_proposal` and
+`record_protocol.commit` take its result. It is built from two steps,
+`_check_structure` and the block's signature triples, which every
+full-chain check (`verify_blocks`, behind `verify_chain` and `verify_copy`)
+takes on their own: the structure of every block first, then the triples,
+in this process or across several (`sigpass`). The first block either step
+flags is the first block `validate_block` faults, for the same reason.
+`Chain.append` judges nothing: a block reaches it only through a check of
+its own, and `verify_chain` checks every block it is given.
+
+An export is read as a stream. `read_export` decodes one line at a time and
+yields each block in order, and `import_chain` is the tuple of what it
+yields. `verify_blocks` and `trace_blocks` take any iterable of blocks, so
+a reader that never holds the export's text, its lines or a `Chain` can
+verify or search it: the full-chain check keeps the block before the one it
+checks and the signature triples it hands to `sigpass`, and a lineage query
+keeps only the rows it yields.
 
 Digests are once-per-object values. `record_digest` and `block_digest`
 store their result on the frozen `Record` or `Block` the first time they
@@ -29,9 +37,10 @@ object keeps only its fields and digest.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Container, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping
 
 from . import crypto, sigpass
 from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
@@ -385,7 +394,7 @@ def validate_block(block: Block, prev_block: Block | None, verified: Container[s
 def verify_chain(chain: Chain) -> Violation | None:
     """Full-chain audit: returns None when every link, root, and signature
     holds, else the earliest violation."""
-    return _first_violation(chain.blocks, 0)
+    return verify_blocks(chain.blocks)
 
 
 def replica(verified: Chain, held: int, overrides: Mapping[int, Block]) -> Chain:
@@ -408,50 +417,56 @@ def verify_copy(verified: Chain, held: int, overrides: Mapping[int, Block]) -> V
     first = min(min(overrides, default=held), held)
     if first == held:
         return None
-    return _first_violation(replica(verified, held, overrides).blocks, first)
+    blocks = replica(verified, held, overrides).blocks
+    return verify_blocks(blocks[first:], first, blocks[first - 1] if first > 0 else None)
 
 
-def _first_violation(blocks: Sequence[Block], start: int) -> Violation | None:
-    """The earliest violation in ``blocks[start:]``, each block checked
-    against its predecessor in ``blocks``: what `validate_block` of each
-    block in turn finds first. It takes three steps:
+def verify_blocks(blocks: Iterable[Block], start: int = 0, prev: Block | None = None) -> Violation | None:
+    """The earliest violation among ``blocks``, numbered from ``start``, the
+    first checked against ``prev`` and each later one against the block
+    before it: what `validate_block` of each block in turn finds first. It
+    reads ``blocks`` once and holds only the block before the one it checks
+    and the signature triples. It takes two steps:
 
-    1. A serial structural pass (`_check_structure`) stops at the first
-       block with a fault other than a signature.
+    1. A structural pass (`_check_structure`) in chain order stops at the
+       first block with a fault other than a signature.
     2. `sigpass.first_failing` verifies the signature triples of the blocks
        before it, in chain order, in this process or across several.
-    3. The first block either step flags is judged again by `validate_block`,
-       whose error is the verdict: no block before it has a fault."""
+
+    The verdict is a bad signature in the block of the first failing
+    triple, else the structural fault: no block before either has one."""
     triples: list[sigpass.Triple] = []
-    owner: list[int] = []  # the block index of each triple
-    flagged = len(blocks)
-    prev = blocks[start - 1] if start > 0 else None
-    for i in range(start, len(blocks)):
+    ends: list[int] = []  # the end in ``triples`` of each checked block's triples
+    fault = None
+    for i, block in enumerate(blocks, start):
         try:
-            signing = _check_structure(blocks[i], prev)
-        except (ChainError, EncodingError):
-            flagged = i
+            signing = _check_structure(block, prev)
+        except (ChainError, EncodingError) as exc:
+            fault = Violation(index=i, reason=exc.reason)
             break
-        block_triples = _signature_triples(blocks[i], signing)
-        triples += block_triples
-        owner += [i] * len(block_triples)
-        prev = blocks[i]
+        triples += _signature_triples(block, signing)
+        ends.append(len(triples))
+        prev = block
     bad = sigpass.first_failing(triples)
     if bad is not None:
-        flagged = owner[bad]
-    if flagged == len(blocks):
-        return None
-    error = validate_block(blocks[flagged], blocks[flagged - 1] if flagged > 0 else None).error()
-    return Violation(index=flagged, reason=error.reason)
+        return Violation(index=start + bisect_right(ends, bad), reason=BadSignatureError.reason)
+    return fault
 
 
 def trace(chain: Chain, query: bytes) -> list[tuple[int, int, Record]]:
     """All records matching an uploader public key (64 bytes) or a payload
-    digest (32 bytes), in chain order.
+    digest (32 bytes), in chain order, as (block index, record index,
+    record) rows.
 
     A digest query also matches share-transaction records referencing it:
     those carry the shared digest's hex in ``metadata.data_class``.
     """
+    return list(trace_blocks(chain.blocks, query))
+
+
+def trace_blocks(blocks: Iterable[Block], query: bytes) -> Iterator[tuple[int, int, Record]]:
+    """`trace` of ``blocks``, read as the rows are taken. A query of another
+    length raises ValueError here, before any block is read."""
     if len(query) == crypto.PUBLIC_KEY_LEN:
         def matches(record: Record) -> bool:
             return record.uploader_public_key == query
@@ -467,12 +482,12 @@ def trace(chain: Chain, query: bytes) -> list[tuple[int, int, Record]]:
             )
     else:
         raise ValueError("query must be a 64-byte public key or 32-byte digest")
-    out = []
-    for bi, block in enumerate(chain.blocks):
-        for ri, record in enumerate(block.records):
-            if matches(record):
-                out.append((bi, ri, record))
-    return out
+    return (
+        (bi, ri, record)
+        for bi, block in enumerate(blocks)
+        for ri, record in enumerate(block.records)
+        if matches(record)
+    )
 
 
 def export_chain(chain: Chain) -> str:
@@ -480,20 +495,35 @@ def export_chain(chain: Chain) -> str:
     return "".join(block_bytes(b).hex() + "\n" for b in chain.blocks)
 
 
-def import_chain(text: str) -> Chain:
-    """Parse an export. Hex-level garbage raises ExportFormatError; bytes
-    that fail block decoding raise BlockDecodeError with the block index."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
+def read_export(lines: Iterable[str]) -> Iterator[Block]:
+    """Decode an export one block at a time, yielding each in order.
+    ``lines`` is the export's text in whole lines, such as an open text
+    file; each is split again as `str.splitlines` splits, and blank lines
+    are skipped. A line that is not hex raises ExportFormatError with its
+    number among the non-blank lines; bytes that fail block decoding raise
+    BlockDecodeError with the block index; an export without a block raises
+    ExportFormatError once every line is read."""
+    index = 0
+    for chunk in lines:
+        for line in chunk.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                raw = bytes.fromhex(line)
+            except ValueError:
+                raise ExportFormatError(f"line {index + 1} is not hex") from None
+            try:
+                block = block_from_bytes(raw)
+            except EncodingError as exc:
+                raise BlockDecodeError(index, str(exc)) from None
+            yield block
+            index += 1
+    if index == 0:
         raise ExportFormatError("empty chain export")
-    blocks = []
-    for i, line in enumerate(lines):
-        try:
-            raw = bytes.fromhex(line)
-        except ValueError:
-            raise ExportFormatError(f"line {i + 1} is not hex") from None
-        try:
-            blocks.append(block_from_bytes(raw))
-        except EncodingError as exc:
-            raise BlockDecodeError(i, str(exc)) from None
-    return Chain(tuple(blocks))
+
+
+def import_chain(text: str) -> Chain:
+    """Parse a whole export: the chain of `read_export`'s blocks, raising
+    its errors."""
+    return Chain(tuple(read_export(text.splitlines())))

@@ -14,6 +14,8 @@ import argparse
 import os
 import re
 import sys
+from collections import deque
+from typing import Callable, Iterator, TypeVar
 
 from . import chain as chain_mod
 from . import simnet
@@ -23,6 +25,8 @@ CHAIN_FILE = "chain.txt"
 CREDITS_FILE = "credits.txt"
 TRACE_FILE = "trace.txt"
 METRICS_FILE = "metrics.txt"
+
+T = TypeVar("T")
 
 # One credits.txt line: tick, node id, +1 or -1, a CreditReason value.
 _CREDIT_LINE = re.compile(
@@ -38,7 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="scenario file path")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--out", default=os.environ.get("GRIDLEDGER_OUT", "out"))
-    run_p.add_argument("--nodes", type=int, default=6, help="node count when the scenario declares none")
+    run_p.add_argument(
+        "--nodes", type=int, help="node count when the scenario declares none (default: recorders + supervisors + 2)"
+    )
     run_p.add_argument("--recorders", type=int, default=simnet.SimConfig.r_max)
     run_p.add_argument("--supervisors", type=int, default=simnet.SimConfig.s_max)
     run_p.add_argument("--interval", type=int, default=simnet.SimConfig.block_interval_ticks)
@@ -130,54 +136,95 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_chain(path: str) -> tuple[chain_mod.Chain | None, int]:
-    """Returns (chain, exit_code); chain None when loading failed."""
-    text = _read_file(path)
-    if text is None:
-        return None, 2
+def _read_export(path: str, consume: Callable[[Iterator[chain_mod.Block]], T]) -> tuple[T | None, int]:
+    """What ``consume`` makes of the blocks of the export at ``path``, read
+    one line at a time, and the exit code. A fault of the file outranks what
+    ``consume`` found, so the file is read to its end even when ``consume``
+    stops early: an unreadable or non-UTF-8 file, an empty one or a non-hex
+    line gives (None, 2) and the first undecodable block (None, 1), each
+    after its error line."""
+    fault = None
     try:
-        return chain_mod.import_chain(text), 0
-    except chain_mod.BlockDecodeError as exc:
-        print(f"violation at block {exc.index}: undecodable ({exc})")
-        return None, 1
-    except chain_mod.ExportFormatError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+        with open(path, encoding="utf-8") as fh:
+            blocks = chain_mod.read_export(fh)
+            try:
+                result = consume(blocks)
+                deque(blocks, maxlen=0)
+            except (chain_mod.BlockDecodeError, chain_mod.ExportFormatError) as exc:
+                fault = exc
+                deque(fh, maxlen=0)  # a later line that is not UTF-8 outranks it
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None, 2
+    except UnicodeDecodeError:
+        print(f"error: {path}: not UTF-8 text", file=sys.stderr)
+        return None, 2
+    if isinstance(fault, chain_mod.BlockDecodeError):
+        print(f"violation at block {fault.index}: undecodable ({fault})")
+        return None, 1
+    if fault is not None:
+        print(f"error: {path}: {fault}", file=sys.stderr)
+        return None, 2
+    return result, 0
 
 
-def _verify_file(path: str) -> tuple[chain_mod.Chain | None, int]:
-    """`_load_chain`, then `verify_chain`: a violation prints its line and
-    returns (None, 1)."""
-    chain, code = _load_chain(path)
-    if chain is None:
+def _verify_file(path: str) -> tuple[int | None, int]:
+    """The full-chain check of the export at ``path``, read one block at a
+    time: (its block count, 0), or (None, exit code) after an error line."""
+    count = 0
+
+    def counted(blocks):
+        nonlocal count
+        for count, block in enumerate(blocks, 1):
+            yield block
+
+    violation, code = _read_export(path, lambda blocks: chain_mod.verify_blocks(counted(blocks)))
+    if code:
         return None, code
-    violation = chain_mod.verify_chain(chain)
-    if violation is None:
-        return chain, 0
-    print(f"violation at block {violation.index}: {violation.reason}")
-    return None, 1
+    if violation is not None:
+        print(f"violation at block {violation.index}: {violation.reason}")
+        return None, 1
+    return count, 0
 
 
 def _cmd_verify(args) -> int:
-    chain, code = _verify_file(args.chain)
-    if chain is not None:
-        print(f"ok: {len(chain)} blocks verified")
+    count, code = _verify_file(args.chain)
+    if count is not None:
+        print(f"ok: {count} blocks verified")
     return code
 
 
+def _inspect_row(index: int, block: chain_mod.Block) -> str:
+    h = block.header
+    minutes = f"{h.timestamp_tick // 60}m{h.timestamp_tick % 60:02d}s"
+    return (
+        f"{index}\t{h.timestamp_tick}\t{minutes}\t{len(block.records)}"
+        f"\t{h.merkle_root[:8].hex()}\t{h.recorder_public_key[:8].hex()}"
+    )
+
+
 def _cmd_inspect(args) -> int:
-    chain, code = _load_chain(args.chain)
-    if chain is None:
+    rows, code = _read_export(args.chain, lambda blocks: [_inspect_row(i, b) for i, b in enumerate(blocks)])
+    if code:
         return code
     print("block\ttick\ttime\trecords\tmerkle_root\trecorder")
-    for i, block in enumerate(chain.blocks):
-        h = block.header
-        minutes = f"{h.timestamp_tick // 60}m{h.timestamp_tick % 60:02d}s"
-        print(
-            f"{i}\t{h.timestamp_tick}\t{minutes}\t{len(block.records)}"
-            f"\t{h.merkle_root[:8].hex()}\t{h.recorder_public_key[:8].hex()}"
-        )
+    for row in rows:
+        print(row)
     return 0
+
+
+def _lineage(blocks: Iterator[chain_mod.Block], query: bytes) -> list[str] | ValueError:
+    """The printed rows of `chain.trace_blocks`, or the error of a query of
+    the wrong length, which is reported only once the export reads clean."""
+    try:
+        found = chain_mod.trace_blocks(blocks, query)
+    except ValueError as exc:
+        return exc
+    return [
+        f"{bi}\t{ri}\t{record.metadata.created_tick}\t{record.metadata.kind.label}"
+        f"\t{record.uploader_public_key[:8].hex()}\t{record.metadata.data_class}"
+        for bi, ri, record in found
+    ]
 
 
 def _cmd_trace(args) -> int:
@@ -190,23 +237,18 @@ def _cmd_trace(args) -> int:
     except ValueError:
         print("error: selector is not hex", file=sys.stderr)
         return 2
-    chain, code = _load_chain(args.chain)
-    if chain is None:
+    rows, code = _read_export(args.chain, lambda blocks: _lineage(blocks, query))
+    if code:
         return code
-    try:
-        rows = chain_mod.trace(chain, query)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if isinstance(rows, ValueError):
+        print(f"error: {rows}", file=sys.stderr)
         return 2
     if not rows:
         print("no records")
         return 0
     print("block\trecord\ttick\tkind\tuploader\tdata_class")
-    for bi, ri, record in rows:
-        print(
-            f"{bi}\t{ri}\t{record.metadata.created_tick}\t{record.metadata.kind.label}"
-            f"\t{record.uploader_public_key[:8].hex()}\t{record.metadata.data_class}"
-        )
+    for row in rows:
+        print(row)
     return 0
 
 

@@ -73,8 +73,8 @@ class CreditLedger:
     """Single-writer credit scores plus the append-only audit log that
     produced them."""
 
-    def __init__(self, node_ids: Iterable[int], initial_credit: int = 0):
-        self._credits: dict[int, int] = {nid: initial_credit for nid in node_ids}
+    def __init__(self, node_ids: Iterable[int]):
+        self._credits: dict[int, int] = {nid: 0 for nid in node_ids}
         self.events: list[CreditEvent] = []
 
     def credit(self, node_id: int) -> int:
@@ -94,9 +94,10 @@ class CreditLedger:
         return event
 
 
-def fold_events(node_ids: Iterable[int], events: Iterable[CreditEvent], initial_credit: int = 0) -> dict[int, int]:
-    """Independent replay of an audit log into final credits."""
-    credits = {nid: initial_credit for nid in node_ids}
+def fold_events(node_ids: Iterable[int], events: Iterable[CreditEvent]) -> dict[int, int]:
+    """Independent replay of an audit log into final credits; every node
+    starts at 0."""
+    credits = {nid: 0 for nid in node_ids}
     for event in events:
         credits[event.node_id] += event.delta
     return credits

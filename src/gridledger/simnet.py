@@ -30,7 +30,8 @@ Each happening is appended once to one log, `Sim.log`, as a `NamedTuple`
 event that renders its own ``trace.txt`` text; a line no fold reads is a
 `Note`. A committed round is one `CommitNotice` for the notices its
 recorder sends every live node; it traces one line that counts them and
-names the crashed nodes, and the tap expands it to one entry per notice.
+names the crashed nodes, and the tap, a view of the log, expands it to one
+entry per notice as it is read.
 The report's trace, tap, message counts and tables are folds of a snapshot
 of the log.
 
@@ -61,7 +62,8 @@ error; numbers are non-negative):
   ``recover=<tick>``, after the fault tick, restores it from the replicas.
 
 If no ``node`` directives appear, ``node_count`` nodes with assessment 0 are
-created.
+created; by default that is the committee seats plus two candidates
+(`SimConfig`).
 """
 
 from __future__ import annotations
@@ -107,8 +109,12 @@ _FAULT_PARAMS: dict[FaultKind, tuple[str, ...]] = {
 
 @dataclass
 class SimConfig:
+    """``node_count`` applies to a scenario without ``node`` lines. By
+    default it is ``r_max + s_max + 2``, the fewest nodes that seat both
+    committees and leave the two candidates a round's validation needs."""
+
     seed: int = 0
-    node_count: int = 6
+    node_count: int | None = None
     r_max: int = credit_mod.DEFAULT_RECORDER_CAPACITY
     s_max: int = credit_mod.DEFAULT_SUPERVISOR_CAPACITY
     block_interval_ticks: int = 600
@@ -116,6 +122,10 @@ class SimConfig:
     replication_factor: int = 3
     message_delay_ticks: int = 1
     storage_unit_count: int = 5
+
+    def __post_init__(self):
+        if self.node_count is None:
+            self.node_count = self.r_max + self.s_max + 2
 
 
 class ScenarioError(Exception):
@@ -386,6 +396,31 @@ class CommitNotice(NamedTuple):
         )
 
 
+class Tap:
+    """Every message a run sent, in order: a view of a log's `TapEntry` and
+    `CommitNotice` events that expands each notice to one `TapEntry` per
+    live node as it is iterated, so the entries are never all held. It can
+    be iterated any number of times; its length counts the notices without
+    expanding them, and two taps are equal when their entries are."""
+
+    def __init__(self, log: tuple):
+        self._log = log
+
+    def _events(self) -> Iterator[TapEntry | CommitNotice]:
+        return (e for e in self._log if type(e) in (TapEntry, CommitNotice))
+
+    def __iter__(self) -> Iterator[TapEntry]:
+        return (m for e in self._events() for m in e.tap_entries())
+
+    def __len__(self) -> int:
+        return sum(len(e.live) if type(e) is CommitNotice else 1 for e in self._events())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tap):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 class QuarantineEntry(NamedTuple):
     """A record a rejected round quarantined; the round's `RejectionEntry` follows."""
 
@@ -538,9 +573,9 @@ class SimReport:
         return tuple(self.trace_text().split("\n")[:-1])
 
     @property
-    def tap(self) -> tuple[TapEntry, ...]:
+    def tap(self) -> Tap:
         """Every message sent, each `CommitNotice` expanded to its notices."""
-        return tuple(m for e in self.log if type(e) in (TapEntry, CommitNotice) for m in e.tap_entries())
+        return Tap(self.log)
 
     @property
     def message_counts(self) -> dict[str, int]:

@@ -37,6 +37,18 @@ class TestRun:
         for name in ("chain.txt", "credits.txt", "trace.txt", "metrics.txt"):
             assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
 
+    @pytest.mark.parametrize("flags, nodes", [([], 101 + 20 + 2), (RUN_FLAGS, 6)])
+    def test_scenario_without_nodes_runs_under_the_committee_flags(self, tmp_path, capsys, flags, nodes):
+        # --nodes defaults to the committee seats plus two candidates
+        scenario = tmp_path / "bare.txt"
+        scenario.write_text("run until 600\n")
+        code = main(["run", str(scenario), "--out", str(tmp_path / "o"), *flags])
+        assert code == 0, capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["roles", str(tmp_path / "o")]) == 0
+        roles = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split("\t")[0] for row in roles] == [str(n) for n in range(nodes)]
+
     def test_parse_error_names_line_seven(self, tmp_path, capsys):
         code, _ = run_scenario(tmp_path, name="parse_bad.txt")
         assert code == 2

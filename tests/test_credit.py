@@ -273,12 +273,12 @@ class TestAuditLog:
         assert fold_events(range(10), ledger.events) == ledger.credits()
 
     def test_replay_detects_corrupted_credit(self):
-        ledger = CreditLedger(range(4), initial_credit=5)
+        ledger = CreditLedger(range(4))
         apply_record_outcome(ledger, 0, True, 0)
         apply_validator_outcomes(ledger, [(1, True), (2, False), (3, True)], 0)
-        assert fold_events(range(4), ledger.events, initial_credit=5) == ledger.credits()
+        assert fold_events(range(4), ledger.events) == ledger.credits() == {0: 1, 1: 1, 2: -1, 3: 1}
         ledger._credits[2] += 1
-        assert fold_events(range(4), ledger.events, initial_credit=5) != ledger.credits()
+        assert fold_events(range(4), ledger.events) != ledger.credits()
 
     def test_all_deltas_have_magnitude_one_and_reason(self):
         ledger = CreditLedger(range(4))
