@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from . import crypto, sigpass
 from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
@@ -102,8 +102,7 @@ class RecordKind(Enum):
         return "grid-data" if self is RecordKind.GRID_DATA else "share-transaction"
 
 
-@dataclass(frozen=True)
-class RecordMetadata:
+class RecordMetadata(NamedTuple):
     kind: RecordKind
     data_class: str
     created_tick: int
@@ -121,8 +120,7 @@ class Record:
     _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(NamedTuple):
     prev_block_digest: bytes
     timestamp_tick: int
     merkle_root: bytes
@@ -137,8 +135,7 @@ class Block:
     _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Earliest point at which a chain breaks an invariant."""
 
     index: int
@@ -293,7 +290,7 @@ def make_block(
         recorder_signature=b"",
     )
     signature = crypto.sign(recorder.private_key, header_signing_bytes(unsigned))
-    return Block(header=replace(unsigned, recorder_signature=signature), records=records)
+    return Block(header=unsigned._replace(recorder_signature=signature), records=records)
 
 
 # --- chain --------------------------------------------------------------
@@ -326,8 +323,7 @@ class Chain:
         return Chain(self.blocks + (block,))
 
 
-@dataclass(frozen=True)
-class BlockCheck:
+class BlockCheck(NamedTuple):
     """Result of `validate_block`: the first header-level fault, and the
     indices of records whose uploader signature fails (checked only when
     the header holds)."""

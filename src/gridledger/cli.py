@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 chain verification failure, 2 usage or parse error.
 ``run`` writes four text artifacts into the output directory (chain.txt,
 credits.txt, trace.txt, metrics.txt); ``credits``, ``roles`` and ``audit``
-read them back, and ``audit`` first verifies chain.txt as ``verify`` does.
+read them back, row by row against the format ``run`` writes, and ``audit``
+first verifies chain.txt as ``verify`` does.
 The default output directory comes from the GRIDLEDGER_OUT environment
 variable, falling back to ./out.
 """
@@ -19,7 +20,7 @@ from typing import Callable, Iterator, TypeVar
 
 from . import chain as chain_mod
 from . import simnet
-from .credit import CreditReason
+from .credit import CreditReason, Role
 
 CHAIN_FILE = "chain.txt"
 CREDITS_FILE = "credits.txt"
@@ -31,6 +32,13 @@ T = TypeVar("T")
 # One credits.txt line: tick, node id, +1 or -1, a CreditReason value.
 _CREDIT_LINE = re.compile(
     r"([0-9]+)\t([0-9]+)\t([+-]1)\t(%s)" % "|".join(re.escape(r.value) for r in CreditReason)
+)
+# One [roles] row of metrics.txt: node id, Role value, credit, assessment.
+_ROLE_ROW = re.compile(r"[0-9]+\t(?:%s)\t-?[0-9]+\t-?[0-9]+" % "|".join(r.value for r in Role))
+# One [datastore] row: payload digest, replicas expected and live, the units
+# holding it, status.
+_DATASTORE_ROW = re.compile(
+    r"[0-9a-f]{64}\t[0-9]+\t[0-9]+\t(?:u[0-9]+(?:,u[0-9]+)*)?\t(?:ok|under-replicated)"
 )
 
 
@@ -252,19 +260,32 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _metrics_section(text: str, name: str) -> list[str] | None:
+def _metrics_rows(report_dir: str, name: str, row: re.Pattern) -> list[str] | None:
+    """The rows of the ``[name]`` section of the run's metrics.txt, each a
+    full match of ``row``, or None after an error line: for a file that
+    cannot be read, a missing section, or a line in the section that is
+    neither blank nor a row."""
+    path = os.path.join(report_dir, METRICS_FILE)
+    text = _read_file(path)
+    if text is None:
+        return None
     lines = text.splitlines()
     try:
         start = lines.index(f"[{name}]") + 1
     except ValueError:
+        print(f"error: metrics file has no [{name}] section", file=sys.stderr)
         return None
-    out = []
-    for line in lines[start:]:
+    rows = []
+    for number, line in enumerate(lines[start:], start + 1):
         if line.startswith("["):
             break
-        if line.strip():
-            out.append(line)
-    return out
+        if not line:
+            continue
+        if row.fullmatch(line) is None:
+            print(f"error: {path}: line {number} is not a [{name}] row", file=sys.stderr)
+            return None
+        rows.append(line)
+    return rows
 
 
 def _cmd_credits(args) -> int:
@@ -288,12 +309,8 @@ def _cmd_credits(args) -> int:
 
 
 def _cmd_roles(args) -> int:
-    text = _read_file(os.path.join(args.report_dir, METRICS_FILE))
-    if text is None:
-        return 2
-    rows = _metrics_section(text, "roles")
+    rows = _metrics_rows(args.report_dir, "roles", _ROLE_ROW)
     if rows is None:
-        print("error: metrics file has no [roles] section", file=sys.stderr)
         return 2
     print("node_id\trole\tcredit\tassessment")
     for row in rows:
@@ -305,12 +322,8 @@ def _cmd_audit(args) -> int:
     _, code = _verify_file(os.path.join(args.report_dir, CHAIN_FILE))
     if code:
         return code
-    text = _read_file(os.path.join(args.report_dir, METRICS_FILE))
-    if text is None:
-        return 2
-    rows = _metrics_section(text, "datastore")
+    rows = _metrics_rows(args.report_dir, "datastore", _DATASTORE_ROW)
     if rows is None:
-        print("error: metrics file has no [datastore] section", file=sys.stderr)
         return 2
     print("digest\texpected\tlive\tunits\tstatus")
     flagged = 0

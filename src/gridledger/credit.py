@@ -11,9 +11,8 @@ credit is allowed so repeat offenders keep sinking in the ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 DEFAULT_RECORDER_CAPACITY = 101
 DEFAULT_SUPERVISOR_CAPACITY = 20
@@ -34,15 +33,13 @@ class CreditReason(Enum):
     VALIDATOR_DISSENTED = "validator-dissented"
 
 
-@dataclass(frozen=True)
-class NodeProfile:
+class NodeProfile(NamedTuple):
     node_id: int
     public_key: bytes
     assessment: int
 
 
-@dataclass(frozen=True)
-class RoleAssignment:
+class RoleAssignment(NamedTuple):
     recorders: tuple[int, ...]
     supervisors: tuple[int, ...]
     candidates: tuple[int, ...]
@@ -61,8 +58,7 @@ class RoleAssignment:
         return self.recorders + self.supervisors + self.candidates
 
 
-@dataclass(frozen=True)
-class CreditEvent:
+class CreditEvent(NamedTuple):
     node_id: int
     delta: int
     reason: CreditReason

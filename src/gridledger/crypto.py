@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -63,14 +62,12 @@ class MalformedEnvelopeError(CryptoError):
     """Envelope bytes or fields do not have the expected shape."""
 
 
-@dataclass(frozen=True)
-class Keypair:
+class Keypair(NamedTuple):
     public_key: bytes
     private_key: bytes
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """Hybrid ciphertext: a session key sealed to the recipient plus the
     AES-GCM payload ciphertext."""
 
@@ -132,7 +129,14 @@ def _node_key(private_key: bytes) -> _NodeKey:
     public_key = (
         signer.public_key().public_bytes_raw() + opener.public_key().public_bytes_raw()
     )
-    return _NodeKey(signer, opener, public_key, digest(public_key))
+    return _NodeKey(signer, opener, public_key, _key_digest(public_key))
+
+
+@lru_cache(maxsize=1024)
+def _key_digest(public_key: bytes) -> bytes:
+    """The digest that prefixes every message ``public_key`` signs, taken
+    once per key for both `_node_key` and `_verifier`."""
+    return digest(public_key)
 
 
 def sign(private_key: bytes, message: bytes) -> bytes:
@@ -151,7 +155,7 @@ def _verifier(public_key: bytes) -> tuple[Ed25519PublicKey, bytes]:
     that prefixes every message it signs, derived once per key as `_node_key`
     does for private keys. Only the key is cached, never a verdict. A verify
     half the backend refuses to load raises ValueError, and is not cached."""
-    return Ed25519PublicKey.from_public_bytes(public_key[:32]), digest(public_key)
+    return Ed25519PublicKey.from_public_bytes(public_key[:32]), _key_digest(public_key)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -9,6 +9,7 @@ loses its contents; recovery re-copies from surviving replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import crypto
 from .crypto import Envelope, digest
@@ -18,8 +19,7 @@ class StorageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StoredObject:
+class StoredObject(NamedTuple):
     payload_digest: bytes
     ciphertext: Envelope
     owner_public_key: bytes
@@ -32,15 +32,13 @@ class StorageUnit:
     objects: dict[bytes, StoredObject] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RepairReport:
+class RepairReport(NamedTuple):
     unit_id: str
     restored: tuple[bytes, ...]
     unrecoverable: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
-class ReplicaStatus:
+class ReplicaStatus(NamedTuple):
     payload_digest: bytes
     expected: int
     live: int

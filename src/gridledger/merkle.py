@@ -7,16 +7,14 @@ root; the empty tree's root is the digest of the empty byte string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .crypto import DIGEST_LEN, digest
 
 EMPTY_ROOT = digest(b"")
 
 
-@dataclass(frozen=True)
-class InclusionProof:
+class InclusionProof(NamedTuple):
     """Authentication path from one leaf to the root.
 
     Each step is ``(sibling_digest, sibling_on_left)``; the path runs from

@@ -15,9 +15,8 @@ from a payload swapped after signing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import chain as chain_mod
 from . import credit as credit_mod
@@ -49,8 +48,7 @@ class UploadRejected(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class PermissionList:
+class PermissionList(NamedTuple):
     """Genesis-configured set of public keys with upload rights."""
 
     keys: frozenset[bytes]
@@ -59,8 +57,7 @@ class PermissionList:
         return public_key in self.keys
 
 
-@dataclass(frozen=True)
-class UploadEnvelope:
+class UploadEnvelope(NamedTuple):
     uploader_public_key: bytes
     claimed_digest: bytes
     signed_digest: bytes
@@ -82,8 +79,7 @@ class UploadEnvelope:
         )
 
 
-@dataclass(frozen=True)
-class PendingUpload:
+class PendingUpload(NamedTuple):
     """Accepted upload: the record queued for the next block and the
     owner-sealed object handed to the datastore."""
 
@@ -91,23 +87,20 @@ class PendingUpload:
     stored: StoredObject
 
 
-@dataclass(frozen=True)
-class ProposedBlock:
+class ProposedBlock(NamedTuple):
     block: Block
     proposer_id: int
     validator_ids: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Vote:
+class Vote(NamedTuple):
     validator_id: int
     ok: bool
     bad_indices: tuple[int, ...]
     signature: bytes
 
 
-@dataclass(frozen=True)
-class CommitResult:
+class CommitResult(NamedTuple):
     committed: bool
     quarantined: tuple[tuple[int, Record], ...]
     survivors: tuple[Record, ...]

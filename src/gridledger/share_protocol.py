@@ -11,8 +11,8 @@ the shared digest's hex so lineage queries work from chain data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import chain as chain_mod
 from . import crypto
@@ -37,8 +37,7 @@ class ShareRejected(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ShareEnvelope:
+class ShareEnvelope(NamedTuple):
     sender_public_key: bytes
     receiver_public_key: bytes
     claimed_digest: bytes
@@ -57,8 +56,7 @@ class ShareEnvelope:
         )
 
 
-@dataclass(frozen=True)
-class ShareTransaction:
+class ShareTransaction(NamedTuple):
     """On-chain evidence of one transfer."""
 
     sender_public_key: bytes

@@ -73,7 +73,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import chain as chain_mod
 from . import credit as credit_mod
@@ -134,8 +135,7 @@ class ScenarioError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class UploadPlan:
+class UploadPlan(NamedTuple):
     ordinal: int
     node_id: int
     data_class: str
@@ -144,8 +144,7 @@ class UploadPlan:
     line: int
 
 
-@dataclass(frozen=True)
-class SharePlan:
+class SharePlan(NamedTuple):
     sender: int
     receiver: int
     upload_ref: int
@@ -153,14 +152,13 @@ class SharePlan:
     line: int
 
 
-@dataclass
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """``params`` hold ints, except ``class``, as `parse_scenario` stores them."""
 
     kind: FaultKind
     target: int | str
     tick: int
-    params: dict[str, int | str] = field(default_factory=dict)
+    params: Mapping[str, int | str] = MappingProxyType({})
     line: int = 0
 
 
@@ -314,16 +312,14 @@ class _Node:
         return self.crash is not None
 
 
-@dataclass
-class _UploadFlow:
+class _UploadFlow(NamedTuple):
     uploader_id: int
     payload: bytes
     metadata: RecordMetadata
     forge: FaultOutcome | None = None  # set on a forge-record fault's upload
 
 
-@dataclass
-class _Msg:
+class _Msg(NamedTuple):
     """In-flight message: ``obj`` is what it carries (an envelope for both
     envelope kinds), ``flow`` the upload it belongs to, if any."""
 
@@ -771,7 +767,7 @@ class Sim:
     def inject_fault(self, spec: FaultSpec) -> None:
         """Arm a fault; its perturbation fires at the activation tick.
         Raises ValueError for a kind that is not a `FaultKind` value."""
-        spec = replace(spec, kind=FaultKind(spec.kind))
+        spec = spec._replace(kind=FaultKind(spec.kind))
         if spec.kind is FaultKind.FAIL_STORAGE_UNIT:
             if spec.target not in self.store.units:
                 raise ScenarioError(spec.line, f"unknown storage unit {spec.target}")
@@ -928,7 +924,7 @@ class Sim:
             byte_index = self.rng.randrange(len(block.header.merkle_root))
             self._trace_rng("tamper-byte", f"header-root;byte={byte_index}")
             root = _flip_bit(block.header.merkle_root, byte_index)
-            node.overrides[index] = replace(block, header=replace(block.header, merkle_root=root))
+            node.overrides[index] = replace(block, header=block.header._replace(merkle_root=root))
         outcome.outcome = f"tampered block {index}@{self.tick}"
         self._tampered_copies.append(outcome)
         self._trace_fault(spec, f";block={index}")
@@ -949,11 +945,11 @@ class Sim:
             return msg
         pos = self.rng.randrange(len(envelope.ciphertext))
         self._trace_rng("tamper-in-flight", f"byte={pos}")
-        new_env = replace(envelope, ciphertext=_flip_bit(envelope.ciphertext, pos))
-        new_obj = replace(msg.obj, payload_envelope=new_env)
+        new_env = envelope._replace(ciphertext=_flip_bit(envelope.ciphertext, pos))
+        new_obj = msg.obj._replace(payload_envelope=new_env)
         outcome.outcome = f"applied@{self.tick}"
         self._trace("tamper", msg.src, msg.dst, f"kind={msg.kind};byte={pos}")
-        return replace(msg, obj=new_obj, tampered_by=outcome)
+        return msg._replace(obj=new_obj, tampered_by=outcome)
 
     def _note_tamper_caught(self, msg: _Msg, reason: str) -> None:
         if msg.tampered_by is not None:

@@ -152,7 +152,7 @@ class TestAppend:
         chain = build_chain(1)
         good = chain_mod.make_block(keypair(1000), chain.tip_digest, 700, ())
         forged = Block(
-            header=replace(good.header, recorder_public_key=keypair(1001).public_key),
+            header=good.header._replace(recorder_public_key=keypair(1001).public_key),
             records=good.records,
         )
         assert isinstance(fault_of(forged, chain.tip), BadSignatureError)
@@ -192,7 +192,7 @@ class TestVerifyChain:
             other, target.header.prev_block_digest, target.header.timestamp_tick, target.records
         )
         forged = Block(
-            header=replace(resigned.header, recorder_public_key=target.header.recorder_public_key),
+            header=resigned.header._replace(recorder_public_key=target.header.recorder_public_key),
             records=target.records,
         )
         blocks = list(chain.blocks)
@@ -249,7 +249,7 @@ class TestDuplicateRecord:
 def flipped_root(block: Block) -> Block:
     root = bytearray(block.header.merkle_root)
     root[0] ^= 1
-    return replace(block, header=replace(block.header, merkle_root=bytes(root)))
+    return replace(block, header=block.header._replace(merkle_root=bytes(root)))
 
 
 class TestAppendedMark:
@@ -264,7 +264,7 @@ class TestAppendedMark:
         signature = bytearray(block.header.recorder_signature)
         signature[0] ^= 0x01
         blocks = list(chain.blocks)
-        blocks[index] = replace(block, header=replace(block.header, recorder_signature=bytes(signature)))
+        blocks[index] = replace(block, header=block.header._replace(recorder_signature=bytes(signature)))
         assert verify_chain(Chain(tuple(blocks))) == Violation(index, "bad-signature")
 
     @pytest.mark.parametrize("rebuild", [
@@ -289,7 +289,7 @@ class TestAppendedMark:
 
 def equal_copy(block: Block) -> Block:
     """A block equal to ``block`` but a distinct object, digested afresh."""
-    return Block(header=replace(block.header), records=tuple(block.records))
+    return Block(header=block.header._replace(), records=tuple(block.records))
 
 
 COPY_OF = build_chain(4)
@@ -569,6 +569,6 @@ class TestDigestOnce:
         block_digest(block)
         forged = replace(record, payload_digest=crypto.digest(b"other"))
         assert record_digest(forged) == crypto.digest(record_bytes(forged)) != record_digest(record)
-        moved = replace(block, header=replace(block.header, timestamp_tick=1))
+        moved = replace(block, header=block.header._replace(timestamp_tick=1))
         assert block_digest(moved) == crypto.digest(chain_mod.header_bytes(moved.header))
         assert block_digest(moved) != block_digest(block)

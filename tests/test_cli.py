@@ -1,7 +1,11 @@
+import contextlib
 import filecmp
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
 from gridledger.chain import Block, Chain
@@ -21,6 +25,28 @@ def run_scenario(tmp_path, name="sharing.txt", seed="7", out="out"):
         ["run", str(SCENARIOS / name), "--seed", seed, "--out", str(out_dir), *RUN_FLAGS]
     )
     return code, out_dir
+
+
+def insert_metrics_row(out_dir, section, row):
+    """Put ``row`` first in the ``[section]`` of the run's metrics.txt;
+    returns its line number."""
+    path = out_dir / "metrics.txt"
+    lines = path.read_text().splitlines()
+    at = lines.index(f"[{section}]") + 1
+    lines.insert(at, row)
+    path.write_text("\n".join(lines) + "\n")
+    return at + 1
+
+
+def metrics_sections(text):
+    """The non-blank lines of each ``[name]`` section of a metrics.txt."""
+    sections = {}
+    for line in text.splitlines():
+        if line.startswith("["):
+            rows = sections[line.strip("[]")] = []
+        elif line:
+            rows.append(line)
+    return sections
 
 
 class TestRun:
@@ -290,6 +316,80 @@ class TestTables:
         captured = capsys.readouterr()
         assert captured.out == "" and "chain.txt" in captured.err
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "5\tkingmaker\tzz\t30\textra",
+            "5\tkingmaker\t0\t30",
+            "5\trecorder\t0",
+            "5\trecorder\t0\t30\textra",
+            "5\tRECORDER\t0\t30",
+            "-5\trecorder\t0\t30",
+            "5\trecorder\t+1\t30",
+            "5\trecorder\tzz\t30",
+            "5 recorder 0 30",
+            " ",
+        ],
+        ids=[
+            "kingmaker-extra", "made-up-role", "three-fields", "five-fields", "upper-case-role",
+            "negative-node", "signed-credit", "non-int-credit", "spaces", "whitespace",
+        ],
+    )
+    def test_roles_rejects_a_malformed_row(self, tmp_path, capsys, row):
+        _, out_dir = run_scenario(tmp_path)
+        number = insert_metrics_row(out_dir, "roles", row)
+        capsys.readouterr()
+        assert main(["roles", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out_dir / 'metrics.txt'}: line {number} is not a [roles] row\n"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            f"{'ab' * 31}a\t3\t3\tu0,u1,u2\tok",
+            f"{'AB' * 32}\t3\t3\tu0,u1,u2\tok",
+            f"{'ab' * 32}\tthree\t3\tu0,u1,u2\tok",
+            f"{'ab' * 32}\t3\t-3\tu0,u1,u2\tok",
+            f"{'ab' * 32}\t3\t3\tu0,,u2\tok",
+            f"{'ab' * 32}\t3\t3\tu0,x1\tok",
+            f"{'ab' * 32}\t3\t3\tu0,u1,u2\tlost",
+            f"{'ab' * 32}\t3\t3\tu0,u1,u2\tok\textra",
+            f"{'ab' * 32}\t3\t3\tok",
+        ],
+        ids=[
+            "short-digest", "upper-case-digest", "non-int-expected", "negative-live", "empty-unit",
+            "bad-unit", "made-up-status", "six-fields", "no-units-field",
+        ],
+    )
+    def test_audit_rejects_a_malformed_row(self, tmp_path, capsys, row):
+        _, out_dir = run_scenario(tmp_path)
+        number = insert_metrics_row(out_dir, "datastore", row)
+        capsys.readouterr()
+        assert main(["audit", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out_dir / 'metrics.txt'}: line {number} is not a [datastore] row\n"
+
+    def test_audit_accepts_a_row_with_no_units(self, tmp_path, capsys):
+        _, out_dir = run_scenario(tmp_path)
+        insert_metrics_row(out_dir, "datastore", f"{'ab' * 32}\t3\t0\t\tunder-replicated")
+        capsys.readouterr()
+        assert main(["audit", str(out_dir)]) == 0
+        assert capsys.readouterr().out.endswith(", 1 under-replicated\n")
+
+    @pytest.mark.parametrize("name", ["honest.txt", "faults.txt", "sharing.txt", "all_faults.txt"])
+    def test_roles_and_audit_read_back_every_row_a_run_writes(self, tmp_path, capsys, name):
+        code, out_dir = run_scenario(tmp_path, name=name)
+        assert code == 0
+        sections = metrics_sections((out_dir / "metrics.txt").read_text())
+        assert sections["roles"] and sections["datastore"]
+        capsys.readouterr()
+        assert main(["roles", str(out_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == sections["roles"]
+        assert main(["audit", str(out_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:-1] == sections["datastore"]
+
     def test_missing_dir_exits_two(self, tmp_path, capsys):
         assert main(["credits", str(tmp_path / "missing")]) == 2
         assert main(["roles", str(tmp_path / "missing")]) == 2
@@ -332,3 +432,55 @@ def test_outputs_byte_stable_against_golden(tmp_path):
     assert code == 0
     for name, expected in golden["sha256"].items():
         assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == expected, name
+
+
+# --- no traceback from a read command ------------------------------------------
+
+RUN_FILES = ("chain.txt", "credits.txt", "metrics.txt")
+# bytes that keep a damaged file near the shapes the readers parse: loose
+# characters, and lines of tab-separated fields
+NEAR_TEXT = st.text(alphabet="0123456789abcdefu-+\t\n\r[],=zok ", max_size=24).map(str.encode)
+FIELDS = st.sampled_from(["7", "-1", "+1", "recorder", "candidate", "ok", "u0,u1", "ab" * 32, "record-correct", ""])
+ROW = st.lists(FIELDS, max_size=6).map(lambda fields: "\t".join(fields).encode())
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """The files of a sharing.txt run, and the payload digest of its first
+    record, as a `trace` query."""
+    code, out_dir = run_scenario(tmp_path_factory.mktemp("run"))
+    assert code == 0
+    chain = chain_mod.import_chain((out_dir / "chain.txt").read_text())
+    return {name: (out_dir / name).read_bytes() for name in RUN_FILES}, chain.blocks[1].records[0].payload_digest.hex()
+
+
+@settings(max_examples=150, database=None, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_no_read_command_raises_on_a_damaged_run_directory(run_files, tmp_path_factory, data):
+    """Whatever bytes one of chain.txt, credits.txt or metrics.txt holds,
+    each command that reads a run directory or an export exits 0, 1 or 2."""
+    files, query = run_files
+    name = data.draw(st.sampled_from(RUN_FILES))
+    original = files[name]
+    edit = data.draw(st.sampled_from(["replace", "splice", "line"]))
+    if edit == "replace":
+        damaged = data.draw(st.binary(max_size=200) | NEAR_TEXT)
+    elif edit == "splice":
+        at = data.draw(st.integers(0, len(original)))
+        cut = data.draw(st.integers(0, 16))
+        damaged = original[:at] + data.draw(st.binary(max_size=16) | NEAR_TEXT) + original[at + cut:]
+    else:  # replace one line, or insert one before it
+        lines = original.split(b"\n")
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at : at + data.draw(st.integers(0, 1))] = [data.draw(ROW | NEAR_TEXT | st.binary(max_size=16))]
+        damaged = b"\n".join(lines)
+    out_dir = tmp_path_factory.mktemp("damaged")
+    for file_name, content in files.items():
+        (out_dir / file_name).write_bytes(damaged if file_name == name else content)
+    chain = str(out_dir / "chain.txt")
+    for argv in (
+        ["verify", chain], ["inspect", chain], ["trace", chain, "--digest", query],
+        ["credits", str(out_dir)], ["roles", str(out_dir)], ["audit", str(out_dir)],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2), argv

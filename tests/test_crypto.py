@@ -277,6 +277,21 @@ class TestVerifierCache:
         assert verify(kp.public_key, b"m", sig) and verify(kp.public_key, b"m", sig)
         assert len(calls) == 2
 
+    def test_public_key_is_hashed_once(self, monkeypatch):
+        # `_node_key` and `_verifier` both need the key digest; a fresh key
+        # is hashed once between generating it, signing and verifying
+        hashed = []
+        real_digest = crypto.digest
+
+        def counting_digest(data):
+            hashed.append(bytes(data))
+            return real_digest(data)
+
+        monkeypatch.setattr(crypto, "digest", counting_digest)
+        kp = generate_keypair(real_digest(b"a key no other test loads"))
+        assert verify(kp.public_key, b"m", sign(kp.private_key, b"m"))
+        assert hashed.count(kp.public_key) == 1
+
 
 class TestOpenerCache:
     """`decrypt` reads the same `_node_key` entry `sign` does; opening must

@@ -351,8 +351,8 @@ class TestCommit:
         if fault == "flipped-root":
             header = proposal.block.header
             root = bytes([header.merkle_root[0] ^ 1]) + header.merkle_root[1:]
-            block = replace(proposal.block, header=replace(header, merkle_root=root))
-            proposal, expected = replace(proposal, block=block), RootMismatchError
+            block = replace(proposal.block, header=header._replace(merkle_root=root))
+            proposal, expected = proposal._replace(block=block), RootMismatchError
         else:  # sealed on genesis, judged against a block appended since
             chain = chain.append(chain_mod.make_block(keys[1], chain.tip_digest, 300, ()))
             expected = LinkMismatchError

@@ -108,8 +108,7 @@ class TestReceiveShare:
         env = initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
         mutated = bytearray(env.payload_envelope.ciphertext)
         mutated[3] ^= 1
-        tampered = replace(
-            env,
+        tampered = env._replace(
             payload_envelope=Envelope(
                 env.payload_envelope.encrypted_key,
                 env.payload_envelope.nonce,
@@ -130,7 +129,7 @@ class TestReceiveShare:
     def test_forged_sender_signature_detected(self, world):
         alice, bob, carol, chain, store, payload = world
         env = initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
-        forged = replace(env, sender_public_key=carol.public_key)
+        forged = env._replace(sender_public_key=carol.public_key)
         with pytest.raises(ShareRejected) as exc_info:
             receive_share(bob, forged)
         assert exc_info.value.reason is ShareError.SIGNATURE_INVALID

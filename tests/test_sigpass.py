@@ -90,7 +90,7 @@ def tampered_chain(bad_sigs=(), root_faults=()) -> Chain:
             records.append(record)
         block = make_block(recorder, block_digest(blocks[-1]), tick, tuple(records))
         if b in root_faults:
-            block = replace(block, header=replace(block.header, merkle_root=crypto.digest(b"other")))
+            block = replace(block, header=block.header._replace(merkle_root=crypto.digest(b"other")))
         blocks.append(block)
     return Chain(tuple(blocks))
 

@@ -858,8 +858,8 @@ def test_report_chain_with_a_zeroed_root_fails_verify(index):
     signature = bytearray(block.header.recorder_signature)
     signature[0] ^= 0x01
     for header, reason in [
-        (replace(block.header, merkle_root=bytes(32)), "root-mismatch"),
-        (replace(block.header, recorder_signature=bytes(signature)), "bad-signature"),
+        (block.header._replace(merkle_root=bytes(32)), "root-mismatch"),
+        (block.header._replace(recorder_signature=bytes(signature)), "bad-signature"),
     ]:
         blocks = list(report.chain.blocks)
         blocks[index] = replace(block, header=header)
