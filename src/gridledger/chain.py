@@ -150,26 +150,25 @@ def _check_fixed(name: str, data: bytes, n: int) -> bytes:
     return data
 
 
-def _data_class_bytes(data_class: str) -> bytes:
-    encoded = data_class.encode("utf-8")
-    if not encoded:
+def metadata_bytes(md: RecordMetadata) -> bytes:
+    """The kind byte, the length-prefixed data_class and the u64 tick: the
+    one encoding of metadata, in a record and in an upload envelope."""
+    if md.created_tick < 0:
+        raise EncodingError("created_tick must be non-negative")
+    data_class = md.data_class.encode("utf-8")
+    if not data_class:
         raise EncodingError("data_class must be non-empty")
-    if len(encoded) > MAX_DATA_CLASS_LEN:
+    if len(data_class) > MAX_DATA_CLASS_LEN:
         raise EncodingError(f"data_class exceeds {MAX_DATA_CLASS_LEN} bytes")
-    return encoded
+    return bytes([md.kind.value]) + encode_var_bytes(data_class) + encode_u64(md.created_tick)
 
 
 def record_bytes(record: Record) -> bytes:
-    md = record.metadata
-    if md.created_tick < 0:
-        raise EncodingError("created_tick must be non-negative")
     return b"".join(
         (
             _check_fixed("uploader key", record.uploader_public_key, crypto.PUBLIC_KEY_LEN),
             _check_fixed("payload digest", record.payload_digest, crypto.DIGEST_LEN),
-            bytes([md.kind.value]),
-            encode_var_bytes(_data_class_bytes(md.data_class)),
-            encode_u64(md.created_tick),
+            metadata_bytes(record.metadata),
             _check_fixed("uploader signature", record.uploader_signature, crypto.SIGNATURE_LEN),
         )
     )

@@ -38,7 +38,7 @@ _ROLE_ROW = re.compile(r"[0-9]+\t(?:%s)\t-?[0-9]+\t-?[0-9]+" % "|".join(r.value 
 # One [datastore] row: payload digest, replicas expected and live, the units
 # holding it, status.
 _DATASTORE_ROW = re.compile(
-    r"[0-9a-f]{64}\t[0-9]+\t[0-9]+\t(?:u[0-9]+(?:,u[0-9]+)*)?\t(?:ok|under-replicated)"
+    r"[0-9a-f]{64}\t([0-9]+)\t([0-9]+)\t(u[0-9]+(?:,u[0-9]+)*)?\t(ok|under-replicated)"
 )
 
 
@@ -260,16 +260,37 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _metrics_rows(report_dir: str, name: str, row: re.Pattern) -> list[str] | None:
+def _lines(text: str) -> list[str]:
+    """``text`` split at each newline and nowhere else, so the lines are
+    numbered as an editor numbers them; a final newline starts no line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _datastore_row(line: str) -> bool:
+    """A [datastore] row whose counts agree: no more live replicas than
+    units listed, no more units than ``expected``, and the status
+    under-replicated exactly when ``live`` is less than ``expected``."""
+    match = _DATASTORE_ROW.fullmatch(line)
+    if match is None:
+        return False
+    expected, live = int(match[1]), int(match[2])
+    units = len(match[3].split(",")) if match[3] else 0
+    return live <= units <= expected and (match[4] == "under-replicated") == (live < expected)
+
+
+def _metrics_rows(report_dir: str, name: str, is_row: Callable[[str], object]) -> list[str] | None:
     """The rows of the ``[name]`` section of the run's metrics.txt, each a
-    full match of ``row``, or None after an error line: for a file that
+    line ``is_row`` holds true, or None after an error line: for a file that
     cannot be read, a missing section, or a line in the section that is
     neither blank nor a row."""
     path = os.path.join(report_dir, METRICS_FILE)
     text = _read_file(path)
     if text is None:
         return None
-    lines = text.splitlines()
+    lines = _lines(text)
     try:
         start = lines.index(f"[{name}]") + 1
     except ValueError:
@@ -281,7 +302,7 @@ def _metrics_rows(report_dir: str, name: str, row: re.Pattern) -> list[str] | No
             break
         if not line:
             continue
-        if row.fullmatch(line) is None:
+        if not is_row(line):
             print(f"error: {path}: line {number} is not a [{name}] row", file=sys.stderr)
             return None
         rows.append(line)
@@ -295,7 +316,7 @@ def _cmd_credits(args) -> int:
         return 2
     credits: dict[int, int] = {}
     tick = 0
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(_lines(text), 1):
         match = _CREDIT_LINE.fullmatch(line)
         if match is None or int(match[1]) < tick:
             print(f"error: {path}: line {number} is not a credit event in tick order", file=sys.stderr)
@@ -309,7 +330,7 @@ def _cmd_credits(args) -> int:
 
 
 def _cmd_roles(args) -> int:
-    rows = _metrics_rows(args.report_dir, "roles", _ROLE_ROW)
+    rows = _metrics_rows(args.report_dir, "roles", _ROLE_ROW.fullmatch)
     if rows is None:
         return 2
     print("node_id\trole\tcredit\tassessment")
@@ -322,7 +343,7 @@ def _cmd_audit(args) -> int:
     _, code = _verify_file(os.path.join(args.report_dir, CHAIN_FILE))
     if code:
         return code
-    rows = _metrics_rows(args.report_dir, "datastore", _DATASTORE_ROW)
+    rows = _metrics_rows(args.report_dir, "datastore", _datastore_row)
     if rows is None:
         return 2
     print("digest\texpected\tlive\tunits\tstatus")

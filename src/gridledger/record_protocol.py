@@ -1,16 +1,18 @@
 """The seven-step data-recording procedure.
 
-Uploaders request permission from the duty recorder, then submit the payload
-sealed to the recorder's key together with a signature over the payload
-digest. The recorder decrypts, compares digests, queues a pending record,
-and re-seals the ciphertext to the *uploader's* key for at-rest storage. On
-each block interval the duty recorder seals the pending queue into a block,
-the on-duty supervisor plus two RNG-drawn candidates re-validate it, and a
-majority verdict commits or rejects it with the corresponding credit events.
+Uploaders request permission from the duty recorder (the permission list is
+a set of public keys), then submit an upload envelope: the signed `Record`
+they ask to commit, and the payload sealed to the recorder's key. The
+recorder decrypts, checks the record's signature and the payload's digest,
+queues that same record, and re-seals the payload to the *uploader's* key
+for at-rest storage. On each block interval the duty recorder seals the
+pending queue into a block, the on-duty supervisor plus two RNG-drawn
+candidates re-validate it, and a majority verdict commits or rejects it
+with the corresponding credit events.
 
-The digest an uploader signed travels explicitly in the envelope, next to
-its signature: that is what lets a recorder tell a forged signature apart
-from a payload swapped after signing.
+The digest an uploader signed travels in the record, next to its
+signature: that is what lets a recorder tell a forged signature apart from
+a payload swapped after signing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import chain as chain_mod
 from . import credit as credit_mod
 from . import crypto
 from .chain import Block, BlockCheck, Record, RecordMetadata
-from .codec import U32, encode_u64, encode_var_bytes
+from .codec import U32, encode_var_bytes
 from .credit import CreditLedger, RoleAssignment
 from .crypto import Envelope, Keypair
 from .datastore import StoredObject
@@ -48,43 +50,24 @@ class UploadRejected(Exception):
         self.reason = reason
 
 
-class PermissionList(NamedTuple):
-    """Genesis-configured set of public keys with upload rights."""
-
-    keys: frozenset[bytes]
-
-    def allows(self, public_key: bytes) -> bool:
-        return public_key in self.keys
-
-
 class UploadEnvelope(NamedTuple):
-    uploader_public_key: bytes
-    claimed_digest: bytes
-    signed_digest: bytes
-    payload_envelope: Envelope
-    metadata: RecordMetadata
-
-    def to_bytes(self) -> bytes:
-        md = self.metadata
-        return b"".join(
-            (
-                self.uploader_public_key,
-                self.claimed_digest,
-                self.signed_digest,
-                encode_var_bytes(self.payload_envelope.to_bytes()),
-                bytes([md.kind.value]),
-                encode_var_bytes(md.data_class.encode("utf-8")),
-                encode_u64(md.created_tick),
-            )
-        )
-
-
-class PendingUpload(NamedTuple):
-    """Accepted upload: the record queued for the next block and the
-    owner-sealed object handed to the datastore."""
+    """The record an uploader asks to commit and the payload it covers,
+    sealed to the duty recorder."""
 
     record: Record
-    stored: StoredObject
+    payload_envelope: Envelope
+
+    def to_bytes(self) -> bytes:
+        record = self.record
+        return b"".join(
+            (
+                record.uploader_public_key,
+                record.payload_digest,
+                record.uploader_signature,
+                encode_var_bytes(self.payload_envelope.to_bytes()),
+                chain_mod.metadata_bytes(record.metadata),
+            )
+        )
 
 
 class ProposedBlock(NamedTuple):
@@ -106,11 +89,6 @@ class CommitResult(NamedTuple):
     survivors: tuple[Record, ...]
 
 
-def request_upload(uploader_public_key: bytes, permissions: PermissionList) -> bool:
-    """Granted iff the key is on the permission list."""
-    return permissions.allows(uploader_public_key)
-
-
 def prepare_upload(
     uploader: Keypair,
     recorder_public_key: bytes,
@@ -118,57 +96,42 @@ def prepare_upload(
     metadata: RecordMetadata,
     rng=None,
 ) -> UploadEnvelope:
-    """Sign the payload digest and seal the payload to the duty recorder.
-    The plaintext never leaves the uploader unencrypted."""
+    """Check the metadata bounds, sign the payload digest into the record
+    to commit, and seal the payload to the duty recorder. The plaintext
+    never leaves the uploader unencrypted."""
+    chain_mod.metadata_bytes(metadata)
     payload_digest = crypto.digest(payload)
-    chain_mod.record_bytes(  # eager bounds check on metadata via a throwaway record
-        Record(
-            uploader_public_key=uploader.public_key,
-            payload_digest=payload_digest,
-            metadata=metadata,
-            uploader_signature=b"\x00" * crypto.SIGNATURE_LEN,
-        )
-    )
-    return UploadEnvelope(
-        uploader_public_key=uploader.public_key,
-        claimed_digest=payload_digest,
-        signed_digest=crypto.sign(uploader.private_key, payload_digest),
-        payload_envelope=crypto.encrypt_for(recorder_public_key, payload, rng),
-        metadata=metadata,
-    )
+    signature = crypto.sign(uploader.private_key, payload_digest)
+    record = Record(uploader.public_key, payload_digest, metadata, signature)
+    return UploadEnvelope(record, crypto.encrypt_for(recorder_public_key, payload, rng))
 
 
 def receive_upload(
     recorder: Keypair,
     envelope: UploadEnvelope,
-    permissions: PermissionList,
+    permissions: frozenset[bytes],
     rng=None,
-) -> PendingUpload:
-    """Duty-recorder intake: verify permission, open the envelope, check the
-    signature and the recomputed digest, and build the pending record plus
-    the at-rest object re-sealed to the uploader's own key."""
-    if not permissions.allows(envelope.uploader_public_key):
+) -> StoredObject:
+    """Duty-recorder intake of ``envelope.record``: check its key is on the
+    permission list, open the envelope, verify its `chain.signature_triple`
+    and the payload's recomputed digest, and return the at-rest object
+    re-sealed to the uploader's own key. The caller queues the record."""
+    record = envelope.record
+    if record.uploader_public_key not in permissions:
         raise UploadRejected(UploadError.PERMISSION_DENIED)
     try:
         payload = crypto.decrypt(recorder.private_key, envelope.payload_envelope)
     except (crypto.DecryptionError, crypto.MalformedEnvelopeError):
         raise UploadRejected(UploadError.DECRYPTION_FAILURE) from None
-    if not crypto.verify(envelope.uploader_public_key, envelope.claimed_digest, envelope.signed_digest):
+    if not crypto.verify(*chain_mod.signature_triple(record)):
         raise UploadRejected(UploadError.SIGNATURE_INVALID)
-    if crypto.digest(payload) != envelope.claimed_digest:
+    if crypto.digest(payload) != record.payload_digest:
         raise UploadRejected(UploadError.DIGEST_MISMATCH)
-    record = Record(
-        uploader_public_key=envelope.uploader_public_key,
-        payload_digest=envelope.claimed_digest,
-        metadata=envelope.metadata,
-        uploader_signature=envelope.signed_digest,
+    return StoredObject(
+        payload_digest=record.payload_digest,
+        ciphertext=crypto.encrypt_for(record.uploader_public_key, payload, rng),
+        owner_public_key=record.uploader_public_key,
     )
-    stored = StoredObject(
-        payload_digest=envelope.claimed_digest,
-        ciphertext=crypto.encrypt_for(envelope.uploader_public_key, payload, rng),
-        owner_public_key=envelope.uploader_public_key,
-    )
-    return PendingUpload(record=record, stored=stored)
 
 
 def seal_block(

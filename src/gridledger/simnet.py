@@ -85,7 +85,7 @@ from .codec import U64
 from .credit import CreditEvent, CreditLedger, CreditReason, NodeProfile, RoleAssignment
 from .crypto import Keypair, digest, generate_keypair
 from .datastore import DataStore, RepairReport, ReplicaStatus, StorageError
-from .record_protocol import PermissionList, UploadEnvelope, UploadError, UploadRejected
+from .record_protocol import UploadEnvelope, UploadError, UploadRejected
 from .share_protocol import ShareEnvelope, ShareRejected, ShareTransaction
 
 
@@ -677,9 +677,7 @@ class Sim:
 
         for nid, line in scenario.authorized:
             self._require_node(nid, line)
-        self.permissions = PermissionList(
-            frozenset(self.nodes[nid].keypair.public_key for nid, _ in scenario.authorized)
-        )
+        self.permissions = frozenset(self.nodes[nid].keypair.public_key for nid, _ in scenario.authorized)
         self.public_keys = {nid: node.keypair.public_key for nid, node in self.nodes.items()}
         self.uploader_ids = {key: nid for nid, key in self.public_keys.items()}
 
@@ -967,9 +965,7 @@ class Sim:
 
     def _on_upload_request(self, msg: _Msg) -> None:
         flow = msg.flow
-        granted = record_mod.request_upload(
-            self.nodes[flow.uploader_id].keypair.public_key, self.permissions
-        )
+        granted = self.nodes[flow.uploader_id].keypair.public_key in self.permissions
         self._trace("upload-request", msg.src, msg.dst, f"granted={granted}")
         recorder_key = self.nodes[msg.dst].keypair.public_key
         flag = b"\x01" if granted else b"\x00"
@@ -993,7 +989,7 @@ class Sim:
         recorder = self.nodes[msg.dst]
         self._trace_rng("seal-at-rest", f"owner={flow.uploader_id}")
         try:
-            accepted = record_mod.receive_upload(recorder.keypair, envelope, self.permissions, self.rng)
+            stored = record_mod.receive_upload(recorder.keypair, envelope, self.permissions, self.rng)
         except UploadRejected as exc:
             self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
             # nobody can be blamed for ciphertext that does not authenticate
@@ -1001,15 +997,16 @@ class Sim:
                 credit_mod.apply_record_outcome(self.ledger, flow.uploader_id, False, self.tick)
             self._note_tamper_caught(msg, exc.reason.value)
             return
-        self.pending.append(accepted.record)
-        self._verified.add(chain_mod.signature_triple(accepted.record))
+        record = envelope.record
+        self.pending.append(record)
+        self._verified.add(chain_mod.signature_triple(record))
         if flow.forge is not None:
-            self._forged[accepted.record] = flow.forge
+            self._forged[record] = flow.forge
         try:
-            self.store.put(accepted.stored)
+            self.store.put(stored)
         except StorageError as exc:
             self._trace("datastore", None, msg.dst, f"put-failed: {exc}")
-        digest_head = accepted.record.payload_digest[:8].hex()
+        digest_head = record.payload_digest[:8].hex()
         self._trace("upload-envelope", msg.src, msg.dst, f"accepted digest={digest_head}")
 
     def _on_share_envelope(self, msg: _Msg) -> None:

@@ -15,6 +15,7 @@ from gridledger.credit import CreditReason
 from testutil import build_chain
 
 SCENARIOS = Path(__file__).parent / "scenarios"
+RUNNABLE = sorted(p.name for p in SCENARIOS.glob("*.txt") if p.name != "parse_bad.txt")
 
 RUN_FLAGS = ["--recorders", "3", "--supervisors", "1"]
 
@@ -265,6 +266,25 @@ class TestTables:
         assert main(["credits", str(tmp_path)]) == 0
         assert capsys.readouterr().out == "node_id\tcredit\n"
 
+    def test_credits_numbers_lines_as_an_editor_does(self, tmp_path, capsys):
+        _, out_dir = run_scenario(tmp_path, name="honest.txt")
+        log = out_dir / "credits.txt"
+        first, rest = log.read_text().split("\n", 1)
+        log.write_text(first + "\x0c\n" + rest)  # a form feed ends no line
+        capsys.readouterr()
+        assert main(["credits", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {log}: line 1 is not a credit event in tick order\n"
+
+    def test_roles_numbers_lines_as_an_editor_does(self, tmp_path, capsys):
+        _, out_dir = run_scenario(tmp_path)
+        number = insert_metrics_row(out_dir, "roles", "5\tkingmaker\t0\t30")
+        path = out_dir / "metrics.txt"
+        first, rest = path.read_text().split("\n", 1)
+        path.write_text(first[:1] + "\x0b" + first[1:] + "\n" + rest)  # a vertical tab ends no line
+        capsys.readouterr()
+        assert main(["roles", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line {number} is not a [roles] row\n"
+
     def test_roles_reflect_reelection(self, tmp_path, capsys):
         out_dir = tmp_path / "epochy"
         code = main(
@@ -356,10 +376,17 @@ class TestTables:
             f"{'ab' * 32}\t3\t3\tu0,u1,u2\tlost",
             f"{'ab' * 32}\t3\t3\tu0,u1,u2\tok\textra",
             f"{'ab' * 32}\t3\t3\tok",
+            f"{'ab' * 32}\t3\t0\tu0\tok",
+            f"{'ab' * 32}\t3\t3\tu0,u1,u2\tunder-replicated",
+            f"{'ab' * 32}\t3\t4\tu0,u1,u2\tok",
+            f"{'ab' * 32}\t3\t2\tu0\tunder-replicated",
+            f"{'ab' * 32}\t3\t3\tu0,u1,u2,u3\tok",
         ],
         ids=[
             "short-digest", "upper-case-digest", "non-int-expected", "negative-live", "empty-unit",
-            "bad-unit", "made-up-status", "six-fields", "no-units-field",
+            "bad-unit", "made-up-status", "six-fields", "no-units-field", "short-but-ok",
+            "whole-but-under-replicated", "more-live-than-expected", "more-live-than-units",
+            "more-units-than-expected",
         ],
     )
     def test_audit_rejects_a_malformed_row(self, tmp_path, capsys, row):
@@ -378,7 +405,7 @@ class TestTables:
         assert main(["audit", str(out_dir)]) == 0
         assert capsys.readouterr().out.endswith(", 1 under-replicated\n")
 
-    @pytest.mark.parametrize("name", ["honest.txt", "faults.txt", "sharing.txt", "all_faults.txt"])
+    @pytest.mark.parametrize("name", RUNNABLE)
     def test_roles_and_audit_read_back_every_row_a_run_writes(self, tmp_path, capsys, name):
         code, out_dir = run_scenario(tmp_path, name=name)
         assert code == 0

@@ -9,7 +9,6 @@ from gridledger.chain import Chain, LinkMismatchError, RecordKind, RecordMetadat
 from gridledger.credit import CreditLedger, CreditReason, NodeProfile, initialize_roles
 from gridledger.merkle import build_tree
 from gridledger.record_protocol import (
-    PermissionList,
     ProtocolError,
     UploadError,
     UploadRejected,
@@ -17,7 +16,6 @@ from gridledger.record_protocol import (
     commit,
     prepare_upload,
     receive_upload,
-    request_upload,
     seal_block,
     sign_vote,
     validate_proposal,
@@ -36,33 +34,25 @@ def net():
     keys = {i: keypair(100 + i) for i in range(6)}
     profiles = [NodeProfile(i, keys[i].public_key, 60 - 10 * i) for i in range(6)]
     assignment = initialize_roles(profiles, r_max=3, s_max=1)
-    permissions = PermissionList(frozenset(k.public_key for k in keys.values()))
+    permissions = frozenset(k.public_key for k in keys.values())
     return keys, assignment, permissions
-
-
-class TestRequestUpload:
-    def test_authorized_key_granted(self, net):
-        keys, _, permissions = net
-        assert request_upload(keys[2].public_key, permissions)
-
-    def test_unknown_key_denied(self, net):
-        _, _, permissions = net
-        assert not request_upload(keypair(999).public_key, permissions)
 
 
 class TestPrepareReceive:
     def test_round_trip_reproduces_digest(self, net):
         keys, _, permissions = net
         env = prepare_upload(keys[2], keys[0].public_key, b"telemetry bytes", metadata())
-        accepted = receive_upload(keys[0], env, permissions)
-        assert accepted.record.payload_digest == crypto.digest(b"telemetry bytes")
-        assert accepted.record.uploader_public_key == keys[2].public_key
+        stored = receive_upload(keys[0], env, permissions)
+        assert env.record.payload_digest == stored.payload_digest == crypto.digest(b"telemetry bytes")
+        assert env.record.uploader_public_key == keys[2].public_key
+        assert env.record.metadata == metadata()
+        assert crypto.verify(*chain_mod.signature_triple(env.record))
 
     def test_zero_byte_payload(self, net):
         keys, _, permissions = net
         env = prepare_upload(keys[2], keys[0].public_key, b"", metadata())
-        accepted = receive_upload(keys[0], env, permissions)
-        assert accepted.record.payload_digest == crypto.digest(b"")
+        stored = receive_upload(keys[0], env, permissions)
+        assert stored.payload_digest == crypto.digest(b"")
 
     def test_wrong_recorder_key_decryption_failure(self, net):
         keys, _, permissions = net
@@ -74,21 +64,14 @@ class TestPrepareReceive:
     def test_unauthorized_uploader_denied(self, net):
         keys, _, _ = net
         env = prepare_upload(keys[2], keys[0].public_key, b"data", metadata())
-        empty = PermissionList(frozenset())
         with pytest.raises(UploadRejected) as exc_info:
-            receive_upload(keys[0], env, empty)
+            receive_upload(keys[0], env, frozenset())
         assert exc_info.value.reason is UploadError.PERMISSION_DENIED
 
     def test_payload_swapped_after_signing_is_digest_mismatch(self, net):
         keys, _, permissions = net
         env = prepare_upload(keys[2], keys[0].public_key, b"honest", metadata())
-        swapped = type(env)(
-            uploader_public_key=env.uploader_public_key,
-            claimed_digest=env.claimed_digest,
-            signed_digest=env.signed_digest,
-            payload_envelope=crypto.encrypt_for(keys[0].public_key, b"swapped"),
-            metadata=env.metadata,
-        )
+        swapped = env._replace(payload_envelope=crypto.encrypt_for(keys[0].public_key, b"swapped"))
         with pytest.raises(UploadRejected) as exc_info:
             receive_upload(keys[0], swapped, permissions)
         assert exc_info.value.reason is UploadError.DIGEST_MISMATCH
@@ -96,13 +79,8 @@ class TestPrepareReceive:
     def test_signature_by_other_key_is_signature_invalid(self, net):
         keys, _, permissions = net
         env = prepare_upload(keys[2], keys[0].public_key, b"claim", metadata())
-        imposter = type(env)(
-            uploader_public_key=keys[4].public_key,  # claimed key B, signed by A
-            claimed_digest=env.claimed_digest,
-            signed_digest=env.signed_digest,
-            payload_envelope=crypto.encrypt_for(keys[0].public_key, b"claim"),
-            metadata=env.metadata,
-        )
+        # claimed key B, signed by A
+        imposter = env._replace(record=replace(env.record, uploader_public_key=keys[4].public_key))
         with pytest.raises(UploadRejected) as exc_info:
             receive_upload(keys[0], imposter, permissions)
         assert exc_info.value.reason is UploadError.SIGNATURE_INVALID
@@ -110,11 +88,11 @@ class TestPrepareReceive:
     def test_at_rest_object_sealed_to_uploader(self, net):
         keys, _, permissions = net
         env = prepare_upload(keys[2], keys[0].public_key, b"owner sealed", metadata())
-        accepted = receive_upload(keys[0], env, permissions)
-        assert accepted.stored.owner_public_key == keys[2].public_key
-        assert crypto.decrypt(keys[2].private_key, accepted.stored.ciphertext) == b"owner sealed"
+        stored = receive_upload(keys[0], env, permissions)
+        assert stored.owner_public_key == keys[2].public_key
+        assert crypto.decrypt(keys[2].private_key, stored.ciphertext) == b"owner sealed"
         with pytest.raises(crypto.DecryptionError):
-            crypto.decrypt(keys[0].private_key, accepted.stored.ciphertext)
+            crypto.decrypt(keys[0].private_key, stored.ciphertext)
 
     def test_payload_hashed_once(self, net, monkeypatch):
         keys, _, _ = net
@@ -128,7 +106,7 @@ class TestPrepareReceive:
 
         monkeypatch.setattr(crypto, "digest", counting_digest)
         env = prepare_upload(keys[2], keys[0].public_key, payload, metadata())
-        assert env.claimed_digest == real_digest(payload)
+        assert env.record.payload_digest == real_digest(payload)
         assert hashed.count(len(payload)) == 1
 
     def test_oversized_metadata_rejected(self, net):
@@ -141,7 +119,8 @@ def pending_records(keys, permissions, payloads, uploader=2, recorder=0):
     out = []
     for tick, payload in payloads:
         env = prepare_upload(keys[uploader], keys[recorder].public_key, payload, metadata(tick))
-        out.append(receive_upload(keys[recorder], env, permissions).record)
+        receive_upload(keys[recorder], env, permissions)
+        out.append(env.record)
     return out
 
 

@@ -2,8 +2,8 @@
 ScenarioError/ValueError, or runs to its horizon without raising, and every
 node's reported chain status is what a full verify of its copy gives. The
 run's typed log must hold whole-system invariants: no upload's plaintext on
-the wire, message counts that are those of the tap, and each penalty
-matching the event that earned it. `Sim.run` jumps over ticks with nothing
+the wire, message counts that are those of the tap, and each credit event,
+penalty or reward, matching the round or record that earned it. `Sim.run` jumps over ticks with nothing
 due; its artifacts must be those of a `Sim.step` loop over every tick."""
 
 from collections import Counter
@@ -121,7 +121,7 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     assert report.message_counts == Counter(entry.kind for entry in tap)
     node_of = {node.keypair.public_key: nid for nid, node in sim.nodes.items()}
 
-    def penalised(reason):
+    def credited(reason):
         return Counter((e.tick, e.node_id) for e in report.events if e.reason is reason)
 
     blamed = Counter((q.tick, node_of[q.record.uploader_public_key]) for q in report.quarantine)
@@ -130,9 +130,23 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
         for f in report.upload_failures
         if f.reason in ("signature-invalid", "digest-mismatch")
     )
-    assert penalised(CreditReason.RECORD_ERRONEOUS) == blamed
+    assert credited(CreditReason.RECORD_ERRONEOUS) == blamed
     rejected = Counter((r.tick, r.proposer_id) for r in report.rejections)
-    assert penalised(CreditReason.BLOCK_ERRONEOUS) == rejected
+    assert credited(CreditReason.BLOCK_ERRONEOUS) == rejected
+
+    committed = report.chain.blocks[1:]  # past genesis
+    assert credited(CreditReason.RECORD_CORRECT) == Counter(
+        (b.header.timestamp_tick, node_of[r.uploader_public_key]) for b in committed for r in b.records
+    )
+    assert credited(CreditReason.BLOCK_CLEAN) == Counter(
+        (b.header.timestamp_tick, node_of[b.header.recorder_public_key]) for b in committed
+    )
+    voted = Counter(
+        e.tick for e in report.events
+        if e.reason in (CreditReason.VALIDATOR_AGREED, CreditReason.VALIDATOR_DISSENTED)
+    )
+    decided = [b.header.timestamp_tick for b in committed] + [r.tick for r in report.rejections]
+    assert voted == Counter(decided * 3)
 
 
 def artifacts(report) -> tuple[str, ...]:
