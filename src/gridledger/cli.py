@@ -260,15 +260,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _lines(text: str) -> list[str]:
-    """``text`` split at each newline and nowhere else, so the lines are
-    numbered as an editor numbers them; a final newline starts no line."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def _datastore_row(line: str) -> bool:
     """A [datastore] row whose counts agree: no more live replicas than
     units listed, no more units than ``expected``, and the status
@@ -290,7 +281,7 @@ def _metrics_rows(report_dir: str, name: str, is_row: Callable[[str], object]) -
     text = _read_file(path)
     if text is None:
         return None
-    lines = _lines(text)
+    lines = simnet.text_lines(text)
     try:
         start = lines.index(f"[{name}]") + 1
     except ValueError:
@@ -316,7 +307,7 @@ def _cmd_credits(args) -> int:
         return 2
     credits: dict[int, int] = {}
     tick = 0
-    for number, line in enumerate(_lines(text), 1):
+    for number, line in enumerate(simnet.text_lines(text), 1):
         match = _CREDIT_LINE.fullmatch(line)
         if match is None or int(match[1]) < tick:
             print(f"error: {path}: line {number} is not a credit event in tick order", file=sys.stderr)

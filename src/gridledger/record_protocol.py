@@ -28,6 +28,7 @@ from .codec import U32, encode_var_bytes
 from .credit import CreditLedger, RoleAssignment
 from .crypto import Envelope, Keypair
 from .datastore import StoredObject
+from .sigpass import Triple
 
 VALIDATOR_COUNT = 3
 QUORUM = 2
@@ -174,6 +175,12 @@ def sign_vote(
     return Vote(validator_id=validator_id, ok=ok, bad_indices=bad_indices, signature=signature)
 
 
+def vote_triple(block_digest: bytes, vote: Vote, public_key: bytes) -> Triple:
+    """The (key, signed bytes, signature) triple that checks ``vote`` on the
+    block with ``block_digest``, as `sigpass.first_failing` takes it."""
+    return public_key, vote_signing_bytes(block_digest, vote.ok, vote.bad_indices), vote.signature
+
+
 def validate_proposal(
     validator: Keypair,
     validator_id: int,
@@ -206,10 +213,12 @@ def commit(
     votes: Sequence[Vote],
     check: BlockCheck,
     ledger: CreditLedger,
-    public_keys: Mapping[int, bytes],
     uploader_ids: Mapping[bytes, int],
 ) -> CommitResult:
-    """Tally exactly three verified votes. Validator agreement credits apply
+    """Tally exactly three votes, one from each assigned validator. Their
+    signatures are not checked here: the caller verifies each vote's
+    `vote_triple`, and its failure can only abort the run, since a vote's
+    signature steers nothing. Validator agreement credits apply
     either way. Majority ok rewards the recorder and every uploader, and the
     caller appends the block; ``check``, the validators' `validate_block` of
     the block against the tip, is the gate: if it holds a fault, that fault
@@ -218,18 +227,11 @@ def commit(
     the recorder, and keeps the surviving records pending."""
     if len(votes) != VALIDATOR_COUNT:
         raise ProtocolError(f"expected {VALIDATOR_COUNT} votes, got {len(votes)}")
-    block_digest = chain_mod.block_digest(proposal.block)
     seen = set()
     for vote in votes:
         if vote.validator_id not in proposal.validator_ids or vote.validator_id in seen:
             raise ProtocolError(f"vote from unassigned validator {vote.validator_id}")
         seen.add(vote.validator_id)
-        if not crypto.verify(
-            public_keys[vote.validator_id],
-            vote_signing_bytes(block_digest, vote.ok, vote.bad_indices),
-            vote.signature,
-        ):
-            raise ProtocolError(f"vote signature from {vote.validator_id} does not verify")
 
     tick = proposal.block.header.timestamp_tick
     _, majority_ok = credit_mod.apply_validator_outcomes(

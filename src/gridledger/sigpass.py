@@ -1,13 +1,13 @@
-"""The signature pass of a full-chain check, on every CPU this process may
-use.
+"""The signature pass of a full-chain check, and of the votes a simulation
+run tallied, on every CPU this process may use.
 
 `first_failing` takes (public key, message, signature) triples in chain
-order and returns the index of the first one `crypto.verify` rejects. The
-list is split into contiguous chunks, one per process: the caller verifies
-chunk 0 itself, and each other chunk goes to a worker made with
-`os.fork()`, which writes the index of the first failing triple of its
-chunk (or -1) to a pipe and ends with `os._exit`. Ed25519 verification
-holds the GIL, so threads would not help.
+(or commit) order and returns the index of the first one `crypto.verify`
+rejects. The list is split into contiguous chunks, one per process: the
+caller verifies chunk 0 itself, and each other chunk goes to a worker made
+with `os.fork()`, which writes the index of the first failing triple of
+its chunk (or -1) to a pipe and ends with `os._exit`. Ed25519
+verification holds the GIL, so threads would not help.
 
 Each triple is verified once, in exactly one process. A worker that exits
 without writing a full result counts as unknown, never as clean: the

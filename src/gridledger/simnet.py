@@ -16,7 +16,12 @@ tick, with its proposal/vote/commit-notice messages traced at that tick; a
 block sealed at tick T is therefore decided at tick T. The round validates
 its block once, skipping the record signatures intake verified (by exact
 triple): the validators share that check, and `record_protocol.commit`
-gates on it, so the block is appended without another check.
+gates on it, so the block is appended without another check. Record and
+recorder signatures are verified where their verdict is read; a vote's
+signature steers nothing, so `commit` tallies votes unverified and each
+`run` (or a direct `step`) verifies all the votes it tallied in one
+`sigpass.first_failing` pass, which raises `ProtocolError` for the first
+that fails.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation.
@@ -71,6 +76,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
@@ -80,6 +86,7 @@ from . import chain as chain_mod
 from . import credit as credit_mod
 from . import record_protocol as record_mod
 from . import share_protocol as share_mod
+from . import sigpass
 from .chain import Block, Chain, Record, RecordKind, RecordMetadata
 from .codec import U64
 from .credit import CreditEvent, CreditLedger, CreditReason, NodeProfile, RoleAssignment
@@ -209,10 +216,19 @@ def _fault_params(kind: FaultKind, tick: int, tokens: list[str], line: int) -> d
     return params
 
 
+def text_lines(text: str) -> list[str]:
+    """``text`` split at each newline and nowhere else, so the lines are
+    numbered as an editor numbers them; a final newline starts no line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     seen_nodes: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -693,6 +709,9 @@ class Sim:
         self.upload_digests: dict[int, bytes] = {}
         self.upload_payloads: dict[int, bytes] = {}
         self.log: list[tuple] = []  # every happening, once, in order; append-only
+        # (validator id, vote triple) of each tallied vote not yet verified,
+        # in commit order; None outside a `step` or `run`
+        self._votes: list[tuple[int, sigpass.Triple]] | None = None
         self.fault_outcomes: list[FaultOutcome] = []
         self._tampered_copies: list[FaultOutcome] = []
 
@@ -779,24 +798,48 @@ class Sim:
 
     # --- main loop ----------------------------------------------------------
 
+    @contextmanager
+    def _vote_pass(self):
+        """Verify the votes tallied inside the block in one
+        `sigpass.first_failing` pass on the way out, whether the block
+        returns or raises. The first vote that fails raises ProtocolError
+        naming its validator, in place of any exception the block raised.
+        A pass opened inside another leaves its votes to the outer one."""
+        if self._votes is not None:
+            yield
+            return
+        self._votes = votes = []
+        try:
+            yield
+        finally:
+            self._votes = None
+            failing = sigpass.first_failing([triple for _, triple in votes])
+            if failing is not None:
+                raise record_mod.ProtocolError(f"vote signature from {votes[failing][0]} does not verify")
+
     def step(self) -> "Sim":
-        """Process one tick: due events first, then any interval boundary."""
-        t = self.tick
-        while self._events and self._events[0][0] <= t:
-            _, _, handler, payload = heapq.heappop(self._events)
-            handler(payload)
-        interval = self.config.block_interval_ticks
-        if t > 0 and t % interval == 0:
-            self._consensus_round(t // interval - 1)
-        self.tick += 1
+        """Process one tick: due events first, then any interval boundary.
+        A round's votes are verified before `step` returns, unless `run` is
+        stepping: then they wait for the run's one pass."""
+        with self._vote_pass():
+            t = self.tick
+            while self._events and self._events[0][0] <= t:
+                _, _, handler, payload = heapq.heappop(self._events)
+                handler(payload)
+            interval = self.config.block_interval_ticks
+            if t > 0 and t % interval == 0:
+                self._consensus_round(t // interval - 1)
+            self.tick += 1
         return self
 
     def run(self, until_tick: int | None = None) -> SimReport:
         """Step to ``until_tick`` and report. Between steps, time jumps to
         the next tick with an event due or an interval boundary: a tick with
-        neither is one `step` would only count. A horizon before the last
-        tick already stepped raises ValueError; the last tick itself reports
-        without stepping."""
+        neither is one `step` would only count. Every vote the run tallied
+        is verified in one signature pass before the report is built, or
+        when a step raises; a vote that fails raises ProtocolError and no
+        report is returned. A horizon before the last tick already stepped
+        raises ValueError; the last tick itself reports without stepping."""
         if until_tick is None:
             until_tick = self.scenario.run_until
         if until_tick is None:
@@ -804,12 +847,13 @@ class Sim:
         if until_tick < self.tick - 1:
             raise ValueError(f"horizon {until_tick} is before tick {self.tick - 1}, already stepped")
         interval = self.config.block_interval_ticks
-        while self.tick <= until_tick:
-            self.step()
-            upcoming = min(-(-self.tick // interval) * interval, until_tick + 1)
-            if self._events:
-                upcoming = min(upcoming, self._events[0][0])
-            self.tick = max(self.tick, upcoming)
+        with self._vote_pass():
+            while self.tick <= until_tick:
+                self.step()
+                upcoming = min(-(-self.tick // interval) * interval, until_tick + 1)
+                if self._events:
+                    upcoming = min(upcoming, self._events[0][0])
+                self.tick = max(self.tick, upcoming)
         return self._build_report(until_tick)
 
     # --- scheduled actions ---------------------------------------------------
@@ -1073,12 +1117,11 @@ class Sim:
                 )
                 self._trace("byzantine", vid, duty, f"inverted verdict to ok={inverted_ok}")
             verdict = "ok" if vote.ok else "erroneous" + str(list(vote.bad_indices))
-            vote_data = record_mod.vote_signing_bytes(block_digest_value, vote.ok, vote.bad_indices)
-            self.log.append(TapEntry(self.tick, "vote", vid, duty, vote_data, f"verdict={verdict}"))
+            triple = record_mod.vote_triple(block_digest_value, vote, self.public_keys[vid])
+            self.log.append(TapEntry(self.tick, "vote", vid, duty, triple[1], f"verdict={verdict}"))
             votes.append(vote)
-        result = record_mod.commit(
-            proposal, votes, check, self.ledger, self.public_keys, self.uploader_ids
-        )
+            self._votes.append((vid, triple))
+        result = record_mod.commit(proposal, votes, check, self.ledger, self.uploader_ids)
         if result.committed:
             self.chain = self.chain.append(proposal.block)
             self.pending = []

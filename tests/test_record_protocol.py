@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from gridledger import chain as chain_mod
-from gridledger import crypto
+from gridledger import crypto, sigpass
 from gridledger.chain import Chain, LinkMismatchError, RecordKind, RecordMetadata, RootMismatchError, genesis
 from gridledger.credit import CreditLedger, CreditReason, NodeProfile, initialize_roles
 from gridledger.merkle import build_tree
@@ -19,6 +19,8 @@ from gridledger.record_protocol import (
     seal_block,
     sign_vote,
     validate_proposal,
+    vote_signing_bytes,
+    vote_triple,
 )
 
 from testutil import keypair
@@ -210,8 +212,6 @@ class TestValidateProposal:
         keys, _, _ = net
         chain, proposal = make_proposal(net, [(10, b"x")])
         vote = validate_proposal(keys[3], 3, proposal, check_of(proposal, chain.tip), lambda r: True)
-        from gridledger.record_protocol import vote_signing_bytes
-
         assert crypto.verify(
             keys[3].public_key,
             vote_signing_bytes(chain_mod.block_digest(proposal.block), vote.ok, vote.bad_indices),
@@ -240,7 +240,7 @@ class TestCommit:
     def test_unanimous_ok_appends_and_credits(self, net):
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a"), (20, b"b")])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
         assert result.committed
         assert ledger.credit(0) == 1  # recorder block-clean
         assert ledger.credit(2) == 2  # uploader, two records
@@ -252,7 +252,7 @@ class TestCommit:
             net, [(10, b"good"), (20, b"bad"), (30, b"good2")]
         )
         votes = votes_for(keys, proposal, [(False, (1,)), (False, (1,)), (True, ())])
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
         assert not result.committed
         assert [i for i, _ in result.quarantined] == [1]
         assert [r.payload_digest for r in result.survivors] == [
@@ -267,7 +267,7 @@ class TestCommit:
     def test_ok_majority_with_dissenter_appends(self, net):
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a")])
         votes = votes_for(keys, proposal, [(True, ()), (True, ()), (False, (0,))])
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
         assert result.committed
         dissenter = proposal.validator_ids[2]
         assert ledger.credit(dissenter) == -1
@@ -276,7 +276,7 @@ class TestCommit:
         # two erroneous votes naming different records: neither reaches quorum
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a"), (20, b"b")])
         votes = votes_for(keys, proposal, [(False, (0,)), (False, (1,)), (True, ())])
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
         assert not result.committed
         assert result.quarantined == ()
         assert len(result.survivors) == 2
@@ -285,19 +285,26 @@ class TestCommit:
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         with pytest.raises(ProtocolError):
-            commit(proposal, votes[:2], check_of(proposal, chain.tip), ledger, pks, uids)
+            commit(proposal, votes[:2], check_of(proposal, chain.tip), ledger, uids)
 
     def test_unverifiable_vote_signature_rejected(self, net):
+        # commit tallies votes unverified; the caller's signature pass over
+        # their `vote_triple`s rejects a vote whose verdict no longer
+        # matches its signature, and points at that vote
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
-        forged = type(votes[0])(
-            validator_id=votes[0].validator_id,
-            ok=False,  # verdict no longer matches the signature
-            bad_indices=(),
-            signature=votes[0].signature,
+        forged = votes[1]._replace(ok=False)
+        block_digest = chain_mod.block_digest(proposal.block)
+
+        def triples(tallied):
+            return [vote_triple(block_digest, v, pks[v.validator_id]) for v in tallied]
+
+        assert sigpass.first_failing(triples(votes)) is None
+        assert sigpass.first_failing(triples([votes[0], forged, votes[2]])) == 1
+        # what the validator signed: its key, `vote_signing_bytes`, its signature
+        assert triples(votes)[0] == (
+            pks[votes[0].validator_id], vote_signing_bytes(block_digest, True, ()), votes[0].signature
         )
-        with pytest.raises(ProtocolError):
-            commit(proposal, [forged, votes[1], votes[2]], check_of(proposal, chain.tip), ledger, pks, uids)
 
     def test_timestamp_regression_voted_erroneous_and_not_committed(self, net):
         keys, assignment, permissions = net
@@ -305,7 +312,6 @@ class TestCommit:
         chain = chain.append(chain_mod.make_block(keys[0], chain.tip_digest, 600, ()))
         pending = pending_records(keys, permissions, [(10, b"early")])
         ledger = CreditLedger(range(6))
-        pks = {i: keys[i].public_key for i in range(6)}
         uids = {keys[i].public_key: i for i in range(6)}
         for tick, ok in ((600, True), (5, False)):  # the tip's own tick is allowed
             proposal = seal_block(
@@ -316,7 +322,7 @@ class TestCommit:
                 for v in proposal.validator_ids
             ]
             assert [(v.ok, v.bad_indices) for v in votes] == [(ok, ())] * 3, tick
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, pks, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
         assert not result.committed
         assert result.quarantined == ()
         assert result.survivors == tuple(pending)
@@ -339,7 +345,7 @@ class TestCommit:
         assert isinstance(check.error(), expected)
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         with pytest.raises(expected):
-            commit(proposal, votes, check, ledger, pks, uids)
+            commit(proposal, votes, check, ledger, uids)
         assert [(e.node_id, e.reason) for e in ledger.events] == [
             (vid, CreditReason.VALIDATOR_AGREED) for vid in proposal.validator_ids
         ]
@@ -349,7 +355,7 @@ class TestCommit:
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         outsider = sign_vote(keys[1], 1, chain_mod.block_digest(proposal.block), True, ())
         with pytest.raises(ProtocolError):
-            commit(proposal, [outsider, votes[1], votes[2]], check_of(proposal, chain.tip), ledger, pks, uids)
+            commit(proposal, [outsider, votes[1], votes[2]], check_of(proposal, chain.tip), ledger, uids)
 
 
 class TestChooseValidators:

@@ -32,7 +32,7 @@ from gridledger.chain import (
     make_block,
     verify_chain,
 )
-from testutil import build_chain, keypair, signed_record
+from testutil import assert_no_children, build_chain, keypair, signed_record
 
 N_BLOCKS, PER_BLOCK = 6, 3  # 25 triples: genesis, then a recorder and 3 records per block
 
@@ -65,12 +65,6 @@ def forced_split(cpus: int):
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         mp.setattr(os, "fork", counting_fork)
         yield forks
-
-
-def assert_no_children() -> None:
-    """Every worker was reaped: this process has no child, live or zombie."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def tampered_chain(bad_sigs=(), root_faults=()) -> Chain:

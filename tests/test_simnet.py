@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import random
 import sys
 import tracemalloc
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from gridledger import chain as chain_mod
-from gridledger import crypto, simnet
+from gridledger import crypto, record_protocol, simnet
 from gridledger.chain import Chain, RecordKind
 from gridledger.credit import CreditReason, fold_events
+from gridledger.record_protocol import ProtocolError
 from gridledger.simnet import (
     FaultSpec,
     Scenario,
@@ -27,6 +29,7 @@ from gridledger.simnet import (
     run,
     step,
 )
+from testutil import assert_no_children
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -74,6 +77,19 @@ class TestParseScenario:
             parse_scenario("node 0 assessment 1\nnode 1 assessment 2\nbogus directive\n")
         assert exc_info.value.line == 3
         assert "line 3" in str(exc_info.value)
+
+    def test_a_form_feed_in_a_comment_starts_no_line(self):
+        # str.splitlines breaks at \x0c, so "more" was parsed as line 2
+        scenario = parse_scenario("# note\x0cmore\nrun until 5\n")
+        assert scenario.run_until == 5
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_are_numbered_as_an_editor_numbers_them(self, separator):
+        # only \n ends a line: "bogus" is on line 2, not line 3
+        with pytest.raises(ScenarioError) as exc_info:
+            parse_scenario(f"node 0 assessment 1{separator}\nbogus\n")
+        assert exc_info.value.line == 2
+        assert str(exc_info.value) == "line 2: unknown directive 'bogus'"
 
     def test_malformed_upload(self):
         with pytest.raises(ScenarioError) as exc_info:
@@ -665,6 +681,20 @@ def test_metrics_summary():
     assert report.credits[3] < honest_mean
 
 
+def test_every_fault_outcome_and_detected_tick_pinned():
+    # metrics.txt pins each outcome's text; nothing else pins when the
+    # system caught each fault
+    report = run(new_sim(desk_config(seed=7), (SCENARIOS / "all_faults.txt").read_text()))
+    assert [(fo.spec.kind.value, fo.spec.target, fo.outcome, fo.detected_tick) for fo in report.fault_outcomes] == [
+        ("byzantine-validator", 3, "byzantine@10; dissents=3", 600),
+        ("forge-record", 6, "quarantined@600", 600),
+        ("fail-storage-unit", "u2", "failed@400; recovered@900: restored=3 unrecoverable=0", 400),
+        ("tamper-in-flight", 5, "applied@1901; rejected=decryption-failure", 1901),
+        ("crash-node", 1, "crashed@1000", 1200),
+        ("tamper-chain-copy", 7, "tampered block 1@2000; local-verify=violation@1:root-mismatch", 2400),
+    ]
+
+
 def retained_per_empty_round(node_count: int, warm: int = 20, rounds: int = 40) -> float:
     """Bytes an empty round leaves allocated once a run is under way, on a
     network with 20 recorders and 4 supervisors. `new_sim` loads every
@@ -773,12 +803,14 @@ def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
     # checks a block again. Three is a ceiling, not the count; the test below
     # pins one verify per record signature per run. Every other caller verifies a
     # signature once, as a protocol step of its own: the recorder's intake
-    # and the share receiver check the record signature, commit the votes.
+    # and the share receiver check the record signature, and the run's one
+    # signature pass (`sigpass._scan`, in this process for so few votes)
+    # the votes.
     counts = counting_verify(monkeypatch)
     report = run(new_sim(desk_config(seed=7), (SCENARIOS / "sharing.txt").read_text()))
     assert report.records_committed > 0 and report.deliveries
     assert {key[0] for key in counts} == {
-        "validate_block", "receive_upload", "receive_share", "commit"
+        "validate_block", "receive_upload", "receive_share", "_scan"
     }
     per_caller = Counter()
     for (caller, _, *triple), n in counts.items():
@@ -846,6 +878,140 @@ def test_a_record_changed_after_intake_is_verified_again(monkeypatch, byte):
     assert round_check.fault is None and round_check.bad_records == (0,)
     assert [(entry.index, entry.record) for entry in report.quarantine] == [(0, changed)]
     assert report.blocks_committed == 0 and report.pending_left == (untouched,)
+
+
+# --- the run's one vote signature pass ----------------------------------------
+
+def forge_a_vote(monkeypatch, tick: int) -> list[int]:
+    """Flip one bit of the signature on the second assigned validator's vote
+    in the round decided at ``tick``; the list gets that validator's id."""
+    forged = []
+    original = record_protocol.validate_proposal
+
+    def forging(validator, validator_id, proposal, check, predicate):
+        vote = original(validator, validator_id, proposal, check, predicate)
+        if proposal.block.header.timestamp_tick == tick and validator_id == proposal.validator_ids[1]:
+            forged.append(validator_id)
+            vote = vote._replace(signature=bytes([vote.signature[0] ^ 1]) + vote.signature[1:])
+        return vote
+
+    monkeypatch.setattr(record_protocol, "validate_proposal", forging)
+    return forged
+
+
+def count_forks(monkeypatch, cpus: int) -> list[int]:
+    """Tell `sigpass` the process may use ``cpus`` CPUs; the list gets the
+    pid of each worker forked."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+LONG_IDLE = 86 * 600  # 86 decided rounds: 258 vote triples, enough for a forked worker
+
+
+@pytest.mark.parametrize(
+    "scenario, tick, forked",
+    [
+        ((SCENARIOS / "sharing.txt").read_text(), 1200, False),
+        (f"run until {LONG_IDLE}\n", 600, True),  # in the caller's chunk
+        (f"run until {LONG_IDLE}\n", LONG_IDLE, True),  # in the worker's chunk
+    ],
+    ids=["desk", "long-first-round", "long-last-round"],
+)
+def test_a_forged_vote_fails_the_run(monkeypatch, scenario, tick, forked):
+    # the vote is tallied in its round and verified in the run's one pass,
+    # which raises the round's error: no report comes back
+    forged = forge_a_vote(monkeypatch, tick)
+    forks = count_forks(monkeypatch, cpus=2)
+    sim = new_sim(desk_config(seed=7), scenario)
+    with pytest.raises(ProtocolError) as raised:
+        sim.run()
+    assert len(forged) == 1 and str(raised.value) == f"vote signature from {forged[0]} does not verify"
+    assert bool(forks) is forked
+    assert sim.tick > sim.scenario.run_until  # checked at the end of the run
+    assert_no_children()
+
+
+def test_a_forged_vote_wins_over_a_later_rounds_error(monkeypatch):
+    forged = forge_a_vote(monkeypatch, 600)
+    commit = record_protocol.commit
+
+    def failing_commit(proposal, *args):
+        if proposal.block.header.timestamp_tick == 1800:
+            raise RuntimeError("a later round fails")
+        return commit(proposal, *args)
+
+    monkeypatch.setattr(record_protocol, "commit", failing_commit)
+    sim = new_sim(desk_config(seed=7), SIX_NODES + "run until 2400\n")
+    with pytest.raises(ProtocolError) as raised:
+        sim.run()
+    assert str(raised.value) == f"vote signature from {forged[0]} does not verify"
+    assert isinstance(raised.value.__context__, RuntimeError)
+
+
+def test_a_direct_step_verifies_its_rounds_votes(monkeypatch):
+    forged = forge_a_vote(monkeypatch, 600)
+    sim = new_sim(desk_config(seed=7), SIX_NODES + "run until 1200\n")
+    while sim.tick < 600:
+        sim.step()
+    with pytest.raises(ProtocolError) as raised:
+        sim.step()
+    assert str(raised.value) == f"vote signature from {forged[0]} does not verify"
+    # raised after the round tallied its votes, before the step returned
+    assert sum(getattr(e, "kind", None) == "vote" for e in sim.log) == 3
+    assert sim.ledger.events and sim.tick == 601
+
+
+def sent_votes(sim, report) -> Counter:
+    """(validator key, signed bytes) of each vote the run's tap carries."""
+    return Counter((sim.public_keys[e.src], e.data) for e in report.tap if e.kind == "vote")
+
+
+def test_each_vote_triple_is_verified_once_in_process(monkeypatch):
+    counts = counting_verify(monkeypatch)
+    sim = new_sim(desk_config(seed=7), (SCENARIOS / "all_faults.txt").read_text())
+    report = sim.run()
+    scanned = Counter()
+    for (caller, _, key, message, _), n in counts.items():
+        if caller == "_scan":
+            scanned[key, message] += n
+    decided = report.blocks_committed + report.blocks_rejected
+    assert report.blocks_rejected and sum(scanned.values()) == 3 * decided
+    assert scanned == sent_votes(sim, report)
+
+
+def test_each_vote_triple_is_verified_once_across_processes(monkeypatch, tmp_path):
+    # each process appends the vote triples it verifies to one file; a
+    # worker cannot report back otherwise
+    log = tmp_path / "verified"
+    original = crypto.verify
+
+    def logging_verify(public_key, message, signature):
+        if sys._getframe(1).f_code.co_name == "_scan":
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {public_key.hex()} {message.hex()}\n")
+        return original(public_key, message, signature)
+
+    forks = count_forks(monkeypatch, cpus=2)
+    monkeypatch.setattr(crypto, "verify", logging_verify)
+    sim = new_sim(desk_config(seed=7), f"run until {LONG_IDLE}\n")
+    report = sim.run()
+    assert report.blocks_committed == 86
+    rows = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
+    scanned = Counter((bytes.fromhex(key), bytes.fromhex(message)) for _, key, message in rows)
+    assert len(rows) == 258 and scanned == sent_votes(sim, report)
+    assert len(forks) == 1 and {int(pid) for pid, *_ in rows} == {os.getpid(), forks[0]}
+    assert_no_children()
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])

@@ -3,7 +3,9 @@ ScenarioError/ValueError, or runs to its horizon without raising, and every
 node's reported chain status is what a full verify of its copy gives. The
 run's typed log must hold whole-system invariants: no upload's plaintext on
 the wire, message counts that are those of the tap, and each credit event,
-penalty or reward, matching the round or record that earned it. `Sim.run` jumps over ticks with nothing
+penalty or reward, matching the round or record that earned it; each
+fault detected within its own lifetime; and no record penalty for a node
+no forge-record fault drives. `Sim.run` jumps over ticks with nothing
 due; its artifacts must be those of a `Sim.step` loop over every tick."""
 
 from collections import Counter
@@ -101,6 +103,22 @@ directives = st.one_of(
 @example(  # the recorder cannot open the tampered envelope: no one is penalised for it
     seed=7, lines=["authorize 4", "upload 4 load 96 at 50", "fault tamper-in-flight 0 at 40"], horizon=1200
 )
+@example(  # a unit fails and recovers; node 1's crash is caught at its first missed duty
+    seed=0,
+    lines=[
+        "authorize 2", "upload 2 load 16 at 10", "fault fail-storage-unit u1 at 300 recover=900",
+        "fault crash-node 1 at 5",
+    ],
+    horizon=1300,
+)
+@example(  # two honest records share a block with a forged one; only the forger is penalised
+    seed=0,
+    lines=[
+        "authorize 2", "authorize 3", "authorize 4", "upload 2 load 16 at 10",
+        "upload 4 load 16 at 20", "fault forge-record 3 at 30",
+    ],
+    horizon=1300,
+)
 def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     text = HEADER + "".join(line + "\n" for line in lines) + f"run until {horizon}\n"
     try:
@@ -147,6 +165,13 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     )
     decided = [b.header.timestamp_tick for b in committed] + [r.tick for r in report.rejections]
     assert voted == Counter(decided * 3)
+
+    # a fault is caught no earlier than it fires and no later than the run's end
+    for fo in report.fault_outcomes:
+        assert fo.detected_tick is None or fo.spec.tick <= fo.detected_tick <= report.until_tick, fo
+    # ROADMAP 8(ii): only a node a forge-record fault drives is penalised for a record
+    forgers = {fo.spec.target for fo in report.fault_outcomes if fo.spec.kind is FaultKind.FORGE_RECORD}
+    assert {node for _, node in credited(CreditReason.RECORD_ERRONEOUS)} <= forgers
 
 
 def artifacts(report) -> tuple[str, ...]:

@@ -3,10 +3,20 @@ multi-block chains assembled outside the protocol layer."""
 
 from __future__ import annotations
 
+import os
+
+import pytest
+
 from gridledger import chain as chain_mod
 from gridledger import crypto
 from gridledger.chain import Chain, Record, RecordKind, RecordMetadata
 from gridledger.crypto import Keypair
+
+
+def assert_no_children() -> None:
+    """Every forked worker was reaped: this process has no child, live or zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def keypair(tag: int) -> Keypair:
