@@ -17,6 +17,7 @@ a payload swapped after signing.
 
 from __future__ import annotations
 
+import struct
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -77,11 +78,27 @@ class ProposedBlock(NamedTuple):
     validator_ids: tuple[int, int, int]
 
 
+_VERDICT = crypto.DIGEST_LEN  # where a vote's verdict starts in its signed bytes
+
+
 class Vote(NamedTuple):
+    """A validator's signed verdict on a block. ``signed`` is the
+    `vote_signing_bytes` the signature covers, built once; ``ok`` and
+    ``bad_indices`` read the verdict back from them, so the verdict that is
+    tallied is the one that was signed."""
+
     validator_id: int
-    ok: bool
-    bad_indices: tuple[int, ...]
+    signed: bytes
     signature: bytes
+
+    @property
+    def ok(self) -> bool:
+        return self.signed[_VERDICT] == 1
+
+    @property
+    def bad_indices(self) -> tuple[int, ...]:
+        (count,) = U32.unpack_from(self.signed, _VERDICT + 1)
+        return struct.unpack_from(f">{count}I", self.signed, _VERDICT + 1 + U32.size)
 
 
 class CommitResult(NamedTuple):
@@ -171,14 +188,19 @@ def vote_signing_bytes(block_digest: bytes, ok: bool, bad_indices: tuple[int, ..
 def sign_vote(
     validator: Keypair, validator_id: int, block_digest: bytes, ok: bool, bad_indices: tuple[int, ...]
 ) -> Vote:
-    signature = crypto.sign(validator.private_key, vote_signing_bytes(block_digest, ok, bad_indices))
-    return Vote(validator_id=validator_id, ok=ok, bad_indices=bad_indices, signature=signature)
+    signed = vote_signing_bytes(block_digest, ok, bad_indices)
+    return Vote(validator_id, signed, crypto.sign(validator.private_key, signed))
 
 
 def vote_triple(block_digest: bytes, vote: Vote, public_key: bytes) -> Triple:
     """The (key, signed bytes, signature) triple that checks ``vote`` on the
-    block with ``block_digest``, as `sigpass.first_failing` takes it."""
-    return public_key, vote_signing_bytes(block_digest, vote.ok, vote.bad_indices), vote.signature
+    block with ``block_digest``, as `sigpass` takes it: the vote's own
+    signed bytes, or, for a vote signed on another block, its verdict on
+    this one."""
+    signed = vote.signed
+    if not signed.startswith(block_digest):
+        signed = block_digest + signed[len(block_digest):]
+    return public_key, signed, vote.signature
 
 
 def validate_proposal(

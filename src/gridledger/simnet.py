@@ -20,8 +20,9 @@ gates on it, so the block is appended without another check. Record and
 recorder signatures are verified where their verdict is read; a vote's
 signature steers nothing, so `commit` tallies votes unverified and each
 `run` (or a direct `step`) verifies all the votes it tallied in one
-`sigpass.first_failing` pass, which raises `ProtocolError` for the first
-that fails.
+`sigpass.Stream`: a worker per full chunk while the run goes on, the tail
+in the process at its end. The first vote that fails raises
+`ProtocolError`.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation.
@@ -709,9 +710,9 @@ class Sim:
         self.upload_digests: dict[int, bytes] = {}
         self.upload_payloads: dict[int, bytes] = {}
         self.log: list[tuple] = []  # every happening, once, in order; append-only
-        # (validator id, vote triple) of each tallied vote not yet verified,
-        # in commit order; None outside a `step` or `run`
-        self._votes: list[tuple[int, sigpass.Triple]] | None = None
+        # the signature pass of the votes tallied so far, and their
+        # validators' ids, in commit order; None outside a `step` or `run`
+        self._votes: tuple[sigpass.Stream, list[int]] | None = None
         self.fault_outcomes: list[FaultOutcome] = []
         self._tampered_copies: list[FaultOutcome] = []
 
@@ -800,27 +801,29 @@ class Sim:
 
     @contextmanager
     def _vote_pass(self):
-        """Verify the votes tallied inside the block in one
-        `sigpass.first_failing` pass on the way out, whether the block
-        returns or raises. The first vote that fails raises ProtocolError
-        naming its validator, in place of any exception the block raised.
-        A pass opened inside another leaves its votes to the outer one."""
+        """Verify the votes tallied inside the block in one `sigpass.Stream`,
+        which the rounds feed as they tally: a worker takes each full chunk
+        of vote triples while the block goes on, and the tail is verified
+        in this process on the way out, whether the block returns or raises.
+        The first vote that fails raises ProtocolError naming its
+        validator, in place of any exception the block raised. A pass
+        opened inside another leaves its votes to the outer one."""
         if self._votes is not None:
             yield
             return
-        self._votes = votes = []
+        self._votes = stream, voters = sigpass.Stream(), []
         try:
             yield
         finally:
             self._votes = None
-            failing = sigpass.first_failing([triple for _, triple in votes])
+            failing = stream.close()
             if failing is not None:
-                raise record_mod.ProtocolError(f"vote signature from {votes[failing][0]} does not verify")
+                raise record_mod.ProtocolError(f"vote signature from {voters[failing]} does not verify")
 
     def step(self) -> "Sim":
         """Process one tick: due events first, then any interval boundary.
         A round's votes are verified before `step` returns, unless `run` is
-        stepping: then they wait for the run's one pass."""
+        stepping: then they go to the run's pass."""
         with self._vote_pass():
             t = self.tick
             while self._events and self._events[0][0] <= t:
@@ -835,11 +838,13 @@ class Sim:
     def run(self, until_tick: int | None = None) -> SimReport:
         """Step to ``until_tick`` and report. Between steps, time jumps to
         the next tick with an event due or an interval boundary: a tick with
-        neither is one `step` would only count. Every vote the run tallied
-        is verified in one signature pass before the report is built, or
-        when a step raises; a vote that fails raises ProtocolError and no
-        report is returned. A horizon before the last tick already stepped
-        raises ValueError; the last tick itself reports without stepping."""
+        neither is one `step` would only count. Every vote the run tallies
+        goes to one signature pass: forked workers verify full chunks of
+        them while the run goes on, and the rest are verified, and the
+        workers reaped, before the report is built or when a step raises.
+        A vote that fails raises ProtocolError and no report is returned.
+        A horizon before the last tick already stepped raises ValueError;
+        the last tick itself reports without stepping."""
         if until_tick is None:
             until_tick = self.scenario.run_until
         if until_tick is None:
@@ -1120,7 +1125,9 @@ class Sim:
             triple = record_mod.vote_triple(block_digest_value, vote, self.public_keys[vid])
             self.log.append(TapEntry(self.tick, "vote", vid, duty, triple[1], f"verdict={verdict}"))
             votes.append(vote)
-            self._votes.append((vid, triple))
+            stream, voters = self._votes
+            stream.append(triple)
+            voters.append(vid)
         result = record_mod.commit(proposal, votes, check, self.ledger, self.uploader_ids)
         if result.committed:
             self.chain = self.chain.append(proposal.block)

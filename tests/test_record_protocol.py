@@ -290,17 +290,21 @@ class TestCommit:
     def test_unverifiable_vote_signature_rejected(self, net):
         # commit tallies votes unverified; the caller's signature pass over
         # their `vote_triple`s rejects a vote whose verdict no longer
-        # matches its signature, and points at that vote
+        # matches its signature, or that was signed on another block, and
+        # points at that vote
         keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
-        forged = votes[1]._replace(ok=False)
         block_digest = chain_mod.block_digest(proposal.block)
+        forged = votes[1]._replace(signed=vote_signing_bytes(block_digest, False, ()))
+        assert not forged.ok and forged.bad_indices == ()
+        elsewhere = sign_vote(keys[votes[1].validator_id], votes[1].validator_id, crypto.digest(b"other"), True, ())
 
         def triples(tallied):
             return [vote_triple(block_digest, v, pks[v.validator_id]) for v in tallied]
 
         assert sigpass.first_failing(triples(votes)) is None
         assert sigpass.first_failing(triples([votes[0], forged, votes[2]])) == 1
+        assert sigpass.first_failing(triples([votes[0], elsewhere, votes[2]])) == 1
         # what the validator signed: its key, `vote_signing_bytes`, its signature
         assert triples(votes)[0] == (
             pks[votes[0].validator_id], vote_signing_bytes(block_digest, True, ()), votes[0].signature

@@ -4,7 +4,9 @@ Most tests force a split: `MIN_CHUNK_TRIPLES` is set to 1 and the process
 is told it may use two or three CPUs, so even a short test chain is
 verified by the caller and one or two forked workers. Told it may use one,
 the caller verifies every triple itself. Each verdict must be the serial
-one: `validate_block` of each block in turn, up to the first error."""
+one: `validate_block` of each block in turn, up to the first error. The
+streaming pass, `sigpass.Stream`, must give the first failing triple on
+one, two or three CPUs and when no worker can be forked."""
 
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from gridledger.chain import (
     make_block,
     verify_chain,
 )
-from testutil import assert_no_children, build_chain, keypair, signed_record
+from testutil import assert_no_children, build_chain, failing_worker, keypair, signed_record
 
 N_BLOCKS, PER_BLOCK = 6, 3  # 25 triples: genesis, then a recorder and 3 records per block
 
@@ -203,20 +205,6 @@ def test_each_triple_is_verified_exactly_once_across_processes(tmp_path):
 
 # --- workers that fail --------------------------------------------------------
 
-def failing_worker(how: str):
-    """A `sigpass._scan` that, in a worker, raises or exits without writing."""
-    parent, scan = os.getpid(), sigpass._scan
-
-    def scan_or_fail(triples, lo, hi):
-        if os.getpid() != parent:
-            if how == "raise":
-                raise RuntimeError("worker failed")
-            os._exit(0)
-        return scan(triples, lo, hi)
-
-    return scan_or_fail
-
-
 @pytest.mark.parametrize("how", ["raise", "exit"])
 @pytest.mark.parametrize("bad_sigs, expected", [
     ((), None),
@@ -324,3 +312,53 @@ def test_chunk_bounds_cover_in_order(n, parts):
     assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(n))
     sizes = [hi - lo for lo, hi in bounds]
     assert max(sizes) - min(sizes) <= 1
+
+
+# --- the streaming pass -------------------------------------------------------
+
+STREAM_CHUNK, STREAM_TRIPLES = 4, 11  # two full chunks, then a tail of three
+
+
+def signed_triples(bad=()) -> list[sigpass.Triple]:
+    """``STREAM_TRIPLES`` triples; those at the ``bad`` indices carry another
+    key's signature."""
+    signer, other = keypair(4000), keypair(4001)
+    triples = []
+    for i in range(STREAM_TRIPLES):
+        message = b"triple-%d" % i
+        key = other if i in bad else signer
+        triples.append((signer.public_key, message, crypto.sign(key.private_key, message)))
+    return triples
+
+
+def stream_verdict(triples) -> int | None:
+    stream = sigpass.Stream()
+    for triple in triples:
+        stream.append(triple)
+    return stream.close()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bad", [(), (1,), (5,), (9,), (1, 5), (5, 9), (3, 4), (8, 10)])
+def test_stream_verdict_is_the_first_failing_triple(cpus, bad):
+    # chunks [0, 4) and [4, 8) go to workers when a second CPU may be used;
+    # the tail [8, 11) is verified by the caller
+    with forced_split(cpus) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sigpass, "MIN_CHUNK_TRIPLES", STREAM_CHUNK)
+        assert stream_verdict(signed_triples(bad)) == (min(bad) if bad else None)
+    # with one other CPU, the first chunk is reaped before the second is
+    # forked, and a failure found there leaves the second to nobody
+    expected_forks = 0 if cpus == 1 else 1 if cpus == 2 and bad and min(bad) < STREAM_CHUNK else 2
+    assert len(forks) == expected_forks
+    assert_no_children()
+
+
+@pytest.mark.parametrize("bad", [(), (5,), (9,)])
+def test_failed_fork_leaves_a_stream_chunk_to_the_caller(monkeypatch, bad):
+    def fork():
+        raise BlockingIOError("no more processes")
+
+    monkeypatch.setattr(sigpass, "MIN_CHUNK_TRIPLES", STREAM_CHUNK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    assert stream_verdict(signed_triples(bad)) == (min(bad) if bad else None)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gridledger import chain as chain_mod
-from gridledger import crypto, record_protocol, simnet
+from gridledger import crypto, record_protocol, sigpass, simnet
 from gridledger.chain import Chain, RecordKind
 from gridledger.credit import CreditReason, fold_events
 from gridledger.record_protocol import ProtocolError
@@ -29,7 +30,7 @@ from gridledger.simnet import (
     run,
     step,
 )
-from testutil import assert_no_children
+from testutil import assert_no_children, failing_worker
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -880,17 +881,18 @@ def test_a_record_changed_after_intake_is_verified_again(monkeypatch, byte):
     assert report.blocks_committed == 0 and report.pending_left == (untouched,)
 
 
-# --- the run's one vote signature pass ----------------------------------------
+# --- the run's vote signature pass --------------------------------------------
 
-def forge_a_vote(monkeypatch, tick: int) -> list[int]:
+def forge_a_vote(monkeypatch, *ticks: int) -> list[int]:
     """Flip one bit of the signature on the second assigned validator's vote
-    in the round decided at ``tick``; the list gets that validator's id."""
+    in each round decided at one of ``ticks``; the list gets those
+    validators' ids, in order."""
     forged = []
     original = record_protocol.validate_proposal
 
     def forging(validator, validator_id, proposal, check, predicate):
         vote = original(validator, validator_id, proposal, check, predicate)
-        if proposal.block.header.timestamp_tick == tick and validator_id == proposal.validator_ids[1]:
+        if proposal.block.header.timestamp_tick in ticks and validator_id == proposal.validator_ids[1]:
             forged.append(validator_id)
             vote = vote._replace(signature=bytes([vote.signature[0] ^ 1]) + vote.signature[1:])
         return vote
@@ -916,29 +918,122 @@ def count_forks(monkeypatch, cpus: int) -> list[int]:
     return forks
 
 
-LONG_IDLE = 86 * 600  # 86 decided rounds: 258 vote triples, enough for a forked worker
+LONG_IDLE = 86 * 600  # 86 decided rounds: 258 vote triples, two full chunks and a tail of 2
+
+
+def chunk_tick(index: int) -> int:
+    """The tick of the round whose second vote is vote triple ``index`` of a
+    run with no skipped round."""
+    assert index % 3 == 1
+    return (index // 3 + 1) * 600
+
+
+def slow_worker(monkeypatch, lo: int, seconds: float, done: Path) -> None:
+    """Make the worker of the chunk starting at triple ``lo`` wait before it
+    verifies. Each worker appends its chunk's start to ``done`` when it has
+    answered, so the file lists chunks in the order they were done."""
+    parent, scan = os.getpid(), sigpass._scan
+
+    def scan_slowly(triples, start, hi):
+        if os.getpid() == parent:
+            return scan(triples, start, hi)
+        if start == lo:
+            time.sleep(seconds)
+        found = scan(triples, start, hi)
+        with open(done, "a", encoding="ascii") as fh:
+            fh.write(f"{start}\n")
+        return found
+
+    monkeypatch.setattr(sigpass, "_scan", scan_slowly)
 
 
 @pytest.mark.parametrize(
-    "scenario, tick, forked",
+    "scenario, tick, n_forks",
     [
-        ((SCENARIOS / "sharing.txt").read_text(), 1200, False),
-        (f"run until {LONG_IDLE}\n", 600, True),  # in the caller's chunk
-        (f"run until {LONG_IDLE}\n", LONG_IDLE, True),  # in the worker's chunk
+        ((SCENARIOS / "sharing.txt").read_text(), 1200, 0),
+        # in the first worker's chunk: found when that worker is reaped,
+        # before the second chunk would be forked
+        (f"run until {LONG_IDLE}\n", chunk_tick(1), 1),
+        (f"run until {LONG_IDLE}\n", chunk_tick(151), 2),  # in the second worker's chunk
+        (f"run until {LONG_IDLE}\n", chunk_tick(256), 2),  # in the tail, verified in the process
     ],
-    ids=["desk", "long-first-round", "long-last-round"],
+    ids=["desk", "long-first-round", "long-middle-round", "long-last-round"],
 )
-def test_a_forged_vote_fails_the_run(monkeypatch, scenario, tick, forked):
-    # the vote is tallied in its round and verified in the run's one pass,
-    # which raises the round's error: no report comes back
+def test_a_forged_vote_fails_the_run(monkeypatch, scenario, tick, n_forks):
+    # the vote is tallied in its round and verified by the run's pass,
+    # which raises the round's error at the end of the run: no report
+    # comes back
     forged = forge_a_vote(monkeypatch, tick)
     forks = count_forks(monkeypatch, cpus=2)
     sim = new_sim(desk_config(seed=7), scenario)
     with pytest.raises(ProtocolError) as raised:
         sim.run()
     assert len(forged) == 1 and str(raised.value) == f"vote signature from {forged[0]} does not verify"
-    assert bool(forks) is forked
+    assert len(forks) == n_forks
     assert sim.tick > sim.scenario.run_until  # checked at the end of the run
+    assert_no_children()
+
+
+def test_the_earliest_forged_vote_is_reported_when_a_later_chunk_answers_first(monkeypatch, tmp_path):
+    # three CPUs: both chunks' workers are live at once, and the first one
+    # is made to answer last
+    forged = forge_a_vote(monkeypatch, chunk_tick(1), chunk_tick(151))
+    done = tmp_path / "done"
+    slow_worker(monkeypatch, 0, 0.5, done)
+    forks = count_forks(monkeypatch, cpus=3)
+    sim = new_sim(desk_config(seed=7), f"run until {LONG_IDLE}\n")
+    with pytest.raises(ProtocolError) as raised:
+        sim.run()
+    assert done.read_text(encoding="ascii").split() == ["128", "0"]
+    assert len(set(forged)) == 2 and str(raised.value) == f"vote signature from {forged[0]} does not verify"
+    assert len(forks) == 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize("how", ["raise", "exit"])
+def test_a_lost_workers_chunk_is_verified_in_the_process(monkeypatch, how):
+    # every worker is lost: each chunk is verified again in the process,
+    # the clean first one and the second, which holds the forged vote
+    forged = forge_a_vote(monkeypatch, chunk_tick(151))
+    monkeypatch.setattr(sigpass, "_scan", failing_worker(how))
+    forks = count_forks(monkeypatch, cpus=2)
+    counts = counting_verify(monkeypatch)
+    sim = new_sim(desk_config(seed=7), f"run until {LONG_IDLE}\n")
+    with pytest.raises(ProtocolError) as raised:
+        sim.run()
+    assert str(raised.value) == f"vote signature from {forged[0]} does not verify"
+    assert len(forks) == 2
+    # the process verified both chunks, up to the forged vote, and the tail
+    scanned = sum(n for (caller, *_), n in counts.items() if caller == "_scan")
+    assert scanned == 152 + 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize("forged_tick", [None, chunk_tick(1)], ids=["clean-votes", "forged-vote"])
+def test_a_round_that_raises_while_a_worker_is_live(monkeypatch, tmp_path, forged_tick):
+    # the round at triple 150 raises while the first chunk's worker is still
+    # verifying: the pass waits for it, and a forged vote it finds wins over
+    # the round's error; otherwise the round's error comes out
+    forged = forge_a_vote(monkeypatch, forged_tick) if forged_tick else []
+    done = tmp_path / "done"
+    slow_worker(monkeypatch, 0, 0.3, done)
+    forks = count_forks(monkeypatch, cpus=2)
+    commit = record_protocol.commit
+
+    def failing_commit(proposal, *args):
+        if proposal.block.header.timestamp_tick == chunk_tick(151):
+            raise RuntimeError("a later round fails")
+        return commit(proposal, *args)
+
+    monkeypatch.setattr(record_protocol, "commit", failing_commit)
+    sim = new_sim(desk_config(seed=7), f"run until {LONG_IDLE}\n")
+    with pytest.raises(ProtocolError if forged_tick else RuntimeError) as raised:
+        sim.run()
+    if forged_tick:
+        assert str(raised.value) == f"vote signature from {forged[0]} does not verify"
+        assert isinstance(raised.value.__context__, RuntimeError)
+    assert done.read_text(encoding="ascii").split() == ["0"]  # it answered before the run returned
+    assert len(forks) == 1 and sim.tick == chunk_tick(151)
     assert_no_children()
 
 
@@ -1010,8 +1105,44 @@ def test_each_vote_triple_is_verified_once_across_processes(monkeypatch, tmp_pat
     rows = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
     scanned = Counter((bytes.fromhex(key), bytes.fromhex(message)) for _, key, message in rows)
     assert len(rows) == 258 and scanned == sent_votes(sim, report)
-    assert len(forks) == 1 and {int(pid) for pid, *_ in rows} == {os.getpid(), forks[0]}
+    # a worker for each full chunk of 128, the tail of 2 in the process
+    by_pid = Counter(int(pid) for pid, *_ in rows)
+    assert len(forks) == 2 and by_pid == {forks[0]: 128, forks[1]: 128, os.getpid(): 2}
     assert_no_children()
+
+
+def test_each_vote_is_encoded_once(monkeypatch):
+    # the bytes a vote's signature covers are built once, in `sign_vote`;
+    # the triple verified and the tap entry carry that same object. The
+    # byzantine validator's votes are signed twice, once as validated and
+    # once inverted, and so encoded twice.
+    encoded, signed = [], []
+    vote_signing_bytes, sign = record_protocol.vote_signing_bytes, crypto.sign
+
+    def encoding(*args):
+        encoded.append(vote_signing_bytes(*args))
+        return encoded[-1]
+
+    def signing(private_key, message):
+        signed.append(message)
+        return sign(private_key, message)
+
+    monkeypatch.setattr(record_protocol, "vote_signing_bytes", encoding)
+    monkeypatch.setattr(crypto, "sign", signing)
+    sim = new_sim(SimConfig(seed=3), f"run until {200 * 600}\n")
+    report = sim.run()
+    assert report.blocks_committed == 200 and len(encoded) == 600
+    sent = [e.data for e in report.tap if e.kind == "vote"]
+    assert all(a is b for a, b in zip(sent, encoded, strict=True))
+    assert all(any(m is b for m in signed) for b in encoded)
+
+    encoded.clear()
+    sim = new_sim(desk_config(seed=7), (SCENARIOS / "all_faults.txt").read_text())
+    report = sim.run()
+    byzantine = sum(getattr(e, "kind", None) == "byzantine" for e in sim.log)
+    sent = [e.data for e in report.tap if e.kind == "vote"]
+    assert byzantine and len(encoded) == len(sent) + byzantine
+    assert all(any(s is b for b in encoded) for s in sent)
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])

@@ -4,18 +4,23 @@ node's reported chain status is what a full verify of its copy gives. The
 run's typed log must hold whole-system invariants: no upload's plaintext on
 the wire, message counts that are those of the tap, and each credit event,
 penalty or reward, matching the round or record that earned it; each
-fault detected within its own lifetime; and no record penalty for a node
-no forge-record fault drives. `Sim.run` jumps over ticks with nothing
+fault detected within its own lifetime; no record penalty for a node no
+forge-record fault drives; and each epoch's committees those a ranking of
+the credits at its tick gives. `Sim.run` jumps over ticks with nothing
 due; its artifacts must be those of a `Sim.step` loop over every tick."""
 
 from collections import Counter
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
 from gridledger.credit import CreditReason, fold_events
-from gridledger.simnet import FaultKind, FaultSpec, ScenarioError, SimConfig, new_sim
+from gridledger.simnet import EpochChange, FaultKind, FaultSpec, ScenarioError, SimConfig, new_sim
+
+SCENARIOS = Path(__file__).parent / "scenarios"
 
 HEADER = """\
 node 0 assessment 60
@@ -172,6 +177,33 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     # ROADMAP 8(ii): only a node a forge-record fault drives is penalised for a record
     forgers = {fo.spec.target for fo in report.fault_outcomes if fo.spec.kind is FaultKind.FORGE_RECORD}
     assert {node for _, node in credited(CreditReason.RECORD_ERRONEOUS)} <= forgers
+    epoch_changes_follow_the_ranking(sim, report)
+
+
+def epoch_changes_follow_the_ranking(sim, report) -> int:
+    """ROADMAP 8(iii): at every epoch change, the new recorders and
+    supervisors are the sort oracle's, every node ranked by (credit desc,
+    id asc) over the credit events at or before that tick. Returns the
+    number of epoch changes checked."""
+    r_max, s_max = sim.config.r_max, sim.config.s_max
+    changes = [event for event in sim.log if isinstance(event, EpochChange)]
+    for change in changes:
+        credits = fold_events(sim.nodes, (e for e in report.events if e.tick <= change.tick))
+        ranked = sorted(credits, key=lambda nid: (-credits[nid], nid))
+        assert change.recorders == tuple(ranked[:r_max]), change
+        assert change.supervisors == tuple(ranked[r_max : r_max + s_max]), change
+    return len(changes)
+
+
+@pytest.mark.parametrize("epoch_length", [1, 2, 10])
+def test_epoch_changes_follow_the_ranking_on_every_scenario(epoch_length):
+    checked = 0
+    for name in ("all_faults.txt", "faults.txt", "honest.txt", "sharing.txt"):
+        text = (SCENARIOS / name).read_text()
+        for seed in range(6):
+            sim = new_sim(SimConfig(seed=seed, r_max=3, s_max=1, epoch_length_blocks=epoch_length), text)
+            checked += epoch_changes_follow_the_ranking(sim, sim.run())
+    assert checked == {1: 60, 2: 30, 10: 0}[epoch_length]  # runs of 2 to 4 rounds
 
 
 def artifacts(report) -> tuple[str, ...]:

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from gridledger import chain as chain_mod
-from gridledger import crypto
+from gridledger import crypto, sigpass
 from gridledger.chain import Chain, Record, RecordKind, RecordMetadata
 from gridledger.crypto import Keypair
 
@@ -17,6 +17,20 @@ def assert_no_children() -> None:
     """Every forked worker was reaped: this process has no child, live or zombie."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def failing_worker(how: str):
+    """A `sigpass._scan` that, in a worker, raises or exits without writing."""
+    parent, scan = os.getpid(), sigpass._scan
+
+    def scan_or_fail(triples, lo, hi):
+        if os.getpid() != parent:
+            if how == "raise":
+                raise RuntimeError("worker failed")
+            os._exit(0)
+        return scan(triples, lo, hi)
+
+    return scan_or_fail
 
 
 def keypair(tag: int) -> Keypair:
