@@ -426,7 +426,8 @@ def verify_blocks(blocks: Iterable[Block], start: int = 0, prev: Block | None = 
     1. A structural pass (`_check_structure`) in chain order stops at the
        first block with a fault other than a signature.
     2. `sigpass.first_failing` verifies the signature triples of the blocks
-       before it, in chain order, in this process or across several.
+       before it in one `sigpass.Stream`: a forked worker for each chunk
+       but the last, which this process verifies.
 
     The verdict is a bad signature in the block of the first failing
     triple, else the structural fault: no block before either has one."""

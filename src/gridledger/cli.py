@@ -19,7 +19,7 @@ from collections import deque
 from typing import Callable, Iterator, TypeVar
 
 from . import chain as chain_mod
-from . import simnet
+from . import crypto, simnet
 from .credit import CreditReason, Role
 
 CHAIN_FILE = "chain.txt"
@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace_p = sub.add_parser("trace", help="list the lineage of a digest or key")
     trace_p.add_argument("chain", help="chain export path")
-    trace_p.add_argument("--digest", help="payload digest, hex")
-    trace_p.add_argument("--key", help="uploader public key, hex")
+    trace_p.add_argument("--digest", help="payload digest, 32 bytes in hex")
+    trace_p.add_argument("--key", help="uploader public key, 64 bytes in hex")
 
     for name in ("credits", "roles", "audit"):
         table_p = sub.add_parser(name, help=f"dump the {name} table from a run directory")
@@ -221,35 +221,35 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _lineage(blocks: Iterator[chain_mod.Block], query: bytes) -> list[str] | ValueError:
-    """The printed rows of `chain.trace_blocks`, or the error of a query of
-    the wrong length, which is reported only once the export reads clean."""
-    try:
-        found = chain_mod.trace_blocks(blocks, query)
-    except ValueError as exc:
-        return exc
+def _lineage(blocks: Iterator[chain_mod.Block], query: bytes) -> list[str]:
+    """The printed rows of `chain.trace_blocks`."""
     return [
         f"{bi}\t{ri}\t{record.metadata.created_tick}\t{record.metadata.kind.label}"
         f"\t{record.uploader_public_key[:8].hex()}\t{record.metadata.data_class}"
-        for bi, ri, record in found
+        for bi, ri, record in chain_mod.trace_blocks(blocks, query)
     ]
 
 
 def _cmd_trace(args) -> int:
-    if bool(args.digest) == bool(args.key):
+    if (args.digest is None) == (args.key is None):
         print("error: exactly one of --digest or --key is required", file=sys.stderr)
         return 2
-    selector = args.digest or args.key
+    if args.digest is None:
+        flag, selector, size = "--key", args.key, crypto.PUBLIC_KEY_LEN
+    else:
+        flag, selector, size = "--digest", args.digest, crypto.DIGEST_LEN
     try:
         query = bytes.fromhex(selector)
     except ValueError:
         print("error: selector is not hex", file=sys.stderr)
         return 2
-    rows, code = _read_export(args.chain, lambda blocks: _lineage(blocks, query))
+    # a query of the wrong length is reported only once the export reads clean
+    fits = len(query) == size
+    rows, code = _read_export(args.chain, lambda blocks: _lineage(blocks, query) if fits else [])
     if code:
         return code
-    if isinstance(rows, ValueError):
-        print(f"error: {rows}", file=sys.stderr)
+    if not fits:
+        print(f"error: {flag} takes {size} bytes, not {len(query)}", file=sys.stderr)
         return 2
     if not rows:
         print("no records")

@@ -1,34 +1,34 @@
 """The signature pass of a full-chain check, and of the votes a simulation
 run tallies, on every CPU this process may use.
 
-Both passes take (public key, message, signature) triples in chain (or
-commit) order and give the index of the first one `crypto.verify` rejects.
-Work goes to workers made with `os.fork()`: each inherits the triples,
-writes the index of the first failing triple of its chunk (or -1) to a pipe
-and ends with `os._exit`. No triple crosses a pipe. Ed25519 verification
-holds the GIL, so threads would not help.
+Both are one pass, `Stream`, over (public key, message, signature) triples
+in chain (or commit) order; it gives the index of the first one
+`crypto.verify` rejects. Each time a chunk of triples is waiting, a worker
+made with `os.fork()` takes it while the caller goes on: it inherits the
+triples, writes the index of the first failing triple of its chunk (or -1)
+to a pipe and ends with `os._exit`. No triple crosses a pipe. Ed25519
+verification holds the GIL, so threads would not help. `close` verifies
+the tail, the triples that fill no chunk, in the process, then reaps the
+workers in chunk order.
 
-- `first_failing` checks a list it is given whole, as `chain.verify_blocks`
-  does: the list is split into contiguous chunks, one per process, and the
-  caller verifies chunk 0 itself.
-- `Stream` checks triples while the caller is still producing them, as
-  `simnet.Sim.run` does with its votes: each time `MIN_CHUNK_TRIPLES` are
-  waiting, a worker is forked for them, and the run goes on. `close`
-  verifies the tail, the last triples that fill no chunk, in the process,
-  then reaps the workers in chunk order.
+- `first_failing` feeds a `Stream` a whole list, as `chain.verify_blocks`
+  has one, in chunks of just over the list's share per process: each other
+  process takes one chunk and the caller verifies the last.
+- `simnet.Sim.run` feeds one its votes as it tallies them, in chunks of
+  `MIN_CHUNK_TRIPLES`.
 
 Each triple is verified once, in exactly one process. A worker that exits
 without writing a full result counts as unknown, never as clean: the
 caller verifies that chunk itself. Workers whose chunks can no longer
 change the answer are killed, and every worker is reaped before
-`first_failing` or `Stream.close` returns or raises.
+`Stream.close` returns or raises.
 
 Nothing is forked, and the caller verifies every triple in order, when the
 process may use one CPU, the platform has no `os.fork`, or more than one
 thread is alive (a forked child gets only the calling thread, and locks
 other threads hold stay locked in it). `first_failing` also forks nothing
 for too few triples to give a second chunk of at least `MIN_CHUNK_TRIPLES`,
-and a `Stream` for fewer than `MIN_CHUNK_TRIPLES`.
+and a `Stream` for fewer than one chunk.
 """
 
 from __future__ import annotations
@@ -57,33 +57,26 @@ _RESULT = struct.Struct(">q")  # a worker's answer: first failing index or -1
 def first_failing(triples: Sequence[Triple]) -> int | None:
     """Index of the first triple whose signature does not verify, or None
     when all of them verify."""
-    bounds = _chunk_bounds(len(triples), processes(len(triples)))
-    workers: dict[int, tuple[int, int]] = {}  # chunk start -> pid, pipe read end
+    stream = Stream(len(triples) // processes(len(triples)) + 1)
     try:
-        for lo, hi in bounds[1:]:
-            worker = _fork_scan(triples, lo, hi)
-            if worker is not None:
-                workers[lo] = worker
-        for lo, hi in bounds:
-            found = _settle(triples, lo, hi, workers.pop(lo, None))
-            if found >= 0:
-                return found
-        return None
+        for triple in triples:
+            stream.append(triple)
     finally:
-        for pid, read_fd in workers.values():
-            _kill(pid, read_fd)
+        failing = stream.close()
+    return failing
 
 
 class Stream:
     """A signature pass over triples appended one at a time, in order.
 
-    Each time `MIN_CHUNK_TRIPLES` appended triples are waiting and the
-    process may use another CPU, a worker is forked to verify them while
-    the caller goes on. At most one worker per other CPU is live: before
-    forking past that, the oldest is reaped. `close` gives the index of the
-    first triple that does not verify, or None."""
+    Each time ``chunk`` appended triples (`MIN_CHUNK_TRIPLES` by default)
+    are waiting and the process may use another CPU, a worker is forked to
+    verify them while the caller goes on. At most one worker per other CPU
+    is live: before forking past that, the oldest is reaped. `close` gives
+    the index of the first triple that does not verify, or None."""
 
-    def __init__(self) -> None:
+    def __init__(self, chunk: int | None = None) -> None:
+        self._chunk = MIN_CHUNK_TRIPLES if chunk is None else chunk
         self._triples: list[Triple] = []
         self._lo = 0  # the first triple no chunk holds
         # (lo, hi, worker's pid and pipe read end or None) of each chunk
@@ -94,7 +87,7 @@ class Stream:
     def append(self, triple: Triple) -> None:
         self._triples.append(triple)
         hi = len(self._triples)
-        if hi - self._lo < MIN_CHUNK_TRIPLES or self._failing is not None:
+        if hi - self._lo < self._chunk or self._failing is not None:
             return
         cpus = _cpus()
         if cpus < 2:
@@ -125,8 +118,12 @@ class Stream:
 
     def _reap(self) -> int | None:
         """The first failing index of the oldest chunk not reaped, or None
-        when it is clean."""
-        found = _settle(self._triples, *self._chunks.pop(0))
+        when it is clean: the answer of its worker, or this process's own
+        scan when the chunk has no worker or its worker was lost."""
+        lo, hi, worker = self._chunks.pop(0)
+        found = _result(*worker) if worker is not None else None
+        if found is None:
+            found = _scan(self._triples, lo, hi)
         return found if found >= 0 else None
 
 
@@ -143,27 +140,12 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    """``parts`` contiguous [lo, hi) ranges covering range(n), as even as
-    can be."""
-    edges = [n * k // parts for k in range(parts + 1)]
-    return list(zip(edges, edges[1:]))
-
-
 def _scan(triples: Sequence[Triple], lo: int, hi: int) -> int:
     """Index of the first failing triple in ``triples[lo:hi]``, or -1."""
     for i in range(lo, hi):
         if not crypto.verify(*triples[i]):
             return i
     return -1
-
-
-def _settle(triples: Sequence[Triple], lo: int, hi: int, worker: tuple[int, int] | None) -> int:
-    """Index of the first failing triple in ``triples[lo:hi]``, or -1: the
-    answer of the chunk's worker, reaped here, or this process's own scan
-    when the chunk has no worker or its worker was lost."""
-    found = _result(*worker) if worker is not None else None
-    return _scan(triples, lo, hi) if found is None else found
 
 
 def _fork_scan(triples: Sequence[Triple], lo: int, hi: int) -> tuple[int, int] | None:

@@ -201,6 +201,24 @@ class TestTrace:
         _, out_dir = run_scenario(tmp_path)
         assert main(["trace", str(out_dir / "chain.txt")]) == 2
 
+    def test_each_selector_takes_only_its_own_length(self, tmp_path, capsys):
+        # a payload digest given as --key, a key given as --digest, and an
+        # empty selector of each flag: one error line each, not a query
+        _, out_dir = run_scenario(tmp_path)
+        chain = chain_mod.import_chain((out_dir / "chain.txt").read_text())
+        record = next(r for b in chain.blocks for r in b.records)
+        for flag, selector, size in [
+            ("--key", record.payload_digest.hex(), 64),
+            ("--digest", record.uploader_public_key.hex(), 32),
+            ("--digest", "", 32),
+            ("--key", "", 64),
+        ]:
+            capsys.readouterr()
+            assert main(["trace", str(out_dir / "chain.txt"), flag, selector]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {flag} takes {size} bytes, not {len(selector) // 2}\n"
+
 
 class TestTables:
     def test_credits_table_sorted_and_non_negative_for_honest_run(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
+from gridledger import crypto
 from gridledger.chain import BlockDecodeError, ExportFormatError, Violation, export_chain, import_chain
 from gridledger.cli import main
 
@@ -99,19 +100,20 @@ def reference(argv: list[str]) -> int:
             )
         return 0
     if command == "trace":
+        flag, hex_query = selector
         try:
-            query = bytes.fromhex(selector[1])
+            query = bytes.fromhex(hex_query)
         except ValueError:
             print("error: selector is not hex", file=sys.stderr)
             return 2
         chain, code = _load(path)
         if chain is None:
             return code
-        try:
-            rows = chain_mod.trace(chain, query)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        size = crypto.DIGEST_LEN if flag == "--digest" else crypto.PUBLIC_KEY_LEN
+        if len(query) != size:
+            print(f"error: {flag} takes {size} bytes, not {len(query)}", file=sys.stderr)
             return 2
+        rows = chain_mod.trace(chain, query)
         if not rows:
             print("no records")
             return 0
@@ -212,7 +214,10 @@ edits = st.lists(
     max_size=3,
 )
 queries = st.sampled_from(
-    [("--digest", DIGEST), ("--key", KEY), ("--digest", "00" * 32), ("--digest", "00" * 16), ("--key", "zz")]
+    [
+        ("--digest", DIGEST), ("--key", KEY), ("--digest", "00" * 32), ("--digest", "00" * 16), ("--key", "zz"),
+        ("--key", DIGEST), ("--digest", KEY),
+    ]
 )
 
 

@@ -2,11 +2,12 @@
 
 Most tests force a split: `MIN_CHUNK_TRIPLES` is set to 1 and the process
 is told it may use two or three CPUs, so even a short test chain is
-verified by the caller and one or two forked workers. Told it may use one,
-the caller verifies every triple itself. Each verdict must be the serial
-one: `validate_block` of each block in turn, up to the first error. The
-streaming pass, `sigpass.Stream`, must give the first failing triple on
-one, two or three CPUs and when no worker can be forked."""
+verified by one or two forked workers and, for its last chunk, the caller.
+Told it may use one, the caller verifies every triple itself. Each verdict
+must be the serial one: `validate_block` of each block in turn, up to the
+first error. The streaming pass, `sigpass.Stream`, must give the first
+failing triple on one, two or three CPUs and when no worker can be forked.
+Every worker is reaped, whether the pass returns or raises."""
 
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from gridledger.chain import (
 )
 from testutil import assert_no_children, build_chain, failing_worker, keypair, signed_record
 
-N_BLOCKS, PER_BLOCK = 6, 3  # 25 triples: genesis, then a recorder and 3 records per block
+N_BLOCKS, PER_BLOCK = 5, 3  # 21 triples: genesis, then a recorder and 3 records per block
 
 
 def serial_verdict(blocks) -> Violation | None:
@@ -100,12 +101,25 @@ def block_of_triple(index: int) -> tuple[int, int]:
 
 
 TRIPLES = 1 + N_BLOCKS * (PER_BLOCK + 1)
-(_, BOUNDARY), _ = sigpass._chunk_bounds(TRIPLES, 2)  # the worker's chunk starts here
-STRADDLING, FIRST_IN_WORKER = block_of_triple(BOUNDARY)
+BOUNDARY = TRIPLES // 2 + 1  # on two CPUs, the worker's chunk ends here and the caller's starts
+STRADDLING, FIRST_IN_CALLER = block_of_triple(BOUNDARY)
 
 
-def test_test_chain_straddles_the_chunk_boundary():
-    assert 0 < FIRST_IN_WORKER <= PER_BLOCK  # the block has triples in both chunks
+def test_test_chain_straddles_the_chunk_boundary(monkeypatch):
+    chunks, fork_scan = [], sigpass._fork_scan
+
+    def recording_fork_scan(triples, lo, hi):
+        chunks.append((lo, hi))
+        return fork_scan(triples, lo, hi)
+
+    monkeypatch.setattr(sigpass, "_fork_scan", recording_fork_scan)
+    with forced_split(2):
+        assert verify_chain(build_chain(N_BLOCKS, PER_BLOCK)) is None
+    assert chunks == [(0, BOUNDARY)]
+    assert_no_children()
+    # the block has a record in each chunk: record FIRST_IN_CALLER - 2 is
+    # the worker's, record FIRST_IN_CALLER - 1 the caller's
+    assert 1 < FIRST_IN_CALLER <= PER_BLOCK
 
 
 # --- equivalence with the serial verdict --------------------------------------
@@ -140,7 +154,7 @@ def test_flipped_export_verdict_is_the_serial_one(line, bit, cpus):
 
 
 @pytest.mark.parametrize("bad_sigs, root_faults, expected", [
-    # a bad signature only in the worker's chunk
+    # a bad signature only in the caller's chunk
     ({(N_BLOCKS, PER_BLOCK - 1)}, (), Violation(N_BLOCKS, "bad-signature")),
     # bad signatures in both chunks: the earliest wins
     ({(1, 0), (N_BLOCKS - 1, 1)}, (), Violation(1, "bad-signature")),
@@ -148,10 +162,14 @@ def test_flipped_export_verdict_is_the_serial_one(line, bit, cpus):
     # a structural fault before a later bad signature, and the reverse
     ({(N_BLOCKS, 0)}, (2,), Violation(2, "root-mismatch")),
     ({(1, 1)}, (N_BLOCKS,), Violation(1, "bad-signature")),
-    # the block that straddles the boundary, on the worker's side of it
-    ({(STRADDLING, FIRST_IN_WORKER - 1)}, (), Violation(STRADDLING, "bad-signature")),
+    # the block that straddles the boundary, on the caller's side of it
+    ({(STRADDLING, FIRST_IN_CALLER - 1)}, (), Violation(STRADDLING, "bad-signature")),
     # ... and on both sides
     ({(STRADDLING, 0), (STRADDLING, PER_BLOCK - 1)}, (), Violation(STRADDLING, "bad-signature")),
+    # a bad signature only in the worker's chunk, and only in its side of
+    # the block that straddles the boundary
+    ({(2, 1)}, (), Violation(2, "bad-signature")),
+    ({(STRADDLING, FIRST_IN_CALLER - 2)}, (), Violation(STRADDLING, "bad-signature")),
 ])
 def test_tampered_chain_verdict_is_the_serial_one(bad_sigs, root_faults, expected):
     chain = tampered_chain(bad_sigs, root_faults)
@@ -208,8 +226,9 @@ def test_each_triple_is_verified_exactly_once_across_processes(tmp_path):
 @pytest.mark.parametrize("how", ["raise", "exit"])
 @pytest.mark.parametrize("bad_sigs, expected", [
     ((), None),
-    ({(N_BLOCKS, 1)}, Violation(N_BLOCKS, "bad-signature")),  # in the worker's chunk
-    ({(1, 1), (N_BLOCKS, 1)}, Violation(1, "bad-signature")),
+    ({(2, 1)}, Violation(2, "bad-signature")),  # in the worker's chunk
+    ({(2, 1), (N_BLOCKS, 1)}, Violation(2, "bad-signature")),
+    ({(N_BLOCKS, 1)}, Violation(N_BLOCKS, "bad-signature")),  # in the caller's
 ])
 def test_lost_worker_chunk_is_verified_by_the_caller(tmp_path, monkeypatch, how, bad_sigs, expected):
     chain = tampered_chain(bad_sigs)
@@ -232,6 +251,43 @@ def test_lost_worker_chunk_is_verified_by_the_caller(tmp_path, monkeypatch, how,
     assert_no_children()
 
 
+def interrupted_caller():
+    """A `sigpass._scan` that raises KeyboardInterrupt in the caller, and
+    scans as usual in a worker."""
+    parent, scan = os.getpid(), sigpass._scan
+
+    def scan_or_raise(triples, lo, hi):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return scan(triples, lo, hi)
+
+    return scan_or_raise
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_workers_are_killed_when_the_callers_own_scan_raises(monkeypatch, cpus):
+    monkeypatch.setattr(sigpass, "_scan", interrupted_caller())
+    with forced_split(cpus) as forks, pytest.raises(KeyboardInterrupt):
+        verify_chain(build_chain(N_BLOCKS, PER_BLOCK))
+    assert len(forks) == cpus - 1
+    assert_no_children()
+
+
+def test_workers_are_killed_when_the_caller_is_interrupted_between_forks(monkeypatch):
+    fork_scan = sigpass._fork_scan
+
+    def interrupted_second_fork(triples, lo, hi):
+        if lo > 0:
+            raise KeyboardInterrupt
+        return fork_scan(triples, lo, hi)
+
+    monkeypatch.setattr(sigpass, "_fork_scan", interrupted_second_fork)
+    with forced_split(3) as forks, pytest.raises(KeyboardInterrupt):
+        verify_chain(build_chain(N_BLOCKS, PER_BLOCK))
+    assert len(forks) == 1
+    assert_no_children()
+
+
 def test_worker_that_writes_a_short_result_is_not_trusted(monkeypatch):
     parent, write = os.getpid(), os.write
 
@@ -239,9 +295,9 @@ def test_worker_that_writes_a_short_result_is_not_trusted(monkeypatch):
         return write(fd, data[:1] if os.getpid() != parent else data)
 
     monkeypatch.setattr(os, "write", short_write)
-    chain = tampered_chain({(N_BLOCKS, 2)})
+    chain = tampered_chain({(2, 2)})  # in the worker's chunk
     with forced_split(2) as forks:
-        assert verify_chain(chain) == Violation(N_BLOCKS, "bad-signature")
+        assert verify_chain(chain) == Violation(2, "bad-signature")
     assert len(forks) == 1
     assert_no_children()
 
@@ -302,16 +358,8 @@ def test_failed_fork_leaves_the_chunk_to_the_caller(monkeypatch):
     monkeypatch.setattr(sigpass, "MIN_CHUNK_TRIPLES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
-    assert verify_chain(tampered_chain({(N_BLOCKS, 0)})) == Violation(N_BLOCKS, "bad-signature")
-
-
-@pytest.mark.parametrize("n, parts", [(0, 1), (1, 1), (7, 2), (25, 3), (5551, 2), (3, 3)])
-def test_chunk_bounds_cover_in_order(n, parts):
-    bounds = sigpass._chunk_bounds(n, parts)
-    assert len(bounds) == parts
-    assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(n))
-    sizes = [hi - lo for lo, hi in bounds]
-    assert max(sizes) - min(sizes) <= 1
+    # in the first of the two chunks no worker could take
+    assert verify_chain(tampered_chain({(2, 0)})) == Violation(2, "bad-signature")
 
 
 # --- the streaming pass -------------------------------------------------------
@@ -350,6 +398,15 @@ def test_stream_verdict_is_the_first_failing_triple(cpus, bad):
     # forked, and a failure found there leaves the second to nobody
     expected_forks = 0 if cpus == 1 else 1 if cpus == 2 and bad and min(bad) < STREAM_CHUNK else 2
     assert len(forks) == expected_forks
+    assert_no_children()
+
+
+def test_stream_workers_are_killed_when_the_callers_own_scan_raises(monkeypatch):
+    monkeypatch.setattr(sigpass, "_scan", interrupted_caller())
+    with forced_split(3) as forks, pytest.MonkeyPatch.context() as mp, pytest.raises(KeyboardInterrupt):
+        mp.setattr(sigpass, "MIN_CHUNK_TRIPLES", STREAM_CHUNK)
+        stream_verdict(signed_triples())
+    assert len(forks) == 2
     assert_no_children()
 
 
