@@ -8,8 +8,10 @@ made with `os.fork()` takes it while the caller goes on: it inherits the
 triples, writes the index of the first failing triple of its chunk (or -1)
 to a pipe and ends with `os._exit`. No triple crosses a pipe. Ed25519
 verification holds the GIL, so threads would not help. `close` verifies
-the tail, the triples that fill no chunk, in the process, then reaps the
-workers in chunk order.
+the tail, the triples that fill no chunk, in the process, a slice at a
+time; between slices it settles, in chunk order, each chunk whose worker
+has answered, and it stops at the first failure found with every chunk
+before it clean. Then it reaps the other workers in chunk order.
 
 - `first_failing` feeds a `Stream` a whole list, as `chain.verify_blocks`
   has one, in chunks of just over the list's share per process: each other
@@ -34,6 +36,7 @@ and a `Stream` for fewer than one chunk.
 from __future__ import annotations
 
 import os
+import select
 import signal
 import struct
 import threading
@@ -48,6 +51,11 @@ from . import crypto
 # and one verify takes 0.14-0.2 ms. A chunk this long is 18-25 ms of work,
 # so a worker is always worth its fork.
 MIN_CHUNK_TRIPLES = 128
+
+# `Stream.close` verifies its tail in slices this long, about 5 ms of
+# verifies, and between slices settles the chunks whose workers have
+# answered; so a failure a worker found ends the pass within one slice.
+SLICE_TRIPLES = 32
 
 Triple = tuple[bytes, bytes, bytes]
 
@@ -99,22 +107,38 @@ class Stream:
             self._lo = hi
 
     def close(self) -> int | None:
-        """Verify the tail, reap the workers in chunk order, and return the
+        """Verify the tail, settle the chunks in chunk order, and return the
         index of the first triple that does not verify, or None. Every
         worker is reaped, whether this returns or raises."""
         try:
             if self._failing is None:
-                tail = _scan(self._triples, self._lo, len(self._triples))
-                while self._chunks and self._failing is None:
-                    self._failing = self._reap()
-                if self._failing is None and tail >= 0:
-                    self._failing = tail
+                self._failing = self._settle()
             return self._failing
         finally:
             for _, _, worker in self._chunks:
                 if worker is not None:
                     _kill(*worker)
             self._chunks.clear()
+
+    def _settle(self) -> int | None:
+        """The first failing index: the tail is verified in slices of
+        `SLICE_TRIPLES`, and before each slice the chunks whose workers have
+        answered are reaped in order. The chunks all come before the tail,
+        so a failing chunk is the answer once every chunk before it is
+        clean, and a failing tail triple once every chunk is."""
+        lo, hi, tail = self._lo, len(self._triples), -1
+        while lo < hi and tail < 0:
+            while self._chunks and _answered(self._chunks[0][2]):
+                found = self._reap()
+                if found is not None:
+                    return found
+            tail = _scan(self._triples, lo, min(lo + SLICE_TRIPLES, hi))
+            lo += SLICE_TRIPLES
+        while self._chunks:
+            found = self._reap()
+            if found is not None:
+                return found
+        return tail if tail >= 0 else None
 
     def _reap(self) -> int | None:
         """The first failing index of the oldest chunk not reaped, or None
@@ -174,6 +198,12 @@ def _fork_scan(triples: Sequence[Triple], lo: int, hi: int) -> tuple[int, int] |
             os._exit(status)
     os.close(write_fd)
     return pid, read_fd
+
+
+def _answered(worker: tuple[int, int] | None) -> bool:
+    """Whether reaping a chunk's worker would not wait: it wrote or exited,
+    or the chunk has no worker and is left to the caller."""
+    return worker is None or bool(select.select([worker[1]], [], [], 0)[0])
 
 
 def _result(pid: int, read_fd: int) -> int | None:

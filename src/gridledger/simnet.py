@@ -39,7 +39,8 @@ recorder sends every live node; it traces one line that counts them and
 names the crashed nodes, and the tap, a view of the log, expands it to one
 entry per notice as it is read.
 The report's trace, tap, message counts and tables are folds of a snapshot
-of the log.
+of the log, and so are the fault outcomes: each step a fault takes is a
+`FaultStep` event, and nothing writes an outcome as the run goes.
 
 Scenario files are line-oriented text; ``#`` starts a comment::
 
@@ -52,10 +53,10 @@ Scenario files are line-oriented text; ``#`` starts a comment::
 
 ``<upload-ref>`` is the 0-based ordinal of an ``upload`` directive in file
 order (payload digests are seed-derived, so a scenario cannot name them).
-A negative node id, size or tick, and a second ``run until``, are parse
-errors.
+A node id, size, tick or numeric param that is negative or 2**64 or more,
+and a second ``run until``, are parse errors.
 Fault kinds and the ``key=value`` params each takes (any other key is a parse
-error; numbers are non-negative):
+error):
 
 - ``forge-record <node>`` fabricates an upload at the activation tick:
   ``class=`` (1..64 bytes, default ``grid``), ``size=`` (default 32).
@@ -188,9 +189,12 @@ def _int_field(token: str, line: int, what: str) -> int:
 
 
 def _nonneg_field(token: str, line: int, what: str) -> int:
+    """A u64: a tick is stamped on a block and a node id hashed as one."""
     number = _int_field(token, line, what)
     if number < 0:
         raise ScenarioError(line, f"{what} must be non-negative")
+    if number >= 2**64:
+        raise ScenarioError(line, f"{what} must be below 2**64")
     return number
 
 
@@ -318,9 +322,9 @@ def _flip_bit(data: bytes, index: int) -> bytes:
 class _Node:
     keypair: Keypair
     assessment: int
-    crash: FaultOutcome | None = None  # the crash-node fault that took it down
+    crash: int | None = None  # the crash-node fault that took it down, by index in `Sim.faults`
     byzantine: bool = False
-    tamper_armed: list[FaultOutcome] = field(default_factory=list)
+    tamper_armed: list[int] = field(default_factory=list)  # tamper-in-flight faults, oldest first
     held: int | None = None  # canonical blocks its replica holds; None (all) until it crashes
     overrides: dict[int, Block] = field(default_factory=dict)  # tampered blocks by index
 
@@ -333,7 +337,7 @@ class _UploadFlow(NamedTuple):
     uploader_id: int
     payload: bytes
     metadata: RecordMetadata
-    forge: FaultOutcome | None = None  # set on a forge-record fault's upload
+    forge: int | None = None  # set on a forge-record fault's upload
 
 
 class _Msg(NamedTuple):
@@ -345,7 +349,7 @@ class _Msg(NamedTuple):
     dst: int
     obj: object
     flow: _UploadFlow | None = None
-    tampered_by: FaultOutcome | None = None
+    tampered_by: int | None = None  # the tamper-in-flight fault that flipped a bit
 
 
 def _line(tick: int, kind: str, src: int | None, dst: int | None, detail: str) -> str:
@@ -520,14 +524,33 @@ class Recovery(NamedTuple):
         return _line(self.tick, "recover-unit", None, None, detail)
 
 
-@dataclass
-class FaultOutcome:
-    """``outcome`` is the text ``metrics.txt`` shows for the fault, written
-    as the run goes; ``detected_tick`` is when the system caught it."""
+class FaultStep(NamedTuple):
+    """A step in the outcome of fault ``fault``, its index in the run's
+    fault list (`Sim.faults`): ``text`` replaces the outcome, or is appended
+    to it if ``append``; ``detected`` says the system caught the fault at
+    ``tick``, and ``tampered`` that a replica was altered, so the report
+    checks that copy. ``trace`` is the detail of the step's ``fault`` trace
+    line, None for no line."""
+
+    tick: int
+    fault: int
+    text: str
+    append: bool = False
+    detected: bool = False
+    tampered: bool = False
+    trace: str | None = None
+
+    def trace_text(self) -> str:
+        return "" if self.trace is None else _line(self.tick, "fault", None, None, self.trace)
+
+
+class FaultOutcome(NamedTuple):
+    """``outcome`` is the text ``metrics.txt`` shows for the fault;
+    ``detected_tick`` is when the system caught it."""
 
     spec: FaultSpec
     outcome: str
-    detected_tick: int | None = None
+    detected_tick: int | None
 
 
 @dataclass
@@ -545,7 +568,7 @@ class SimReport:
     node_status: dict[int, str]
     node_chain_status: dict[int, str]
     store_audit: tuple[ReplicaStatus, ...]
-    fault_outcomes: tuple[FaultOutcome, ...]
+    faults: tuple[FaultSpec, ...]
     log: tuple  # the run's events, in order
     upload_digests: dict[int, bytes]
     upload_payloads: dict[int, bytes]
@@ -564,6 +587,36 @@ class SimReport:
     upload_failures = property(lambda self: tuple(e for e in self._of(Refusal) if e.kind.startswith("upload")))
     epoch_changes = property(lambda self: self._of(EpochChange))
     repair_reports = property(lambda self: tuple(e.report for e in self._of(Recovery)))
+
+    @property
+    def fault_outcomes(self) -> tuple[FaultOutcome, ...]:
+        """Each fault's outcome, in fault order: a fold of its `FaultStep`s
+        from ``armed``, the earliest detecting step giving the tick. A
+        tampered replica's outcome ends with its local check, a violation
+        detecting it at the horizon; a byzantine validator's ends with its
+        dissents, the first detecting it."""
+        texts = ["armed"] * len(self.faults)
+        detected: list[int | None] = [None] * len(self.faults)
+        tampered = set()
+        for step in self._of(FaultStep):
+            texts[step.fault] = texts[step.fault] + step.text if step.append else step.text
+            if step.detected and detected[step.fault] is None:
+                detected[step.fault] = step.tick
+            if step.tampered:
+                tampered.add(step.fault)
+        for i, spec in enumerate(self.faults):
+            if i in tampered:
+                status = self.node_chain_status[spec.target]
+                texts[i] += f"; local-verify={status}"
+                detected[i] = None if status == "ok" else self.until_tick
+            elif spec.kind is FaultKind.BYZANTINE_VALIDATOR:
+                dissents = [
+                    e.tick for e in self.events
+                    if e.node_id == spec.target and e.reason is CreditReason.VALIDATOR_DISSENTED
+                ]
+                texts[i] += f"; dissents={len(dissents)}"
+                detected[i] = dissents[0] if dissents else None
+        return tuple(map(FaultOutcome, self.faults, texts, detected))
 
     @property
     def blocks_committed(self) -> int:
@@ -706,20 +759,19 @@ class Sim:
 
         self.pending: list[Record] = []
         self._verified: set[tuple] = set()  # triples intake verified, until committed or quarantined
-        self._forged: dict[Record, FaultOutcome] = {}  # accepted forged records, until decided
+        self._forged: dict[Record, int] = {}  # accepted forged records' faults, until decided
         self.upload_digests: dict[int, bytes] = {}
         self.upload_payloads: dict[int, bytes] = {}
         self.log: list[tuple] = []  # every happening, once, in order; append-only
         # the signature pass of the votes tallied so far, and their
         # validators' ids, in commit order; None outside a `step` or `run`
         self._votes: tuple[sigpass.Stream, list[int]] | None = None
-        self.fault_outcomes: list[FaultOutcome] = []
-        self._tampered_copies: list[FaultOutcome] = []
+        self.faults: list[FaultSpec] = []  # every fault injected, in order
 
         # (tick, sequence, handler, payload): a due event is handler(payload)
         self._events: list[tuple[int, int, Callable, object]] = []
         self._seq = 0
-        self._fault_handlers: dict[FaultKind, Callable[[FaultOutcome], None]] = {
+        self._fault_handlers: dict[FaultKind, Callable[[int], None]] = {
             FaultKind.FORGE_RECORD: self._on_forge_record,
             FaultKind.TAMPER_CHAIN_COPY: self._on_tamper_chain_copy,
             FaultKind.TAMPER_IN_FLIGHT: self._on_tamper_in_flight,
@@ -793,9 +845,8 @@ class Sim:
             self._require_node(spec.target, spec.line)
         if spec.tick < self.tick:
             raise ValueError("fault activation tick is in the past")
-        outcome = FaultOutcome(spec=spec, outcome="armed")
-        self.fault_outcomes.append(outcome)
-        self._schedule(spec.tick, self._fault_handlers[spec.kind], outcome)
+        self.faults.append(spec)
+        self._schedule(spec.tick, self._fault_handlers[spec.kind], len(self.faults) - 1)
 
     # --- main loop ----------------------------------------------------------
 
@@ -903,57 +954,57 @@ class Sim:
 
     # --- faults ---------------------------------------------------------------
 
-    def _trace_fault(self, spec: FaultSpec, note: str = "") -> None:
-        self._trace("fault", None, None, f"{spec.kind.value} target={spec.target}{note}")
+    def _fault_step(self, fault: int, text: str, traced: str | None = None, **flags: bool) -> None:
+        """Log a `FaultStep`; a ``traced`` suffix gives it a ``fault`` trace
+        line naming the fault's kind and target."""
+        spec = self.faults[fault]
+        trace = None if traced is None else f"{spec.kind.value} target={spec.target}{traced}"
+        self.log.append(FaultStep(self.tick, fault, text, trace=trace, **flags))
 
-    def _on_crash_node(self, outcome: FaultOutcome) -> None:
-        node = self.nodes[outcome.spec.target]
+    def _on_crash_node(self, fault: int) -> None:
+        target = self.faults[fault].target
+        node = self.nodes[target]
         if node.crash is None:
-            node.crash = outcome
+            node.crash = fault
             node.held = len(self.chain)
-            self._live = tuple(nid for nid in self._live if nid != outcome.spec.target)
+            self._live = tuple(nid for nid in self._live if nid != target)
             self._down = tuple(nid for nid in self.nodes if nid not in self._live)
-        outcome.outcome = f"crashed@{self.tick}"
-        self._trace_fault(outcome.spec)
+        self._fault_step(fault, f"crashed@{self.tick}", "")
 
-    def _on_byzantine_validator(self, outcome: FaultOutcome) -> None:
-        self.nodes[outcome.spec.target].byzantine = True
-        outcome.outcome = f"byzantine@{self.tick}"
-        self._trace_fault(outcome.spec)
+    def _on_byzantine_validator(self, fault: int) -> None:
+        self.nodes[self.faults[fault].target].byzantine = True
+        self._fault_step(fault, f"byzantine@{self.tick}", "")
 
-    def _on_tamper_in_flight(self, outcome: FaultOutcome) -> None:
-        self.nodes[outcome.spec.target].tamper_armed.append(outcome)
-        outcome.outcome = f"armed@{self.tick}"
-        self._trace_fault(outcome.spec)
+    def _on_tamper_in_flight(self, fault: int) -> None:
+        self.nodes[self.faults[fault].target].tamper_armed.append(fault)
+        self._fault_step(fault, f"armed@{self.tick}", "")
 
-    def _on_fail_storage_unit(self, outcome: FaultOutcome) -> None:
-        spec = outcome.spec
+    def _on_fail_storage_unit(self, fault: int) -> None:
+        spec = self.faults[fault]
         self.store.fail_unit(spec.target)
-        outcome.outcome = f"failed@{self.tick}"
-        outcome.detected_tick = self.tick  # the store stops placing on it at once
-        self._trace_fault(spec)
+        # the store stops placing on it at once
+        self._fault_step(fault, f"failed@{self.tick}", "", detected=True)
         if "recover" in spec.params:
-            self._schedule(spec.params["recover"], self._on_recover_unit, outcome)
+            self._schedule(spec.params["recover"], self._on_recover_unit, fault)
 
-    def _on_forge_record(self, outcome: FaultOutcome) -> None:
-        spec = outcome.spec
+    def _on_forge_record(self, fault: int) -> None:
+        spec = self.faults[fault]
         if self.nodes[spec.target].crashed:
-            outcome.outcome = "skipped: forger crashed"
+            self._fault_step(fault, "skipped: forger crashed")
             return
         payload, _ = self._rng_bytes("forged-payload", spec.params.get("size", 32))
-        outcome.outcome = f"submitted@{self.tick}"
-        self._trace_fault(spec)
+        self._fault_step(fault, f"submitted@{self.tick}", "")
         metadata = self._grid_metadata(spec.params.get("class", "grid"))
-        self._start_upload(_UploadFlow(spec.target, payload, metadata, forge=outcome))
+        self._start_upload(_UploadFlow(spec.target, payload, metadata, forge=fault))
 
-    def _on_tamper_chain_copy(self, outcome: FaultOutcome) -> None:
-        spec = outcome.spec
+    def _on_tamper_chain_copy(self, fault: int) -> None:
+        spec = self.faults[fault]
         node = self.nodes[spec.target]
         held = self._held(node)
         if "block" in spec.params:
             index = spec.params["block"]
             if not 0 <= index < held:
-                outcome.outcome = f"skipped: block {index} out of range"
+                self._fault_step(fault, f"skipped: block {index} out of range")
                 return
         else:
             index = self.rng.randrange(held)
@@ -972,21 +1023,17 @@ class Sim:
             self._trace_rng("tamper-byte", f"header-root;byte={byte_index}")
             root = _flip_bit(block.header.merkle_root, byte_index)
             node.overrides[index] = replace(block, header=block.header._replace(merkle_root=root))
-        outcome.outcome = f"tampered block {index}@{self.tick}"
-        self._tampered_copies.append(outcome)
-        self._trace_fault(spec, f";block={index}")
+        self._fault_step(fault, f"tampered block {index}@{self.tick}", f";block={index}", tampered=True)
 
-    def _on_recover_unit(self, outcome: FaultOutcome) -> None:
-        report = self.store.recover_unit(outcome.spec.target)
-        outcome.outcome += (
-            f"; recovered@{self.tick}: restored={len(report.restored)}"
-            f" unrecoverable={len(report.unrecoverable)}"
-        )
+    def _on_recover_unit(self, fault: int) -> None:
+        report = self.store.recover_unit(self.faults[fault].target)
+        restored, lost = len(report.restored), len(report.unrecoverable)
+        self._fault_step(fault, f"; recovered@{self.tick}: restored={restored} unrecoverable={lost}", append=True)
         self.log.append(Recovery(self.tick, report))
 
     # --- message delivery -------------------------------------------------------
 
-    def _tamper_message(self, msg: _Msg, outcome: FaultOutcome) -> _Msg:
+    def _tamper_message(self, msg: _Msg, fault: int) -> _Msg:
         envelope = msg.obj.payload_envelope
         if not envelope.ciphertext:
             return msg
@@ -994,14 +1041,13 @@ class Sim:
         self._trace_rng("tamper-in-flight", f"byte={pos}")
         new_env = envelope._replace(ciphertext=_flip_bit(envelope.ciphertext, pos))
         new_obj = msg.obj._replace(payload_envelope=new_env)
-        outcome.outcome = f"applied@{self.tick}"
+        self._fault_step(fault, f"applied@{self.tick}")
         self._trace("tamper", msg.src, msg.dst, f"kind={msg.kind};byte={pos}")
-        return msg._replace(obj=new_obj, tampered_by=outcome)
+        return msg._replace(obj=new_obj, tampered_by=fault)
 
     def _note_tamper_caught(self, msg: _Msg, reason: str) -> None:
         if msg.tampered_by is not None:
-            msg.tampered_by.outcome += f"; rejected={reason}"
-            msg.tampered_by.detected_tick = self.tick
+            self._fault_step(msg.tampered_by, f"; rejected={reason}", append=True, detected=True)
 
     def _deliver(self, msg: _Msg) -> None:
         node = self.nodes[msg.dst]
@@ -1085,9 +1131,8 @@ class Sim:
     def _consensus_round(self, round_index: int) -> None:
         duty = credit_mod.duty_recorder(self.assignment, round_index)
         crash = self.nodes[duty].crash
-        if crash is not None:
-            if crash.detected_tick is None:  # a crash is caught at its first missed duty
-                crash.detected_tick = self.tick
+        if crash is not None:  # a crash is caught at its first missed duty
+            self._fault_step(crash, "", append=True, detected=True)
             self._skip_round(round_index, f"duty recorder {duty} crashed")
             return
         try:
@@ -1138,7 +1183,7 @@ class Sim:
             for record in proposal.block.records:
                 forge = self._forged.pop(record, None)
                 if forge is not None:
-                    forge.outcome = f"committed-undetected@{self.tick}"
+                    self._fault_step(forge, f"committed-undetected@{self.tick}")
             self._trace(
                 "round", None, None,
                 f"r={round_index} committed block={len(self.chain) - 1} records={len(proposal.block.records)}",
@@ -1149,8 +1194,7 @@ class Sim:
                 self.log.append(QuarantineEntry(self.tick, duty, index, record))
                 forge = self._forged.pop(record, None)
                 if forge is not None:
-                    forge.outcome = f"quarantined@{self.tick}"
-                    forge.detected_tick = self.tick
+                    self._fault_step(forge, f"quarantined@{self.tick}", detected=True)
             self.pending = list(result.survivors)
             quarantined = len(result.quarantined)
             self.log.append(RejectionEntry(self.tick, duty, round_index, quarantined, len(self.pending)))
@@ -1178,11 +1222,10 @@ class Sim:
         """Snapshot the run. The canonical chain is clean, since each of
         its blocks passed its round's check, so a node's replica is checked
         only from the first block a tamper replaced on (`chain.verify_copy`).
-        Fault outcomes are annotated on copies and the log is copied, so a
-        later `run()` leaves this report as it is."""
+        The log and the fault list are copied, so a later `run()` leaves
+        this report as it is."""
         node_status = {}
         node_chain_status = {}
-        violations = {}
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
             flags = []
@@ -1191,28 +1234,8 @@ class Sim:
             if node.byzantine:
                 flags.append("byzantine")
             node_status[nid] = ",".join(flags) if flags else "ok"
-            violations[nid] = chain_mod.verify_copy(self.chain, self._held(node), node.overrides)
-            if violations[nid] is None:
-                node_chain_status[nid] = "ok"
-            else:
-                node_chain_status[nid] = f"violation@{violations[nid].index}:{violations[nid].reason}"
-        tampered = {id(fo) for fo in self._tampered_copies}
-        fault_outcomes = []
-        for fo in self.fault_outcomes:
-            outcome, detected_tick = fo.outcome, fo.detected_tick
-            if id(fo) in tampered:
-                outcome += f"; local-verify={node_chain_status[fo.spec.target]}"
-                if violations[fo.spec.target] is not None:
-                    detected_tick = until_tick
-            elif fo.spec.kind is FaultKind.BYZANTINE_VALIDATOR:
-                dissent_ticks = [
-                    e.tick
-                    for e in self.ledger.events
-                    if e.node_id == fo.spec.target and e.reason is CreditReason.VALIDATOR_DISSENTED
-                ]
-                outcome += f"; dissents={len(dissent_ticks)}"
-                detected_tick = dissent_ticks[0] if dissent_ticks else None
-            fault_outcomes.append(replace(fo, outcome=outcome, detected_tick=detected_tick))
+            found = chain_mod.verify_copy(self.chain, self._held(node), node.overrides)
+            node_chain_status[nid] = "ok" if found is None else f"violation@{found.index}:{found.reason}"
         return SimReport(
             config=self.config,
             until_tick=until_tick,
@@ -1224,7 +1247,7 @@ class Sim:
             node_status=node_status,
             node_chain_status=node_chain_status,
             store_audit=tuple(self.store.audit()),
-            fault_outcomes=tuple(fault_outcomes),
+            faults=tuple(self.faults),
             log=tuple(self.log),
             upload_digests=dict(self.upload_digests),
             upload_payloads=dict(self.upload_payloads),
@@ -1238,35 +1261,5 @@ def new_sim(config: SimConfig, scenario: Scenario | str) -> Sim:
     return Sim(config, scenario)
 
 
-def step(sim: Sim) -> Sim:
-    return sim.step()
-
-
 def run(sim: Sim, until_tick: int | None = None) -> SimReport:
     return sim.run(until_tick)
-
-
-def inject_fault(sim: Sim, spec: FaultSpec) -> Sim:
-    sim.inject_fault(spec)
-    return sim
-
-
-def metrics(report: SimReport) -> dict:
-    """Headline numbers: block/record outcomes, credit distribution, role
-    churn, and per-kind fault detection counts (a fault counts as detected
-    when its outcome has a ``detected_tick``)."""
-    detection: dict[str, dict[str, int]] = {}
-    for fo in report.fault_outcomes:
-        entry = detection.setdefault(fo.spec.kind.value, {"injected": 0, "detected": 0})
-        entry["injected"] += 1
-        entry["detected"] += fo.detected_tick is not None
-    return {
-        "blocks_committed": report.blocks_committed,
-        "blocks_rejected": report.blocks_rejected,
-        "records_committed": report.records_committed,
-        "records_quarantined": report.records_quarantined,
-        "rounds_skipped": report.rounds_skipped,
-        "credits": dict(sorted(report.credits.items())),
-        "role_churn": [c.changed for c in report.epoch_changes],
-        "detection": detection,
-    }

@@ -38,9 +38,10 @@ from gridledger.chain import (
     verify_chain,
     verify_copy,
 )
+from gridledger.codec import encode_u64
 from gridledger.merkle import EMPTY_ROOT
 
-from testutil import build_chain, keypair, signed_record
+from testutil import build_chain, export_with_an_empty_data_class, keypair, signed_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,6 +78,12 @@ class TestCanonicalBytes:
         record = signed_record(keypair(2), b"p", data_class="")
         with pytest.raises(EncodingError):
             record_bytes(record)
+
+    def test_u64_bound(self):
+        assert encode_u64(2**64 - 1) == b"\xff" * 8
+        for value in (2**64, -1):
+            with pytest.raises(EncodingError):
+                encode_u64(value)
 
     def test_block_round_trip(self):
         chain = build_chain(2)
@@ -417,6 +424,11 @@ class TestExportImport:
     def test_non_hex_rejected(self):
         with pytest.raises(ExportFormatError):
             import_chain("zzzz\n")
+
+    def test_record_with_an_empty_data_class_is_undecodable(self):
+        with pytest.raises(BlockDecodeError) as exc_info:
+            import_chain(export_with_an_empty_data_class())
+        assert exc_info.value.index == 1
 
     def test_block_decode_error_carries_index(self):
         text = export_chain(build_chain(2))

@@ -12,7 +12,7 @@ from gridledger.chain import Block, Chain
 from gridledger.cli import main
 from gridledger.credit import CreditReason
 
-from testutil import build_chain
+from testutil import build_chain, export_with_an_empty_data_class
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 RUNNABLE = sorted(p.name for p in SCENARIOS.glob("*.txt") if p.name != "parse_bad.txt")
@@ -98,6 +98,16 @@ class TestRun:
         assert err.count("\n") == 1 and "line 3" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_tick_past_u64_is_a_parse_error(self, tmp_path, capsys):
+        # a block stamped at such a tick cannot be encoded
+        scenario = tmp_path / "far.txt"
+        scenario.write_text(f"upload 0 grid 8 at {2**64}\nrun until {2**64 + 1}\n")
+        code = main(["run", str(scenario), "--out", str(tmp_path / "o"), "--interval", str(2**64), *RUN_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "line 1" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_second_run_until_is_a_parse_error(self, tmp_path, capsys):
         scenario = tmp_path / "twice.txt"
         scenario.write_text("authorize 4\nrun until 600\nrun until 1200\n")
@@ -150,6 +160,12 @@ class TestVerify:
         path.write_text(chain_mod.export_chain(Chain((chain.blocks[0], duplicated, chain.blocks[2]))))
         assert main(["verify", str(path)]) == 1
         assert "violation at block 1: duplicate-record" in capsys.readouterr().out
+
+    def test_record_with_an_empty_data_class_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "empty-class.txt"
+        path.write_text(export_with_an_empty_data_class())
+        assert main(["verify", str(path)]) == 1
+        assert "violation at block 1: undecodable" in capsys.readouterr().out
 
     def test_empty_file_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

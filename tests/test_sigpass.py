@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import select
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -221,6 +222,34 @@ def test_each_triple_is_verified_exactly_once_across_processes(tmp_path):
     assert_no_children()
 
 
+def test_a_failure_a_worker_found_ends_the_callers_scan_within_a_slice(monkeypatch):
+    # The worker's chunk fails at its first triple, so it answers at once.
+    # Once that answer is readable, the caller may verify at most one more
+    # slice of its own chunk before it reports the failure.
+    parent, fork_scan, pipes, calls = os.getpid(), sigpass._fork_scan, [], []
+
+    def recording_fork_scan(triples, lo, hi):
+        worker = fork_scan(triples, lo, hi)
+        pipes.append(worker[1])
+        return worker
+
+    def verify(public_key, message, signature):
+        if os.getpid() == parent:
+            if not calls:  # wait here until the worker's answer is readable
+                assert select.select(pipes, [], [], 30)[0] == pipes
+            calls.append(message)
+        return signature == b"ok"
+
+    triples = [(b"key", b"%d" % i, b"bad" if i == 0 else b"ok") for i in range(400)]
+    monkeypatch.setattr(sigpass, "_fork_scan", recording_fork_scan)
+    monkeypatch.setattr(crypto, "verify", verify)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert sigpass.first_failing(triples) == 0
+    assert len(pipes) == 1  # the worker took [0, 201), the caller [201, 400)
+    assert len(calls) <= sigpass.SLICE_TRIPLES
+    assert_no_children()
+
+
 # --- workers that fail --------------------------------------------------------
 
 @pytest.mark.parametrize("how", ["raise", "exit"])
@@ -398,6 +427,17 @@ def test_stream_verdict_is_the_first_failing_triple(cpus, bad):
     # forked, and a failure found there leaves the second to nobody
     expected_forks = 0 if cpus == 1 else 1 if cpus == 2 and bad and min(bad) < STREAM_CHUNK else 2
     assert len(forks) == expected_forks
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("bad", [(), (1,), (9,), (10,), (1, 9), (5, 10), (9, 10)])
+def test_stream_verdict_holds_when_the_tail_is_verified_a_triple_at_a_time(monkeypatch, cpus, bad):
+    # the tail [8, 11) takes three slices, with the workers settled between them
+    monkeypatch.setattr(sigpass, "SLICE_TRIPLES", 1)
+    with forced_split(cpus), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sigpass, "MIN_CHUNK_TRIPLES", STREAM_CHUNK)
+        assert stream_verdict(signed_triples(bad)) == (min(bad) if bad else None)
     assert_no_children()
 
 

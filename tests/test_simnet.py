@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import select
 import sys
 import time
 import tracemalloc
@@ -23,12 +24,9 @@ from gridledger.simnet import (
     ScenarioError,
     SimConfig,
     UploadPlan,
-    inject_fault,
-    metrics,
     new_sim,
     parse_scenario,
     run,
-    step,
 )
 from testutil import assert_no_children, failing_worker
 
@@ -131,6 +129,27 @@ class TestParseScenario:
         assert exc_info.value.line == 9
         assert "non-negative" in str(exc_info.value)
 
+    @pytest.mark.parametrize(
+        "directive",
+        [
+            "upload 2 load 8 at {n}",
+            "share 2 4 0 at {n}",
+            "fault crash-node 1 at {n}",
+            "fault fail-storage-unit u1 at 5 recover={n}",
+            "run until {n}",
+            "node {n} assessment 5",
+        ],
+    )
+    def test_number_of_2_64_or_more_rejected_with_line(self, directive):
+        # a block stamped with such a tick, or a key derived from such a
+        # node id, cannot be encoded
+        parse_scenario(SIX_NODES + "upload 2 load 8 at 10\n" + directive.format(n=2**64 - 1) + "\n")
+        for n in (2**64, 2**70):
+            with pytest.raises(ScenarioError) as exc_info:
+                parse_scenario(SIX_NODES + "upload 2 load 8 at 10\n" + directive.format(n=n) + "\n")
+            assert exc_info.value.line == 9
+            assert "below 2**64" in str(exc_info.value)
+
     def test_oversized_data_class_rejected_at_parse(self):
         with pytest.raises(ScenarioError, match=r"^line 1: data class must be 1\.\.64 bytes$"):
             parse_scenario(f"upload 1 {'x' * 65} 4 at 0\n")
@@ -218,7 +237,7 @@ class TestRun:
     def test_step_advances_one_tick(self):
         sim = new_sim(desk_config(), SIX_NODES + "run until 10\n")
         assert sim.tick == 0
-        step(sim)
+        sim.step()
         assert sim.tick == 1
 
     def test_run_steps_only_ticks_with_something_due(self, monkeypatch):
@@ -549,7 +568,7 @@ run until 1200
     def test_rerun_leaves_earlier_report_as_it_was(self):
         sim = new_sim(desk_config(seed=11), (SCENARIOS / "faults.txt").read_text())
         first = sim.run(700)
-        inject_fault(sim, FaultSpec(kind="tamper-chain-copy", target=4, tick=800, params={"block": 0}))
+        sim.inject_fault(FaultSpec(kind="tamper-chain-copy", target=4, tick=800, params={"block": 0}))
         second = sim.run(1200)
 
         def byzantine(report):
@@ -567,11 +586,11 @@ run until 1200
     def test_inject_fault_validates_target(self):
         sim = new_sim(desk_config(), SIX_NODES + "run until 0\n")
         with pytest.raises(ScenarioError):
-            inject_fault(sim, FaultSpec(kind="crash-node", target=77, tick=10))
+            sim.inject_fault(FaultSpec(kind="crash-node", target=77, tick=10))
         with pytest.raises(ScenarioError):
-            inject_fault(sim, FaultSpec(kind="fail-storage-unit", target="u99", tick=10))
+            sim.inject_fault(FaultSpec(kind="fail-storage-unit", target="u99", tick=10))
         with pytest.raises(ValueError):
-            inject_fault(sim, FaultSpec(kind="rewire", target=1, tick=10))
+            sim.inject_fault(FaultSpec(kind="rewire", target=1, tick=10))
 
 
 class TestWireDiscipline:
@@ -668,14 +687,23 @@ def test_liveness_under_random_honest_scenarios():
             assert sealed_tick - upload_tick <= 2 * interval
 
 
+def detection(report):
+    """Per fault kind, the faults injected and those with a detected tick."""
+    counts = {}
+    for fo in report.fault_outcomes:
+        entry = counts.setdefault(fo.spec.kind.value, {"injected": 0, "detected": 0})
+        entry["injected"] += 1
+        entry["detected"] += fo.detected_tick is not None
+    return counts
+
+
 def test_metrics_summary():
     scenario = (SCENARIOS / "faults.txt").read_text()
     report = run(new_sim(desk_config(seed=11), scenario))
-    summary = metrics(report)
-    assert summary["blocks_rejected"] == 1
-    assert summary["records_quarantined"] == 3
-    assert summary["detection"]["forge-record"] == {"injected": 3, "detected": 3}
-    assert summary["detection"]["byzantine-validator"]["detected"] == 1
+    assert report.blocks_rejected == 1
+    assert report.records_quarantined == 3
+    assert detection(report)["forge-record"] == {"injected": 3, "detected": 3}
+    assert detection(report)["byzantine-validator"]["detected"] == 1
     # the byzantine validator sits strictly below the honest validators' mean
     honest_validators = [4, 5]
     honest_mean = sum(report.credits[n] for n in honest_validators) / 2
@@ -694,6 +722,28 @@ def test_every_fault_outcome_and_detected_tick_pinned():
         ("crash-node", 1, "crashed@1000", 1200),
         ("tamper-chain-copy", 7, "tampered block 1@2000; local-verify=violation@1:root-mismatch", 2400),
     ]
+
+
+def test_fault_outcome_edge_cases_pinned():
+    # a second crash of a crashed node, a forger that crashed, a block
+    # index past the copy's end, and a tamper armed long before it applies
+    text = (SCENARIOS / "all_faults.txt").read_text().replace(
+        "run until 2400\n",
+        "fault crash-node 1 at 1100\n"
+        "fault forge-record 1 at 1300\n"
+        "fault tamper-chain-copy 7 at 2100 block=99\n"
+        "fault tamper-in-flight 2 at 100\n"
+        "run until 2400\n",
+    )
+    report = run(new_sim(desk_config(seed=7), text))
+    assert [(fo.outcome, fo.detected_tick) for fo in report.fault_outcomes[6:]] == [
+        ("crashed@1100", None),  # only the crash that took the node down is detected
+        ("skipped: forger crashed", None),
+        ("skipped: block 99 out of range", None),  # no local-verify note
+        ("applied@1303; rejected=decryption-failure", 1303),
+    ]
+    first_crash = report.fault_outcomes[4]
+    assert (first_crash.outcome, first_crash.detected_tick) == ("crashed@1000", 1200)
 
 
 def retained_per_empty_round(node_count: int, warm: int = 20, rounds: int = 40) -> float:
@@ -993,9 +1043,12 @@ def test_the_earliest_forged_vote_is_reported_when_a_later_chunk_answers_first(m
 @pytest.mark.parametrize("how", ["raise", "exit"])
 def test_a_lost_workers_chunk_is_verified_in_the_process(monkeypatch, how):
     # every worker is lost: each chunk is verified again in the process,
-    # the clean first one and the second, which holds the forged vote
+    # the clean first one and the second, which holds the forged vote.
+    # The end of the run waits until the second worker is gone, so that
+    # chunk is settled before the tail, and the forged vote ends the pass.
     forged = forge_a_vote(monkeypatch, chunk_tick(151))
     monkeypatch.setattr(sigpass, "_scan", failing_worker(how))
+    monkeypatch.setattr(sigpass, "_answered", lambda worker: bool(select.select([worker[1]], [], [], 30)[0]))
     forks = count_forks(monkeypatch, cpus=2)
     counts = counting_verify(monkeypatch)
     sim = new_sim(desk_config(seed=7), f"run until {LONG_IDLE}\n")
@@ -1003,9 +1056,9 @@ def test_a_lost_workers_chunk_is_verified_in_the_process(monkeypatch, how):
         sim.run()
     assert str(raised.value) == f"vote signature from {forged[0]} does not verify"
     assert len(forks) == 2
-    # the process verified both chunks, up to the forged vote, and the tail
+    # the process verified both chunks, up to the forged vote, and not the tail
     scanned = sum(n for (caller, *_), n in counts.items() if caller == "_scan")
-    assert scanned == 152 + 2
+    assert scanned == 152
     assert_no_children()
 
 
@@ -1210,10 +1263,10 @@ def test_fault_artifacts_and_detection_pinned():
     }
     for name, expected in golden["sha256"].items():
         assert hashlib.sha256(artifacts[name].encode("utf-8")).hexdigest() == expected, name
-    detection = metrics(report)["detection"]
-    assert detection == golden["detection"]
-    assert len(detection) == 6
-    assert all(entry == {"injected": 1, "detected": 1} for entry in detection.values())
+    detected = detection(report)
+    assert detected == golden["detection"]
+    assert len(detected) == 6
+    assert all(entry == {"injected": 1, "detected": 1} for entry in detected.values())
 
 
 @pytest.mark.parametrize(

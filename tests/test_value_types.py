@@ -15,7 +15,6 @@ DATACLASSES = {
     "simnet.SimConfig": "the CLI parser reads its defaults at class level; __post_init__",
     "simnet.Scenario": "mutated: parse_scenario appends to its lists",
     "simnet._Node": "mutated: crash, byzantine, tamper and replica state",
-    "simnet.FaultOutcome": "mutated: fault handlers write its outcome as the run goes",
     "simnet.SimReport": "the tracer wraps its render methods; holds mutable tables",
     "datastore.StorageUnit": "mutated: alive flag and object map",
 }

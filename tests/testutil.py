@@ -67,3 +67,18 @@ def build_chain(n_blocks: int, records_per_block: int = 3, interval: int = 600) 
         block = chain_mod.make_block(recorder, chain.tip_digest, tick, records)
         chain = chain.append(block)
     return chain
+
+
+def export_with_an_empty_data_class() -> str:
+    """The export of a two-block chain whose block 1 holds a record with an
+    empty data_class. `record_bytes` refuses to encode such a record, so the
+    class bytes are cut from an honest one: its u32 length, after the
+    uploader key, the payload digest and the kind byte, becomes 0."""
+    chain = build_chain(2, records_per_block=1)
+    record = chain_mod.record_bytes(chain.blocks[1].records[0])
+    at = crypto.PUBLIC_KEY_LEN + crypto.DIGEST_LEN + 1
+    class_len = int.from_bytes(record[at : at + 4], "big")
+    emptied = record[:at] + bytes(4) + record[at + 4 + class_len :]
+    lines = chain_mod.export_chain(chain).splitlines()
+    lines[1] = lines[1].replace(record.hex(), emptied.hex())
+    return "\n".join(lines) + "\n"
