@@ -10,9 +10,10 @@ per-round check calls it, and `record_protocol.validate_proposal` and
 `record_protocol.commit` take its result. It is built from two steps,
 `_check_structure` and the block's signature triples, which every
 full-chain check (`verify_blocks`, behind `verify_chain` and `verify_copy`)
-takes on their own: the structure of every block first, then the triples,
-in this process or across several (`sigpass`). The first block either step
-flags is the first block `validate_block` faults, for the same reason.
+takes on their own: the structure of each block, then its triples, which
+go to one signature pass (`sigpass`) while later blocks are checked. The
+first block either step flags is the first block `validate_block` faults,
+for the same reason.
 `Chain.append` judges nothing: a block reaches it only through a check of
 its own, and `verify_chain` checks every block it is given.
 
@@ -425,25 +426,32 @@ def verify_blocks(blocks: Iterable[Block], start: int = 0, prev: Block | None = 
 
     1. A structural pass (`_check_structure`) in chain order stops at the
        first block with a fault other than a signature.
-    2. `sigpass.first_failing` verifies the signature triples of the blocks
-       before it in one `sigpass.Stream`: a forked worker for each chunk
-       but the last, which this process verifies.
+    2. Each block that passes it hands its signature triples to one
+       `sigpass.Stream` at once, so standing workers verify them while
+       later blocks are read and checked. Reading stops as soon as the
+       stream knows a triple fails: no later block can change the verdict.
 
     The verdict is a bad signature in the block of the first failing
     triple, else the structural fault: no block before either has one."""
-    triples: list[sigpass.Triple] = []
-    ends: list[int] = []  # the end in ``triples`` of each checked block's triples
+    stream, n = sigpass.Stream(), 0
+    ends: list[int] = []  # the end in the stream of each checked block's triples
     fault = None
-    for i, block in enumerate(blocks, start):
-        try:
-            signing = _check_structure(block, prev)
-        except (ChainError, EncodingError) as exc:
-            fault = Violation(index=i, reason=exc.reason)
-            break
-        triples += _signature_triples(block, signing)
-        ends.append(len(triples))
-        prev = block
-    bad = sigpass.first_failing(triples)
+    try:
+        for i, block in enumerate(blocks, start):
+            try:
+                signing = _check_structure(block, prev)
+            except (ChainError, EncodingError) as exc:
+                fault = Violation(index=i, reason=exc.reason)
+                break
+            for triple in _signature_triples(block, signing):
+                stream.append(triple)
+                n += 1
+            ends.append(n)
+            prev = block
+            if stream.failed:
+                break
+    finally:
+        bad = stream.close()
     if bad is not None:
         return Violation(index=start + bisect_right(ends, bad), reason=BadSignatureError.reason)
     return fault

@@ -2,35 +2,25 @@
 run tallies, on every CPU this process may use.
 
 Both are one pass, `Stream`, over (public key, message, signature) triples
-in chain (or commit) order; it gives the index of the first one
-`crypto.verify` rejects. Each time a chunk of triples is waiting, a worker
-made with `os.fork()` takes it while the caller goes on: it inherits the
-triples, writes the index of the first failing triple of its chunk (or -1)
-to a pipe and ends with `os._exit`. No triple crosses a pipe. Ed25519
-verification holds the GIL, so threads would not help. `close` verifies
-the tail, the triples that fill no chunk, in the process, a slice at a
-time; between slices it settles, in chunk order, each chunk whose worker
-has answered, and it stops at the first failure found with every chunk
-before it clean. Then it reaps the other workers in chunk order.
-
-- `first_failing` feeds a `Stream` a whole list, as `chain.verify_blocks`
-  has one, in chunks of just over the list's share per process: each other
-  process takes one chunk and the caller verifies the last.
-- `simnet.Sim.run` feeds one its votes as it tallies them, in chunks of
-  `MIN_CHUNK_TRIPLES`.
+appended in chain (or commit) order; it gives the index of the first one
+`crypto.verify` rejects. `chain.verify_blocks` appends each block's triples
+once its structure is checked, `simnet.Sim.run` each round's votes as it
+tallies them. One standing worker per spare CPU, forked with `os.fork()`
+as full batches of `BATCH_TRIPLES` come in, lasts the whole pass: a batch
+goes to it as one frame (the `codec` layout) over a pipe, and it answers
+each in order on a pipe of its own. Ed25519 verification holds the GIL,
+so threads would not help. The caller reads answers without waiting and
+takes a batch itself only when every worker holds `BACKLOG` unanswered
+ones, so `append` never waits. `close` verifies the last partial batch and
+waits for the answers of the batches before the first failure found.
 
 Each triple is verified once, in exactly one process. A worker that exits
-without writing a full result counts as unknown, never as clean: the
-caller verifies that chunk itself. Workers whose chunks can no longer
-change the answer are killed, and every worker is reaped before
-`Stream.close` returns or raises.
-
-Nothing is forked, and the caller verifies every triple in order, when the
-process may use one CPU, the platform has no `os.fork`, or more than one
-thread is alive (a forked child gets only the calling thread, and locks
-other threads hold stay locked in it). `first_failing` also forks nothing
-for too few triples to give a second chunk of at least `MIN_CHUNK_TRIPLES`,
-and a `Stream` for fewer than one chunk.
+or answers short is lost, never clean: the caller verifies each batch it
+left unanswered. Every worker is killed and reaped before `Stream.close`
+returns or raises. Nothing is forked when the process may use one CPU, the
+platform has no `os.fork`, or more than one thread is alive (a forked child
+gets only the calling thread, and locks other threads hold stay locked in
+it); after a fork fails, no other is tried.
 """
 
 from __future__ import annotations
@@ -39,122 +29,139 @@ import os
 import select
 import signal
 import struct
+import sys
 import threading
+from collections import deque
 from typing import Sequence
 
 from . import crypto
+from .codec import U32, ByteReader, encode_var_bytes
 
-# Forking, exiting and reaping a worker of a process holding a 300-block
-# import took 1.5 ms (median, 2.3 ms at most) on a 2-core x86-64 VM. The
-# fork alone, inside an idle run of the 150-node benchmark network, took
-# 0.7-1.5 ms (median 0.9 ms; up to 3.6 ms in the first run of a process),
-# and one verify takes 0.14-0.2 ms. A chunk this long is 18-25 ms of work,
-# so a worker is always worth its fork.
-MIN_CHUNK_TRIPLES = 128
+# Making a worker (two pipes and a fork) inside an idle run of the benchmark
+# network took 1.2-1.6 ms on a 2-core x86-64 VM, and one verify 0.13-0.24
+# ms: a batch is 4-8 ms of verifies, so the first one pays for the fork.
+# Batches of 6 cost the benchmark's ingest run, whose 24 votes fork nothing
+# at 32, 0.5-4.7% of its blocks per second (three 15 s runs each).
+BATCH_TRIPLES = 32
 
-# `Stream.close` verifies its tail in slices this long, about 5 ms of
-# verifies, and between slices settles the chunks whose workers have
-# answered; so a failure a worker found ends the pass within one slice.
-SLICE_TRIPLES = 32
+# Batches a worker may hold unanswered before the caller takes the next one.
+BACKLOG = 2
 
 Triple = tuple[bytes, bytes, bytes]
 
-_RESULT = struct.Struct(">q")  # a worker's answer: first failing index or -1
-
-
-def first_failing(triples: Sequence[Triple]) -> int | None:
-    """Index of the first triple whose signature does not verify, or None
-    when all of them verify."""
-    stream = Stream(len(triples) // processes(len(triples)) + 1)
-    try:
-        for triple in triples:
-            stream.append(triple)
-    finally:
-        failing = stream.close()
-    return failing
+_ANSWER = struct.Struct(">q")  # a batch's first failing index in it, or -1
+_NONE = sys.maxsize  # no failing index found
 
 
 class Stream:
     """A signature pass over triples appended one at a time, in order.
+    `close` gives the index of the first triple that does not verify, or
+    None."""
 
-    Each time ``chunk`` appended triples (`MIN_CHUNK_TRIPLES` by default)
-    are waiting and the process may use another CPU, a worker is forked to
-    verify them while the caller goes on. At most one worker per other CPU
-    is live: before forking past that, the oldest is reaped. `close` gives
-    the index of the first triple that does not verify, or None."""
-
-    def __init__(self, chunk: int | None = None) -> None:
-        self._chunk = MIN_CHUNK_TRIPLES if chunk is None else chunk
+    def __init__(self) -> None:
         self._triples: list[Triple] = []
-        self._lo = 0  # the first triple no chunk holds
-        # (lo, hi, worker's pid and pipe read end or None) of each chunk
-        # not reaped yet, in order
-        self._chunks: list[tuple[int, int, tuple[int, int] | None]] = []
-        self._failing: int | None = None  # found in a reaped chunk
+        self._lo = 0  # the first triple no batch holds
+        self._spare = _cpus() - 1  # workers still to fork
+        self._workers: list[_Worker] = []  # every worker forked, in order
+        self._failing = _NONE  # the earliest failing index found yet
+
+    @property
+    def failed(self) -> bool:
+        """Whether a triple is known to fail, so that no triple appended
+        from now on can be the answer."""
+        return self._failing < _NONE
 
     def append(self, triple: Triple) -> None:
         self._triples.append(triple)
-        hi = len(self._triples)
-        if hi - self._lo < self._chunk or self._failing is not None:
+        lo, hi = self._lo, len(self._triples)
+        if hi - lo < BATCH_TRIPLES or self.failed:
             return
-        cpus = _cpus()
-        if cpus < 2:
-            return
-        while len(self._chunks) >= cpus - 1 and self._failing is None:
-            self._failing = self._reap()
-        if self._failing is None:
-            self._chunks.append((self._lo, hi, _fork_scan(self._triples, self._lo, hi)))
-            self._lo = hi
+        self._lo = hi
+        self._poll(0)
+        if not self.failed and not self._send(lo, hi):
+            self._verify(lo, hi)
 
     def close(self) -> int | None:
-        """Verify the tail, settle the chunks in chunk order, and return the
-        index of the first triple that does not verify, or None. Every
-        worker is reaped, whether this returns or raises."""
+        """Verify the last partial batch, wait for the answers of the
+        batches before the first failure found, and return the index of the
+        first triple that does not verify, or None. Every worker is killed
+        and reaped, whether this returns or raises."""
         try:
-            if self._failing is None:
-                self._failing = self._settle()
-            return self._failing
+            self._poll(0)
+            if not self.failed:
+                self._verify(self._lo, len(self._triples))
+            while any(w.batches and w.batches[0][0] < self._failing for w in self._workers):
+                self._poll(None)
+            return self._failing if self.failed else None
         finally:
-            for _, _, worker in self._chunks:
-                if worker is not None:
-                    _kill(*worker)
-            self._chunks.clear()
+            for worker in self._workers:
+                os.kill(worker.pid, signal.SIGKILL)
+                os.close(worker.frames)
+                os.close(worker.answers)
+                os.waitpid(worker.pid, 0)
+            self._workers.clear()
 
-    def _settle(self) -> int | None:
-        """The first failing index: the tail is verified in slices of
-        `SLICE_TRIPLES`, and before each slice the chunks whose workers have
-        answered are reaped in order. The chunks all come before the tail,
-        so a failing chunk is the answer once every chunk before it is
-        clean, and a failing tail triple once every chunk is."""
-        lo, hi, tail = self._lo, len(self._triples), -1
-        while lo < hi and tail < 0:
-            while self._chunks and _answered(self._chunks[0][2]):
-                found = self._reap()
-                if found is not None:
-                    return found
-            tail = _scan(self._triples, lo, min(lo + SLICE_TRIPLES, hi))
-            lo += SLICE_TRIPLES
-        while self._chunks:
-            found = self._reap()
-            if found is not None:
-                return found
-        return tail if tail >= 0 else None
+    def _send(self, lo: int, hi: int) -> bool:
+        """Give batch [lo, hi) to a worker: a new one while a spare CPU is
+        left, else the live one holding the fewest, if fewer than
+        `BACKLOG`. False when no worker takes it."""
+        new = _fork() if self._spare > 0 else None
+        self._spare = self._spare - 1 if new is not None else 0
+        self._workers += [new] if new is not None else []
+        live = [w for w in self._workers if not w.lost and len(w.batches) < BACKLOG]
+        if not live:
+            return False
+        worker = min(live, key=lambda w: len(w.batches))
+        frame = b"".join(encode_var_bytes(field) for triple in self._triples[lo:hi] for field in triple)
+        try:
+            _write(worker.frames, encode_var_bytes(frame))
+        except BrokenPipeError:  # the worker is gone
+            self._lose(worker)
+            return False
+        worker.batches.append((lo, hi))
+        return True
 
-    def _reap(self) -> int | None:
-        """The first failing index of the oldest chunk not reaped, or None
-        when it is clean: the answer of its worker, or this process's own
-        scan when the chunk has no worker or its worker was lost."""
-        lo, hi, worker = self._chunks.pop(0)
-        found = _result(*worker) if worker is not None else None
-        if found is None:
-            found = _scan(self._triples, lo, hi)
-        return found if found >= 0 else None
+    def _poll(self, timeout: float | None) -> None:
+        """Take the answers the workers have written: those waiting now, or
+        with ``timeout`` None, once at least one is."""
+        busy = {w.answers: w for w in self._workers if w.batches}
+        if busy:
+            for fd in select.select(list(busy), [], [], timeout)[0]:
+                self._take(busy[fd])
+
+    def _take(self, worker: _Worker) -> None:
+        """Read what ``worker`` has written: an answer per batch, or, from a
+        worker that exited or answered short, less."""
+        data = os.read(worker.answers, _ANSWER.size * len(worker.batches))
+        whole = len(data) - len(data) % _ANSWER.size
+        for (found,) in _ANSWER.iter_unpack(data[:whole]):
+            lo, _ = worker.batches.popleft()
+            self._failing = min(self._failing, lo + found if found >= 0 else _NONE)
+        if whole == 0 or whole < len(data):
+            self._lose(worker)
+
+    def _lose(self, worker: _Worker) -> None:
+        """Verify in the process each batch ``worker`` left unanswered that
+        could still hold the answer; it gets no more."""
+        worker.lost = True
+        while worker.batches:
+            lo, hi = worker.batches.popleft()
+            if lo < self._failing:
+                self._verify(lo, hi)
+
+    def _verify(self, lo: int, hi: int) -> None:
+        found = _scan(self._triples, lo, hi)
+        self._failing = min(self._failing, found if found >= 0 else _NONE)
 
 
-def processes(n_triples: int) -> int:
-    """How many processes `first_failing` uses for ``n_triples``, the
-    caller included."""
-    return max(1, min(_cpus(), n_triples // MIN_CHUNK_TRIPLES))
+class _Worker:
+    """A standing worker: its pid, the pipe ends it is sent batches on and
+    answers on, and the batches it holds unanswered, in order."""
+
+    def __init__(self, pid: int, frames: int, answers: int) -> None:
+        self.pid, self.frames, self.answers = pid, frames, answers
+        self.batches: deque[tuple[int, int]] = deque()
+        self.lost = False
 
 
 def _cpus() -> int:
@@ -172,55 +179,45 @@ def _scan(triples: Sequence[Triple], lo: int, hi: int) -> int:
     return -1
 
 
-def _fork_scan(triples: Sequence[Triple], lo: int, hi: int) -> tuple[int, int] | None:
-    """Fork a worker that scans ``triples[lo:hi]``. Returns its pid and the
-    read end of its pipe, or None when no worker could be made."""
+def _fork() -> _Worker | None:
+    """Fork a worker, or None when none could be made."""
+    fds: list[int] = []
+    pid = None
     try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
         return None
+    finally:
+        if pid is None:
+            for fd in fds:
+                os.close(fd)
+    frames_r, frames_w, answers_r, answers_w = fds
     if pid == 0:
         # The worker: whatever happens, it leaves here through os._exit and
-        # never runs the caller's code. A result shorter than _RESULT.size
-        # (nothing, if it fails) reads as lost.
+        # never runs the caller's code. It answers each batch framed on its
+        # pipe until that pipe ends or it is killed.
         status = 1
         try:
-            os.close(read_fd)
-            os.write(write_fd, _RESULT.pack(_scan(triples, lo, hi)))
+            os.close(frames_w)
+            os.close(answers_r)
+            with open(frames_r, "rb") as frames:
+                while head := frames.read(U32.size):
+                    body = frames.read(U32.unpack(head)[0])
+                    batch, triples = ByteReader(body), []
+                    while batch.mark() < len(body):
+                        triples.append((batch.var_bytes(), batch.var_bytes(), batch.var_bytes()))
+                    _write(answers_w, _ANSWER.pack(_scan(triples, 0, len(triples))))
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+    os.close(frames_r)
+    os.close(answers_w)
+    return _Worker(pid, frames_w, answers_r)
 
 
-def _answered(worker: tuple[int, int] | None) -> bool:
-    """Whether reaping a chunk's worker would not wait: it wrote or exited,
-    or the chunk has no worker and is left to the caller."""
-    return worker is None or bool(select.select([worker[1]], [], [], 0)[0])
-
-
-def _result(pid: int, read_fd: int) -> int | None:
-    """Reap a worker: the index it found (-1 for a clean chunk), or None
-    when it exited without a full result."""
-    try:
-        data = os.read(read_fd, _RESULT.size)
-    finally:
-        os.close(read_fd)
-        _, status = os.waitpid(pid, 0)
-    if status != 0 or len(data) != _RESULT.size:
-        return None
-    return _RESULT.unpack(data)[0]
-
-
-def _kill(pid: int, read_fd: int) -> None:
-    """End a worker whose answer is no longer needed, and reap it."""
-    os.kill(pid, signal.SIGKILL)
-    os.close(read_fd)
-    os.waitpid(pid, 0)
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:  # a signal can cut a long write to a pipe short
+        view = view[os.write(fd, view) :]

@@ -20,9 +20,9 @@ gates on it, so the block is appended without another check. Record and
 recorder signatures are verified where their verdict is read; a vote's
 signature steers nothing, so `commit` tallies votes unverified and each
 `run` (or a direct `step`) verifies all the votes it tallied in one
-`sigpass.Stream`: a worker per full chunk while the run goes on, the tail
-in the process at its end. The first vote that fails raises
-`ProtocolError`.
+`sigpass.Stream`: standing workers, one per spare CPU, take full batches
+as the run goes on, and the process only what they have no room for. The
+first vote that fails raises `ProtocolError`.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation.
@@ -853,9 +853,9 @@ class Sim:
     @contextmanager
     def _vote_pass(self):
         """Verify the votes tallied inside the block in one `sigpass.Stream`,
-        which the rounds feed as they tally: a worker takes each full chunk
-        of vote triples while the block goes on, and the tail is verified
-        in this process on the way out, whether the block returns or raises.
+        which the rounds feed as they tally: its standing workers take full
+        batches while the block goes on, and on the way out, whether the
+        block returns or raises, the last partial batch is verified here.
         The first vote that fails raises ProtocolError naming its
         validator, in place of any exception the block raised. A pass
         opened inside another leaves its votes to the outer one."""
@@ -890,9 +890,10 @@ class Sim:
         """Step to ``until_tick`` and report. Between steps, time jumps to
         the next tick with an event due or an interval boundary: a tick with
         neither is one `step` would only count. Every vote the run tallies
-        goes to one signature pass: forked workers verify full chunks of
-        them while the run goes on, and the rest are verified, and the
-        workers reaped, before the report is built or when a step raises.
+        goes to one signature pass: a standing worker per spare CPU takes
+        full batches while the run goes on, unless all have a backlog, and
+        the rest are verified, and the workers reaped, before the report is
+        built or when a step raises.
         A vote that fails raises ProtocolError and no report is returned.
         A horizon before the last tick already stepped raises ValueError;
         the last tick itself reports without stepping."""

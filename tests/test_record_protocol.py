@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from gridledger import chain as chain_mod
-from gridledger import crypto, sigpass
+from gridledger import crypto
 from gridledger.chain import Chain, LinkMismatchError, RecordKind, RecordMetadata, RootMismatchError, genesis
 from gridledger.credit import CreditLedger, CreditReason, NodeProfile, initialize_roles
 from gridledger.merkle import build_tree
@@ -23,7 +23,7 @@ from gridledger.record_protocol import (
     vote_triple,
 )
 
-from testutil import keypair
+from testutil import keypair, stream_verdict
 
 
 def metadata(tick=0, data_class="load"):
@@ -302,9 +302,9 @@ class TestCommit:
         def triples(tallied):
             return [vote_triple(block_digest, v, pks[v.validator_id]) for v in tallied]
 
-        assert sigpass.first_failing(triples(votes)) is None
-        assert sigpass.first_failing(triples([votes[0], forged, votes[2]])) == 1
-        assert sigpass.first_failing(triples([votes[0], elsewhere, votes[2]])) == 1
+        assert stream_verdict(triples(votes)) is None
+        assert stream_verdict(triples([votes[0], forged, votes[2]])) == 1
+        assert stream_verdict(triples([votes[0], elsewhere, votes[2]])) == 1
         # what the validator signed: its key, `vote_signing_bytes`, its signature
         assert triples(votes)[0] == (
             pks[votes[0].validator_id], vote_signing_bytes(block_digest, True, ()), votes[0].signature

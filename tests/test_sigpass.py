@@ -1,13 +1,14 @@
-"""The forked signature pass (`gridledger.sigpass`) under `verify_chain`.
+"""The signature pass (`gridledger.sigpass`) under `verify_chain`, and
+`sigpass.Stream` on its own.
 
-Most tests force a split: `MIN_CHUNK_TRIPLES` is set to 1 and the process
-is told it may use two or three CPUs, so even a short test chain is
-verified by one or two forked workers and, for its last chunk, the caller.
-Told it may use one, the caller verifies every triple itself. Each verdict
-must be the serial one: `validate_block` of each block in turn, up to the
-first error. The streaming pass, `sigpass.Stream`, must give the first
-failing triple on one, two or three CPUs and when no worker can be forked.
-Every worker is reaped, whether the pass returns or raises."""
+Most tests force a split: `BATCH_TRIPLES` is set to 4 and the process is
+told it may use two or three CPUs, so even a short test chain is verified
+in batches by one or two standing workers and, for the batches every
+worker is too busy to take and the last partial one, the caller. Told it
+may use one, the caller verifies every triple itself. Each verdict must be
+the serial one: `validate_block` of each block in turn, up to the first
+error. Each triple is verified once, in one process, and every worker is
+reaped, whether the pass returns or raises."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import contextlib
 import hashlib
 import os
 import select
+import signal
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -36,9 +39,10 @@ from gridledger.chain import (
     make_block,
     verify_chain,
 )
-from testutil import assert_no_children, build_chain, failing_worker, keypair, signed_record
+from testutil import assert_no_children, build_chain, failing_worker, keypair, signed_record, stream_verdict
 
 N_BLOCKS, PER_BLOCK = 5, 3  # 21 triples: genesis, then a recorder and 3 records per block
+BATCH = 4  # the batch length a forced split uses
 
 
 def serial_verdict(blocks) -> Violation | None:
@@ -53,8 +57,8 @@ def serial_verdict(blocks) -> Violation | None:
 
 @contextlib.contextmanager
 def forced_split(cpus: int):
-    """Split every signature pass over ``cpus`` processes; yields the pids
-    of the workers forked meanwhile."""
+    """Run every signature pass in batches of `BATCH` on ``cpus`` CPUs;
+    yields the pids of the workers forked meanwhile."""
     forks: list[int] = []
     fork = os.fork
 
@@ -65,7 +69,7 @@ def forced_split(cpus: int):
         return pid
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sigpass, "MIN_CHUNK_TRIPLES", 1)
+        mp.setattr(sigpass, "BATCH_TRIPLES", BATCH)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         mp.setattr(os, "fork", counting_fork)
         yield forks
@@ -102,25 +106,60 @@ def block_of_triple(index: int) -> tuple[int, int]:
 
 
 TRIPLES = 1 + N_BLOCKS * (PER_BLOCK + 1)
-BOUNDARY = TRIPLES // 2 + 1  # on two CPUs, the worker's chunk ends here and the caller's starts
-STRADDLING, FIRST_IN_CALLER = block_of_triple(BOUNDARY)
+# On two CPUs the worker always takes the first BACKLOG batches, [0, 8),
+# and the caller the last partial one, [20, 21); the batches between go to
+# whichever is free. The block holding triple 8 has triples on both sides.
+WORKERS_FIRST = sigpass.BACKLOG * BATCH
+STRADDLING, FIRST_PAST = block_of_triple(WORKERS_FIRST)
 
 
-def test_test_chain_straddles_the_chunk_boundary(monkeypatch):
-    chunks, fork_scan = [], sigpass._fork_scan
+def chain_triples(chain: Chain) -> list[sigpass.Triple]:
+    """Every signature triple of ``chain``, in the order a check verifies them."""
+    triples = []
+    for block in chain.blocks:
+        h = block.header
+        triples.append((h.recorder_public_key, chain_mod.header_signing_bytes(h), h.recorder_signature))
+        triples += map(chain_mod.signature_triple, block.records)
+    return triples
 
-    def recording_fork_scan(triples, lo, hi):
-        chunks.append((lo, hi))
-        return fork_scan(triples, lo, hi)
 
-    monkeypatch.setattr(sigpass, "_fork_scan", recording_fork_scan)
-    with forced_split(2):
-        assert verify_chain(build_chain(N_BLOCKS, PER_BLOCK)) is None
-    assert chunks == [(0, BOUNDARY)]
+def triple_key(public_key: bytes, message: bytes, signature: bytes) -> str:
+    return hashlib.sha256(public_key + message + signature).hexdigest()
+
+
+def log_verifies(monkeypatch, log) -> None:
+    """Each process appends a row (its pid, `triple_key`) to ``log`` for each
+    triple it verifies; a worker cannot report back otherwise."""
+    original = crypto.verify
+
+    def logging_verify(public_key, message, signature):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()} {triple_key(public_key, message, signature)}\n")
+        return original(public_key, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", logging_verify)
+
+
+def logged_rows(log) -> list[tuple[int, str]]:
+    return [(int(pid), key) for pid, key in (line.split() for line in log.read_text(encoding="ascii").splitlines())]
+
+
+def test_test_chain_straddles_the_chunk_boundary(monkeypatch, tmp_path):
+    chain = import_chain(export_chain(build_chain(N_BLOCKS, PER_BLOCK)))
+    index = {triple_key(*t): i for i, t in enumerate(chain_triples(chain))}
+    log_verifies(monkeypatch, tmp_path / "verified")
+    with forced_split(2) as forks:
+        assert verify_chain(chain) is None
+    by_pid: dict[int, list[int]] = {}
+    for pid, key in logged_rows(tmp_path / "verified"):
+        by_pid.setdefault(pid, []).append(index[key])
+    assert sorted(i for verified in by_pid.values() for i in verified) == list(range(TRIPLES))
+    assert len(forks) == 1 and set(by_pid) <= {forks[0], os.getpid()}
+    assert set(range(WORKERS_FIRST)) <= set(by_pid[forks[0]]) and TRIPLES - 1 in by_pid[os.getpid()]
     assert_no_children()
-    # the block has a record in each chunk: record FIRST_IN_CALLER - 2 is
-    # the worker's, record FIRST_IN_CALLER - 1 the caller's
-    assert 1 < FIRST_IN_CALLER <= PER_BLOCK
+    # the block has a triple on each side: record FIRST_PAST - 2 is in the
+    # worker's second batch, record FIRST_PAST - 1 in the next one
+    assert 1 < FIRST_PAST <= PER_BLOCK
 
 
 # --- equivalence with the serial verdict --------------------------------------
@@ -155,22 +194,22 @@ def test_flipped_export_verdict_is_the_serial_one(line, bit, cpus):
 
 
 @pytest.mark.parametrize("bad_sigs, root_faults, expected", [
-    # a bad signature only in the caller's chunk
+    # a bad signature only in the last partial batch, always the caller's
     ({(N_BLOCKS, PER_BLOCK - 1)}, (), Violation(N_BLOCKS, "bad-signature")),
-    # bad signatures in both chunks: the earliest wins
+    # bad signatures in the worker's first batches and later: the earliest wins
     ({(1, 0), (N_BLOCKS - 1, 1)}, (), Violation(1, "bad-signature")),
     ({(STRADDLING - 1, PER_BLOCK - 1), (STRADDLING + 1, 0)}, (), Violation(STRADDLING - 1, "bad-signature")),
     # a structural fault before a later bad signature, and the reverse
     ({(N_BLOCKS, 0)}, (2,), Violation(2, "root-mismatch")),
     ({(1, 1)}, (N_BLOCKS,), Violation(1, "bad-signature")),
-    # the block that straddles the boundary, on the caller's side of it
-    ({(STRADDLING, FIRST_IN_CALLER - 1)}, (), Violation(STRADDLING, "bad-signature")),
+    # the block that straddles the worker's first batches and the rest, past them
+    ({(STRADDLING, FIRST_PAST - 1)}, (), Violation(STRADDLING, "bad-signature")),
     # ... and on both sides
     ({(STRADDLING, 0), (STRADDLING, PER_BLOCK - 1)}, (), Violation(STRADDLING, "bad-signature")),
-    # a bad signature only in the worker's chunk, and only in its side of
-    # the block that straddles the boundary
-    ({(2, 1)}, (), Violation(2, "bad-signature")),
-    ({(STRADDLING, FIRST_IN_CALLER - 2)}, (), Violation(STRADDLING, "bad-signature")),
+    # a bad signature only in the worker's first batches, and only in its
+    # side of the block that straddles them
+    ({(1, 1)}, (), Violation(1, "bad-signature")),
+    ({(STRADDLING, FIRST_PAST - 2)}, (), Violation(STRADDLING, "bad-signature")),
 ])
 def test_tampered_chain_verdict_is_the_serial_one(bad_sigs, root_faults, expected):
     chain = tampered_chain(bad_sigs, root_faults)
@@ -189,64 +228,58 @@ def test_clean_chain_splits_over_every_cpu():
     assert_no_children()
 
 
-def test_each_triple_is_verified_exactly_once_across_processes(tmp_path):
-    # Each process appends the triples it verifies to one file; a worker
-    # cannot report back otherwise. The second verify_chain must verify
-    # everything again: no verdict is cached.
-    log = tmp_path / "verified"
-    original = crypto.verify
-
-    def logging_verify(public_key, message, signature):
-        line = f"{os.getpid()} {hashlib.sha256(public_key + message + signature).hexdigest()}\n"
-        with open(log, "a", encoding="ascii") as fh:
-            fh.write(line)
-        return original(public_key, message, signature)
-
+def test_each_triple_is_verified_exactly_once_across_processes(monkeypatch, tmp_path):
+    # The second verify_chain must verify everything again: no verdict is cached.
     chain = import_chain(export_chain(build_chain(N_BLOCKS, PER_BLOCK)))
-    expected = Counter()
-    for block in chain.blocks:
-        h = block.header
-        triples = [(h.recorder_public_key, chain_mod.header_signing_bytes(h), h.recorder_signature)]
-        triples += [(r.uploader_public_key, r.payload_digest, r.uploader_signature) for r in block.records]
-        for key, message, signature in triples:
-            expected[hashlib.sha256(key + message + signature).hexdigest()] += 2
+    expected = Counter(triple_key(*t) for t in 2 * chain_triples(chain))
     assert sum(expected.values()) == 2 * TRIPLES
-
-    with forced_split(3) as forks, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crypto, "verify", logging_verify)
+    with forced_split(3) as forks:
+        log_verifies(monkeypatch, tmp_path / "verified")
         assert verify_chain(chain) is None
         assert verify_chain(chain) is None
-    rows = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
-    assert Counter(triple for _, triple in rows) == expected
-    assert len(forks) == 4 and {int(pid) for pid, _ in rows} == set(forks) | {os.getpid()}
+    rows = logged_rows(tmp_path / "verified")
+    assert Counter(key for _, key in rows) == expected
+    assert len(forks) == 4 and {pid for pid, _ in rows} == set(forks) | {os.getpid()}
     assert_no_children()
 
 
-def test_a_failure_a_worker_found_ends_the_callers_scan_within_a_slice(monkeypatch):
-    # The worker's chunk fails at its first triple, so it answers at once.
-    # Once that answer is readable, the caller may verify at most one more
-    # slice of its own chunk before it reports the failure.
-    parent, fork_scan, pipes, calls = os.getpid(), sigpass._fork_scan, [], []
+def test_a_full_chain_check_reads_no_block_past_a_known_failure(monkeypatch):
+    # one CPU, batches of 4: the caller verifies [0, 4) as block 1's
+    # triples go in, finds its first record's bad signature there, and
+    # takes no later block from the iterable
+    monkeypatch.setattr(sigpass, "BATCH_TRIPLES", BATCH)
+    monkeypatch.setattr(sigpass, "_cpus", lambda: 1)
+    read = []
 
-    def recording_fork_scan(triples, lo, hi):
-        worker = fork_scan(triples, lo, hi)
-        pipes.append(worker[1])
-        return worker
+    def blocks():
+        for block in tampered_chain({(1, 0)}).blocks:
+            read.append(block)
+            yield block
+
+    assert chain_mod.verify_blocks(blocks()) == Violation(1, "bad-signature")
+    assert len(read) == 2
+
+
+def test_a_failure_a_worker_found_ends_the_callers_scan_within_a_slice(monkeypatch):
+    # The worker's first batch fails at its first triple, so it answers at
+    # once. Once that answer is readable, the caller may verify at most one
+    # more batch before it reports the failure.
+    monkeypatch.setattr(sigpass, "_cpus", lambda: 2)
+    parent, stream, calls = os.getpid(), sigpass.Stream(), []
 
     def verify(public_key, message, signature):
         if os.getpid() == parent:
             if not calls:  # wait here until the worker's answer is readable
-                assert select.select(pipes, [], [], 30)[0] == pipes
+                answers = [worker.answers for worker in stream._workers]
+                assert select.select(answers, [], [], 30)[0] == answers
             calls.append(message)
         return signature == b"ok"
 
-    triples = [(b"key", b"%d" % i, b"bad" if i == 0 else b"ok") for i in range(400)]
-    monkeypatch.setattr(sigpass, "_fork_scan", recording_fork_scan)
     monkeypatch.setattr(crypto, "verify", verify)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert sigpass.first_failing(triples) == 0
-    assert len(pipes) == 1  # the worker took [0, 201), the caller [201, 400)
-    assert len(calls) <= sigpass.SLICE_TRIPLES
+    for i in range(400):
+        stream.append((b"key", b"%d" % i, b"bad" if i == 0 else b"ok"))
+    assert stream.close() == 0
+    assert len(calls) <= sigpass.BATCH_TRIPLES
     assert_no_children()
 
 
@@ -255,9 +288,9 @@ def test_a_failure_a_worker_found_ends_the_callers_scan_within_a_slice(monkeypat
 @pytest.mark.parametrize("how", ["raise", "exit"])
 @pytest.mark.parametrize("bad_sigs, expected", [
     ((), None),
-    ({(2, 1)}, Violation(2, "bad-signature")),  # in the worker's chunk
-    ({(2, 1), (N_BLOCKS, 1)}, Violation(2, "bad-signature")),
-    ({(N_BLOCKS, 1)}, Violation(N_BLOCKS, "bad-signature")),  # in the caller's
+    ({(1, 1)}, Violation(1, "bad-signature")),  # in the worker's first batches
+    ({(1, 1), (N_BLOCKS, 1)}, Violation(1, "bad-signature")),
+    ({(N_BLOCKS, 1)}, Violation(N_BLOCKS, "bad-signature")),  # past them
 ])
 def test_lost_worker_chunk_is_verified_by_the_caller(tmp_path, monkeypatch, how, bad_sigs, expected):
     chain = tampered_chain(bad_sigs)
@@ -303,14 +336,15 @@ def test_workers_are_killed_when_the_callers_own_scan_raises(monkeypatch, cpus):
 
 
 def test_workers_are_killed_when_the_caller_is_interrupted_between_forks(monkeypatch):
-    fork_scan = sigpass._fork_scan
+    fork, calls = sigpass._fork, []
 
-    def interrupted_second_fork(triples, lo, hi):
-        if lo > 0:
+    def interrupted_second_fork():
+        calls.append(None)
+        if len(calls) > 1:
             raise KeyboardInterrupt
-        return fork_scan(triples, lo, hi)
+        return fork()
 
-    monkeypatch.setattr(sigpass, "_fork_scan", interrupted_second_fork)
+    monkeypatch.setattr(sigpass, "_fork", interrupted_second_fork)
     with forced_split(3) as forks, pytest.raises(KeyboardInterrupt):
         verify_chain(build_chain(N_BLOCKS, PER_BLOCK))
     assert len(forks) == 1
@@ -318,20 +352,24 @@ def test_workers_are_killed_when_the_caller_is_interrupted_between_forks(monkeyp
 
 
 def test_worker_that_writes_a_short_result_is_not_trusted(monkeypatch):
+    # the worker writes one byte of its first answer and exits
     parent, write = os.getpid(), os.write
 
     def short_write(fd, data):
-        return write(fd, data[:1] if os.getpid() != parent else data)
+        if os.getpid() != parent:
+            write(fd, bytes(data[:1]))
+            os._exit(0)
+        return write(fd, data)
 
     monkeypatch.setattr(os, "write", short_write)
-    chain = tampered_chain({(2, 2)})  # in the worker's chunk
+    chain = tampered_chain({(1, 2)})  # in the worker's first batch
     with forced_split(2) as forks:
-        assert verify_chain(chain) == Violation(2, "bad-signature")
+        assert verify_chain(chain) == Violation(1, "bad-signature")
     assert len(forks) == 1
     assert_no_children()
 
 
-# --- one chunk, nothing forked ------------------------------------------------
+# --- one process, nothing forked ----------------------------------------------
 
 @pytest.fixture
 def no_fork(monkeypatch):
@@ -347,104 +385,152 @@ def no_fork(monkeypatch):
 ])
 class TestOneChunk:
     def test_one_cpu(self, monkeypatch, no_fork, bad_sigs, expected):
-        monkeypatch.setattr(sigpass, "MIN_CHUNK_TRIPLES", 1)
+        monkeypatch.setattr(sigpass, "BATCH_TRIPLES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert sigpass.processes(10_000) == 1
+        assert sigpass._cpus() == 1
         assert verify_chain(tampered_chain(bad_sigs)) == expected
 
     def test_another_live_thread(self, monkeypatch, no_fork, bad_sigs, expected):
-        monkeypatch.setattr(sigpass, "MIN_CHUNK_TRIPLES", 1)
+        monkeypatch.setattr(sigpass, "BATCH_TRIPLES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert sigpass.processes(10_000) == 1
+            assert sigpass._cpus() == 1
             assert verify_chain(tampered_chain(bad_sigs)) == expected
         finally:
             done.set()
             thread.join()
-        assert sigpass.processes(10_000) == 2
+        assert sigpass._cpus() == 2
 
     def test_short_chain(self, monkeypatch, no_fork, bad_sigs, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert TRIPLES < 2 * sigpass.MIN_CHUNK_TRIPLES
-        assert sigpass.processes(TRIPLES) == 1
+        assert TRIPLES < sigpass.BATCH_TRIPLES
         assert verify_chain(tampered_chain(bad_sigs)) == expected
 
     def test_no_fork_on_this_platform(self, monkeypatch, bad_sigs, expected):
-        monkeypatch.setattr(sigpass, "MIN_CHUNK_TRIPLES", 1)
+        monkeypatch.setattr(sigpass, "BATCH_TRIPLES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.delattr(os, "fork")
-        assert sigpass.processes(10_000) == 1
+        assert sigpass._cpus() == 1
         assert verify_chain(tampered_chain(bad_sigs)) == expected
 
 
-def test_failed_fork_leaves_the_chunk_to_the_caller(monkeypatch):
+def failing_fork(monkeypatch) -> list[None]:
+    """Make every fork fail; the list gets an entry per attempt."""
+    attempts = []
+
     def fork():
+        attempts.append(None)
         raise BlockingIOError("no more processes")
 
-    monkeypatch.setattr(sigpass, "MIN_CHUNK_TRIPLES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "fork", fork)
-    # in the first of the two chunks no worker could take
+    return attempts
+
+
+def test_failed_fork_leaves_the_chunk_to_the_caller(monkeypatch):
+    monkeypatch.setattr(sigpass, "BATCH_TRIPLES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    attempts = failing_fork(monkeypatch)
+    # no worker takes a batch: the caller verifies them all
     assert verify_chain(tampered_chain({(2, 0)})) == Violation(2, "bad-signature")
+    assert len(attempts) == 1  # no fork is tried after one fails
 
 
 # --- the streaming pass -------------------------------------------------------
 
-STREAM_CHUNK, STREAM_TRIPLES = 4, 11  # two full chunks, then a tail of three
+STREAM_TRIPLES = 11  # in batches of `BATCH`: two full ones, then a partial one of three
 
 
-def signed_triples(bad=()) -> list[sigpass.Triple]:
-    """``STREAM_TRIPLES`` triples; those at the ``bad`` indices carry another
-    key's signature."""
+def signed_triples(bad=(), n=STREAM_TRIPLES) -> list[sigpass.Triple]:
+    """``n`` triples; those at the ``bad`` indices carry another key's
+    signature."""
     signer, other = keypair(4000), keypair(4001)
     triples = []
-    for i in range(STREAM_TRIPLES):
+    for i in range(n):
         message = b"triple-%d" % i
         key = other if i in bad else signer
         triples.append((signer.public_key, message, crypto.sign(key.private_key, message)))
     return triples
 
 
-def stream_verdict(triples) -> int | None:
-    stream = sigpass.Stream()
-    for triple in triples:
-        stream.append(triple)
-    return stream.close()
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("bad", [(), (1,), (5,), (9,), (1, 5), (5, 9), (3, 4), (8, 10)])
 def test_stream_verdict_is_the_first_failing_triple(cpus, bad):
-    # chunks [0, 4) and [4, 8) go to workers when a second CPU may be used;
-    # the tail [8, 11) is verified by the caller
-    with forced_split(cpus) as forks, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sigpass, "MIN_CHUNK_TRIPLES", STREAM_CHUNK)
+    # batches [0, 4) and [4, 8) go to workers when a second CPU may be used;
+    # the partial batch [8, 11) is verified by the caller
+    with forced_split(cpus) as forks:
         assert stream_verdict(signed_triples(bad)) == (min(bad) if bad else None)
-    # with one other CPU, the first chunk is reaped before the second is
-    # forked, and a failure found there leaves the second to nobody
-    expected_forks = 0 if cpus == 1 else 1 if cpus == 2 and bad and min(bad) < STREAM_CHUNK else 2
-    assert len(forks) == expected_forks
+    # a worker per batch up to one per other CPU; with three, a failure the
+    # first worker finds before the second batch leaves it to nobody
+    expected_forks = {min(cpus - 1, 2)}
+    if cpus == 3 and bad and min(bad) < BATCH:
+        expected_forks.add(1)
+    assert len(forks) in expected_forks
     assert_no_children()
+
+
+@contextlib.contextmanager
+def stalled_workers(monkeypatch, passed):
+    """Workers wait before verifying their first batch until the caller
+    opens the gate (or 30 s pass), and then append their pid to
+    ``passed``. Yields the function that opens the gate."""
+    gate_r, gate_w = os.pipe()
+    parent, scan = os.getpid(), sigpass._scan
+
+    def scan_after_the_gate(triples, lo, hi):
+        if os.getpid() != parent and not passed.exists():
+            select.select([gate_r], [], [], 30)
+            with open(passed, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return scan(triples, lo, hi)
+
+    monkeypatch.setattr(sigpass, "_scan", scan_after_the_gate)
+    try:
+        yield lambda: os.write(gate_w, b"x")
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+
+
+def callers_verifies(monkeypatch) -> list[bytes]:
+    """The list gets the message of each triple the caller verifies."""
+    parent, original, messages = os.getpid(), crypto.verify, []
+
+    def recording(public_key, message, signature):
+        if os.getpid() == parent:
+            messages.append(message)
+        return original(public_key, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", recording)
+    return messages
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("bad", [(), (1,), (9,), (10,), (1, 9), (5, 10), (9, 10)])
-def test_stream_verdict_holds_when_the_tail_is_verified_a_triple_at_a_time(monkeypatch, cpus, bad):
-    # the tail [8, 11) takes three slices, with the workers settled between them
-    monkeypatch.setattr(sigpass, "SLICE_TRIPLES", 1)
-    with forced_split(cpus), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sigpass, "MIN_CHUNK_TRIPLES", STREAM_CHUNK)
-        assert stream_verdict(signed_triples(bad)) == (min(bad) if bad else None)
+def test_stream_verdict_holds_when_the_tail_is_verified_a_triple_at_a_time(monkeypatch, tmp_path, cpus, bad):
+    # Batches of one triple, and stalled workers: each worker holds BACKLOG
+    # of them unanswered, and the caller verifies the rest a triple at a
+    # time, up to the first failure it finds.
+    monkeypatch.setattr(sigpass, "BATCH_TRIPLES", 1)
+    monkeypatch.setattr(sigpass, "_cpus", lambda: cpus)
+    verified = callers_verifies(monkeypatch)
+    triples, stream = signed_triples(bad), sigpass.Stream()
+    with stalled_workers(monkeypatch, tmp_path / "passed") as open_gate:
+        for triple in triples:
+            stream.append(triple)
+        open_gate()
+        assert stream.close() == (min(bad) if bad else None)
+    first = sigpass.BACKLOG * (cpus - 1)
+    last = min([i for i in bad if i >= first], default=STREAM_TRIPLES - 1)
+    assert verified == [message for _, message, _ in triples[first : last + 1]]
     assert_no_children()
 
 
 def test_stream_workers_are_killed_when_the_callers_own_scan_raises(monkeypatch):
     monkeypatch.setattr(sigpass, "_scan", interrupted_caller())
-    with forced_split(3) as forks, pytest.MonkeyPatch.context() as mp, pytest.raises(KeyboardInterrupt):
-        mp.setattr(sigpass, "MIN_CHUNK_TRIPLES", STREAM_CHUNK)
+    with forced_split(3) as forks, pytest.raises(KeyboardInterrupt):
         stream_verdict(signed_triples())
     assert len(forks) == 2
     assert_no_children()
@@ -452,10 +538,86 @@ def test_stream_workers_are_killed_when_the_callers_own_scan_raises(monkeypatch)
 
 @pytest.mark.parametrize("bad", [(), (5,), (9,)])
 def test_failed_fork_leaves_a_stream_chunk_to_the_caller(monkeypatch, bad):
-    def fork():
-        raise BlockingIOError("no more processes")
-
-    monkeypatch.setattr(sigpass, "MIN_CHUNK_TRIPLES", STREAM_CHUNK)
+    monkeypatch.setattr(sigpass, "BATCH_TRIPLES", BATCH)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(os, "fork", fork)
+    attempts = failing_fork(monkeypatch)
     assert stream_verdict(signed_triples(bad)) == (min(bad) if bad else None)
+    assert len(attempts) == 1
+
+
+# --- standing workers ---------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [(), (5,), (150,), (5, 150)])
+def test_a_stalled_worker_does_not_block_append(monkeypatch, tmp_path, bad):
+    # The one worker holds the first BACKLOG batches and stalls on the
+    # first: every later batch is the caller's, and every append returns
+    # before the worker verifies anything. Six whole batches, so the
+    # caller's share does not hang on when the worker's answer comes.
+    monkeypatch.setattr(sigpass, "_cpus", lambda: 2)
+    verified = callers_verifies(monkeypatch)
+    triples, stream, passed = signed_triples(bad, 6 * sigpass.BATCH_TRIPLES), sigpass.Stream(), tmp_path / "passed"
+    with stalled_workers(monkeypatch, passed) as open_gate:
+        for triple in triples:
+            stream.append(triple)
+        assert not passed.exists()
+        open_gate()
+        assert stream.close() == (min(bad) if bad else None)
+    first = sigpass.BACKLOG * sigpass.BATCH_TRIPLES
+    last = 150 if 150 in bad else len(triples) - 1
+    assert verified == [message for _, message, _ in triples[first : last + 1]]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("bad", [(), (6,), (13,)])
+def test_a_worker_killed_between_batches_leaves_only_its_unanswered_batches(monkeypatch, bad):
+    # The worker answers batch [0, 4), stalls on [4, 8) and is killed there:
+    # the caller verifies [4, 8) again, and every later batch, and never [0, 4).
+    monkeypatch.setattr(sigpass, "BATCH_TRIPLES", BATCH)
+    monkeypatch.setattr(sigpass, "_cpus", lambda: 2)
+    parent, scan = os.getpid(), sigpass._scan
+    calls = []
+
+    def stall_on_the_second_batch(triples, lo, hi):
+        calls.append(None)
+        if os.getpid() != parent and len(calls) > 1:
+            time.sleep(30)
+        return scan(triples, lo, hi)
+
+    monkeypatch.setattr(sigpass, "_scan", stall_on_the_second_batch)
+    verified = callers_verifies(monkeypatch)
+    triples, stream = signed_triples(bad, 16), sigpass.Stream()
+    try:
+        for triple in triples[:4]:
+            stream.append(triple)
+        (worker,) = stream._workers
+        assert select.select([worker.answers], [], [], 30)[0] == [worker.answers]
+        for triple in triples[4:8]:
+            stream.append(triple)
+        assert list(worker.batches) == [(4, 8)]  # [0, 4) is answered
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
+        for triple in triples[8:]:
+            stream.append(triple)
+    finally:
+        verdict = stream.close()
+    assert verdict == (min(bad) if bad else None)
+    last = min(bad, default=len(triples) - 1)
+    assert verified == [message for _, message, _ in triples[4 : last + 1]]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("bad", [(), (450,)])
+def test_a_stream_under_a_one_millisecond_timer(monkeypatch, bad):
+    # the benchmark's calibrator arms a wall-clock timer like this one: its
+    # signal interrupts the pipe writes, reads and waits of the pass
+    monkeypatch.setattr(sigpass, "_cpus", lambda: 2)
+    triples = signed_triples(bad, 600)
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+    signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+    try:
+        verdict = stream_verdict(triples)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert verdict == (min(bad) if bad else None)
+    assert_no_children()

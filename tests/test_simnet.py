@@ -953,7 +953,8 @@ def forge_a_vote(monkeypatch, *ticks: int) -> list[int]:
 
 def count_forks(monkeypatch, cpus: int) -> list[int]:
     """Tell `sigpass` the process may use ``cpus`` CPUs; the list gets the
-    pid of each worker forked."""
+    pid of each worker forked. A worker's own copy of the list holds the
+    workers forked before it, so its length is the worker's ordinal."""
     forks = []
     fork = os.fork
 
@@ -963,12 +964,13 @@ def count_forks(monkeypatch, cpus: int) -> list[int]:
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(sigpass, "_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
 
 
-LONG_IDLE = 86 * 600  # 86 decided rounds: 258 vote triples, two full chunks and a tail of 2
+BATCH = sigpass.BATCH_TRIPLES
+LONG_IDLE = 86 * 600  # 86 decided rounds: 258 vote triples, eight full batches and a partial one of 2
 
 
 def chunk_tick(index: int) -> int:
@@ -978,20 +980,21 @@ def chunk_tick(index: int) -> int:
     return (index // 3 + 1) * 600
 
 
-def slow_worker(monkeypatch, lo: int, seconds: float, done: Path) -> None:
-    """Make the worker of the chunk starting at triple ``lo`` wait before it
-    verifies. Each worker appends its chunk's start to ``done`` when it has
-    answered, so the file lists chunks in the order they were done."""
+def slow_worker(monkeypatch, forks: list[int], seconds: float, done: Path) -> None:
+    """Make the first worker wait before it verifies its first batch. Each
+    worker appends a line to ``done`` when it has verified a batch: its
+    ordinal and the index in the batch of the first failing triple (-1), so
+    the file lists batches in the order they were done."""
     parent, scan = os.getpid(), sigpass._scan
 
-    def scan_slowly(triples, start, hi):
+    def scan_slowly(triples, lo, hi):
         if os.getpid() == parent:
-            return scan(triples, start, hi)
-        if start == lo:
+            return scan(triples, lo, hi)
+        if not forks and not done.exists():
             time.sleep(seconds)
-        found = scan(triples, start, hi)
+        found = scan(triples, lo, hi)
         with open(done, "a", encoding="ascii") as fh:
-            fh.write(f"{start}\n")
+            fh.write(f"{len(forks)} {found}\n")
         return found
 
     monkeypatch.setattr(sigpass, "_scan", scan_slowly)
@@ -1001,11 +1004,9 @@ def slow_worker(monkeypatch, lo: int, seconds: float, done: Path) -> None:
     "scenario, tick, n_forks",
     [
         ((SCENARIOS / "sharing.txt").read_text(), 1200, 0),
-        # in the first worker's chunk: found when that worker is reaped,
-        # before the second chunk would be forked
-        (f"run until {LONG_IDLE}\n", chunk_tick(1), 1),
-        (f"run until {LONG_IDLE}\n", chunk_tick(151), 2),  # in the second worker's chunk
-        (f"run until {LONG_IDLE}\n", chunk_tick(256), 2),  # in the tail, verified in the process
+        (f"run until {LONG_IDLE}\n", chunk_tick(1), 1),  # in the worker's first batch
+        (f"run until {LONG_IDLE}\n", chunk_tick(151), 1),  # in a later batch
+        (f"run until {LONG_IDLE}\n", chunk_tick(256), 1),  # in the partial batch, verified in the process
     ],
     ids=["desk", "long-first-round", "long-middle-round", "long-last-round"],
 )
@@ -1025,16 +1026,17 @@ def test_a_forged_vote_fails_the_run(monkeypatch, scenario, tick, n_forks):
 
 
 def test_the_earliest_forged_vote_is_reported_when_a_later_chunk_answers_first(monkeypatch, tmp_path):
-    # three CPUs: both chunks' workers are live at once, and the first one
-    # is made to answer last
-    forged = forge_a_vote(monkeypatch, chunk_tick(1), chunk_tick(151))
+    # three CPUs: the first two batches go to two workers, and the first
+    # one, which holds the earlier forged vote, is made to answer last
+    forged = forge_a_vote(monkeypatch, chunk_tick(1), chunk_tick(BATCH + 2))
     done = tmp_path / "done"
-    slow_worker(monkeypatch, 0, 0.5, done)
     forks = count_forks(monkeypatch, cpus=3)
+    slow_worker(monkeypatch, forks, 0.5, done)
     sim = new_sim(desk_config(seed=7), f"run until {LONG_IDLE}\n")
     with pytest.raises(ProtocolError) as raised:
         sim.run()
-    assert done.read_text(encoding="ascii").split() == ["128", "0"]
+    lines = done.read_text(encoding="ascii").splitlines()
+    assert lines.index("1 2") < lines.index("0 1")  # the second worker answered first
     assert len(set(forged)) == 2 and str(raised.value) == f"vote signature from {forged[0]} does not verify"
     assert len(forks) == 2
     assert_no_children()
@@ -1042,21 +1044,21 @@ def test_the_earliest_forged_vote_is_reported_when_a_later_chunk_answers_first(m
 
 @pytest.mark.parametrize("how", ["raise", "exit"])
 def test_a_lost_workers_chunk_is_verified_in_the_process(monkeypatch, how):
-    # every worker is lost: each chunk is verified again in the process,
-    # the clean first one and the second, which holds the forged vote.
-    # The end of the run waits until the second worker is gone, so that
-    # chunk is settled before the tail, and the forged vote ends the pass.
+    # the worker is lost at its first batch: the process verifies that
+    # batch again and every later one, up to the forged vote, and not the
+    # partial batch. Each poll for answers waits until the lost worker's
+    # pipe ends, so the loss is seen at the next batch.
     forged = forge_a_vote(monkeypatch, chunk_tick(151))
     monkeypatch.setattr(sigpass, "_scan", failing_worker(how))
-    monkeypatch.setattr(sigpass, "_answered", lambda worker: bool(select.select([worker[1]], [], [], 30)[0]))
+    real_select = select.select
+    monkeypatch.setattr(select, "select", lambda r, w, x, timeout=None: real_select(r, w, x, 30))
     forks = count_forks(monkeypatch, cpus=2)
     counts = counting_verify(monkeypatch)
     sim = new_sim(desk_config(seed=7), f"run until {LONG_IDLE}\n")
     with pytest.raises(ProtocolError) as raised:
         sim.run()
     assert str(raised.value) == f"vote signature from {forged[0]} does not verify"
-    assert len(forks) == 2
-    # the process verified both chunks, up to the forged vote, and not the tail
+    assert len(forks) == 1
     scanned = sum(n for (caller, *_), n in counts.items() if caller == "_scan")
     assert scanned == 152
     assert_no_children()
@@ -1064,13 +1066,13 @@ def test_a_lost_workers_chunk_is_verified_in_the_process(monkeypatch, how):
 
 @pytest.mark.parametrize("forged_tick", [None, chunk_tick(1)], ids=["clean-votes", "forged-vote"])
 def test_a_round_that_raises_while_a_worker_is_live(monkeypatch, tmp_path, forged_tick):
-    # the round at triple 150 raises while the first chunk's worker is still
-    # verifying: the pass waits for it, and a forged vote it finds wins over
-    # the round's error; otherwise the round's error comes out
+    # the round at triple 150 raises while the worker is still verifying
+    # its first batch: the pass waits for it, and a forged vote it finds
+    # wins over the round's error; otherwise the round's error comes out
     forged = forge_a_vote(monkeypatch, forged_tick) if forged_tick else []
     done = tmp_path / "done"
-    slow_worker(monkeypatch, 0, 0.3, done)
     forks = count_forks(monkeypatch, cpus=2)
+    slow_worker(monkeypatch, forks, 0.3, done)
     commit = record_protocol.commit
 
     def failing_commit(proposal, *args):
@@ -1085,7 +1087,8 @@ def test_a_round_that_raises_while_a_worker_is_live(monkeypatch, tmp_path, forge
     if forged_tick:
         assert str(raised.value) == f"vote signature from {forged[0]} does not verify"
         assert isinstance(raised.value.__context__, RuntimeError)
-    assert done.read_text(encoding="ascii").split() == ["0"]  # it answered before the run returned
+    # it answered its first batch before the run returned
+    assert done.read_text(encoding="ascii").split("\n")[0] == ("0 1" if forged_tick else "0 -1")
     assert len(forks) == 1 and sim.tick == chunk_tick(151)
     assert_no_children()
 
@@ -1158,9 +1161,22 @@ def test_each_vote_triple_is_verified_once_across_processes(monkeypatch, tmp_pat
     rows = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
     scanned = Counter((bytes.fromhex(key), bytes.fromhex(message)) for _, key, message in rows)
     assert len(rows) == 258 and scanned == sent_votes(sim, report)
-    # a worker for each full chunk of 128, the tail of 2 in the process
+    # the one worker takes whole batches, at least the first BACKLOG; the
+    # process takes the rest, the partial batch of 2 among them
     by_pid = Counter(int(pid) for pid, *_ in rows)
-    assert len(forks) == 2 and by_pid == {forks[0]: 128, forks[1]: 128, os.getpid(): 2}
+    assert len(forks) == 1 and set(by_pid) == {forks[0], os.getpid()}
+    assert by_pid[forks[0]] % BATCH == 0 and by_pid[forks[0]] >= sigpass.BACKLOG * BATCH
+    assert by_pid[os.getpid()] % BATCH == 2
+    assert_no_children()
+
+
+def test_a_default_network_run_forks_one_worker_on_two_cpus(monkeypatch):
+    # 200 rounds of the default network, as the benchmark's idle run: one
+    # standing worker takes the 600 votes' batches for the whole run
+    forks = count_forks(monkeypatch, cpus=2)
+    report = new_sim(SimConfig(seed=3), f"run until {200 * 600}\n").run()
+    assert report.blocks_committed == 200
+    assert len(forks) == 1
     assert_no_children()
 
 

@@ -33,6 +33,18 @@ def failing_worker(how: str):
     return scan_or_fail
 
 
+def stream_verdict(triples) -> int | None:
+    """The index of the first triple that does not verify, from one
+    `sigpass.Stream` fed all of ``triples``."""
+    stream = sigpass.Stream()
+    try:
+        for triple in triples:
+            stream.append(triple)
+    finally:
+        failing = stream.close()
+    return failing
+
+
 def keypair(tag: int) -> Keypair:
     return crypto.generate_keypair(crypto.digest(b"test-key-%d" % tag))
 
