@@ -1,9 +1,11 @@
 """Block and chain data model, canonical byte encoding, verification, and
 provenance queries.
 
-The canonical encoding is the injective, length-prefixed layout (see
-`codec`) every digest and signature in the system is computed over.
-Timestamps are simulation ticks, never wall-clock.
+The canonical encoding of a record (`RECORD`, with its `METADATA`), a
+header (`HEADER`) and a block (`BLOCK`) is declared once, as a `codec`
+layout, and every digest and signature is computed over it; `record_bytes`,
+`header_bytes`, `header_signing_bytes` and `block_bytes` are those layouts'
+encoders. Timestamps are simulation ticks, never wall-clock.
 
 `validate_block` is the one definition of a valid block; the simulator's
 per-round check calls it, and `record_protocol.validate_proposal` and
@@ -29,7 +31,7 @@ Digests are once-per-object values. `record_digest` and `block_digest`
 store their result on the frozen `Record` or `Block` the first time they
 are asked (a `dataclasses.replace` copy, as the tamper faults make, starts
 without one). `block_from_bytes` fills them in as it decodes: each record
-gets the digest of the exact slice it was read from and each block the
+gets the digest of the exact slice `RECORD` read it from and each block the
 digest of its raw header bytes, so nothing decoded is encoded again. The
 slices are the decoder's own: they are hashed and dropped, and a decoded
 object keeps only its fields and digest.
@@ -37,14 +39,13 @@ object keeps only its fields and digest.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from . import crypto, sigpass
-from .codec import U32, ByteReader, EncodingError, encode_u64, encode_var_bytes
+from .codec import EncodingError, Enum8, Fixed, Layout, ListOf, Nested, Text, UInt
 from .crypto import Keypair, digest
 from .merkle import merkle_root
 
@@ -145,69 +146,54 @@ class Violation(NamedTuple):
 
 # --- canonical encoding -------------------------------------------------
 
-def _check_fixed(name: str, data: bytes, n: int) -> bytes:
-    if len(data) != n:
-        raise EncodingError(f"{name} must be {n} bytes, got {len(data)}")
-    return data
-
-
-def metadata_bytes(md: RecordMetadata) -> bytes:
-    """The kind byte, the length-prefixed data_class and the u64 tick: the
-    one encoding of metadata, in a record and in an upload envelope."""
-    if md.created_tick < 0:
-        raise EncodingError("created_tick must be non-negative")
-    data_class = md.data_class.encode("utf-8")
-    if not data_class:
-        raise EncodingError("data_class must be non-empty")
-    if len(data_class) > MAX_DATA_CLASS_LEN:
-        raise EncodingError(f"data_class exceeds {MAX_DATA_CLASS_LEN} bytes")
-    return bytes([md.kind.value]) + encode_var_bytes(data_class) + encode_u64(md.created_tick)
-
-
-def record_bytes(record: Record) -> bytes:
-    return b"".join(
-        (
-            _check_fixed("uploader key", record.uploader_public_key, crypto.PUBLIC_KEY_LEN),
-            _check_fixed("payload digest", record.payload_digest, crypto.DIGEST_LEN),
-            metadata_bytes(record.metadata),
-            _check_fixed("uploader signature", record.uploader_signature, crypto.SIGNATURE_LEN),
-        )
-    )
-
-
-# The fixed-width runs of the layouts above, each read in one `unpack`: the
-# header, and a record's fields before and after its data_class bytes.
-_HEADER = struct.Struct(
-    f">{crypto.DIGEST_LEN}sQ{crypto.DIGEST_LEN}s{crypto.PUBLIC_KEY_LEN}s{crypto.SIGNATURE_LEN}s"
+METADATA = Layout(
+    "record metadata",
+    RecordMetadata,
+    {
+        "kind": Enum8({kind.value: kind for kind in RecordKind}, "record kind"),
+        "data_class": Text(MAX_DATA_CLASS_LEN),
+        "created_tick": UInt(64),
+    },
 )
-_RECORD_HEAD = struct.Struct(f">{crypto.PUBLIC_KEY_LEN}s{crypto.DIGEST_LEN}sBI")
-_RECORD_TAIL = struct.Struct(f">Q{crypto.SIGNATURE_LEN}s")
-_KIND_BY_VALUE = {kind.value: kind for kind in RecordKind}
 
 
-def record_from_reader(reader: ByteReader) -> Record:
-    """Read one record; it carries the digest of the bytes it was read from."""
-    start = reader.mark()
-    uploader, payload_digest, kind_value, class_len = reader.unpack(_RECORD_HEAD)
-    kind = _KIND_BY_VALUE.get(kind_value)
-    if kind is None:
-        raise EncodingError(f"unknown record kind {kind_value}")
-    raw_class = reader.take(class_len)
-    if not 0 < class_len <= MAX_DATA_CLASS_LEN:
-        raise EncodingError("data_class length out of bounds")
-    try:
-        data_class = raw_class.decode("utf-8")
-    except UnicodeDecodeError:
-        raise EncodingError("data_class is not valid UTF-8") from None
-    created_tick, signature = reader.unpack(_RECORD_TAIL)
-    record = Record(
-        uploader_public_key=uploader,
-        payload_digest=payload_digest,
-        metadata=RecordMetadata(kind=kind, data_class=data_class, created_tick=created_tick),
-        uploader_signature=signature,
-    )
-    object.__setattr__(record, "_digest", digest(reader.since(start)))
+def _read_record(*fields, raw: bytes) -> Record:
+    """A decoded record; it carries the digest of the bytes it was read from."""
+    record = Record(*fields)
+    object.__setattr__(record, "_digest", digest(raw))
     return record
+
+
+RECORD = Layout(
+    "record",
+    _read_record,
+    {
+        "uploader_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "uploader key"),
+        "payload_digest": Fixed(crypto.DIGEST_LEN, "payload digest"),
+        "metadata": Nested(METADATA),
+        "uploader_signature": Fixed(crypto.SIGNATURE_LEN, "uploader signature"),
+    },
+    with_bytes=True,
+)
+HEADER = Layout(
+    "block header",
+    BlockHeader,
+    {
+        "prev_block_digest": Fixed(crypto.DIGEST_LEN, "prev digest"),
+        "timestamp_tick": UInt(64),
+        "merkle_root": Fixed(crypto.DIGEST_LEN, "merkle root"),
+        "recorder_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "recorder key"),
+        "recorder_signature": Fixed(crypto.SIGNATURE_LEN, "recorder signature"),
+    },
+    signature="recorder_signature",
+)
+BLOCK = Layout("block", Block, {"header": Nested(HEADER), "records": ListOf(RECORD)})
+_HEADER_LEN = BLOCK.offset("records")  # a block's bytes start with its header's
+
+record_bytes = RECORD.encode
+header_signing_bytes = HEADER.signing_bytes  # every header field but the signature over them
+header_bytes = HEADER.encode
+block_bytes = BLOCK.encode
 
 
 def record_digest(record: Record) -> bytes:
@@ -217,50 +203,11 @@ def record_digest(record: Record) -> bytes:
     return record._digest
 
 
-def header_signing_bytes(header: BlockHeader) -> bytes:
-    """Every header field but the recorder signature, which signs them."""
-    return b"".join(
-        (
-            _check_fixed("prev digest", header.prev_block_digest, crypto.DIGEST_LEN),
-            encode_u64(header.timestamp_tick),
-            _check_fixed("merkle root", header.merkle_root, crypto.DIGEST_LEN),
-            _check_fixed("recorder key", header.recorder_public_key, crypto.PUBLIC_KEY_LEN),
-        )
-    )
-
-
-def header_bytes(header: BlockHeader) -> bytes:
-    return header_signing_bytes(header) + _check_fixed(
-        "recorder signature", header.recorder_signature, crypto.SIGNATURE_LEN
-    )
-
-
-def block_bytes(block: Block) -> bytes:
-    parts = [header_bytes(block.header), U32.pack(len(block.records))]
-    parts.extend(record_bytes(r) for r in block.records)
-    return b"".join(parts)
-
-
 def block_from_bytes(data: bytes) -> Block:
     """Decode one block; it and its records carry the digests of the bytes
-    they were read from."""
-    reader = ByteReader(data)
-    prev, tick, root, recorder, signature = reader.unpack(_HEADER)
-    header_digest = digest(reader.since(0))
-    count = reader.u32()
-    records = tuple(record_from_reader(reader) for _ in range(count))
-    reader.expect_end()
-    block = Block(
-        header=BlockHeader(
-            prev_block_digest=prev,
-            timestamp_tick=tick,
-            merkle_root=root,
-            recorder_public_key=recorder,
-            recorder_signature=signature,
-        ),
-        records=records,
-    )
-    object.__setattr__(block, "_digest", header_digest)
+    they were read from (a block, of its header's)."""
+    block = BLOCK.decode(data)
+    object.__setattr__(block, "_digest", digest(data[:_HEADER_LEN]))
     return block
 
 

@@ -34,7 +34,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .codec import ByteReader, encode_var_bytes
+from .codec import Layout, VarBytes
 
 SEED_LEN = 32
 DIGEST_LEN = 32
@@ -75,15 +75,13 @@ class Envelope(NamedTuple):
     nonce: bytes
     ciphertext: bytes
 
-    def to_bytes(self) -> bytes:
-        return b"".join(map(encode_var_bytes, (self.encrypted_key, self.nonce, self.ciphertext)))
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Envelope":
-        reader = ByteReader(data, MalformedEnvelopeError)
-        encrypted_key, nonce, ciphertext = (reader.var_bytes() for _ in range(3))
-        reader.expect_end()
-        return cls(encrypted_key=encrypted_key, nonce=nonce, ciphertext=ciphertext)
+ENVELOPE = Layout(
+    "envelope",
+    Envelope,
+    {"encrypted_key": VarBytes(), "nonce": VarBytes(), "ciphertext": VarBytes()},
+    error=MalformedEnvelopeError,
+)
 
 
 def _entropy(rng, n: int) -> bytes:

@@ -17,7 +17,6 @@ a payload swapped after signing.
 
 from __future__ import annotations
 
-import struct
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -25,7 +24,7 @@ from . import chain as chain_mod
 from . import credit as credit_mod
 from . import crypto
 from .chain import Block, BlockCheck, Record, RecordMetadata
-from .codec import U32, encode_var_bytes
+from .codec import BOOL, Fixed, Layout, ListOf, Nested, UInt, VarBytes
 from .credit import CreditLedger, RoleAssignment
 from .crypto import Envelope, Keypair
 from .datastore import StoredObject
@@ -52,6 +51,19 @@ class UploadRejected(Exception):
         self.reason = reason
 
 
+class UploadRequest(NamedTuple):
+    """An uploader's request to the duty recorder: permission for its key."""
+
+    uploader_public_key: bytes
+
+
+class UploadGrant(NamedTuple):
+    """The duty recorder's answer, and the key to seal the upload to."""
+
+    granted: bool
+    recorder_public_key: bytes
+
+
 class UploadEnvelope(NamedTuple):
     """The record an uploader asks to commit and the payload it covers,
     sealed to the duty recorder."""
@@ -59,17 +71,30 @@ class UploadEnvelope(NamedTuple):
     record: Record
     payload_envelope: Envelope
 
-    def to_bytes(self) -> bytes:
-        record = self.record
-        return b"".join(
-            (
-                record.uploader_public_key,
-                record.payload_digest,
-                record.uploader_signature,
-                encode_var_bytes(self.payload_envelope.to_bytes()),
-                chain_mod.metadata_bytes(record.metadata),
-            )
-        )
+
+def _upload_envelope(uploader, payload_digest, signature, payload_envelope, metadata) -> UploadEnvelope:
+    return UploadEnvelope(Record(uploader, payload_digest, metadata, signature), payload_envelope)
+
+
+UPLOAD_REQUEST = Layout(
+    "upload request", UploadRequest, {"uploader_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "uploader key")}
+)
+UPLOAD_GRANT = Layout(
+    "upload grant",
+    UploadGrant,
+    {"granted": BOOL, "recorder_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "recorder key")},
+)
+UPLOAD_ENVELOPE = Layout(
+    "upload envelope",
+    _upload_envelope,
+    {
+        "record.uploader_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "uploader key"),
+        "record.payload_digest": Fixed(crypto.DIGEST_LEN, "payload digest"),
+        "record.uploader_signature": Fixed(crypto.SIGNATURE_LEN, "uploader signature"),
+        "payload_envelope": VarBytes(crypto.ENVELOPE),
+        "record.metadata": Nested(chain_mod.METADATA),
+    },
+)
 
 
 class ProposedBlock(NamedTuple):
@@ -78,14 +103,31 @@ class ProposedBlock(NamedTuple):
     validator_ids: tuple[int, int, int]
 
 
-_VERDICT = crypto.DIGEST_LEN  # where a vote's verdict starts in its signed bytes
+class Verdict(NamedTuple):
+    ok: bool
+    bad_indices: tuple[int, ...]
+
+
+class SignedVerdict(NamedTuple):
+    """What a validator signs: its verdict on the block with ``block_digest``."""
+
+    block_digest: bytes
+    verdict: Verdict
+
+
+VERDICT = Layout("vote verdict", Verdict, {"ok": BOOL, "bad_indices": ListOf(UInt(32))})
+VOTE = Layout(
+    "vote", SignedVerdict, {"block_digest": Fixed(crypto.DIGEST_LEN, "block digest"), "verdict": Nested(VERDICT)}
+)
+_VERDICT = VOTE.offset("verdict")  # where a vote's verdict starts in its signed bytes
+_OK = _VERDICT + VERDICT.offset("ok")
 
 
 class Vote(NamedTuple):
     """A validator's signed verdict on a block. ``signed`` is the
     `vote_signing_bytes` the signature covers, built once; ``ok`` and
-    ``bad_indices`` read the verdict back from them, so the verdict that is
-    tallied is the one that was signed."""
+    ``bad_indices`` read the verdict from them at its offset, so the verdict
+    that is tallied is the one that was signed."""
 
     validator_id: int
     signed: bytes
@@ -93,12 +135,11 @@ class Vote(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.signed[_VERDICT] == 1
+        return BOOL.members[self.signed[_OK]]
 
     @property
     def bad_indices(self) -> tuple[int, ...]:
-        (count,) = U32.unpack_from(self.signed, _VERDICT + 1)
-        return struct.unpack_from(f">{count}I", self.signed, _VERDICT + 1 + U32.size)
+        return VERDICT.decode(self.signed[_VERDICT:]).bad_indices
 
 
 class CommitResult(NamedTuple):
@@ -117,7 +158,7 @@ def prepare_upload(
     """Check the metadata bounds, sign the payload digest into the record
     to commit, and seal the payload to the duty recorder. The plaintext
     never leaves the uploader unencrypted."""
-    chain_mod.metadata_bytes(metadata)
+    chain_mod.METADATA.encode(metadata)
     payload_digest = crypto.digest(payload)
     signature = crypto.sign(uploader.private_key, payload_digest)
     record = Record(uploader.public_key, payload_digest, metadata, signature)
@@ -180,9 +221,7 @@ def seal_block(
 
 
 def vote_signing_bytes(block_digest: bytes, ok: bool, bad_indices: tuple[int, ...]) -> bytes:
-    parts = [block_digest, b"\x01" if ok else b"\x00", U32.pack(len(bad_indices))]
-    parts.extend(U32.pack(i) for i in bad_indices)
-    return b"".join(parts)
+    return VOTE.encode(SignedVerdict(block_digest, Verdict(ok, bad_indices)))
 
 
 def sign_vote(

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import chain as chain_mod
 from . import crypto
 from .chain import Chain, RecordKind, RecordMetadata
-from .codec import encode_u64, encode_var_bytes
+from .codec import Fixed, Layout, UInt, VarBytes
 from .crypto import Envelope, Keypair
 from .datastore import DataStore
 
@@ -44,17 +44,6 @@ class ShareEnvelope(NamedTuple):
     signed_digest: bytes
     payload_envelope: Envelope
 
-    def to_bytes(self) -> bytes:
-        return b"".join(
-            (
-                self.sender_public_key,
-                self.receiver_public_key,
-                self.claimed_digest,
-                self.signed_digest,
-                encode_var_bytes(self.payload_envelope.to_bytes()),
-            )
-        )
-
 
 class ShareTransaction(NamedTuple):
     """On-chain evidence of one transfer."""
@@ -65,15 +54,28 @@ class ShareTransaction(NamedTuple):
     tick: int
 
 
-def transaction_bytes(tx: ShareTransaction) -> bytes:
-    return b"".join(
-        (
-            tx.sender_public_key,
-            tx.receiver_public_key,
-            tx.payload_digest,
-            encode_u64(tx.tick),
-        )
-    )
+SHARE_ENVELOPE = Layout(
+    "share envelope",
+    ShareEnvelope,
+    {
+        "sender_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "sender key"),
+        "receiver_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "receiver key"),
+        "claimed_digest": Fixed(crypto.DIGEST_LEN, "claimed digest"),
+        "signed_digest": Fixed(crypto.SIGNATURE_LEN, "sender signature"),
+        "payload_envelope": VarBytes(crypto.ENVELOPE),
+    },
+)
+SHARE_TRANSACTION = Layout(
+    "share transaction",
+    ShareTransaction,
+    {
+        "sender_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "sender key"),
+        "receiver_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "receiver key"),
+        "payload_digest": Fixed(crypto.DIGEST_LEN, "payload digest"),
+        "tick": UInt(64),
+    },
+)
+transaction_bytes = SHARE_TRANSACTION.encode
 
 
 def _owner_of(chain: Chain, payload_digest: bytes) -> bytes | None:

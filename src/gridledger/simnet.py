@@ -10,7 +10,13 @@ Time is discrete ticks (1 tick = 1 simulated second; the
 `Sim.run` visits only the ticks where something happens (a due event or an
 interval boundary) and jumps over the rest, on which `step` would do
 nothing. Data-path messages (upload request, grant, envelope, share
-envelope) travel with a configurable delay, default one tick. The
+envelope) travel with a configurable delay, default one tick. A message is
+only its bytes, encoded with its `codec` layout: the tap logs them and the
+receiving handler decodes them, and a ``tamper-in-flight`` fault flips a
+bit of them. The recorder learns who uploads from the request it granted
+(the message's sender); an upload's `_UploadFlow` holds only the
+simulator's bookkeeping: what its uploader seals once granted, and the
+forge-record fault that made it. The
 seal/validate/vote/commit round runs atomically at each interval-boundary
 tick, with its proposal/vote/commit-notice messages traced at that tick; a
 block sealed at tick T is therefore decided at tick T. The round validates
@@ -62,9 +68,9 @@ error):
   ``class=`` (1..64 bytes, default ``grid``), ``size=`` (default 32).
 - ``tamper-chain-copy <node>`` corrupts one block of the node's chain copy:
   ``block=<index>`` (default drawn from the RNG).
-- ``tamper-in-flight <node>`` flips a ciphertext bit of the next envelope the
-  node receives; ``crash-node <node>`` and ``byzantine-validator <node>``
-  (inverts its verdicts) take no params either.
+- ``tamper-in-flight <node>`` flips a ciphertext bit in the bytes of the next
+  envelope the node receives; ``crash-node <node>`` and
+  ``byzantine-validator <node>`` (inverts its verdicts) take no params either.
 - ``fail-storage-unit <unit>`` (``u<n>`` or ``<n>``) wipes the unit:
   ``recover=<tick>``, after the fault tick, restores it from the replicas.
 
@@ -94,8 +100,8 @@ from .codec import U64
 from .credit import CreditEvent, CreditLedger, CreditReason, NodeProfile, RoleAssignment
 from .crypto import Keypair, digest, generate_keypair
 from .datastore import DataStore, RepairReport, ReplicaStatus, StorageError
-from .record_protocol import UploadEnvelope, UploadError, UploadRejected
-from .share_protocol import ShareEnvelope, ShareRejected, ShareTransaction
+from .record_protocol import UPLOAD_ENVELOPE, UPLOAD_GRANT, UPLOAD_REQUEST, UploadError, UploadRejected
+from .share_protocol import SHARE_ENVELOPE, ShareRejected, ShareTransaction
 
 
 class FaultKind(str, Enum):
@@ -313,6 +319,10 @@ def parse_scenario(text: str) -> Scenario:
 
 # --- runtime pieces -------------------------------------------------------
 
+# the layout of each message kind that carries a sealed payload, which tamper-in-flight flips a bit of
+_ENVELOPES = {"upload-envelope": UPLOAD_ENVELOPE, "share-envelope": SHARE_ENVELOPE}
+
+
 def _flip_bit(data: bytes, index: int) -> bytes:
     """``data`` with the low bit of byte ``index`` inverted."""
     return data[:index] + bytes([data[index] ^ 0x01]) + data[index + 1 :]
@@ -334,20 +344,22 @@ class _Node:
 
 
 class _UploadFlow(NamedTuple):
-    uploader_id: int
+    """The simulator's bookkeeping of one upload: what its uploader will
+    seal once granted, and the forge-record fault that made it, if any."""
+
     payload: bytes
     metadata: RecordMetadata
-    forge: int | None = None  # set on a forge-record fault's upload
+    forge: int | None = None
 
 
 class _Msg(NamedTuple):
-    """In-flight message: ``obj`` is what it carries (an envelope for both
-    envelope kinds), ``flow`` the upload it belongs to, if any."""
+    """In-flight message: ``data`` is all it carries, the bytes its receiver
+    decodes; ``flow`` is the upload it belongs to, if any."""
 
     kind: str
     src: int
     dst: int
-    obj: object
+    data: bytes
     flow: _UploadFlow | None = None
     tampered_by: int | None = None  # the tamper-in-flight fault that flipped a bit
 
@@ -819,11 +831,9 @@ class Sim:
         self._trace_rng(label, f"n={n};digest={data_digest[:8].hex()}")
         return data, data_digest
 
-    def _send(
-        self, kind: str, src: int, dst: int, obj: object, data: bytes, flow: _UploadFlow | None = None
-    ) -> None:
+    def _send(self, kind: str, src: int, dst: int, data: bytes, flow: _UploadFlow | None = None) -> None:
         self.log.append(TapEntry(self.tick, kind, src, dst, data))
-        msg = _Msg(kind=kind, src=src, dst=dst, obj=obj, flow=flow)
+        msg = _Msg(kind=kind, src=src, dst=dst, data=data, flow=flow)
         self._schedule(self.tick + self.config.message_delay_ticks, self._deliver, msg)
 
     def replica(self, nid: int) -> Chain:
@@ -922,7 +932,7 @@ class Sim:
         payload, payload_digest = self._rng_bytes("payload", plan.size)
         self.upload_digests[plan.ordinal] = payload_digest
         self.upload_payloads[plan.ordinal] = payload
-        self._start_upload(_UploadFlow(plan.node_id, payload, self._grid_metadata(plan.data_class)))
+        self._start_upload(plan.node_id, _UploadFlow(payload, self._grid_metadata(plan.data_class)))
 
     def _on_share_plan(self, plan: SharePlan) -> None:
         sender = self.nodes[plan.sender]
@@ -943,15 +953,15 @@ class Sim:
         except ShareRejected as exc:
             self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, exc.reason.value))
             return
-        self._send("share-envelope", plan.sender, plan.receiver, envelope, envelope.to_bytes())
+        self._send("share-envelope", plan.sender, plan.receiver, SHARE_ENVELOPE.encode(envelope))
 
     def _grid_metadata(self, data_class: str) -> RecordMetadata:
         return RecordMetadata(kind=RecordKind.GRID_DATA, data_class=data_class, created_tick=self.tick)
 
-    def _start_upload(self, flow: _UploadFlow) -> None:
+    def _start_upload(self, uploader: int, flow: _UploadFlow) -> None:
         duty = credit_mod.duty_recorder(self.assignment, self.tick // self.config.block_interval_ticks)
-        uploader_key = self.nodes[flow.uploader_id].keypair.public_key
-        self._send("upload-request", flow.uploader_id, duty, None, uploader_key, flow)
+        request = UPLOAD_REQUEST.encode(record_mod.UploadRequest(self.nodes[uploader].keypair.public_key))
+        self._send("upload-request", uploader, duty, request, flow)
 
     # --- faults ---------------------------------------------------------------
 
@@ -996,7 +1006,7 @@ class Sim:
         payload, _ = self._rng_bytes("forged-payload", spec.params.get("size", 32))
         self._fault_step(fault, f"submitted@{self.tick}", "")
         metadata = self._grid_metadata(spec.params.get("class", "grid"))
-        self._start_upload(_UploadFlow(spec.target, payload, metadata, forge=fault))
+        self._start_upload(spec.target, _UploadFlow(payload, metadata, forge=fault))
 
     def _on_tamper_chain_copy(self, fault: int) -> None:
         spec = self.faults[fault]
@@ -1035,16 +1045,17 @@ class Sim:
     # --- message delivery -------------------------------------------------------
 
     def _tamper_message(self, msg: _Msg, fault: int) -> _Msg:
-        envelope = msg.obj.payload_envelope
-        if not envelope.ciphertext:
-            return msg
-        pos = self.rng.randrange(len(envelope.ciphertext))
+        """``msg`` with the low bit of one byte of its payload ciphertext
+        flipped: its bytes encoded again, which moves only that bit."""
+        layout = _ENVELOPES[msg.kind]
+        sent = layout.decode(msg.data)
+        sealed = sent.payload_envelope
+        pos = self.rng.randrange(len(sealed.ciphertext))
         self._trace_rng("tamper-in-flight", f"byte={pos}")
-        new_env = envelope._replace(ciphertext=_flip_bit(envelope.ciphertext, pos))
-        new_obj = msg.obj._replace(payload_envelope=new_env)
+        flipped = sealed._replace(ciphertext=_flip_bit(sealed.ciphertext, pos))
         self._fault_step(fault, f"applied@{self.tick}")
         self._trace("tamper", msg.src, msg.dst, f"kind={msg.kind};byte={pos}")
-        return msg._replace(obj=new_obj, tampered_by=fault)
+        return msg._replace(data=layout.encode(sent._replace(payload_envelope=flipped)), tampered_by=fault)
 
     def _note_tamper_caught(self, msg: _Msg, reason: str) -> None:
         if msg.tampered_by is not None:
@@ -1055,42 +1066,39 @@ class Sim:
         if node.crashed:
             self._trace(msg.kind, msg.src, msg.dst, "dropped=crashed")
             return
-        if node.tamper_armed and isinstance(msg.obj, (UploadEnvelope, ShareEnvelope)):
+        if node.tamper_armed and msg.kind in _ENVELOPES:
             msg = self._tamper_message(msg, node.tamper_armed.pop(0))
         self._message_handlers[msg.kind](msg)
 
     def _on_upload_request(self, msg: _Msg) -> None:
-        flow = msg.flow
-        granted = self.nodes[flow.uploader_id].keypair.public_key in self.permissions
+        granted = UPLOAD_REQUEST.decode(msg.data).uploader_public_key in self.permissions
         self._trace("upload-request", msg.src, msg.dst, f"granted={granted}")
-        recorder_key = self.nodes[msg.dst].keypair.public_key
-        flag = b"\x01" if granted else b"\x00"
-        self._send("upload-grant", msg.dst, msg.src, (granted, recorder_key), flag + recorder_key, flow)
+        grant = UPLOAD_GRANT.encode(record_mod.UploadGrant(granted, self.nodes[msg.dst].keypair.public_key))
+        self._send("upload-grant", msg.dst, msg.src, grant, msg.flow)
 
     def _on_upload_grant(self, msg: _Msg) -> None:
-        flow = msg.flow
-        granted, recorder_key = msg.obj
-        if not granted:
+        flow, grant = msg.flow, UPLOAD_GRANT.decode(msg.data)
+        if not grant.granted:
             self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, UploadError.PERMISSION_DENIED.value))
             return
         self._trace("upload-grant", msg.src, msg.dst, "granted")
-        self._trace_rng("seal-upload", f"uploader={flow.uploader_id}")
+        self._trace_rng("seal-upload", f"uploader={msg.dst}")
         envelope = record_mod.prepare_upload(
-            self.nodes[flow.uploader_id].keypair, recorder_key, flow.payload, flow.metadata, self.rng
+            self.nodes[msg.dst].keypair, grant.recorder_public_key, flow.payload, flow.metadata, self.rng
         )
-        self._send("upload-envelope", msg.dst, msg.src, envelope, envelope.to_bytes(), flow)
+        self._send("upload-envelope", msg.dst, msg.src, UPLOAD_ENVELOPE.encode(envelope), flow)
 
     def _on_upload_envelope(self, msg: _Msg) -> None:
-        flow, envelope = msg.flow, msg.obj
+        flow, envelope = msg.flow, UPLOAD_ENVELOPE.decode(msg.data)
         recorder = self.nodes[msg.dst]
-        self._trace_rng("seal-at-rest", f"owner={flow.uploader_id}")
+        self._trace_rng("seal-at-rest", f"owner={msg.src}")
         try:
             stored = record_mod.receive_upload(recorder.keypair, envelope, self.permissions, self.rng)
         except UploadRejected as exc:
             self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
             # nobody can be blamed for ciphertext that does not authenticate
             if exc.reason not in (UploadError.PERMISSION_DENIED, UploadError.DECRYPTION_FAILURE):
-                credit_mod.apply_record_outcome(self.ledger, flow.uploader_id, False, self.tick)
+                credit_mod.apply_record_outcome(self.ledger, msg.src, False, self.tick)
             self._note_tamper_caught(msg, exc.reason.value)
             return
         record = envelope.record
@@ -1106,7 +1114,7 @@ class Sim:
         self._trace("upload-envelope", msg.src, msg.dst, f"accepted digest={digest_head}")
 
     def _on_share_envelope(self, msg: _Msg) -> None:
-        envelope = msg.obj
+        envelope = SHARE_ENVELOPE.decode(msg.data)
         receiver = self.nodes[msg.dst]
         try:
             payload = share_mod.receive_share(receiver.keypair, envelope)
@@ -1122,7 +1130,7 @@ class Sim:
             tick=self.tick,
         )
         tx_payload, tx_metadata = share_mod.record_share(tx)
-        self._start_upload(_UploadFlow(uploader_id=msg.src, payload=tx_payload, metadata=tx_metadata))
+        self._start_upload(msg.src, _UploadFlow(tx_payload, tx_metadata))
 
     # --- consensus ---------------------------------------------------------------
 

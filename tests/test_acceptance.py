@@ -13,6 +13,7 @@ from pathlib import Path
 from gridledger import chain as chain_mod
 from gridledger import crypto
 from gridledger.chain import Chain, RecordKind, block_bytes, block_from_bytes, verify_chain
+from gridledger.codec import ByteReader
 from gridledger.credit import (
     CreditLedger,
     CreditReason,
@@ -278,7 +279,7 @@ def test_criterion_8_fault_detection_scenario():
 
 def _extract_envelope(kind, data):
     offset = 160 if kind == "upload-envelope" else 224
-    return crypto.Envelope.from_bytes(chain_mod.ByteReader(data[offset:]).var_bytes())
+    return crypto.ENVELOPE.decode(ByteReader(data[offset:]).var_bytes())
 
 
 def test_criterion_9_sharing_round_trip():

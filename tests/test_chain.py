@@ -38,7 +38,6 @@ from gridledger.chain import (
     verify_chain,
     verify_copy,
 )
-from gridledger.codec import encode_u64
 from gridledger.merkle import EMPTY_ROOT
 
 from testutil import build_chain, export_with_an_empty_data_class, keypair, signed_record
@@ -80,10 +79,11 @@ class TestCanonicalBytes:
             record_bytes(record)
 
     def test_u64_bound(self):
-        assert encode_u64(2**64 - 1) == b"\xff" * 8
+        header = genesis("net-a").header
+        assert chain_mod.header_bytes(header._replace(timestamp_tick=2**64 - 1))[32:40] == b"\xff" * 8
         for value in (2**64, -1):
-            with pytest.raises(EncodingError):
-                encode_u64(value)
+            with pytest.raises(EncodingError, match=f"^value {value} outside u64 range$"):
+                chain_mod.header_bytes(header._replace(timestamp_tick=value))
 
     def test_block_round_trip(self):
         chain = build_chain(2)

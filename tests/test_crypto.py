@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gridledger import crypto
 from gridledger.crypto import (
+    ENVELOPE,
     DecryptionError,
     Envelope,
     MalformedEnvelopeError,
@@ -147,14 +148,14 @@ class TestEnvelope:
 
     def test_serialization_round_trip(self):
         env = encrypt_for(keypair(15).public_key, b"x" * 100)
-        assert Envelope.from_bytes(env.to_bytes()) == env
+        assert ENVELOPE.decode(ENVELOPE.encode(env)) == env
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(MalformedEnvelopeError):
-            Envelope.from_bytes(b"\x00\x00\x00\xff")
+            ENVELOPE.decode(b"\x00\x00\x00\xff")
         env = encrypt_for(keypair(16).public_key, b"y")
         with pytest.raises(MalformedEnvelopeError):
-            Envelope.from_bytes(env.to_bytes() + b"!")
+            ENVELOPE.decode(ENVELOPE.encode(env) + b"!")
 
     def test_seeded_rng_reproduces_envelope(self):
         kp = keypair(17)

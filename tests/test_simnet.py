@@ -16,6 +16,7 @@ import pytest
 from gridledger import chain as chain_mod
 from gridledger import crypto, record_protocol, sigpass, simnet
 from gridledger.chain import Chain, RecordKind
+from gridledger.codec import ByteReader
 from gridledger.credit import CreditReason, fold_events
 from gridledger.record_protocol import ProtocolError
 from gridledger.simnet import (
@@ -28,7 +29,7 @@ from gridledger.simnet import (
     parse_scenario,
     run,
 )
-from testutil import assert_no_children, failing_worker
+from testutil import assert_no_children, ciphertext_span, failing_worker
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -606,6 +607,28 @@ class TestWireDiscipline:
             for payload in payloads:
                 assert payload not in entry.data, f"plaintext leaked in {entry.kind}"
 
+    def test_the_recorder_opens_the_bytes_that_were_sent(self, monkeypatch):
+        # one ciphertext bit flipped in the bytes of the first upload
+        # envelope, and in nothing else the message may carry, is what the
+        # recorder refuses
+        send = simnet.Sim._send
+
+        def flipping(sim, kind, src, dst, *rest):
+            if kind == "upload-envelope" and not flipped:
+                at = next(i for i, part in enumerate(rest) if isinstance(part, bytes))
+                data = rest[at]
+                lo, _ = ciphertext_span(kind, data)
+                flipped.append(lo)
+                rest = rest[:at] + (data[:lo] + bytes([data[lo] ^ 1]) + data[lo + 1 :],) + rest[at + 1 :]
+            return send(sim, kind, src, dst, *rest)
+
+        flipped = []
+        monkeypatch.setattr(simnet.Sim, "_send", flipping)
+        scenario = SIX_NODES + "authorize 2\nupload 2 load 64 at 10\nrun until 700\n"
+        report = run(new_sim(desk_config(seed=1), scenario))
+        assert flipped and [f.reason for f in report.upload_failures] == ["decryption-failure"]
+        assert report.blocks_committed == 0 or not report.chain.blocks[-1].records
+
     def test_only_receiver_can_open_captured_share(self):
         scenario = (
             SIX_NODES
@@ -618,9 +641,7 @@ class TestWireDiscipline:
         report = run(sim)
         captured = [e for e in report.tap if e.kind == "share-envelope"]
         assert len(captured) == 1
-        envelope = crypto.Envelope.from_bytes(
-            chain_mod.ByteReader(captured[0].data[224:]).var_bytes()
-        )
+        envelope = crypto.ENVELOPE.decode(ByteReader(captured[0].data[224:]).var_bytes())
         opened = []
         for nid, node in sim.nodes.items():
             try:

@@ -2,14 +2,15 @@
 ScenarioError/ValueError, or runs to its horizon without raising, and every
 node's reported chain status is what a full verify of its copy gives. The
 run's typed log must hold whole-system invariants: no upload's plaintext on
-the wire, message counts that are those of the tap, and each credit event,
-penalty or reward, matching the round or record that earned it; each
+the wire, message counts that are those of the tap, each handler given the
+bytes the tap logged (a tampered envelope one ciphertext bit apart), and each
+credit event, penalty or reward, matching the round or record that earned it; each
 fault detected within its own lifetime; no record penalty for a node no
 forge-record fault drives; and each epoch's committees those a ranking of
 the credits at its tick gives. `Sim.run` jumps over ticks with nothing
 due; its artifacts must be those of a `Sim.step` loop over every tick."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from gridledger import chain as chain_mod
 from gridledger.credit import CreditReason, fold_events
 from gridledger.simnet import EpochChange, FaultKind, FaultSpec, ScenarioError, SimConfig, new_sim
+
+from testutil import ciphertext_span
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -130,6 +133,9 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
         sim = new_sim(SimConfig(seed=seed, r_max=3, s_max=1), text)
     except (ScenarioError, ValueError):
         return
+    handled = []  # each message as its handler got it, to decode
+    for kind, handler in list(sim._message_handlers.items()):
+        sim._message_handlers[kind] = lambda msg, handler=handler: (handled.append(msg), handler(msg))
     report = sim.run()
     assert chain_mod.verify_chain(report.chain) is None
     assert fold_events(report.credits.keys(), report.events) == report.credits
@@ -142,6 +148,24 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     payloads = [p for p in report.upload_payloads.values() if len(p) >= 16]
     assert not any(p in entry.data for entry in tap for p in payloads)
     assert report.message_counts == Counter(entry.kind for entry in tap)
+    # a handler decodes the bytes the tap logged for its message, but for the
+    # bit of ciphertext a tamper-in-flight fault flipped; a link delivers in
+    # order, and a crashed node gets nothing more
+    sent = defaultdict(list)
+    for entry in tap:
+        sent[entry.kind, entry.src, entry.dst].append(entry.data)
+    taken = Counter()
+    for msg in handled:
+        link = msg.kind, msg.src, msg.dst
+        logged = sent[link][taken[link]]
+        taken[link] += 1
+        changed = [i for i, (a, b) in enumerate(zip(msg.data, logged)) if a != b]
+        if msg.tampered_by is None:
+            assert msg.data == logged
+        else:
+            lo, hi = ciphertext_span(msg.kind, logged)
+            assert len(msg.data) == len(logged) and len(changed) == 1, msg
+            assert lo <= changed[0] < hi and msg.data[changed[0]] ^ logged[changed[0]] == 1
     node_of = {node.keypair.public_key: nid for nid, node in sim.nodes.items()}
 
     def credited(reason):

@@ -94,3 +94,15 @@ def export_with_an_empty_data_class() -> str:
     lines = chain_mod.export_chain(chain).splitlines()
     lines[1] = lines[1].replace(record.hex(), emptied.hex())
     return "\n".join(lines) + "\n"
+
+
+def ciphertext_span(kind: str, data: bytes) -> tuple[int, int]:
+    """Where the payload ciphertext lies in an upload or share envelope's
+    bytes, parsed by hand: the sealed envelope is the var-bytes after the
+    upload's key, digest and signature (160 bytes) or the share's two keys,
+    digest and signature (224), and its ciphertext is the last of its three
+    var-bytes fields."""
+    start = {"upload-envelope": 160, "share-envelope": 224}[kind] + 4
+    for _ in range(2):  # the encrypted key and the nonce
+        start += 4 + int.from_bytes(data[start : start + 4], "big")
+    return start + 4, start + 4 + int.from_bytes(data[start : start + 4], "big")
