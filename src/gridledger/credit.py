@@ -7,12 +7,18 @@ committee (default capacity 101), the next slice the supervisor committee
 events: record correctness, sealed-block outcomes, and validator
 agreement/dissent. Ties always break toward the lower node id, and negative
 credit is allowed so repeat offenders keep sinking in the ranking.
+
+Every rule is applied through one pure transition: `apply_round` takes a
+`CreditState` and a round's `RoundOutcome` and returns the next state and
+the events it booked; `apply_intake` books the intake penalty through the
+same state. Folding them over the outcomes a run logged replays its credits
+and committees.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 DEFAULT_RECORDER_CAPACITY = 101
 DEFAULT_SUPERVISOR_CAPACITY = 20
@@ -31,12 +37,6 @@ class CreditReason(Enum):
     BLOCK_ERRONEOUS = "block-erroneous"
     VALIDATOR_AGREED = "validator-agreed"
     VALIDATOR_DISSENTED = "validator-dissented"
-
-
-class NodeProfile(NamedTuple):
-    node_id: int
-    public_key: bytes
-    assessment: int
 
 
 class RoleAssignment(NamedTuple):
@@ -65,41 +65,48 @@ class CreditEvent(NamedTuple):
     tick: int
 
 
-class CreditLedger:
-    """Single-writer credit scores plus the append-only audit log that
-    produced them."""
-
-    def __init__(self, node_ids: Iterable[int]):
-        self._credits: dict[int, int] = {nid: 0 for nid in node_ids}
-        self.events: list[CreditEvent] = []
-
-    def credit(self, node_id: int) -> int:
-        if node_id not in self._credits:
-            raise KeyError(f"unknown node {node_id}")
-        return self._credits[node_id]
-
-    def credits(self) -> dict[int, int]:
-        return dict(self._credits)
-
-    def _apply(self, node_id: int, delta: int, reason: CreditReason, tick: int) -> CreditEvent:
-        if node_id not in self._credits:
-            raise KeyError(f"unknown node {node_id}")
-        self._credits[node_id] += delta
-        event = CreditEvent(node_id=node_id, delta=delta, reason=reason, tick=tick)
-        self.events.append(event)
-        return event
+def _book(credits: Mapping[int, int], events: Iterable[CreditEvent]) -> dict[int, int]:
+    """A copy of ``credits`` with ``events`` added; an event for a node not
+    in it raises KeyError."""
+    booked = dict(credits)
+    for event in events:
+        booked[event.node_id] += event.delta
+    return booked
 
 
 def fold_events(node_ids: Iterable[int], events: Iterable[CreditEvent]) -> dict[int, int]:
-    """Independent replay of an audit log into final credits; every node
-    starts at 0."""
-    credits = {nid: 0 for nid in node_ids}
-    for event in events:
-        credits[event.node_id] += event.delta
-    return credits
+    """Replay of an audit log into final credits; every node starts at 0."""
+    return _book(dict.fromkeys(node_ids, 0), events)
 
 
-def _partition(ranked: list[int], r_max: int, s_max: int, epoch: int) -> RoleAssignment:
+class CreditState(NamedTuple):
+    """What the credit rules move: each node's credit, the committees, and
+    the rounds counted so far, skipped ones included, ``epoch_length`` to an
+    epoch. Never changed in place: the transitions return a new one."""
+
+    credits: Mapping[int, int]
+    assignment: RoleAssignment
+    epoch_length: int
+    rounds: int = 0
+
+
+class RoundOutcome(NamedTuple):
+    """One consensus round as the credit rules read it: at ``tick`` the duty
+    ``recorder`` sealed a block, and ``votes``, its validators' (id, ok)
+    verdicts, decided it. ``uploaders`` has the uploader of each record the
+    verdict credits: every record of a committed block, each quarantined
+    record of a rejected one. A round that sealed no block was skipped: it
+    has no votes."""
+
+    tick: int
+    recorder: int
+    votes: tuple[tuple[int, bool], ...] = ()
+    uploaders: tuple[int, ...] = ()
+
+
+def _rank(scores: Mapping[int, int], r_max: int, s_max: int, epoch: int) -> RoleAssignment:
+    """The committees of a ranking by (score desc, node_id asc)."""
+    ranked = sorted(scores, key=lambda nid: (-scores[nid], nid))
     recorders = tuple(ranked[:r_max])
     supervisors = tuple(ranked[r_max : r_max + s_max])
     candidates = tuple(ranked[r_max + s_max :])
@@ -107,56 +114,94 @@ def _partition(ranked: list[int], r_max: int, s_max: int, epoch: int) -> RoleAss
 
 
 def initialize_roles(
-    profiles: Sequence[NodeProfile],
+    assessments: Mapping[int, int],
     r_max: int = DEFAULT_RECORDER_CAPACITY,
     s_max: int = DEFAULT_SUPERVISOR_CAPACITY,
 ) -> RoleAssignment:
-    """Bootstrap ranking by (assessment desc, node_id asc)."""
+    """Bootstrap ranking of each node id by its assessment."""
     if r_max < 1:
         raise ValueError("at least one recorder slot is required")
     if s_max < 0:
         raise ValueError("supervisor capacity must be non-negative")
-    if not profiles:
+    if not assessments:
         raise ValueError("cannot assign roles with no nodes")
-    ranked = [p.node_id for p in sorted(profiles, key=lambda p: (-p.assessment, p.node_id))]
-    return _partition(ranked, r_max, s_max, epoch=0)
+    return _rank(assessments, r_max, s_max, epoch=0)
 
 
-def reelect(ledger: CreditLedger, assignment: RoleAssignment, r_max: int, s_max: int) -> RoleAssignment:
-    """Periodic re-ranking by (credit desc, node_id asc) over the same node
-    set; capacities unchanged, epoch incremented."""
-    members = sorted(assignment.all_nodes())
-    ranked = sorted(members, key=lambda nid: (-ledger.credit(nid), nid))
-    return _partition(ranked, r_max, s_max, epoch=assignment.epoch + 1)
+def reelect(credits: Mapping[int, int], assignment: RoleAssignment) -> RoleAssignment:
+    """Periodic re-ranking of ``assignment``'s nodes, the keys of
+    ``credits``, by credit; committee sizes unchanged, epoch incremented."""
+    r_max, s_max = len(assignment.recorders), len(assignment.supervisors)
+    return _rank(credits, r_max, s_max, epoch=assignment.epoch + 1)
 
 
-def apply_record_outcome(ledger: CreditLedger, uploader_id: int, correct: bool, tick: int) -> CreditEvent:
+def apply_record_outcome(uploader_id: int, correct: bool, tick: int) -> CreditEvent:
     """+1 per correct record, -1 per erroneous one."""
     reason = CreditReason.RECORD_CORRECT if correct else CreditReason.RECORD_ERRONEOUS
-    return ledger._apply(uploader_id, 1 if correct else -1, reason, tick)
+    return CreditEvent(uploader_id, 1 if correct else -1, reason, tick)
 
 
-def apply_block_outcome(ledger: CreditLedger, recorder_id: int, erroneous: bool, tick: int) -> CreditEvent:
+def apply_block_outcome(recorder_id: int, erroneous: bool, tick: int) -> CreditEvent:
     """+1 to the sealing recorder per clean block, -1 per flagged block."""
     reason = CreditReason.BLOCK_ERRONEOUS if erroneous else CreditReason.BLOCK_CLEAN
-    return ledger._apply(recorder_id, -1 if erroneous else 1, reason, tick)
+    return CreditEvent(recorder_id, -1 if erroneous else 1, reason, tick)
 
 
-def apply_validator_outcomes(
-    ledger: CreditLedger, votes: Sequence[tuple[int, bool]], tick: int
-) -> tuple[list[CreditEvent], bool]:
+def majority(verdicts: Sequence[bool]) -> bool:
+    """The verdict of an odd, non-empty vote set: ok if more than half say so."""
+    if not verdicts or len(verdicts) % 2 == 0:
+        raise ValueError("vote set must be odd-sized and non-empty")
+    return sum(verdicts) * 2 > len(verdicts)
+
+
+def apply_validator_outcomes(votes: Sequence[tuple[int, bool]], tick: int) -> tuple[list[CreditEvent], bool]:
     """Majority verdict over an odd vote set; agreeing validators +1,
     dissenters -1. Returns the events and the majority verdict (True=ok)."""
-    if not votes or len(votes) % 2 == 0:
-        raise ValueError("vote set must be odd-sized and non-empty")
-    ok_count = sum(1 for _, verdict in votes if verdict)
-    majority_ok = ok_count * 2 > len(votes)
+    majority_ok = majority([verdict for _, verdict in votes])
     events = []
     for validator_id, verdict in votes:
         agreed = verdict == majority_ok
         reason = CreditReason.VALIDATOR_AGREED if agreed else CreditReason.VALIDATOR_DISSENTED
-        events.append(ledger._apply(validator_id, 1 if agreed else -1, reason, tick))
+        events.append(CreditEvent(validator_id, 1 if agreed else -1, reason, tick))
     return events, majority_ok
+
+
+def apply_round(state: CreditState, outcome: RoundOutcome) -> tuple[CreditState, tuple[CreditEvent, ...]]:
+    """The ledger transition of one round, for a live run and a replay of
+    its log alike. A decided round books its validators against the
+    majority, then its recorder and its uploaders by the verdict: +1 each
+    if the block committed, -1 if it was rejected. Every round, skipped or
+    not, counts toward the epoch, and the round that closes one re-elects
+    the committees by the credits after it."""
+    events = []
+    if outcome.votes:
+        events, ok = apply_validator_outcomes(outcome.votes, outcome.tick)
+        events.append(apply_block_outcome(outcome.recorder, not ok, outcome.tick))
+        events += [apply_record_outcome(uploader, ok, outcome.tick) for uploader in outcome.uploaders]
+    credits = _book(state.credits, events)
+    rounds = state.rounds + 1
+    assignment = state.assignment
+    if rounds % state.epoch_length == 0:
+        assignment = reelect(credits, assignment)
+    return state._replace(credits=credits, assignment=assignment, rounds=rounds), tuple(events)
+
+
+# the intake refusals, by `record_protocol.UploadError` value, that the bytes the uploader signed caused
+_BLAMED_AT_INTAKE = frozenset({"signature-invalid", "digest-mismatch"})
+
+
+def apply_intake(
+    state: CreditState, uploader_id: int, reason: str, tick: int
+) -> tuple[CreditState, tuple[CreditEvent, ...]]:
+    """The intake rule: a recorder refused ``uploader_id``'s upload envelope
+    for ``reason``, an `UploadError` value. The uploader is booked -1 for a
+    bad signature or a payload that does not match its signed digest; nobody
+    can be blamed for ciphertext that does not authenticate, nor for a key
+    off the permission list."""
+    if reason not in _BLAMED_AT_INTAKE:
+        return state, ()
+    events = (apply_record_outcome(uploader_id, False, tick),)
+    return state._replace(credits=_book(state.credits, events)), events
 
 
 def duty_recorder(assignment: RoleAssignment, round_index: int) -> int:

@@ -88,8 +88,14 @@ def merkle_root(leaf_digests: Sequence[bytes]) -> bytes:
 
 
 def verify_inclusion(root: bytes, leaf: bytes, proof: InclusionProof) -> bool:
-    """Recompute the root from ``leaf`` along ``proof`` and compare."""
-    node = leaf
+    """Recompute the root from ``leaf`` along ``proof`` and compare. The
+    path must be the one of ``proof.leaf_index``: at each level the sibling
+    is on the left exactly where the index's bit for that level is 1, and
+    the index has no bit left above the path."""
+    node, index = leaf, proof.leaf_index
     for sibling, sibling_on_left in proof.path:
+        if sibling_on_left != bool(index & 1):
+            return False
         node = digest(sibling + node) if sibling_on_left else digest(node + sibling)
-    return node == root
+        index >>= 1
+    return index == 0 and node == root

@@ -7,8 +7,8 @@ recorder decrypts, checks the record's signature and the payload's digest,
 queues that same record, and re-seals the payload to the *uploader's* key
 for at-rest storage. On each block interval the duty recorder seals the
 pending queue into a block, the on-duty supervisor plus two RNG-drawn
-candidates re-validate it, and a majority verdict commits or rejects it
-with the corresponding credit events.
+candidates re-validate it, and a majority verdict commits or rejects it;
+`credit.apply_round` books the round's credit events.
 
 The digest an uploader signed travels in the record, next to its
 signature: that is what lets a recorder tell a forged signature apart from
@@ -17,15 +17,16 @@ a payload swapped after signing.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import chain as chain_mod
 from . import credit as credit_mod
 from . import crypto
 from .chain import Block, BlockCheck, Record, RecordMetadata
 from .codec import BOOL, Fixed, Layout, ListOf, Nested, UInt, VarBytes
-from .credit import CreditLedger, RoleAssignment
+from .credit import RoleAssignment
 from .crypto import Envelope, Keypair
 from .datastore import StoredObject
 from .sigpass import Triple
@@ -269,23 +270,17 @@ def validate_proposal(
     return sign_vote(validator, validator_id, chain_mod.block_digest(block), ok, bad)
 
 
-def commit(
-    proposal: ProposedBlock,
-    votes: Sequence[Vote],
-    check: BlockCheck,
-    ledger: CreditLedger,
-    uploader_ids: Mapping[bytes, int],
-) -> CommitResult:
+def commit(proposal: ProposedBlock, votes: Sequence[Vote], check: BlockCheck) -> CommitResult:
     """Tally exactly three votes, one from each assigned validator. Their
     signatures are not checked here: the caller verifies each vote's
     `vote_triple`, and its failure can only abort the run, since a vote's
-    signature steers nothing. Validator agreement credits apply
-    either way. Majority ok rewards the recorder and every uploader, and the
-    caller appends the block; ``check``, the validators' `validate_block` of
-    the block against the tip, is the gate: if it holds a fault, that fault
-    is raised before the block and record credits. Majority erroneous drops
-    the quorum-flagged records to quarantine, penalizes their uploaders and
-    the recorder, and keeps the surviving records pending."""
+    signature steers nothing. The tally moves no credit: the caller hands
+    the votes to `credit.apply_round`. A majority ok (`credit.majority`)
+    commits the block, which the caller appends; ``check``, the validators'
+    `validate_block` of the block against the tip, is the gate: if it holds
+    a fault, that fault is raised. Majority erroneous drops the
+    quorum-flagged records to quarantine and keeps the surviving records
+    pending."""
     if len(votes) != VALIDATOR_COUNT:
         raise ProtocolError(f"expected {VALIDATOR_COUNT} votes, got {len(votes)}")
     seen = set()
@@ -294,39 +289,16 @@ def commit(
             raise ProtocolError(f"vote from unassigned validator {vote.validator_id}")
         seen.add(vote.validator_id)
 
-    tick = proposal.block.header.timestamp_tick
-    _, majority_ok = credit_mod.apply_validator_outcomes(
-        ledger, [(v.validator_id, v.ok) for v in votes], tick
-    )
-
-    if majority_ok:
+    if credit_mod.majority([vote.ok for vote in votes]):
         error = check.error()
         if error is not None:
             raise error
-        credit_mod.apply_block_outcome(ledger, proposal.proposer_id, False, tick)
-        for record in proposal.block.records:
-            uploader = uploader_ids[record.uploader_public_key]
-            credit_mod.apply_record_outcome(ledger, uploader, True, tick)
         return CommitResult(committed=True, quarantined=(), survivors=())
 
-    flag_counts: dict[int, int] = {}
-    for vote in votes:
-        if not vote.ok:
-            for index in vote.bad_indices:
-                flag_counts[index] = flag_counts.get(index, 0) + 1
-    quarantined = tuple(
-        (i, record)
-        for i, record in enumerate(proposal.block.records)
-        if flag_counts.get(i, 0) >= QUORUM
-    )
-    quarantined_set = {i for i, _ in quarantined}
-    survivors = tuple(
-        record for i, record in enumerate(proposal.block.records) if i not in quarantined_set
-    )
-    credit_mod.apply_block_outcome(ledger, proposal.proposer_id, True, tick)
-    for _, record in quarantined:
-        uploader = uploader_ids[record.uploader_public_key]
-        credit_mod.apply_record_outcome(ledger, uploader, False, tick)
+    flags = Counter(index for vote in votes if not vote.ok for index in vote.bad_indices)
+    records = tuple(enumerate(proposal.block.records))
+    quarantined = tuple((i, record) for i, record in records if flags[i] >= QUORUM)
+    survivors = tuple(record for i, record in records if flags[i] < QUORUM)
     return CommitResult(committed=False, quarantined=quarantined, survivors=survivors)
 
 

@@ -40,10 +40,15 @@ them while it is live, frozen at its first crash) and the blocks a
 
 Each happening is appended once to one log, `Sim.log`, as a `NamedTuple`
 event that renders its own ``trace.txt`` text; a line no fold reads is a
-`Note`. A committed round is one `CommitNotice` for the notices its
-recorder sends every live node; it traces one line that counts them and
-names the crashed nodes, and the tap, a view of the log, expands it to one
-entry per notice as it is read.
+`Note`. Each round ends in one `RoundEnd`, whose `credit.RoundOutcome` is
+what `credit.apply_round` took; the `credit.CreditEvent`s it booked follow
+it (they render no text), as do those `credit.apply_intake` booked for a
+refused upload envelope's `Refusal`. So the report's credits are a fold of
+the log, and a fold of the transition over the log's outcomes replays them.
+A committed round is one `CommitNotice` for the notices its recorder sends
+every live node; it traces one line that counts them and names the crashed
+nodes, and the tap, a view of the log, expands it to one entry per notice
+as it is read.
 The report's trace, tap, message counts and tables are folds of a snapshot
 of the log, and so are the fault outcomes: each step a fault takes is a
 `FaultStep` event, and nothing writes an outcome as the run goes.
@@ -97,7 +102,7 @@ from . import share_protocol as share_mod
 from . import sigpass
 from .chain import Block, Chain, Record, RecordKind, RecordMetadata
 from .codec import U64
-from .credit import CreditEvent, CreditLedger, CreditReason, NodeProfile, RoleAssignment
+from .credit import CreditEvent, CreditReason, RoleAssignment, RoundOutcome
 from .crypto import Keypair, digest, generate_keypair
 from .datastore import DataStore, RepairReport, ReplicaStatus, StorageError
 from .record_protocol import UPLOAD_ENVELOPE, UPLOAD_GRANT, UPLOAD_REQUEST, UploadError, UploadRejected
@@ -331,7 +336,6 @@ def _flip_bit(data: bytes, index: int) -> bytes:
 @dataclass
 class _Node:
     keypair: Keypair
-    assessment: int
     crash: int | None = None  # the crash-node fault that took it down, by index in `Sim.faults`
     byzantine: bool = False
     tamper_armed: list[int] = field(default_factory=list)  # tamper-in-flight faults, oldest first
@@ -451,7 +455,7 @@ class Tap:
 
 
 class QuarantineEntry(NamedTuple):
-    """A record a rejected round quarantined; the round's `RejectionEntry` follows."""
+    """A record a rejected round quarantined; the round's `RoundEnd` follows."""
 
     tick: int
     proposer_id: int
@@ -462,25 +466,26 @@ class QuarantineEntry(NamedTuple):
         return ""
 
 
-class RejectionEntry(NamedTuple):
-    tick: int
-    proposer_id: int
+class RoundEnd(NamedTuple):
+    """How consensus round ``round_index`` ended: ``outcome``, what
+    `credit.apply_round` reads of it, and the rest of its ``round`` trace
+    line: the index of the ``block`` it committed, or the ``survivors`` a
+    rejected block left pending, or why it was ``skipped``."""
+
     round_index: int
-    quarantined: int
-    survivors: int
+    outcome: RoundOutcome
+    block: int | None = None
+    survivors: int = 0
+    skipped: str | None = None
 
     def trace_text(self) -> str:
-        detail = f"r={self.round_index} rejected quarantined={self.quarantined} survivors={self.survivors}"
-        return _line(self.tick, "round", None, None, detail)
-
-
-class RoundSkipped(NamedTuple):
-    tick: int
-    round_index: int
-    reason: str
-
-    def trace_text(self) -> str:
-        return _line(self.tick, "round", None, None, f"r={self.round_index} skipped: {self.reason}")
+        if self.skipped is not None:
+            detail = f"skipped: {self.skipped}"
+        elif self.block is not None:
+            detail = f"committed block={self.block} records={len(self.outcome.uploaders)}"
+        else:
+            detail = f"rejected quarantined={len(self.outcome.uploaders)} survivors={self.survivors}"
+        return _line(self.outcome.tick, "round", None, None, f"r={self.round_index} {detail}")
 
 
 class ShareDelivery(NamedTuple):
@@ -573,8 +578,6 @@ class SimReport:
     config: SimConfig
     until_tick: int
     chain: Chain
-    credits: dict[int, int]
-    events: tuple[CreditEvent, ...]
     assignment: RoleAssignment
     assessments: dict[int, int]
     node_status: dict[int, str]
@@ -592,13 +595,15 @@ class SimReport:
 
     # the tables: folds of the log
     quarantine = property(lambda self: self._of(QuarantineEntry))
-    rejections = property(lambda self: self._of(RejectionEntry))
-    rounds_skipped = property(lambda self: len(self._of(RoundSkipped)))
+    rejections = property(lambda self: tuple(e for e in self._of(RoundEnd) if e.outcome.votes and e.block is None))
+    rounds_skipped = property(lambda self: sum(not e.outcome.votes for e in self._of(RoundEnd)))
     deliveries = property(lambda self: self._of(ShareDelivery))
     share_failures = property(lambda self: tuple(e for e in self._of(Refusal) if e.kind.startswith("share")))
     upload_failures = property(lambda self: tuple(e for e in self._of(Refusal) if e.kind.startswith("upload")))
     epoch_changes = property(lambda self: self._of(EpochChange))
     repair_reports = property(lambda self: tuple(e.report for e in self._of(Recovery)))
+    events = property(lambda self: self._of(CreditEvent))  # in the order they were booked
+    credits = property(lambda self: credit_mod.fold_events(self.assessments, self.events))
 
     @property
     def fault_outcomes(self) -> tuple[FaultOutcome, ...]:
@@ -670,7 +675,7 @@ class SimReport:
         )
 
     def trace_text(self) -> str:
-        return "".join(e.trace_text() for e in self.log)
+        return "".join(e.trace_text() for e in self.log if type(e) is not CreditEvent)
 
     def metrics_text(self) -> str:
         out = ["[summary]"]
@@ -689,11 +694,10 @@ class SimReport:
             out.append(f"messages.{kind}={message_counts[kind]}")
         out.append("")
         out.append("[roles]")
-        for nid in sorted(self.credits):
+        credits = self.credits
+        for nid in sorted(credits):
             role = self.assignment.role_of(nid).value
-            out.append(
-                f"{nid}\t{role}\t{self.credits[nid]}\t{self.assessments[nid]}"
-            )
+            out.append(f"{nid}\t{role}\t{credits[nid]}\t{self.assessments[nid]}")
         out.append("")
         out.append("[epochs]")
         for change in self.epoch_changes:
@@ -740,22 +744,19 @@ class Sim:
         node_decls = scenario.nodes or [(i, 0) for i in range(config.node_count)]
         seed64 = config.seed & (2**64 - 1)
         self.nodes: dict[int, _Node] = {}
-        profiles = []
-        for nid, assessment in node_decls:
+        for nid, _ in node_decls:
             keypair = generate_keypair(
                 digest(b"gridledger/node/" + U64.pack(seed64) + U64.pack(nid))
             )
-            self.nodes[nid] = _Node(keypair=keypair, assessment=assessment)
-            profiles.append(
-                NodeProfile(node_id=nid, public_key=keypair.public_key, assessment=assessment)
-            )
-        self.ledger = CreditLedger(self.nodes.keys())
-        self.assignment = credit_mod.initialize_roles(profiles, config.r_max, config.s_max)
-        if not self.assignment.supervisors or len(self.assignment.candidates) < 2:
+            self.nodes[nid] = _Node(keypair=keypair)
+        self.assessments = dict(node_decls)
+        assignment = credit_mod.initialize_roles(self.assessments, config.r_max, config.s_max)
+        if not assignment.supervisors or len(assignment.candidates) < 2:
             raise ValueError(
                 "configuration leaves no supervisor or fewer than two candidates; "
                 "block validation needs 1 supervisor + 2 candidates"
             )
+        self.credit = credit_mod.CreditState(dict.fromkeys(self.nodes, 0), assignment, config.epoch_length_blocks)
 
         for nid, line in scenario.authorized:
             self._require_node(nid, line)
@@ -959,7 +960,7 @@ class Sim:
         return RecordMetadata(kind=RecordKind.GRID_DATA, data_class=data_class, created_tick=self.tick)
 
     def _start_upload(self, uploader: int, flow: _UploadFlow) -> None:
-        duty = credit_mod.duty_recorder(self.assignment, self.tick // self.config.block_interval_ticks)
+        duty = credit_mod.duty_recorder(self.credit.assignment, self.tick // self.config.block_interval_ticks)
         request = UPLOAD_REQUEST.encode(record_mod.UploadRequest(self.nodes[uploader].keypair.public_key))
         self._send("upload-request", uploader, duty, request, flow)
 
@@ -1096,9 +1097,8 @@ class Sim:
             stored = record_mod.receive_upload(recorder.keypair, envelope, self.permissions, self.rng)
         except UploadRejected as exc:
             self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
-            # nobody can be blamed for ciphertext that does not authenticate
-            if exc.reason not in (UploadError.PERMISSION_DENIED, UploadError.DECRYPTION_FAILURE):
-                credit_mod.apply_record_outcome(self.ledger, msg.src, False, self.tick)
+            self.credit, events = credit_mod.apply_intake(self.credit, msg.src, exc.reason.value, self.tick)
+            self.log += events
             self._note_tamper_caught(msg, exc.reason.value)
             return
         record = envelope.record
@@ -1138,18 +1138,19 @@ class Sim:
         return record not in self._forged
 
     def _consensus_round(self, round_index: int) -> None:
-        duty = credit_mod.duty_recorder(self.assignment, round_index)
+        duty = credit_mod.duty_recorder(self.credit.assignment, round_index)
         crash = self.nodes[duty].crash
         if crash is not None:  # a crash is caught at its first missed duty
             self._fault_step(crash, "", append=True, detected=True)
-            self._skip_round(round_index, f"duty recorder {duty} crashed")
+            reason = f"duty recorder {duty} crashed"
+            self._end_round(RoundEnd(round_index, RoundOutcome(self.tick, duty), skipped=reason))
             return
         try:
             supervisor_id, pool = record_mod.choose_validators(
-                self.assignment, round_index, alive=lambda nid: not self.nodes[nid].crashed
+                self.credit.assignment, round_index, alive=lambda nid: not self.nodes[nid].crashed
             )
         except record_mod.ProtocolError as exc:
-            self._skip_round(round_index, str(exc))
+            self._end_round(RoundEnd(round_index, RoundOutcome(self.tick, duty), skipped=str(exc)))
             return
         self._trace_rng("validator-select", f"r={round_index}")
         proposal = record_mod.seal_block(
@@ -1182,7 +1183,7 @@ class Sim:
             stream, voters = self._votes
             stream.append(triple)
             voters.append(vid)
-        result = record_mod.commit(proposal, votes, check, self.ledger, self.uploader_ids)
+        result = record_mod.commit(proposal, votes, check)
         if result.committed:
             self.chain = self.chain.append(proposal.block)
             self.pending = []
@@ -1193,10 +1194,7 @@ class Sim:
                 forge = self._forged.pop(record, None)
                 if forge is not None:
                     self._fault_step(forge, f"committed-undetected@{self.tick}")
-            self._trace(
-                "round", None, None,
-                f"r={round_index} committed block={len(self.chain) - 1} records={len(proposal.block.records)}",
-            )
+            credited, block, survivors = proposal.block.records, len(self.chain) - 1, 0
         else:
             for index, record in result.quarantined:
                 self._verified.discard(chain_mod.signature_triple(record))
@@ -1205,25 +1203,26 @@ class Sim:
                 if forge is not None:
                     self._fault_step(forge, f"quarantined@{self.tick}", detected=True)
             self.pending = list(result.survivors)
-            quarantined = len(result.quarantined)
-            self.log.append(RejectionEntry(self.tick, duty, round_index, quarantined, len(self.pending)))
-        self._after_round(round_index)
+            credited, block, survivors = [record for _, record in result.quarantined], None, len(self.pending)
+        verdicts = tuple((vote.validator_id, vote.ok) for vote in votes)
+        uploaders = tuple(self.uploader_ids[record.uploader_public_key] for record in credited)
+        outcome = RoundOutcome(self.tick, duty, verdicts, uploaders)
+        self._end_round(RoundEnd(round_index, outcome, block, survivors))
 
-    def _skip_round(self, round_index: int, reason: str) -> None:
-        self.log.append(RoundSkipped(self.tick, round_index, reason))
-        self._after_round(round_index)
-
-    def _after_round(self, round_index: int) -> None:
-        completed = round_index + 1
-        if completed % self.config.epoch_length_blocks != 0:
-            return
-        old = self.assignment
-        new = credit_mod.reelect(self.ledger, old, self.config.r_max, self.config.s_max)
-        # a node changed role iff it is not in the same group of both
-        changed = sum(len(set(n).difference(o)) for n, o in zip(
-            (new.recorders, new.supervisors, new.candidates), (old.recorders, old.supervisors, old.candidates)))
-        self.assignment = new
-        self.log.append(EpochChange(new.epoch, self.tick, changed, new.recorders, new.supervisors))
+    def _end_round(self, end: RoundEnd) -> None:
+        """Log how the round ended, the credit events `credit.apply_round`
+        books for it, and the committees it re-elected, if it closed an epoch."""
+        before = self.credit.assignment
+        self.credit, events = credit_mod.apply_round(self.credit, end.outcome)
+        self.log.append(end)
+        self.log += events
+        new = self.credit.assignment
+        if new is not before:
+            # a node changed role iff it is not in the same group of both
+            changed = sum(len(set(n).difference(o)) for n, o in zip(
+                (new.recorders, new.supervisors, new.candidates),
+                (before.recorders, before.supervisors, before.candidates)))
+            self.log.append(EpochChange(new.epoch, self.tick, changed, new.recorders, new.supervisors))
 
     # --- reporting ---------------------------------------------------------------
 
@@ -1249,10 +1248,8 @@ class Sim:
             config=self.config,
             until_tick=until_tick,
             chain=self.chain,
-            credits=self.ledger.credits(),
-            events=tuple(self.ledger.events),
-            assignment=self.assignment,
-            assessments={nid: node.assessment for nid, node in self.nodes.items()},
+            assignment=self.credit.assignment,
+            assessments=dict(self.assessments),
             node_status=node_status,
             node_chain_status=node_chain_status,
             store_audit=tuple(self.store.audit()),

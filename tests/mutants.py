@@ -3,12 +3,15 @@
 Each mutant replaces one exact piece of text in one source file, and names
 the test files expected to kill it. The runner copies the tree to a
 temporary directory, applies one mutant there, and runs the named test
-files with ``-x``; a mutant whose tests still pass has survived.
+files with ``-x``. Only a test that fails kills a mutant (pytest exits 1);
+a mutant whose tests still pass has survived (0), and any other exit, such
+as a mutant that breaks the import (2) or tests that collect nothing (5),
+is an error: it shows nothing about the tests.
 
     PYTHONPATH=src python tests/mutants.py            # every mutant
     PYTHONPATH=src python tests/mutants.py u64-bound  # the named ones
 
-It prints one line per mutant and exits 1 if any survived.
+It prints one line per mutant and exits 1 unless every one was killed.
 """
 
 from __future__ import annotations
@@ -51,15 +54,25 @@ CATALOG = (
     # the chain's and the credit rules' checks
     Mutant("timestamp-regression", CHAIN, "header.timestamp_tick < prev_block.header.timestamp_tick",
            "header.timestamp_tick <= prev_block.header.timestamp_tick", ("tests/test_chain.py",)),
-    Mutant("majority-rule", CREDIT, "majority_ok = ok_count * 2 > len(votes)", "majority_ok = ok_count > 0",
+    Mutant("majority-rule", CREDIT, "return sum(verdicts) * 2 > len(verdicts)", "return sum(verdicts) > 0",
            ("tests/test_credit.py",)),
     Mutant("epoch-increment", CREDIT, "epoch=assignment.epoch + 1", "epoch=assignment.epoch",
            ("tests/test_credit.py",)),
     Mutant("dissent-penalty", CREDIT, "1 if agreed else -1", "1 if agreed else 0", ("tests/test_credit.py",)),
-    Mutant("assessment-tie-break", CREDIT, "key=lambda p: (-p.assessment, p.node_id)",
-           "key=lambda p: (-p.assessment, -p.node_id)", ("tests/test_credit.py",)),
+    Mutant("assessment-tie-break", CREDIT, "key=lambda nid: (-scores[nid], nid)",
+           "key=lambda nid: (-scores[nid], -nid)", ("tests/test_credit.py",)),
     Mutant("duty-round-robin", CREDIT, "assignment.recorders[round_index % len(assignment.recorders)]",
            "assignment.recorders[0]", ("tests/test_credit.py",)),
+    # the round and intake rules of `credit.apply_round` and `credit.apply_intake`
+    Mutant("rejected-block-penalty", CREDIT, "-1 if erroneous else 1", "0 if erroneous else 1",
+           ("tests/test_credit.py", "tests/test_record_protocol.py")),
+    Mutant("quarantine-penalty", CREDIT, "1 if correct else -1", "1 if correct else 0",
+           ("tests/test_credit.py", "tests/test_record_protocol.py")),
+    Mutant("intake-blame", CREDIT, '_BLAMED_AT_INTAKE = frozenset({"signature-invalid", "digest-mismatch"})',
+           '_BLAMED_AT_INTAKE = frozenset({"signature-invalid", "digest-mismatch", "decryption-failure"})',
+           ("tests/test_credit.py",)),
+    Mutant("skipped-round-uncounted", CREDIT, "rounds = state.rounds + 1",
+           "rounds = state.rounds + bool(outcome.votes)", ("tests/test_credit.py",)),
 )
 
 
@@ -71,28 +84,35 @@ def mutated(mutant: Mutant, root: Path = ROOT) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def survives(mutant: Mutant) -> bool:
-    """Whether ``mutant``'s tests pass on a copy of the tree that holds it."""
+def outcome(mutant: Mutant) -> str:
+    """``killed`` if one of ``mutant``'s tests fails on a copy of the tree
+    that holds it, ``survived`` if they all pass, and ``error`` if pytest
+    exits any other way."""
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_results")
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=ignore)
         (copy / mutant.path).write_text(mutated(mutant, copy))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
-        return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode == 0
+        # Only the exit status is read, so no terminal report is made. Making
+        # one, Hypothesis imports libcst for a failing example if it is
+        # installed, and filterwarnings=error turns libcst's deprecation
+        # warning into an internal error: exit 3 for a killed mutant.
+        command = [sys.executable, "-m", "pytest", "-x", "-p", "no:terminal", "-p", "no:cacheprovider", *mutant.tests]
+        status = subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
+    return {0: "survived", 1: "killed"}.get(status, "error")
 
 
 def main(names: list[str]) -> int:
     chosen = [m for m in CATALOG if not names or m.name in names]
-    survivors = []
+    unkilled = []
     for mutant in chosen:
-        alive = survives(mutant)
-        if alive:
-            survivors.append(mutant.name)
-        print(f"{'SURVIVED' if alive else 'killed  '}    {mutant.name} ({', '.join(mutant.tests)})", flush=True)
-    print(f"{len(survivors)} of {len(chosen)} mutants survived", *survivors)
-    return 1 if survivors else 0
+        verdict = outcome(mutant)
+        if verdict != "killed":
+            unkilled.append(mutant.name)
+        print(f"{verdict:<8}    {mutant.name} ({', '.join(mutant.tests)})", flush=True)
+    print(f"{len(unkilled)} of {len(chosen)} mutants survived or could not be run", *unkilled)
+    return 1 if unkilled else 0
 
 
 if __name__ == "__main__":

@@ -15,9 +15,7 @@ from gridledger import crypto
 from gridledger.chain import Chain, RecordKind, block_bytes, block_from_bytes, verify_chain
 from gridledger.codec import ByteReader
 from gridledger.credit import (
-    CreditLedger,
     CreditReason,
-    NodeProfile,
     apply_record_outcome,
     apply_validator_outcomes,
     fold_events,
@@ -191,15 +189,13 @@ def test_criterion_5_credit_rule_conformance():
     table = json.loads((FIXTURES / "vote_patterns.json").read_text())
     assert len(table) == 8
     for row in table:
-        ledger = CreditLedger([0, 1, 2])
-        events, verdict = apply_validator_outcomes(
-            ledger, [(i, v) for i, v in enumerate(row["votes"])], tick=0
-        )
+        events, verdict = apply_validator_outcomes([(i, v) for i, v in enumerate(row["votes"])], tick=0)
         assert verdict == row["verdict"], row
         assert [e.delta for e in events] == row["deltas"], row
     for name, seed in (("honest.txt", 7), ("faults.txt", 11), ("sharing.txt", 3)):
-        report = run(new_sim(desk_config(seed=seed), (SCENARIOS / name).read_text()))
-        assert fold_events(report.credits.keys(), report.events) == report.credits, name
+        sim = new_sim(desk_config(seed=seed), (SCENARIOS / name).read_text())
+        report = run(sim)
+        assert fold_events(report.credits.keys(), report.events) == report.credits == sim.credit.credits, name
     print(
         "\nACCEPTANCE 5 PASS: all 8 vote patterns match the pinned delta table;"
         " ledger equals audit-log fold on 3 scenarios"
@@ -211,16 +207,13 @@ def test_criterion_6_reelection_oracle_sweep():
     for trial in range(200):
         n = rng.randrange(3, 201)
         node_ids = list(range(n))
-        assignment = initialize_roles(
-            [NodeProfile(i, bytes([i % 256]) * 64, 0) for i in node_ids], r_max=101, s_max=20
-        )
-        ledger = CreditLedger(node_ids)
+        assignment = initialize_roles(dict.fromkeys(node_ids, 0), r_max=101, s_max=20)
+        events = []
         for nid in node_ids:
             delta = rng.randrange(-20, 21)
-            for _ in range(abs(delta)):
-                apply_record_outcome(ledger, nid, delta > 0, 0)
-        new = reelect(ledger, assignment, r_max=101, s_max=20)
-        credits = ledger.credits()
+            events += [apply_record_outcome(nid, delta > 0, 0)] * abs(delta)
+        credits = fold_events(node_ids, events)
+        new = reelect(credits, assignment)
         oracle = sorted(sorted(node_ids), key=lambda nid: -credits[nid])  # stable
         assert list(new.all_nodes()) == oracle, f"trial {trial}"
         assert len(new.recorders) == min(101, n)

@@ -143,6 +143,21 @@ class TestInclusionProofs:
                     tree.root, leaves[i], InclusionProof(i, tuple(mutated))
                 )
 
+    def test_proof_is_bound_to_its_leaf_index(self):
+        # a valid path for leaf 2 of 4 does not verify under another index
+        leaves = random_leaves(random.Random(24), 4)
+        tree = build_tree(leaves)
+        proof = tree.prove_inclusion(2)
+        assert verify_inclusion(tree.root, leaves[2], proof)
+        for index in (0, 1, 3, 6, 99, -2):
+            assert not verify_inclusion(tree.root, leaves[2], proof._replace(leaf_index=index)), index
+
+    def test_single_leaf_proof_is_index_zero_only(self):
+        leaf = random_leaves(random.Random(25), 1)[0]
+        proof = build_tree([leaf]).prove_inclusion(0)
+        assert proof.path == () and verify_inclusion(leaf, leaf, proof)
+        assert not verify_inclusion(leaf, leaf, proof._replace(leaf_index=1))
+
     def test_perturbed_leaf_and_root_fail(self):
         rng = random.Random(56)
         leaves = random_leaves(rng, 6)

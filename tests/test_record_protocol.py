@@ -6,7 +6,7 @@ import pytest
 from gridledger import chain as chain_mod
 from gridledger import crypto
 from gridledger.chain import Chain, LinkMismatchError, RecordKind, RecordMetadata, RootMismatchError, genesis
-from gridledger.credit import CreditLedger, CreditReason, NodeProfile, initialize_roles
+from gridledger.credit import CreditState, RoundOutcome, apply_round, initialize_roles
 from gridledger.merkle import build_tree
 from gridledger.record_protocol import (
     ProtocolError,
@@ -34,8 +34,7 @@ def metadata(tick=0, data_class="load"):
 def net():
     """Six keyed nodes, ids 0..5: recorders 0-2, supervisor 3, candidates 4-5."""
     keys = {i: keypair(100 + i) for i in range(6)}
-    profiles = [NodeProfile(i, keys[i].public_key, 60 - 10 * i) for i in range(6)]
-    assignment = initialize_roles(profiles, r_max=3, s_max=1)
+    assignment = initialize_roles({i: 60 - 10 * i for i in range(6)}, r_max=3, s_max=1)
     permissions = frozenset(k.public_key for k in keys.values())
     return keys, assignment, permissions
 
@@ -222,10 +221,24 @@ class TestValidateProposal:
 def commit_env(net, payloads):
     keys, assignment, permissions = net
     chain, proposal = make_proposal(net, payloads)
-    ledger = CreditLedger(range(6))
     public_keys = {i: keys[i].public_key for i in range(6)}
+    return keys, chain, proposal, public_keys
+
+
+def credits_after(net, proposal, votes, result):
+    """Each node's credit after `credit.apply_round` of the tallied round,
+    every node starting at 0: the outcome carries the votes, and the
+    uploaders of the records the verdict credits."""
+    keys, assignment, _ = net
     uploader_ids = {keys[i].public_key: i for i in range(6)}
-    return keys, chain, proposal, ledger, public_keys, uploader_ids
+    records = proposal.block.records if result.committed else [record for _, record in result.quarantined]
+    outcome = RoundOutcome(
+        proposal.block.header.timestamp_tick,
+        proposal.proposer_id,
+        tuple((vote.validator_id, vote.ok) for vote in votes),
+        tuple(uploader_ids[record.uploader_public_key] for record in records),
+    )
+    return apply_round(CreditState(dict.fromkeys(range(6), 0), assignment, 1000), outcome)[0].credits
 
 
 def votes_for(keys, proposal, verdicts):
@@ -238,61 +251,61 @@ def votes_for(keys, proposal, verdicts):
 
 class TestCommit:
     def test_unanimous_ok_appends_and_credits(self, net):
-        keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a"), (20, b"b")])
+        keys, chain, proposal, pks = commit_env(net, [(10, b"a"), (20, b"b")])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip))
         assert result.committed
-        assert ledger.credit(0) == 1  # recorder block-clean
-        assert ledger.credit(2) == 2  # uploader, two records
+        credits = credits_after(net, proposal, votes, result)
+        assert credits[0] == 1  # recorder block-clean
+        assert credits[2] == 2  # uploader, two records
         for vid in proposal.validator_ids:
-            assert ledger.credit(vid) == 1
+            assert credits[vid] == 1
 
     def test_majority_erroneous_quarantines_flagged(self, net):
-        keys, chain, proposal, ledger, pks, uids = commit_env(
-            net, [(10, b"good"), (20, b"bad"), (30, b"good2")]
-        )
+        keys, chain, proposal, pks = commit_env(net, [(10, b"good"), (20, b"bad"), (30, b"good2")])
         votes = votes_for(keys, proposal, [(False, (1,)), (False, (1,)), (True, ())])
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip))
         assert not result.committed
         assert [i for i, _ in result.quarantined] == [1]
         assert [r.payload_digest for r in result.survivors] == [
             crypto.digest(b"good"),
             crypto.digest(b"good2"),
         ]
-        assert ledger.credit(0) == -1  # recorder block-erroneous
-        assert ledger.credit(2) == -1  # uploader of the flagged record
+        credits = credits_after(net, proposal, votes, result)
+        assert credits[0] == -1  # recorder block-erroneous
+        assert credits[2] == -1  # uploader of the flagged record
         dissenter = proposal.validator_ids[2]
-        assert ledger.credit(dissenter) == -1
+        assert credits[dissenter] == -1
 
     def test_ok_majority_with_dissenter_appends(self, net):
-        keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a")])
+        keys, chain, proposal, pks = commit_env(net, [(10, b"a")])
         votes = votes_for(keys, proposal, [(True, ()), (True, ()), (False, (0,))])
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip))
         assert result.committed
         dissenter = proposal.validator_ids[2]
-        assert ledger.credit(dissenter) == -1
+        assert credits_after(net, proposal, votes, result)[dissenter] == -1
 
     def test_quarantine_requires_quorum_of_flags(self, net):
         # two erroneous votes naming different records: neither reaches quorum
-        keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a"), (20, b"b")])
+        keys, chain, proposal, pks = commit_env(net, [(10, b"a"), (20, b"b")])
         votes = votes_for(keys, proposal, [(False, (0,)), (False, (1,)), (True, ())])
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip))
         assert not result.committed
         assert result.quarantined == ()
         assert len(result.survivors) == 2
 
     def test_wrong_vote_count_rejected(self, net):
-        keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
+        keys, chain, proposal, pks = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         with pytest.raises(ProtocolError):
-            commit(proposal, votes[:2], check_of(proposal, chain.tip), ledger, uids)
+            commit(proposal, votes[:2], check_of(proposal, chain.tip))
 
     def test_unverifiable_vote_signature_rejected(self, net):
         # commit tallies votes unverified; the caller's signature pass over
         # their `vote_triple`s rejects a vote whose verdict no longer
         # matches its signature, or that was signed on another block, and
         # points at that vote
-        keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
+        keys, chain, proposal, pks = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         block_digest = chain_mod.block_digest(proposal.block)
         forged = votes[1]._replace(signed=vote_signing_bytes(block_digest, False, ()))
@@ -315,8 +328,6 @@ class TestCommit:
         chain = Chain((genesis("t"),))
         chain = chain.append(chain_mod.make_block(keys[0], chain.tip_digest, 600, ()))
         pending = pending_records(keys, permissions, [(10, b"early")])
-        ledger = CreditLedger(range(6))
-        uids = {keys[i].public_key: i for i in range(6)}
         for tick, ok in ((600, True), (5, False)):  # the tip's own tick is allowed
             proposal = seal_block(
                 keys[1], 1, pending, chain.tip_digest, tick, 3, assignment.candidates, random.Random(1)
@@ -326,17 +337,17 @@ class TestCommit:
                 for v in proposal.validator_ids
             ]
             assert [(v.ok, v.bad_indices) for v in votes] == [(ok, ())] * 3, tick
-        result = commit(proposal, votes, check_of(proposal, chain.tip), ledger, uids)
+        result = commit(proposal, votes, check_of(proposal, chain.tip))
         assert not result.committed
         assert result.quarantined == ()
         assert result.survivors == tuple(pending)
-        assert ledger.credit(1) == -1  # recorder block-erroneous
+        assert credits_after(net, proposal, votes, result)[1] == -1  # recorder block-erroneous
 
     @pytest.mark.parametrize("fault", ["flipped-root", "stale-link"])
     def test_ok_votes_on_a_faulty_block_raise_its_fault(self, net, fault):
         # the round's check is commit's gate: three ok votes do not commit a
-        # block it faults, and only the validator credits are applied
-        keys, chain, proposal, ledger, pks, uids = commit_env(net, [(10, b"a")])
+        # block it faults; the fault aborts the round before any credit moves
+        keys, chain, proposal, pks = commit_env(net, [(10, b"a")])
         if fault == "flipped-root":
             header = proposal.block.header
             root = bytes([header.merkle_root[0] ^ 1]) + header.merkle_root[1:]
@@ -349,24 +360,19 @@ class TestCommit:
         assert isinstance(check.error(), expected)
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         with pytest.raises(expected):
-            commit(proposal, votes, check, ledger, uids)
-        assert [(e.node_id, e.reason) for e in ledger.events] == [
-            (vid, CreditReason.VALIDATOR_AGREED) for vid in proposal.validator_ids
-        ]
+            commit(proposal, votes, check)
 
     def test_vote_from_unassigned_validator_rejected(self, net):
-        keys, chain, proposal, ledger, pks, uids = commit_env(net, [])
+        keys, chain, proposal, pks = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         outsider = sign_vote(keys[1], 1, chain_mod.block_digest(proposal.block), True, ())
         with pytest.raises(ProtocolError):
-            commit(proposal, [outsider, votes[1], votes[2]], check_of(proposal, chain.tip), ledger, uids)
+            commit(proposal, [outsider, votes[1], votes[2]], check_of(proposal, chain.tip))
 
 
 class TestChooseValidators:
     def test_duty_supervisor_skips_crashed(self):
-        keys = {i: keypair(200 + i) for i in range(7)}
-        profiles = [NodeProfile(i, keys[i].public_key, 70 - 10 * i) for i in range(7)]
-        assignment = initialize_roles(profiles, r_max=2, s_max=2)  # supervisors 2, 3
+        assignment = initialize_roles({i: 70 - 10 * i for i in range(7)}, r_max=2, s_max=2)  # supervisors 2, 3
         sup, pool = choose_validators(assignment, 0, alive=lambda n: n != 2)
         assert sup == 3
         assert set(pool) == {4, 5, 6}

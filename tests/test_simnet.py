@@ -17,7 +17,7 @@ from gridledger import chain as chain_mod
 from gridledger import crypto, record_protocol, sigpass, simnet
 from gridledger.chain import Chain, RecordKind
 from gridledger.codec import ByteReader
-from gridledger.credit import CreditReason, fold_events
+from gridledger.credit import CreditEvent, CreditReason, fold_events
 from gridledger.record_protocol import ProtocolError
 from gridledger.simnet import (
     FaultSpec,
@@ -178,15 +178,15 @@ class TestNewSim:
     def test_default_nodes_from_config(self):
         sim = new_sim(SimConfig(node_count=150), Scenario(run_until=0))
         assert len(sim.nodes) == 150
-        assert len(sim.assignment.recorders) == 101
-        assert len(sim.assignment.supervisors) == 20
-        assert len(sim.assignment.candidates) == 29
+        assert len(sim.credit.assignment.recorders) == 101
+        assert len(sim.credit.assignment.supervisors) == 20
+        assert len(sim.credit.assignment.candidates) == 29
 
     def test_desk_partition(self):
         sim = new_sim(desk_config(), SIX_NODES + "run until 0\n")
-        assert sim.assignment.recorders == (0, 1, 2)
-        assert sim.assignment.supervisors == (3,)
-        assert sim.assignment.candidates == (4, 5)
+        assert sim.credit.assignment.recorders == (0, 1, 2)
+        assert sim.credit.assignment.supervisors == (3,)
+        assert sim.credit.assignment.candidates == (4, 5)
 
     def test_identical_inputs_identical_initial_state(self):
         a = new_sim(desk_config(seed=5), SIX_NODES + "run until 0\n")
@@ -319,8 +319,10 @@ class TestRun:
 
     def test_credit_log_folds_to_final_credits(self):
         scenario = (SCENARIOS / "faults.txt").read_text()
-        report = run(new_sim(desk_config(seed=11), scenario))
-        assert fold_events(report.credits.keys(), report.events) == report.credits
+        sim = new_sim(desk_config(seed=11), scenario)
+        report = run(sim)
+        # the report folds the logged events; the run booked them into its state
+        assert fold_events(report.credits.keys(), report.events) == report.credits == sim.credit.credits
 
     def test_chain_plus_quarantine_replay_reproduces_credit_events(self):
         # record/block credit events are exactly reconstructible from the
@@ -339,7 +341,7 @@ class TestRun:
             for record in block.records:
                 expected.append((key_to_id[record.uploader_public_key], 1, "record-correct"))
         for rejection in report.rejections:
-            expected.append((rejection.proposer_id, -1, "block-erroneous"))
+            expected.append((rejection.outcome.recorder, -1, "block-erroneous"))
         for entry in report.quarantine:
             expected.append((key_to_id[entry.record.uploader_public_key], -1, "record-erroneous"))
         replayable = {"block-clean", "record-correct", "block-erroneous", "record-erroneous"}
@@ -378,7 +380,7 @@ class TestEpochs:
         def role(nid, recorders, supervisors):
             return "recorder" if nid in recorders else "supervisor" if nid in supervisors else "candidate"
 
-        before = sim.assignment.recorders, sim.assignment.supervisors
+        before = sim.credit.assignment.recorders, sim.credit.assignment.supervisors
         report = run(sim)
         assert len(report.epoch_changes) >= 2
         for change in report.epoch_changes:
@@ -1141,7 +1143,7 @@ def test_a_direct_step_verifies_its_rounds_votes(monkeypatch):
     assert str(raised.value) == f"vote signature from {forged[0]} does not verify"
     # raised after the round tallied its votes, before the step returned
     assert sum(getattr(e, "kind", None) == "vote" for e in sim.log) == 3
-    assert sim.ledger.events and sim.tick == 601
+    assert any(isinstance(e, CreditEvent) for e in sim.log) and sim.tick == 601
 
 
 def sent_votes(sim, report) -> Counter:

@@ -7,8 +7,10 @@ bytes the tap logged (a tampered envelope one ciphertext bit apart), and each
 credit event, penalty or reward, matching the round or record that earned it; each
 fault detected within its own lifetime; no record penalty for a node no
 forge-record fault drives; and each epoch's committees those a ranking of
-the credits at its tick gives. `Sim.run` jumps over ticks with nothing
-due; its artifacts must be those of a `Sim.step` loop over every tick."""
+the credits at its tick gives. A run's credits and committees replay from
+the round outcomes and refusals in its log alone. `Sim.run` jumps over
+ticks with nothing due; its artifacts must be those of a `Sim.step` loop
+over every tick."""
 
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -18,8 +20,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
+from gridledger import credit
 from gridledger.credit import CreditReason, fold_events
-from gridledger.simnet import EpochChange, FaultKind, FaultSpec, ScenarioError, SimConfig, new_sim
+from gridledger.simnet import (
+    EpochChange,
+    FaultKind,
+    FaultSpec,
+    Refusal,
+    RoundEnd,
+    ScenarioError,
+    SimConfig,
+    new_sim,
+)
 
 from testutil import ciphertext_span
 
@@ -138,7 +150,8 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
         sim._message_handlers[kind] = lambda msg, handler=handler: (handled.append(msg), handler(msg))
     report = sim.run()
     assert chain_mod.verify_chain(report.chain) is None
-    assert fold_events(report.credits.keys(), report.events) == report.credits
+    assert report.credits == sim.credit.credits  # the fold of the logged events is the live state
+    assert replayed(report) == recorded(report)
     for nid in sim.nodes:
         full = chain_mod.verify_chain(sim.replica(nid))
         expected = "ok" if full is None else f"violation@{full.index}:{full.reason}"
@@ -178,7 +191,7 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
         if f.reason in ("signature-invalid", "digest-mismatch")
     )
     assert credited(CreditReason.RECORD_ERRONEOUS) == blamed
-    rejected = Counter((r.tick, r.proposer_id) for r in report.rejections)
+    rejected = Counter((r.outcome.tick, r.outcome.recorder) for r in report.rejections)
     assert credited(CreditReason.BLOCK_ERRONEOUS) == rejected
 
     committed = report.chain.blocks[1:]  # past genesis
@@ -192,7 +205,7 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
         e.tick for e in report.events
         if e.reason in (CreditReason.VALIDATOR_AGREED, CreditReason.VALIDATOR_DISSENTED)
     )
-    decided = [b.header.timestamp_tick for b in committed] + [r.tick for r in report.rejections]
+    decided = [b.header.timestamp_tick for b in committed] + [r.outcome.tick for r in report.rejections]
     assert voted == Counter(decided * 3)
 
     # a fault is caught no earlier than it fires and no later than the run's end
@@ -217,6 +230,68 @@ def epoch_changes_follow_the_ranking(sim, report) -> int:
         assert change.recorders == tuple(ranked[:r_max]), change
         assert change.supervisors == tuple(ranked[r_max : r_max + s_max]), change
     return len(changes)
+
+
+def replayed(report) -> tuple[str, str, str]:
+    """credits.txt and the [roles] and [epochs] sections of metrics.txt,
+    from the outcomes in ``report.log`` alone: `credit.apply_round` folded
+    over each round's `RoundOutcome`, and `credit.apply_intake` over each
+    refused upload envelope, from the committees `initialize_roles` gives
+    the nodes' assessments."""
+    config = report.config
+    assignment = credit.initialize_roles(report.assessments, config.r_max, config.s_max)
+    state = credit.CreditState(dict.fromkeys(report.assessments, 0), assignment, config.epoch_length_blocks)
+    credit_log, epochs = [], ["[epochs]"]
+    for event in report.log:
+        before = state.assignment
+        if isinstance(event, RoundEnd):
+            state, booked = credit.apply_round(state, event.outcome)
+        elif isinstance(event, Refusal) and event.kind == "upload-envelope":
+            state, booked = credit.apply_intake(state, event.src, event.reason, event.tick)
+        else:
+            continue
+        credit_log += [f"{e.tick}\t{e.node_id}\t{e.delta:+d}\t{e.reason.value}\n" for e in booked]
+        new = state.assignment
+        if new is not before:
+            recorders = ",".join(map(str, new.recorders))
+            supervisors = ",".join(map(str, new.supervisors))
+            changed = sum(new.role_of(nid) is not before.role_of(nid) for nid in new.all_nodes())
+            epochs.append(
+                f"{new.epoch}\t{event.outcome.tick}\tchanged={changed}"
+                f"\trecorders={recorders}\tsupervisors={supervisors}"
+            )
+    roles = ["[roles]"] + [
+        f"{nid}\t{state.assignment.role_of(nid).value}\t{state.credits[nid]}\t{report.assessments[nid]}"
+        for nid in sorted(state.credits)
+    ]
+    return "".join(credit_log), "\n".join(roles) + "\n", "\n".join(epochs) + "\n"
+
+
+def recorded(report) -> tuple[str, str, str]:
+    """What the run wrote: credits.txt, and the [roles] and [epochs]
+    sections of metrics.txt, each from its header to its blank line."""
+    metrics = report.metrics_text()
+
+    def section(name):
+        start = metrics.index(f"[{name}]\n")
+        return metrics[start : metrics.index("\n\n", start) + 1]
+
+    return report.credit_log_text(), section("roles"), section("epochs")
+
+
+@pytest.mark.parametrize("epoch_length", [1, 2])
+def test_credits_and_committees_replay_from_the_log(epoch_length):
+    # ROADMAP 12: a fold of the one transition over the log, not a second
+    # copy of the rules, gives the run's credit files byte for byte
+    epochs = 0
+    for name in ("all_faults.txt", "faults.txt", "honest.txt", "sharing.txt"):
+        text = (SCENARIOS / name).read_text()
+        for seed in range(6):
+            config = SimConfig(seed=seed, r_max=3, s_max=1, epoch_length_blocks=epoch_length)
+            report = new_sim(config, text).run()
+            assert replayed(report) == recorded(report), (name, seed)
+            epochs += len(report.epoch_changes)
+    assert epochs == {1: 60, 2: 30}[epoch_length]
 
 
 @pytest.mark.parametrize("epoch_length", [1, 2, 10])
