@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 chain verification failure, 2 usage or parse error.
+A command that stops prints one line and nothing else: a chain verdict
+(``violation at block …``, exit 1) on stdout, or one ``error:`` line for an
+input that cannot be read or parsed or a usage error (exit 2) on stderr.
+Helpers raise `_Stop` for it, and only `main` prints it.
 ``run`` writes four text artifacts into the output directory (chain.txt,
 credits.txt, trace.txt, metrics.txt); ``credits``, ``roles`` and ``audit``
 read them back, row by row against the format ``run`` writes, and ``audit``
@@ -12,11 +16,12 @@ variable, falling back to ./out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
 from collections import deque
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, TextIO, TypeVar
 
 from . import chain as chain_mod
 from . import crypto, simnet
@@ -78,26 +83,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_file(path: str) -> str | None:
+class _Stop(Exception):
+    """Ends a command with one line and an exit code: 1 for a chain verdict,
+    2 (the default) for an input or usage error. Only `main` catches it."""
+
+    def __init__(self, line: str, code: int = 2):
+        super().__init__(line, code)
+
+
+@contextlib.contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text. A file that cannot be opened or read, or
+    a byte in it that is not UTF-8, stops the command."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
+        raise _Stop(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError:
-        print(f"error: {path}: not UTF-8 text", file=sys.stderr)
-    return None
+        raise _Stop(f"{path}: not UTF-8 text")
+
+
+def _read_file(path: str) -> str:
+    with _opened(path) as fh:
+        return fh.read()
 
 
 def _cmd_run(args) -> int:
-    text = _read_file(args.scenario)
-    if text is None:
-        return 2
-    try:
-        scenario = simnet.parse_scenario(text)
-    except simnet.ScenarioError as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return 2
     config = simnet.SimConfig(
         seed=args.seed,
         node_count=args.nodes,
@@ -110,16 +122,14 @@ def _cmd_run(args) -> int:
         message_delay_ticks=args.delay,
     )
     try:
+        scenario = simnet.parse_scenario(_read_file(args.scenario))
         sim = simnet.new_sim(config, scenario)
     except simnet.ScenarioError as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return 2
+        raise _Stop(f"{args.scenario}: {exc}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Stop(str(exc))
     if scenario.run_until is None:
-        print(f"error: {args.scenario}: missing 'run until <tick>' directive", file=sys.stderr)
-        return 2
+        raise _Stop(f"{args.scenario}: missing 'run until <tick>' directive")
     report = sim.run()
     outputs = {
         CHAIN_FILE: report.chain_export_text(),
@@ -135,8 +145,7 @@ def _cmd_run(args) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(content)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise _Stop(f"cannot write {path}: {exc.strerror}")
     print(
         f"run complete: {report.blocks_committed} blocks committed,"
         f" {report.records_committed} records, outputs in {args.out}"
@@ -144,41 +153,28 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _read_export(path: str, consume: Callable[[Iterator[chain_mod.Block]], T]) -> tuple[T | None, int]:
+def _read_export(path: str, consume: Callable[[Iterator[chain_mod.Block]], T]) -> T:
     """What ``consume`` makes of the blocks of the export at ``path``, read
-    one line at a time, and the exit code. A fault of the file outranks what
-    ``consume`` found, so the file is read to its end even when ``consume``
-    stops early: an unreadable or non-UTF-8 file, an empty one or a non-hex
-    line gives (None, 2) and the first undecodable block (None, 1), each
-    after its error line."""
-    fault = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            blocks = chain_mod.read_export(fh)
-            try:
-                result = consume(blocks)
-                deque(blocks, maxlen=0)
-            except (chain_mod.BlockDecodeError, chain_mod.ExportFormatError) as exc:
-                fault = exc
-                deque(fh, maxlen=0)  # a later line that is not UTF-8 outranks it
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None, 2
-    except UnicodeDecodeError:
-        print(f"error: {path}: not UTF-8 text", file=sys.stderr)
-        return None, 2
-    if isinstance(fault, chain_mod.BlockDecodeError):
-        print(f"violation at block {fault.index}: undecodable ({fault})")
-        return None, 1
-    if fault is not None:
-        print(f"error: {path}: {fault}", file=sys.stderr)
-        return None, 2
-    return result, 0
+    one line at a time. A fault of the file outranks what ``consume`` found,
+    so the file is read to its end even when ``consume`` stops early: an
+    empty file or a non-hex line stops the command with exit 2 and the first
+    undecodable block with exit 1, unless a later byte is not UTF-8."""
+    with _opened(path) as fh:
+        blocks = chain_mod.read_export(fh)
+        try:
+            result = consume(blocks)
+            deque(blocks, maxlen=0)
+        except (chain_mod.BlockDecodeError, chain_mod.ExportFormatError) as exc:
+            deque(fh, maxlen=0)  # a later line that is not UTF-8 outranks it
+            if isinstance(exc, chain_mod.BlockDecodeError):
+                raise _Stop(f"violation at block {exc.index}: undecodable ({exc})", 1)
+            raise _Stop(f"{path}: {exc}")
+    return result
 
 
-def _verify_file(path: str) -> tuple[int | None, int]:
-    """The full-chain check of the export at ``path``, read one block at a
-    time: (its block count, 0), or (None, exit code) after an error line."""
+def _verify_file(path: str) -> int:
+    """The block count of the export at ``path``, read one block at a time,
+    once the full-chain check finds no violation."""
     count = 0
 
     def counted(blocks):
@@ -186,20 +182,15 @@ def _verify_file(path: str) -> tuple[int | None, int]:
         for count, block in enumerate(blocks, 1):
             yield block
 
-    violation, code = _read_export(path, lambda blocks: chain_mod.verify_blocks(counted(blocks)))
-    if code:
-        return None, code
+    violation = _read_export(path, lambda blocks: chain_mod.verify_blocks(counted(blocks)))
     if violation is not None:
-        print(f"violation at block {violation.index}: {violation.reason}")
-        return None, 1
-    return count, 0
+        raise _Stop(f"violation at block {violation.index}: {violation.reason}", 1)
+    return count
 
 
 def _cmd_verify(args) -> int:
-    count, code = _verify_file(args.chain)
-    if count is not None:
-        print(f"ok: {count} blocks verified")
-    return code
+    print(f"ok: {_verify_file(args.chain)} blocks verified")
+    return 0
 
 
 def _inspect_row(index: int, block: chain_mod.Block) -> str:
@@ -212,9 +203,7 @@ def _inspect_row(index: int, block: chain_mod.Block) -> str:
 
 
 def _cmd_inspect(args) -> int:
-    rows, code = _read_export(args.chain, lambda blocks: [_inspect_row(i, b) for i, b in enumerate(blocks)])
-    if code:
-        return code
+    rows = _read_export(args.chain, lambda blocks: [_inspect_row(i, b) for i, b in enumerate(blocks)])
     print("block\ttick\ttime\trecords\tmerkle_root\trecorder")
     for row in rows:
         print(row)
@@ -232,8 +221,7 @@ def _lineage(blocks: Iterator[chain_mod.Block], query: bytes) -> list[str]:
 
 def _cmd_trace(args) -> int:
     if (args.digest is None) == (args.key is None):
-        print("error: exactly one of --digest or --key is required", file=sys.stderr)
-        return 2
+        raise _Stop("exactly one of --digest or --key is required")
     if args.digest is None:
         flag, selector, size = "--key", args.key, crypto.PUBLIC_KEY_LEN
     else:
@@ -241,16 +229,12 @@ def _cmd_trace(args) -> int:
     try:
         query = bytes.fromhex(selector)
     except ValueError:
-        print("error: selector is not hex", file=sys.stderr)
-        return 2
+        raise _Stop("selector is not hex")
     # a query of the wrong length is reported only once the export reads clean
     fits = len(query) == size
-    rows, code = _read_export(args.chain, lambda blocks: _lineage(blocks, query) if fits else [])
-    if code:
-        return code
+    rows = _read_export(args.chain, lambda blocks: _lineage(blocks, query) if fits else [])
     if not fits:
-        print(f"error: {flag} takes {size} bytes, not {len(query)}", file=sys.stderr)
-        return 2
+        raise _Stop(f"{flag} takes {size} bytes, not {len(query)}")
     if not rows:
         print("no records")
         return 0
@@ -272,21 +256,17 @@ def _datastore_row(line: str) -> bool:
     return live <= units <= expected and (match[4] == "under-replicated") == (live < expected)
 
 
-def _metrics_rows(report_dir: str, name: str, is_row: Callable[[str], object]) -> list[str] | None:
+def _metrics_rows(report_dir: str, name: str, is_row: Callable[[str], object]) -> list[str]:
     """The rows of the ``[name]`` section of the run's metrics.txt, each a
-    line ``is_row`` holds true, or None after an error line: for a file that
-    cannot be read, a missing section, or a line in the section that is
-    neither blank nor a row."""
+    line ``is_row`` holds true. A file that cannot be read, a missing
+    section, or a line in the section that is neither blank nor a row stops
+    the command."""
     path = os.path.join(report_dir, METRICS_FILE)
-    text = _read_file(path)
-    if text is None:
-        return None
-    lines = simnet.text_lines(text)
+    lines = simnet.text_lines(_read_file(path))
     try:
         start = lines.index(f"[{name}]") + 1
     except ValueError:
-        print(f"error: metrics file has no [{name}] section", file=sys.stderr)
-        return None
+        raise _Stop(f"metrics file has no [{name}] section")
     rows = []
     for number, line in enumerate(lines[start:], start + 1):
         if line.startswith("["):
@@ -294,24 +274,19 @@ def _metrics_rows(report_dir: str, name: str, is_row: Callable[[str], object]) -
         if not line:
             continue
         if not is_row(line):
-            print(f"error: {path}: line {number} is not a [{name}] row", file=sys.stderr)
-            return None
+            raise _Stop(f"{path}: line {number} is not a [{name}] row")
         rows.append(line)
     return rows
 
 
 def _cmd_credits(args) -> int:
     path = os.path.join(args.report_dir, CREDITS_FILE)
-    text = _read_file(path)
-    if text is None:
-        return 2
     credits: dict[int, int] = {}
     tick = 0
-    for number, line in enumerate(simnet.text_lines(text), 1):
+    for number, line in enumerate(simnet.text_lines(_read_file(path)), 1):
         match = _CREDIT_LINE.fullmatch(line)
         if match is None or int(match[1]) < tick:
-            print(f"error: {path}: line {number} is not a credit event in tick order", file=sys.stderr)
-            return 2
+            raise _Stop(f"{path}: line {number} is not a credit event in tick order")
         tick, node_id = int(match[1]), int(match[2])
         credits[node_id] = credits.get(node_id, 0) + int(match[3])
     print("node_id\tcredit")
@@ -322,8 +297,6 @@ def _cmd_credits(args) -> int:
 
 def _cmd_roles(args) -> int:
     rows = _metrics_rows(args.report_dir, "roles", _ROLE_ROW.fullmatch)
-    if rows is None:
-        return 2
     print("node_id\trole\tcredit\tassessment")
     for row in rows:
         print(row)
@@ -331,18 +304,12 @@ def _cmd_roles(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    _, code = _verify_file(os.path.join(args.report_dir, CHAIN_FILE))
-    if code:
-        return code
+    _verify_file(os.path.join(args.report_dir, CHAIN_FILE))
     rows = _metrics_rows(args.report_dir, "datastore", _datastore_row)
-    if rows is None:
-        return 2
     print("digest\texpected\tlive\tunits\tstatus")
-    flagged = 0
     for row in rows:
-        if row.endswith("under-replicated"):
-            flagged += 1
         print(row)
+    flagged = sum(row.endswith("under-replicated") for row in rows)
     print(f"# {len(rows)} objects, {flagged} under-replicated")
     return 0
 
@@ -361,7 +328,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _Stop as stop:
+        line, code = stop.args
+        if code == 1:
+            print(line)
+        else:
+            print(f"error: {line}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

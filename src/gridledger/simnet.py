@@ -458,7 +458,6 @@ class QuarantineEntry(NamedTuple):
     """A record a rejected round quarantined; the round's `RoundEnd` follows."""
 
     tick: int
-    proposer_id: int
     index: int
     record: Record
 
@@ -1198,7 +1197,7 @@ class Sim:
         else:
             for index, record in result.quarantined:
                 self._verified.discard(chain_mod.signature_triple(record))
-                self.log.append(QuarantineEntry(self.tick, duty, index, record))
+                self.log.append(QuarantineEntry(self.tick, index, record))
                 forge = self._forged.pop(record, None)
                 if forge is not None:
                     self._fault_step(forge, f"quarantined@{self.tick}", detected=True)

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 CODEC = "src/gridledger/codec.py"
 CHAIN = "src/gridledger/chain.py"
 CREDIT = "src/gridledger/credit.py"
+CLI = "src/gridledger/cli.py"
 
 CATALOG = (
     # the declared layouts' field kinds and their reader
@@ -73,6 +74,10 @@ CATALOG = (
            ("tests/test_credit.py",)),
     Mutant("skipped-round-uncounted", CREDIT, "rounds = state.rounds + 1",
            "rounds = state.rounds + bool(outcome.votes)", ("tests/test_credit.py",)),
+    # how a CLI command stops, and what it reads before it answers
+    Mutant("error-line-on-stdout", CLI, 'print(f"error: {line}", file=sys.stderr)', 'print(f"error: {line}")',
+           ("tests/test_cli.py",)),
+    Mutant("export-drain-dropped", CLI, "deque(blocks, maxlen=0)", "pass", ("tests/test_readers.py",)),
 )
 
 
@@ -94,10 +99,10 @@ def outcome(mutant: Mutant) -> str:
         shutil.copytree(ROOT, copy, ignore=ignore)
         (copy / mutant.path).write_text(mutated(mutant, copy))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        # Only the exit status is read, so no terminal report is made. Making
-        # one, Hypothesis imports libcst for a failing example if it is
-        # installed, and filterwarnings=error turns libcst's deprecation
-        # warning into an internal error: exit 3 for a killed mutant.
+        # Only the exit status is read, so no terminal report is made: a
+        # warning raised while reporting a failing example (Hypothesis
+        # imports libcst for one, if it is installed) cannot turn a kill
+        # into an internal error (exit 3) under filterwarnings=error.
         command = [sys.executable, "-m", "pytest", "-x", "-p", "no:terminal", "-p", "no:cacheprovider", *mutant.tests]
         status = subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
     return {0: "survived", 1: "killed"}.get(status, "error")

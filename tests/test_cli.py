@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import filecmp
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -545,3 +547,100 @@ def test_no_read_command_raises_on_a_damaged_run_directory(run_files, tmp_path_f
     ):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2), argv
+
+
+# --- how a command stops ------------------------------------------------------
+
+def _duplicated_record_export() -> str:
+    chain = build_chain(2)
+    block = chain.blocks[1]
+    duplicated = Block(header=block.header, records=block.records + block.records[-1:])
+    return chain_mod.export_chain(Chain((chain.blocks[0], duplicated, chain.blocks[2])))
+
+
+EXPORT = chain_mod.export_chain(build_chain(2))
+VIOLATION = _duplicated_record_export()
+UNDECODABLE = export_with_an_empty_data_class()
+NO_SUCH_FILE, FILE_EXISTS = os.strerror(errno.ENOENT), os.strerror(errno.EEXIST)
+DATASTORE = "[datastore]\n" + "ab" * 32 + "\t3\t3\tu0,u1,u2\tok\n"
+
+# Each way a command stops: the files it finds in its directory ``{d}``, its
+# arguments, its exit code and the one line it prints. An exit-1 line is a
+# chain verdict, on stdout; an exit-2 line is an input or usage error, on
+# stderr. Nothing else is printed.
+STOPS = {
+    "run-missing-scenario": (
+        {}, ["run", "{d}/nope.txt", "--out", "{d}/o"], 2, f"error: cannot read {{d}}/nope.txt: {NO_SUCH_FILE}"
+    ),
+    "run-parse-error": (
+        {"s.txt": "upload 2 load at 50\nrun until 600\n"}, ["run", "{d}/s.txt", "--out", "{d}/o"], 2,
+        "error: {d}/s.txt: line 1: expected: upload <id> <class> <size> at <tick>",
+    ),
+    "run-unknown-node": (
+        {"s.txt": "authorize 2\nupload 9 load 8 at 10\nrun until 600\n"},
+        ["run", "{d}/s.txt", "--out", "{d}/o", *RUN_FLAGS], 2, "error: {d}/s.txt: line 2: unknown node 9",
+    ),
+    "run-interval-zero": (
+        {"s.txt": "run until 600\n"}, ["run", "{d}/s.txt", "--out", "{d}/o", "--interval", "0", *RUN_FLAGS], 2,
+        "error: block interval and epoch length must be >= 1",
+    ),
+    "run-no-run-until": (
+        {"s.txt": "authorize 2\n"}, ["run", "{d}/s.txt", "--out", "{d}/o", *RUN_FLAGS], 2,
+        "error: {d}/s.txt: missing 'run until <tick>' directive",
+    ),
+    "run-out-is-a-file": (
+        {"s.txt": "run until 600\n", "o": ""}, ["run", "{d}/s.txt", "--out", "{d}/o", *RUN_FLAGS], 2,
+        f"error: cannot write {{d}}/o: {FILE_EXISTS}",
+    ),
+    **{
+        f"{command}-{case}": (files, [command, "{d}/chain.txt"], code, line)
+        for command in ("verify", "inspect")
+        for case, files, code, line in [
+            ("missing-file", {}, 2, f"error: cannot read {{d}}/chain.txt: {NO_SUCH_FILE}"),
+            ("not-utf8", {"chain.txt": EXPORT.encode() + b"\xff\n"}, 2, "error: {d}/chain.txt: not UTF-8 text"),
+            ("empty-export", {"chain.txt": ""}, 2, "error: {d}/chain.txt: empty chain export"),
+            ("non-hex-line", {"chain.txt": EXPORT + "zz\n"}, 2, "error: {d}/chain.txt: line 4 is not hex"),
+            (
+                "undecodable-block", {"chain.txt": UNDECODABLE}, 1,
+                "violation at block 1: undecodable (block 1: data_class length out of bounds)",
+            ),
+        ]
+    },
+    "verify-violation": (
+        {"chain.txt": VIOLATION}, ["verify", "{d}/chain.txt"], 1, "violation at block 1: duplicate-record"
+    ),
+    "trace-both-flags": (
+        {"chain.txt": EXPORT}, ["trace", "{d}/chain.txt", "--digest", "ab" * 32, "--key", "cd" * 64], 2,
+        "error: exactly one of --digest or --key is required",
+    ),
+    "trace-non-hex-selector": (
+        {"chain.txt": EXPORT}, ["trace", "{d}/chain.txt", "--digest", "zz"], 2, "error: selector is not hex"
+    ),
+    "trace-wrong-length": (
+        {"chain.txt": EXPORT}, ["trace", "{d}/chain.txt", "--key", "ab" * 32], 2, "error: --key takes 64 bytes, not 32"
+    ),
+    "credits-out-of-order": (
+        {"credits.txt": "600\t3\t+1\trecord-correct\n0\t3\t+1\trecord-correct\n"}, ["credits", "{d}"], 2,
+        "error: {d}/credits.txt: line 2 is not a credit event in tick order",
+    ),
+    "roles-no-section": (
+        {"metrics.txt": DATASTORE}, ["roles", "{d}"], 2, "error: metrics file has no [roles] section"
+    ),
+    "roles-bad-row": (
+        {"metrics.txt": "[roles]\n5\tkingmaker\t0\t30\n"}, ["roles", "{d}"], 2,
+        "error: {d}/metrics.txt: line 2 is not a [roles] row",
+    ),
+    "audit-violation": (
+        {"chain.txt": VIOLATION, "metrics.txt": DATASTORE}, ["audit", "{d}"], 1,
+        "violation at block 1: duplicate-record",
+    ),
+}
+
+
+@pytest.mark.parametrize("files, argv, code, line", STOPS.values(), ids=STOPS.keys())
+def test_a_stop_prints_one_line_on_the_stream_of_its_exit_code(tmp_path, capsys, files, argv, code, line):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content.encode() if isinstance(content, str) else content)
+    assert main([arg.replace("{d}", str(tmp_path)) for arg in argv]) == code
+    printed = line.replace("{d}", str(tmp_path)) + "\n"
+    assert capsys.readouterr() == ((printed, "") if code == 1 else ("", printed))
