@@ -22,6 +22,11 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 DEFAULT_RECORDER_CAPACITY = 101
 DEFAULT_SUPERVISOR_CAPACITY = 20
+# A round's committee: its on-duty supervisor and VALIDATOR_COUNT - 1 drawn
+# candidates. QUORUM of its votes decide the block, and QUORUM flags on one
+# record quarantine it.
+VALIDATOR_COUNT = 3
+QUORUM = 2
 
 
 class Role(Enum):
@@ -148,14 +153,14 @@ def apply_block_outcome(recorder_id: int, erroneous: bool, tick: int) -> CreditE
 
 
 def majority(verdicts: Sequence[bool]) -> bool:
-    """The verdict of an odd, non-empty vote set: ok if more than half say so."""
-    if not verdicts or len(verdicts) % 2 == 0:
-        raise ValueError("vote set must be odd-sized and non-empty")
-    return sum(verdicts) * 2 > len(verdicts)
+    """A committee's verdict: ok if ``QUORUM`` of its ``VALIDATOR_COUNT`` votes say so."""
+    if len(verdicts) != VALIDATOR_COUNT:
+        raise ValueError(f"a committee casts {VALIDATOR_COUNT} votes, got {len(verdicts)}")
+    return sum(verdicts) >= QUORUM
 
 
 def apply_validator_outcomes(votes: Sequence[tuple[int, bool]], tick: int) -> tuple[list[CreditEvent], bool]:
-    """Majority verdict over an odd vote set; agreeing validators +1,
+    """Majority verdict over a committee's votes; agreeing validators +1,
     dissenters -1. Returns the events and the majority verdict (True=ok)."""
     majority_ok = majority([verdict for _, verdict in votes])
     events = []

@@ -6,9 +6,10 @@ they ask to commit, and the payload sealed to the recorder's key. The
 recorder decrypts, checks the record's signature and the payload's digest,
 queues that same record, and re-seals the payload to the *uploader's* key
 for at-rest storage. On each block interval the duty recorder seals the
-pending queue into a block, the on-duty supervisor plus two RNG-drawn
-candidates re-validate it, and a majority verdict commits or rejects it;
-`credit.apply_round` books the round's credit events.
+pending queue into a block, and a committee of `credit.VALIDATOR_COUNT`
+re-validates it: the on-duty supervisor and candidates drawn from the seeded
+RNG. `credit.QUORUM` ok votes commit it, and otherwise `QUORUM` flags on a
+record quarantine it; `credit.apply_round` books the round's credit events.
 
 The digest an uploader signed travels in the record, next to its
 signature: that is what lets a recorder tell a forged signature apart from
@@ -19,20 +20,17 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import chain as chain_mod
 from . import credit as credit_mod
 from . import crypto
 from .chain import Block, BlockCheck, Record, RecordMetadata
 from .codec import BOOL, Fixed, Layout, ListOf, Nested, UInt, VarBytes
-from .credit import RoleAssignment
+from .credit import QUORUM, VALIDATOR_COUNT, RoleAssignment
 from .crypto import Envelope, Keypair
 from .datastore import StoredObject
 from .sigpass import Triple
-
-VALIDATOR_COUNT = 3
-QUORUM = 2
 
 
 class ProtocolError(Exception):
@@ -100,8 +98,7 @@ UPLOAD_ENVELOPE = Layout(
 
 class ProposedBlock(NamedTuple):
     block: Block
-    proposer_id: int
-    validator_ids: tuple[int, int, int]
+    validator_ids: tuple[int, ...]
 
 
 class Verdict(NamedTuple):
@@ -146,7 +143,6 @@ class Vote(NamedTuple):
 class CommitResult(NamedTuple):
     committed: bool
     quarantined: tuple[tuple[int, Record], ...]
-    survivors: tuple[Record, ...]
 
 
 def prepare_upload(
@@ -195,30 +191,15 @@ def receive_upload(
 
 
 def seal_block(
-    recorder: Keypair,
-    proposer_id: int,
-    pending: Sequence[Record],
-    prev_block_digest: bytes,
-    tick: int,
-    supervisor_id: int,
-    candidate_pool: Sequence[int],
-    rng,
+    recorder: Keypair, pending: Iterable[Record], prev_block_digest: bytes, tick: int,
+    validator_ids: tuple[int, ...],
 ) -> ProposedBlock:
     """Build and sign the interval block from the pending queue (arrival
     order, each distinct record once: a block that lists a record twice is
-    invalid), and pick its validators: the on-duty supervisor plus two
-    candidates drawn from the seeded RNG. An empty queue still seals an
-    empty block so the timestamp chain advances."""
-    if len(candidate_pool) < 2:
-        raise ProtocolError("need at least two candidates for validation")
-    records = tuple(dict.fromkeys(pending))
-    block = chain_mod.make_block(recorder, prev_block_digest, tick, records)
-    picked = rng.sample(list(candidate_pool), 2)
-    return ProposedBlock(
-        block=block,
-        proposer_id=proposer_id,
-        validator_ids=(supervisor_id, picked[0], picked[1]),
-    )
+    invalid) for the committee `choose_validators` drew. An empty queue
+    still seals an empty block so the timestamp chain advances."""
+    block = chain_mod.make_block(recorder, prev_block_digest, tick, tuple(dict.fromkeys(pending)))
+    return ProposedBlock(block, validator_ids)
 
 
 def vote_signing_bytes(block_digest: bytes, ok: bool, bad_indices: tuple[int, ...]) -> bytes:
@@ -252,7 +233,7 @@ def validate_proposal(
 ) -> Vote:
     """Second-stage review. ``check`` is `chain.validate_block` of the
     proposed block against the tip; it depends on nothing else, so one
-    check serves all three validators. Per record, the scenario's validity
+    check serves the whole committee. Per record, the scenario's validity
     predicate is applied too. The verdict is ok only if everything holds;
     otherwise the offending record indices are flagged (header-level
     failures flag none)."""
@@ -271,15 +252,15 @@ def validate_proposal(
 
 
 def commit(proposal: ProposedBlock, votes: Sequence[Vote], check: BlockCheck) -> CommitResult:
-    """Tally exactly three votes, one from each assigned validator. Their
-    signatures are not checked here: the caller verifies each vote's
-    `vote_triple`, and its failure can only abort the run, since a vote's
-    signature steers nothing. The tally moves no credit: the caller hands
-    the votes to `credit.apply_round`. A majority ok (`credit.majority`)
-    commits the block, which the caller appends; ``check``, the validators'
-    `validate_block` of the block against the tip, is the gate: if it holds
-    a fault, that fault is raised. Majority erroneous drops the
-    quorum-flagged records to quarantine and keeps the surviving records
+    """Tally exactly `VALIDATOR_COUNT` votes, one from each assigned
+    validator. Their signatures are not checked here: the caller verifies
+    each vote's `vote_triple`, and its failure can only abort the run, since
+    a vote's signature steers nothing. The tally moves no credit: the caller
+    hands the votes to `credit.apply_round`. A majority ok
+    (`credit.majority`) commits the block, which the caller appends;
+    ``check``, the validators' `validate_block` of the block against the
+    tip, is the gate: if it holds a fault, that fault is raised. Majority
+    erroneous quarantines each record `QUORUM` votes flag; the rest stay
     pending."""
     if len(votes) != VALIDATOR_COUNT:
         raise ProtocolError(f"expected {VALIDATOR_COUNT} votes, got {len(votes)}")
@@ -293,33 +274,28 @@ def commit(proposal: ProposedBlock, votes: Sequence[Vote], check: BlockCheck) ->
         error = check.error()
         if error is not None:
             raise error
-        return CommitResult(committed=True, quarantined=(), survivors=())
+        return CommitResult(committed=True, quarantined=())
 
     flags = Counter(index for vote in votes if not vote.ok for index in vote.bad_indices)
-    records = tuple(enumerate(proposal.block.records))
-    quarantined = tuple((i, record) for i, record in records if flags[i] >= QUORUM)
-    survivors = tuple(record for i, record in records if flags[i] < QUORUM)
-    return CommitResult(committed=False, quarantined=quarantined, survivors=survivors)
+    records = enumerate(proposal.block.records)
+    return CommitResult(committed=False, quarantined=tuple((i, r) for i, r in records if flags[i] >= QUORUM))
 
 
 def choose_validators(
-    assignment: RoleAssignment, round_index: int, alive: Callable[[int], bool] | None = None
-) -> tuple[int, tuple[int, ...]]:
-    """On-duty supervisor (skipping crashed ones in rotation order) and the
-    alive candidate pool the two extra validators are sampled from."""
+    assignment: RoleAssignment, round_index: int, rng, alive: Callable[[int], bool] | None = None
+) -> tuple[int, ...]:
+    """The round's committee of `VALIDATOR_COUNT`: the on-duty supervisor
+    (skipping crashed ones in rotation order), then `VALIDATOR_COUNT - 1`
+    alive candidates drawn from the seeded ``rng``."""
     alive = alive or (lambda _nid: True)
     supervisors = assignment.supervisors
     if not supervisors:
         raise ProtocolError("no supervisors configured")
-    supervisor_id = None
-    for offset in range(len(supervisors)):
-        candidate = supervisors[(round_index + offset) % len(supervisors)]
-        if alive(candidate):
-            supervisor_id = candidate
-            break
+    turn = (supervisors[(round_index + offset) % len(supervisors)] for offset in range(len(supervisors)))
+    supervisor_id = next((nid for nid in turn if alive(nid)), None)
     if supervisor_id is None:
         raise ProtocolError("no alive supervisor")
-    pool = tuple(nid for nid in assignment.candidates if alive(nid))
-    if len(pool) < 2:
+    pool = [nid for nid in assignment.candidates if alive(nid)]
+    if len(pool) < VALIDATOR_COUNT - 1:
         raise ProtocolError("fewer than two alive candidates")
-    return supervisor_id, pool
+    return (supervisor_id, *rng.sample(pool, VALIDATOR_COUNT - 1))

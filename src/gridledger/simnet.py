@@ -31,7 +31,9 @@ as the run goes on, and the process only what they have no room for. The
 first vote that fails raises `ProtocolError`.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
-duty rotation.
+duty rotation. The queue, `Sim.pending`, maps each record to the
+forge-record fault that made it, if any: that is what the validators judge
+it by.
 
 A round is committed once, not once per node. Each node's replica is a view
 of the canonical chain: the number of its blocks the node holds (all of
@@ -80,8 +82,8 @@ error):
   ``recover=<tick>``, after the fault tick, restores it from the replicas.
 
 If no ``node`` directives appear, ``node_count`` nodes with assessment 0 are
-created; by default that is the committee seats plus two candidates
-(`SimConfig`).
+created; by default that is the committee seats plus the candidates a
+round's committee draws (`SimConfig`).
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ _FAULT_PARAMS: dict[FaultKind, tuple[str, ...]] = {
 @dataclass
 class SimConfig:
     """``node_count`` applies to a scenario without ``node`` lines. By
-    default it is ``r_max + s_max + 2``, the fewest nodes that seat both
-    committees and leave the two candidates a round's validation needs."""
+    default it is the fewest nodes that seat both committees and leave the
+    ``credit.VALIDATOR_COUNT - 1`` candidates a round's committee draws."""
 
     seed: int = 0
     node_count: int | None = None
@@ -146,7 +148,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.node_count is None:
-            self.node_count = self.r_max + self.s_max + 2
+            self.node_count = self.r_max + self.s_max + credit_mod.VALIDATOR_COUNT - 1
 
 
 class ScenarioError(Exception):
@@ -262,7 +264,7 @@ def parse_scenario(text: str) -> Scenario:
         elif directive == "authorize":
             if len(tokens) != 2:
                 raise ScenarioError(lineno, "expected: authorize <id>")
-            scenario.authorized.append((_int_field(tokens[1], lineno, "node id"), lineno))
+            scenario.authorized.append((_nonneg_field(tokens[1], lineno, "node id"), lineno))
         elif directive == "upload":
             if len(tokens) != 6 or tokens[4] != "at":
                 raise ScenarioError(lineno, "expected: upload <id> <class> <size> at <tick>")
@@ -272,7 +274,7 @@ def parse_scenario(text: str) -> Scenario:
             scenario.uploads.append(
                 UploadPlan(
                     ordinal=len(scenario.uploads),
-                    node_id=_int_field(tokens[1], lineno, "node id"),
+                    node_id=_nonneg_field(tokens[1], lineno, "node id"),
                     data_class=data_class,
                     size=size,
                     tick=tick,
@@ -284,8 +286,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(lineno, "expected: share <from> <to> <upload-ref> at <tick>")
             scenario.shares.append(
                 SharePlan(
-                    sender=_int_field(tokens[1], lineno, "sender id"),
-                    receiver=_int_field(tokens[2], lineno, "receiver id"),
+                    sender=_nonneg_field(tokens[1], lineno, "sender id"),
+                    receiver=_nonneg_field(tokens[2], lineno, "receiver id"),
                     upload_ref=_int_field(tokens[3], lineno, "upload ref"),
                     tick=_nonneg_field(tokens[5], lineno, "tick"),
                     line=lineno,
@@ -304,7 +306,7 @@ def parse_scenario(text: str) -> Scenario:
             if kind is FaultKind.FAIL_STORAGE_UNIT:
                 target = tokens[2] if tokens[2].startswith("u") else f"u{tokens[2]}"
             else:
-                target = _int_field(tokens[2], lineno, "target node")
+                target = _nonneg_field(tokens[2], lineno, "target node")
             scenario.faults.append(
                 FaultSpec(kind=kind, target=target, tick=tick, params=params, line=lineno)
             )
@@ -585,7 +587,6 @@ class SimReport:
     faults: tuple[FaultSpec, ...]
     log: tuple  # the run's events, in order
     upload_digests: dict[int, bytes]
-    upload_payloads: dict[int, bytes]
     pending_left: tuple[Record, ...]
 
     def _of(self, kind: type) -> tuple:
@@ -750,7 +751,7 @@ class Sim:
             self.nodes[nid] = _Node(keypair=keypair)
         self.assessments = dict(node_decls)
         assignment = credit_mod.initialize_roles(self.assessments, config.r_max, config.s_max)
-        if not assignment.supervisors or len(assignment.candidates) < 2:
+        if not assignment.supervisors or len(assignment.candidates) < credit_mod.VALIDATOR_COUNT - 1:
             raise ValueError(
                 "configuration leaves no supervisor or fewer than two candidates; "
                 "block validation needs 1 supervisor + 2 candidates"
@@ -769,11 +770,9 @@ class Sim:
 
         self.store = DataStore([f"u{i}" for i in range(config.storage_unit_count)], config.replication_factor)
 
-        self.pending: list[Record] = []
+        self.pending: dict[Record, int | None] = {}  # in arrival order, to the forge-record fault behind it
         self._verified: set[tuple] = set()  # triples intake verified, until committed or quarantined
-        self._forged: dict[Record, int] = {}  # accepted forged records' faults, until decided
         self.upload_digests: dict[int, bytes] = {}
-        self.upload_payloads: dict[int, bytes] = {}
         self.log: list[tuple] = []  # every happening, once, in order; append-only
         # the signature pass of the votes tallied so far, and their
         # validators' ids, in commit order; None outside a `step` or `run`
@@ -931,7 +930,6 @@ class Sim:
             return
         payload, payload_digest = self._rng_bytes("payload", plan.size)
         self.upload_digests[plan.ordinal] = payload_digest
-        self.upload_payloads[plan.ordinal] = payload
         self._start_upload(plan.node_id, _UploadFlow(payload, self._grid_metadata(plan.data_class)))
 
     def _on_share_plan(self, plan: SharePlan) -> None:
@@ -1101,10 +1099,8 @@ class Sim:
             self._note_tamper_caught(msg, exc.reason.value)
             return
         record = envelope.record
-        self.pending.append(record)
+        self.pending.setdefault(record, flow.forge)
         self._verified.add(chain_mod.signature_triple(record))
-        if flow.forge is not None:
-            self._forged[record] = flow.forge
         try:
             self.store.put(stored)
         except StorageError as exc:
@@ -1133,9 +1129,6 @@ class Sim:
 
     # --- consensus ---------------------------------------------------------------
 
-    def _predicate(self, record: Record) -> bool:
-        return record not in self._forged
-
     def _consensus_round(self, round_index: int) -> None:
         duty = credit_mod.duty_recorder(self.credit.assignment, round_index)
         crash = self.nodes[duty].crash
@@ -1145,16 +1138,15 @@ class Sim:
             self._end_round(RoundEnd(round_index, RoundOutcome(self.tick, duty), skipped=reason))
             return
         try:
-            supervisor_id, pool = record_mod.choose_validators(
-                self.credit.assignment, round_index, alive=lambda nid: not self.nodes[nid].crashed
+            validator_ids = record_mod.choose_validators(
+                self.credit.assignment, round_index, self.rng, alive=lambda nid: not self.nodes[nid].crashed
             )
         except record_mod.ProtocolError as exc:
             self._end_round(RoundEnd(round_index, RoundOutcome(self.tick, duty), skipped=str(exc)))
             return
         self._trace_rng("validator-select", f"r={round_index}")
         proposal = record_mod.seal_block(
-            self.nodes[duty].keypair, duty, self.pending, self.chain.tip_digest,
-            self.tick, supervisor_id, pool, self.rng,
+            self.nodes[duty].keypair, self.pending, self.chain.tip_digest, self.tick, validator_ids
         )
         block_data = chain_mod.block_bytes(proposal.block)
         detail = f"r={round_index};records={len(proposal.block.records)}"
@@ -1166,7 +1158,7 @@ class Sim:
         for vid in proposal.validator_ids:
             validator = self.nodes[vid]
             vote = record_mod.validate_proposal(
-                validator.keypair, vid, proposal, check, self._predicate
+                validator.keypair, vid, proposal, check, lambda record: self.pending[record] is None
             )
             if validator.byzantine:
                 inverted_ok = not vote.ok
@@ -1185,28 +1177,26 @@ class Sim:
         result = record_mod.commit(proposal, votes, check)
         if result.committed:
             self.chain = self.chain.append(proposal.block)
-            self.pending = []
             self._verified.clear()
             # stands for one commit-notice TapEntry per live node
             self.log.append(CommitNotice(self.tick, duty, self._live, self._down, block_digest_value))
-            for record in proposal.block.records:
-                forge = self._forged.pop(record, None)
+            for forge in self.pending.values():
                 if forge is not None:
                     self._fault_step(forge, f"committed-undetected@{self.tick}")
-            credited, block, survivors = proposal.block.records, len(self.chain) - 1, 0
+            self.pending = {}
+            credited, block = proposal.block.records, len(self.chain) - 1
         else:
             for index, record in result.quarantined:
                 self._verified.discard(chain_mod.signature_triple(record))
                 self.log.append(QuarantineEntry(self.tick, index, record))
-                forge = self._forged.pop(record, None)
+                forge = self.pending.pop(record)
                 if forge is not None:
                     self._fault_step(forge, f"quarantined@{self.tick}", detected=True)
-            self.pending = list(result.survivors)
-            credited, block, survivors = [record for _, record in result.quarantined], None, len(self.pending)
+            credited, block = [record for _, record in result.quarantined], None
         verdicts = tuple((vote.validator_id, vote.ok) for vote in votes)
         uploaders = tuple(self.uploader_ids[record.uploader_public_key] for record in credited)
         outcome = RoundOutcome(self.tick, duty, verdicts, uploaders)
-        self._end_round(RoundEnd(round_index, outcome, block, survivors))
+        self._end_round(RoundEnd(round_index, outcome, block, len(self.pending)))
 
     def _end_round(self, end: RoundEnd) -> None:
         """Log how the round ended, the credit events `credit.apply_round`
@@ -1255,7 +1245,6 @@ class Sim:
             faults=tuple(self.faults),
             log=tuple(self.log),
             upload_digests=dict(self.upload_digests),
-            upload_payloads=dict(self.upload_payloads),
             pending_left=tuple(self.pending),
         )
 

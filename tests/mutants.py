@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 CODEC = "src/gridledger/codec.py"
 CHAIN = "src/gridledger/chain.py"
 CREDIT = "src/gridledger/credit.py"
+RECORD = "src/gridledger/record_protocol.py"
 CLI = "src/gridledger/cli.py"
 
 CATALOG = (
@@ -55,7 +56,7 @@ CATALOG = (
     # the chain's and the credit rules' checks
     Mutant("timestamp-regression", CHAIN, "header.timestamp_tick < prev_block.header.timestamp_tick",
            "header.timestamp_tick <= prev_block.header.timestamp_tick", ("tests/test_chain.py",)),
-    Mutant("majority-rule", CREDIT, "return sum(verdicts) * 2 > len(verdicts)", "return sum(verdicts) > 0",
+    Mutant("majority-rule", CREDIT, "return sum(verdicts) >= QUORUM", "return sum(verdicts) > 0",
            ("tests/test_credit.py",)),
     Mutant("epoch-increment", CREDIT, "epoch=assignment.epoch + 1", "epoch=assignment.epoch",
            ("tests/test_credit.py",)),
@@ -74,6 +75,10 @@ CATALOG = (
            ("tests/test_credit.py",)),
     Mutant("skipped-round-uncounted", CREDIT, "rounds = state.rounds + 1",
            "rounds = state.rounds + bool(outcome.votes)", ("tests/test_credit.py",)),
+    # the round's committee and its tally
+    Mutant("committee-one-short", RECORD, "rng.sample(pool, VALIDATOR_COUNT - 1)",
+           "rng.sample(pool, VALIDATOR_COUNT - 2)", ("tests/test_record_protocol.py",)),
+    Mutant("one-flag-quarantines", RECORD, "flags[i] >= QUORUM", "flags[i] >= 1", ("tests/test_record_protocol.py",)),
     # how a CLI command stops, and what it reads before it answers
     Mutant("error-line-on-stdout", CLI, 'print(f"error: {line}", file=sys.stderr)', 'print(f"error: {line}")',
            ("tests/test_cli.py",)),

@@ -26,7 +26,7 @@ from gridledger.datastore import DataStore, StoredObject
 from gridledger.merkle import InclusionProof, build_tree
 from gridledger.simnet import SimConfig, new_sim, run
 
-from testutil import build_chain, keypair
+from testutil import build_chain, keypair, sealed_payloads
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -277,10 +277,11 @@ def _extract_envelope(kind, data):
 
 def test_criterion_9_sharing_round_trip():
     sim = new_sim(desk_config(seed=3), (SCENARIOS / "sharing.txt").read_text())
-    report = run(sim)
+    with sealed_payloads() as payloads:
+        report = run(sim)
     assert len(report.deliveries) == 1
     delivery = report.deliveries[0]
-    assert delivery.payload == report.upload_payloads[0]  # exact plaintext
+    assert delivery.payload == payloads[0]  # exact plaintext
     assert any(f.reason == "not-owner" for f in report.share_failures)
     rows = chain_mod.trace(report.chain, report.upload_digests[0])
     assert [r.metadata.kind for _, _, r in rows] == [

@@ -580,6 +580,10 @@ STOPS = {
         {"s.txt": "authorize 2\nupload 9 load 8 at 10\nrun until 600\n"},
         ["run", "{d}/s.txt", "--out", "{d}/o", *RUN_FLAGS], 2, "error: {d}/s.txt: line 2: unknown node 9",
     ),
+    "run-negative-node": (
+        {"s.txt": "authorize -1\nrun until 600\n"}, ["run", "{d}/s.txt", "--out", "{d}/o", *RUN_FLAGS], 2,
+        "error: {d}/s.txt: line 1: node id must be non-negative",
+    ),
     "run-interval-zero": (
         {"s.txt": "run until 600\n"}, ["run", "{d}/s.txt", "--out", "{d}/o", "--interval", "0", *RUN_FLAGS], 2,
         "error: block interval and epoch length must be >= 1",

@@ -212,6 +212,11 @@ class TestValidatorOutcomes:
         with pytest.raises(ValueError):
             apply_validator_outcomes([(1, True), (2, True)], 0)
 
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_a_vote_set_other_than_one_committee_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^a committee casts 3 votes, got {n}$"):
+            apply_validator_outcomes([(i, True) for i in range(n)], 0)
+
     def test_all_eight_patterns_match_pinned_table(self):
         table = json.loads((FIXTURES / "vote_patterns.json").read_text())
         assert len(table) == 8
@@ -319,12 +324,13 @@ class TestDutyRotation:
         with pytest.raises(ValueError):
             duty_recorder(stripped, 0)
         with pytest.raises(ProtocolError):
-            choose_validators(stripped, 0)
+            choose_validators(stripped, 0, random.Random(0))
 
     def test_supervisor_rotation(self):
         # two candidates, the fewest `choose_validators` draws validators from
         assignment = initialize_roles(assessments([5, 4, 3, 2, 1]), r_max=1, s_max=2)
-        assert [choose_validators(assignment, r)[0] for r in range(4)] == [1, 2, 1, 2]
+        rng = random.Random(0)
+        assert [choose_validators(assignment, r, rng)[0] for r in range(4)] == [1, 2, 1, 2]
 
 
 # one step of a random run: a decided or skipped round (its tick, recorder,

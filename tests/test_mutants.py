@@ -5,13 +5,17 @@ own CI job."""
 
 import pytest
 
-from mutants import CATALOG, CREDIT, ROOT, Mutant, mutated, outcome
+from mutants import CATALOG, CHAIN, CLI, CODEC, CREDIT, RECORD, ROOT, Mutant, mutated, outcome
 
 
 @pytest.mark.parametrize("mutant", CATALOG, ids=[m.name for m in CATALOG])
 def test_mutant_applies(mutant):
     assert mutated(mutant) != (ROOT / mutant.path).read_text()
     assert all((ROOT / path).is_file() for path in mutant.tests)
+
+
+def test_each_rule_module_has_a_mutant():
+    assert {CODEC, CHAIN, CREDIT, RECORD, CLI} <= {mutant.path for mutant in CATALOG}
 
 
 @pytest.mark.parametrize(

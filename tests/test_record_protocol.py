@@ -125,14 +125,16 @@ def pending_records(keys, permissions, payloads, uploader=2, recorder=0):
     return out
 
 
+def committee(assignment, rng_seed=1):
+    return choose_validators(assignment, 0, random.Random(rng_seed))
+
+
 class TestSealBlock:
     def test_root_matches_independent_recompute(self, net):
         keys, assignment, permissions = net
         chain = Chain((genesis("t"),))
         pending = pending_records(keys, permissions, [(10, b"a"), (20, b"b"), (30, b"c"), (40, b"d"), (50, b"e")])
-        proposal = seal_block(
-            keys[0], 0, pending, chain.tip_digest, 600, 3, assignment.candidates, random.Random(1)
-        )
+        proposal = seal_block(keys[0], pending, chain.tip_digest, 600, committee(assignment))
         assert len(proposal.block.records) == 5
         oracle = build_tree([crypto.digest(chain_mod.record_bytes(r)) for r in pending]).root
         assert proposal.block.header.merkle_root == oracle
@@ -141,36 +143,23 @@ class TestSealBlock:
     def test_empty_interval_seals_empty_block(self, net):
         keys, assignment, _ = net
         chain = Chain((genesis("t"),))
-        proposal = seal_block(
-            keys[0], 0, [], chain.tip_digest, 600, 3, assignment.candidates, random.Random(1)
-        )
+        proposal = seal_block(keys[0], [], chain.tip_digest, 600, committee(assignment))
         assert proposal.block.records == ()
         assert proposal.block.header.merkle_root == build_tree([]).root
 
-    def test_validators_are_supervisor_plus_two_candidates(self, net):
-        keys, assignment, _ = net
-        chain = Chain((genesis("t"),))
-        proposal = seal_block(
-            keys[0], 0, [], chain.tip_digest, 600, 3, assignment.candidates, random.Random(1)
-        )
-        sup, c1, c2 = proposal.validator_ids
-        assert sup == 3
-        assert {c1, c2} <= set(assignment.candidates)
-        assert c1 != c2
-
-    def test_needs_two_candidates(self, net):
-        keys, _, _ = net
-        with pytest.raises(ProtocolError):
-            seal_block(keys[0], 0, [], b"\x00" * 32, 600, 3, (4,), random.Random(1))
+    def test_a_record_pending_twice_is_sealed_once(self, net):
+        keys, assignment, permissions = net
+        pending = pending_records(keys, permissions, [(10, b"a"), (20, b"b")])
+        proposal = seal_block(keys[0], pending + pending[:1], b"\x00" * 32, 600, committee(assignment))
+        assert proposal.block.records == tuple(pending)
+        assert proposal.validator_ids == committee(assignment)
 
 
 def make_proposal(net, payloads, rng_seed=1):
     keys, assignment, permissions = net
     chain = Chain((genesis("t"),))
     pending = pending_records(keys, permissions, payloads)
-    proposal = seal_block(
-        keys[0], 0, pending, chain.tip_digest, 600, 3, assignment.candidates, random.Random(rng_seed)
-    )
+    proposal = seal_block(keys[0], pending, chain.tip_digest, 600, committee(assignment, rng_seed))
     return chain, proposal
 
 
@@ -225,16 +214,16 @@ def commit_env(net, payloads):
     return keys, chain, proposal, public_keys
 
 
-def credits_after(net, proposal, votes, result):
+def credits_after(net, proposal, votes, result, recorder=0):
     """Each node's credit after `credit.apply_round` of the tallied round,
-    every node starting at 0: the outcome carries the votes, and the
-    uploaders of the records the verdict credits."""
+    every node starting at 0: the outcome carries ``recorder``, the votes,
+    and the uploaders of the records the verdict credits."""
     keys, assignment, _ = net
     uploader_ids = {keys[i].public_key: i for i in range(6)}
     records = proposal.block.records if result.committed else [record for _, record in result.quarantined]
     outcome = RoundOutcome(
         proposal.block.header.timestamp_tick,
-        proposal.proposer_id,
+        recorder,
         tuple((vote.validator_id, vote.ok) for vote in votes),
         tuple(uploader_ids[record.uploader_public_key] for record in records),
     )
@@ -267,10 +256,6 @@ class TestCommit:
         result = commit(proposal, votes, check_of(proposal, chain.tip))
         assert not result.committed
         assert [i for i, _ in result.quarantined] == [1]
-        assert [r.payload_digest for r in result.survivors] == [
-            crypto.digest(b"good"),
-            crypto.digest(b"good2"),
-        ]
         credits = credits_after(net, proposal, votes, result)
         assert credits[0] == -1  # recorder block-erroneous
         assert credits[2] == -1  # uploader of the flagged record
@@ -292,7 +277,6 @@ class TestCommit:
         result = commit(proposal, votes, check_of(proposal, chain.tip))
         assert not result.committed
         assert result.quarantined == ()
-        assert len(result.survivors) == 2
 
     def test_wrong_vote_count_rejected(self, net):
         keys, chain, proposal, pks = commit_env(net, [])
@@ -329,9 +313,7 @@ class TestCommit:
         chain = chain.append(chain_mod.make_block(keys[0], chain.tip_digest, 600, ()))
         pending = pending_records(keys, permissions, [(10, b"early")])
         for tick, ok in ((600, True), (5, False)):  # the tip's own tick is allowed
-            proposal = seal_block(
-                keys[1], 1, pending, chain.tip_digest, tick, 3, assignment.candidates, random.Random(1)
-            )
+            proposal = seal_block(keys[1], pending, chain.tip_digest, tick, committee(assignment))
             votes = [
                 validate_proposal(keys[v], v, proposal, check_of(proposal, chain.tip), lambda r: True)
                 for v in proposal.validator_ids
@@ -340,8 +322,7 @@ class TestCommit:
         result = commit(proposal, votes, check_of(proposal, chain.tip))
         assert not result.committed
         assert result.quarantined == ()
-        assert result.survivors == tuple(pending)
-        assert credits_after(net, proposal, votes, result)[1] == -1  # recorder block-erroneous
+        assert credits_after(net, proposal, votes, result, recorder=1)[1] == -1  # recorder block-erroneous
 
     @pytest.mark.parametrize("fault", ["flipped-root", "stale-link"])
     def test_ok_votes_on_a_faulty_block_raise_its_fault(self, net, fault):
@@ -371,18 +352,35 @@ class TestCommit:
 
 
 class TestChooseValidators:
+    def test_validators_are_supervisor_plus_two_candidates(self, net):
+        _, assignment, _ = net
+        for seed in range(8):
+            sup, c1, c2 = committee(assignment, seed)
+            assert sup == 3
+            assert {c1, c2} == set(assignment.candidates)
+
     def test_duty_supervisor_skips_crashed(self):
         assignment = initialize_roles({i: 70 - 10 * i for i in range(7)}, r_max=2, s_max=2)  # supervisors 2, 3
-        sup, pool = choose_validators(assignment, 0, alive=lambda n: n != 2)
-        assert sup == 3
-        assert set(pool) == {4, 5, 6}
+        drawn = set()
+        for seed in range(16):
+            sup, *candidates = choose_validators(assignment, 0, random.Random(seed), alive=lambda n: n != 2)
+            assert sup == 3 and len(set(candidates)) == 2
+            drawn.update(candidates)
+        assert drawn == {4, 5, 6}
 
     def test_single_crashed_supervisor_raises(self, net):
         _, assignment, _ = net
         with pytest.raises(ProtocolError):
-            choose_validators(assignment, 0, alive=lambda n: n != 3)
+            choose_validators(assignment, 0, random.Random(1), alive=lambda n: n != 3)
 
     def test_pool_excludes_crashed_candidates(self, net):
         _, assignment, _ = net
-        with pytest.raises(ProtocolError):
-            choose_validators(assignment, 0, alive=lambda n: n != 4)
+        with pytest.raises(ProtocolError, match="^fewer than two alive candidates$"):
+            choose_validators(assignment, 0, random.Random(1), alive=lambda n: n != 4)
+
+    def test_needs_two_candidates(self, net):
+        _, assignment, _ = net
+        rng = random.Random(1)
+        with pytest.raises(ProtocolError, match="^fewer than two alive candidates$"):
+            choose_validators(assignment._replace(candidates=(4,)), 0, rng)
+        assert rng.getstate() == random.Random(1).getstate()  # nothing drawn

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -17,7 +18,7 @@ from gridledger import chain as chain_mod
 from gridledger import crypto, record_protocol, sigpass, simnet
 from gridledger.chain import Chain, RecordKind
 from gridledger.codec import ByteReader
-from gridledger.credit import CreditEvent, CreditReason, fold_events
+from gridledger.credit import QUORUM, CreditEvent, CreditReason, fold_events
 from gridledger.record_protocol import ProtocolError
 from gridledger.simnet import (
     FaultSpec,
@@ -29,7 +30,7 @@ from gridledger.simnet import (
     parse_scenario,
     run,
 )
-from testutil import assert_no_children, ciphertext_span, failing_worker
+from testutil import assert_no_children, ciphertext_span, failing_worker, sealed_payloads
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -41,6 +42,17 @@ node 3 assessment 30
 node 4 assessment 20
 node 5 assessment 10
 """
+
+
+# each place a scenario names a node by id, other than ``node`` itself
+NODE_ID_DIRECTIVES = [
+    "authorize {n}",
+    "upload {n} load 8 at 20",
+    "share {n} 4 0 at 20",
+    "share 2 {n} 0 at 20",
+    "fault crash-node {n} at 20",
+    "fault byzantine-validator {n} at 20",
+]
 
 
 def desk_config(seed=0, **overrides):
@@ -130,6 +142,15 @@ class TestParseScenario:
         assert exc_info.value.line == 9
         assert "non-negative" in str(exc_info.value)
 
+    @pytest.mark.parametrize("directive", NODE_ID_DIRECTIVES)
+    def test_negative_node_id_rejected_with_line(self, directive):
+        # a node id is a u64 wherever a scenario names one, so a negative
+        # id is a parse error, not an unknown node found when the run starts
+        with pytest.raises(ScenarioError) as exc_info:
+            parse_scenario(SIX_NODES + "upload 2 load 8 at 10\n" + directive.format(n=-1) + "\n")
+        assert exc_info.value.line == 9
+        assert "must be non-negative" in str(exc_info.value)
+
     @pytest.mark.parametrize(
         "directive",
         [
@@ -139,6 +160,7 @@ class TestParseScenario:
             "fault fail-storage-unit u1 at 5 recover={n}",
             "run until {n}",
             "node {n} assessment 5",
+            *NODE_ID_DIRECTIVES,
         ],
     )
     def test_number_of_2_64_or_more_rejected_with_line(self, directive):
@@ -552,6 +574,29 @@ run until 1200
         assert report.credits[3] == -2
         assert report.blocks_committed == 2
 
+    @pytest.mark.parametrize(
+        "byzantine", [c for n in range(4) for c in itertools.combinations((3, 4, 5), n)], ids=str
+    )
+    def test_the_committee_outvotes_fewer_than_quorum_byzantine_validators(self, byzantine):
+        # On the desk network every round's committee is supervisor 3 and
+        # candidates 4 and 5. Fewer than QUORUM byzantine validators cannot
+        # get a forged record committed or an honest one quarantined;
+        # QUORUM of them can.
+        outvoted = len(byzantine) < QUORUM
+        faults = "".join(f"fault byzantine-validator {v} at 5\n" for v in byzantine)
+        honest = SIX_NODES + "authorize 2\nupload 2 load 8 at 10\n" + faults + "run until 600\n"
+        report = run(new_sim(desk_config(), honest))
+        assert (report.records_committed, len(report.quarantine)) == ((1, 0) if outvoted else (0, 1))
+
+        report = run(new_sim(desk_config(), honest + "fault forge-record 2 at 20\n"))
+        forged = next(f for f in report.fault_outcomes if f.spec.kind == "forge-record")
+        if outvoted:  # the forged record is quarantined, the honest one waits
+            assert (forged.outcome, forged.detected_tick) == ("quarantined@600", 600)
+            assert (report.records_committed, len(report.quarantine), len(report.pending_left)) == (0, 1, 1)
+        else:
+            assert (forged.outcome, forged.detected_tick) == ("committed-undetected@600", None)
+            assert (report.records_committed, len(report.quarantine), len(report.pending_left)) == (2, 0, 0)
+
     def test_fail_storage_unit_flags_then_recovery_clears(self):
         uploads = "".join(f"upload 2 load 64 at {t}\n" for t in range(10, 400, 30))
         scenario = (
@@ -602,8 +647,8 @@ class TestWireDiscipline:
         scenario = (
             SIX_NODES + "authorize 2\nauthorize 4\n" + uploads + "share 2 4 0 at 700\nrun until 1300\n"
         )
-        report = run(new_sim(desk_config(seed=6), scenario))
-        payloads = list(report.upload_payloads.values())
+        with sealed_payloads() as payloads:
+            report = run(new_sim(desk_config(seed=6), scenario))
         assert payloads and all(len(p) >= 96 for p in payloads)
         for entry in report.tap:
             for payload in payloads:
@@ -668,10 +713,11 @@ class TestWireDiscipline:
 class TestShareFlow:
     def test_share_lineage_on_chain(self):
         scenario = (SCENARIOS / "sharing.txt").read_text()
-        report = run(new_sim(desk_config(seed=1), scenario))
+        with sealed_payloads() as payloads:
+            report = run(new_sim(desk_config(seed=1), scenario))
         assert len(report.deliveries) == 1
         delivery = report.deliveries[0]
-        assert delivery.payload == report.upload_payloads[0]
+        assert delivery.payload == payloads[0]
         rows = chain_mod.trace(report.chain, report.upload_digests[0])
         assert len(rows) == 2
         kinds = [r.metadata.kind for _, _, r in rows]
@@ -937,7 +983,7 @@ def test_a_record_changed_after_intake_is_verified_again(monkeypatch, byte):
     signature = bytearray(original.uploader_signature)
     signature[byte] ^= 0x01
     changed = replace(original, uploader_signature=bytes(signature))
-    sim.pending[0] = changed
+    sim.pending = {changed: sim.pending[original], untouched: sim.pending[untouched]}
     calls = []
     validate_block = chain_mod.validate_block
 

@@ -33,7 +33,7 @@ from gridledger.simnet import (
     new_sim,
 )
 
-from testutil import ciphertext_span
+from testutil import ciphertext_span, sealed_payloads
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -148,7 +148,8 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     handled = []  # each message as its handler got it, to decode
     for kind, handler in list(sim._message_handlers.items()):
         sim._message_handlers[kind] = lambda msg, handler=handler: (handled.append(msg), handler(msg))
-    report = sim.run()
+    with sealed_payloads() as sealed:
+        report = sim.run()
     assert chain_mod.verify_chain(report.chain) is None
     assert report.credits == sim.credit.credits  # the fold of the logged events is the live state
     assert replayed(report) == recorded(report)
@@ -158,7 +159,7 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
         assert report.node_chain_status[nid] == expected
 
     tap = report.tap
-    payloads = [p for p in report.upload_payloads.values() if len(p) >= 16]
+    payloads = [p for p in sealed if len(p) >= 16]
     assert not any(p in entry.data for entry in tap for p in payloads)
     assert report.message_counts == Counter(entry.kind for entry in tap)
     # a handler decodes the bytes the tap logged for its message, but for the

@@ -4,11 +4,14 @@ multi-block chains assembled outside the protocol layer."""
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from typing import Iterator
+from unittest import mock
 
 import pytest
 
 from gridledger import chain as chain_mod
-from gridledger import crypto, sigpass
+from gridledger import crypto, record_protocol, sigpass
 from gridledger.chain import Chain, Record, RecordKind, RecordMetadata
 from gridledger.crypto import Keypair
 
@@ -43,6 +46,23 @@ def stream_verdict(triples) -> int | None:
     finally:
         failing = stream.close()
     return failing
+
+
+@contextmanager
+def sealed_payloads() -> Iterator[list[bytes]]:
+    """A list that gets each grid-data payload `record_protocol.prepare_upload`
+    seals to a recorder inside the block, as it seals them: the plaintexts
+    of a run's granted ``upload`` and ``forge-record`` uploads."""
+    payloads: list[bytes] = []
+    prepare = record_protocol.prepare_upload
+
+    def recording(uploader, recorder_public_key, payload, metadata, rng=None):
+        if metadata.kind is RecordKind.GRID_DATA:
+            payloads.append(payload)
+        return prepare(uploader, recorder_public_key, payload, metadata, rng)
+
+    with mock.patch.object(record_protocol, "prepare_upload", recording):
+        yield payloads
 
 
 def keypair(tag: int) -> Keypair:
