@@ -24,8 +24,10 @@ yields each block in order, and `import_chain` is the tuple of what it
 yields. `verify_blocks` and `trace_blocks` take any iterable of blocks, so
 a reader that never holds the export's text, its lines or a `Chain` can
 verify or search it: the full-chain check keeps the block before the one it
-checks and the signature triples it hands to `sigpass`, and a lineage query
-keeps only the rows it yields.
+checks, one int per block checked (where its triples end in the signature
+pass) and the triples `sigpass` has not yet answered, a few batches
+whatever the chain's length; a lineage query keeps only the rows it
+yields.
 
 Digests are once-per-object values. `record_digest` and `block_digest`
 store their result on the frozen `Record` or `Block` the first time they
@@ -368,8 +370,9 @@ def verify_blocks(blocks: Iterable[Block], start: int = 0, prev: Block | None = 
     """The earliest violation among ``blocks``, numbered from ``start``, the
     first checked against ``prev`` and each later one against the block
     before it: what `validate_block` of each block in turn finds first. It
-    reads ``blocks`` once and holds only the block before the one it checks
-    and the signature triples. It takes two steps:
+    reads ``blocks`` once and holds only the block before the one it checks,
+    where each checked block's triples end in the stream (one int a block)
+    and the triples the stream has not answered. It takes two steps:
 
     1. A structural pass (`_check_structure`) in chain order stops at the
        first block with a fault other than a signature.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import re
 import sys
@@ -47,14 +48,16 @@ _DATASTORE_ROW = re.compile(
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at the first `main` of the process."""
     parser = argparse.ArgumentParser(prog="gridledger")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario and write report files")
     run_p.add_argument("scenario", help="scenario file path")
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--out", default=os.environ.get("GRIDLEDGER_OUT", "out"))
+    run_p.add_argument("--out", help="output directory (default: $GRIDLEDGER_OUT, else ./out)")
     run_p.add_argument(
         "--nodes", type=int, help="node count when the scenario declares none (default: recorders + supervisors + 2)"
     )
@@ -137,18 +140,19 @@ def _cmd_run(args) -> int:
         TRACE_FILE: report.trace_text(),
         METRICS_FILE: report.metrics_text(),
     }
-    path = args.out  # the path being written, for the error line
+    out = args.out if args.out is not None else os.environ.get("GRIDLEDGER_OUT", "out")
+    path = out  # the path being written, for the error line
     try:
         os.makedirs(path, exist_ok=True)
         for name, content in outputs.items():
-            path = os.path.join(args.out, name)
+            path = os.path.join(out, name)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(content)
     except OSError as exc:
         raise _Stop(f"cannot write {path}: {exc.strerror}")
     print(
         f"run complete: {report.blocks_committed} blocks committed,"
-        f" {report.records_committed} records, outputs in {args.out}"
+        f" {report.records_committed} records, outputs in {out}"
     )
     return 0
 
@@ -326,8 +330,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except _Stop as stop:

@@ -187,7 +187,10 @@ class ListOf(_Kind):
 
     def read(self, reader: ByteReader, n: int, label: str) -> tuple:
         if isinstance(self.item, Layout):
-            return tuple(self.item.read(reader) for _ in range(n))
+            # From a list, the tuple is made at its length. One grown from a
+            # generator is resized, and once freed it waits on the free list
+            # of its length, which only a tuple made at that length takes.
+            return tuple([self.item.read(reader) for _ in range(n)])
         return reader.unpack(struct.Struct(f">{n}{self.item.fmt}"))
 
 

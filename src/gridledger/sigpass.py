@@ -14,6 +14,16 @@ takes a batch itself only when every worker holds `BACKLOG` unanswered
 ones, so `append` never waits. `close` verifies the last partial batch and
 waits for the answers of the batches before the first failure found.
 
+A pass holds only the triples still unanswered: the partial batch being
+filled, and the batches each worker holds (at most `BACKLOG` each), which
+it keeps to verify itself should that worker be lost. A batch's triples
+are dropped once it is answered or verified, and nothing appended after a
+known failure is kept, so a pass over any number of triples holds at most
+``1 + BACKLOG * (CPUs - 1)`` batches. What a caller keeps to name the
+source of the failing index still grows by one int per block or vote: the
+end of each block's triples in `chain.verify_blocks`, the validator of each
+vote in `simnet.Sim`.
+
 Each triple is verified once, in exactly one process. A worker that exits
 or answers short is lost, never clean: the caller verifies each batch it
 left unanswered. Every worker is killed and reaped before `Stream.close`
@@ -59,8 +69,8 @@ class Stream:
     None."""
 
     def __init__(self) -> None:
-        self._triples: list[Triple] = []
-        self._lo = 0  # the first triple no batch holds
+        self._batch: list[Triple] = []  # the triples appended since the last full batch
+        self._lo = 0  # the index of the first of them
         self._spare = _cpus() - 1  # workers still to fork
         self._workers: list[_Worker] = []  # every worker forked, in order
         self._failing = _NONE  # the earliest failing index found yet
@@ -72,14 +82,17 @@ class Stream:
         return self._failing < _NONE
 
     def append(self, triple: Triple) -> None:
-        self._triples.append(triple)
-        lo, hi = self._lo, len(self._triples)
-        if hi - lo < BATCH_TRIPLES or self.failed:
+        if self.failed:
             return
-        self._lo = hi
+        batch = self._batch
+        batch.append(triple)
+        if len(batch) < BATCH_TRIPLES:
+            return
+        lo = self._lo
+        self._batch, self._lo = [], lo + len(batch)
         self._poll(0)
-        if not self.failed and not self._send(lo, hi):
-            self._verify(lo, hi)
+        if not self.failed and not self._send(lo, batch):
+            self._verify(lo, batch)
 
     def close(self) -> int | None:
         """Verify the last partial batch, wait for the answers of the
@@ -89,7 +102,7 @@ class Stream:
         try:
             self._poll(0)
             if not self.failed:
-                self._verify(self._lo, len(self._triples))
+                self._verify(self._lo, self._batch)
             while any(w.batches and w.batches[0][0] < self._failing for w in self._workers):
                 self._poll(None)
             return self._failing if self.failed else None
@@ -101,10 +114,10 @@ class Stream:
                 os.waitpid(worker.pid, 0)
             self._workers.clear()
 
-    def _send(self, lo: int, hi: int) -> bool:
-        """Give batch [lo, hi) to a worker: a new one while a spare CPU is
-        left, else the live one holding the fewest, if fewer than
-        `BACKLOG`. False when no worker takes it."""
+    def _send(self, lo: int, batch: list[Triple]) -> bool:
+        """Give ``batch``, whose first triple is index ``lo``, to a worker:
+        a new one while a spare CPU is left, else the live one holding the
+        fewest, if fewer than `BACKLOG`. False when no worker takes it."""
         new = _fork() if self._spare > 0 else None
         self._spare = self._spare - 1 if new is not None else 0
         self._workers += [new] if new is not None else []
@@ -112,13 +125,13 @@ class Stream:
         if not live:
             return False
         worker = min(live, key=lambda w: len(w.batches))
-        frame = b"".join(encode_var_bytes(field) for triple in self._triples[lo:hi] for field in triple)
+        frame = b"".join(encode_var_bytes(field) for triple in batch for field in triple)
         try:
             _write(worker.frames, encode_var_bytes(frame))
         except BrokenPipeError:  # the worker is gone
             self._lose(worker)
             return False
-        worker.batches.append((lo, hi))
+        worker.batches.append((lo, batch))
         return True
 
     def _poll(self, timeout: float | None) -> None:
@@ -131,7 +144,8 @@ class Stream:
 
     def _take(self, worker: _Worker) -> None:
         """Read what ``worker`` has written: an answer per batch, or, from a
-        worker that exited or answered short, less."""
+        worker that exited or answered short, less. An answered batch's
+        triples are dropped."""
         data = os.read(worker.answers, _ANSWER.size * len(worker.batches))
         whole = len(data) - len(data) % _ANSWER.size
         for (found,) in _ANSWER.iter_unpack(data[:whole]):
@@ -145,22 +159,24 @@ class Stream:
         could still hold the answer; it gets no more."""
         worker.lost = True
         while worker.batches:
-            lo, hi = worker.batches.popleft()
+            lo, triples = worker.batches.popleft()
             if lo < self._failing:
-                self._verify(lo, hi)
+                self._verify(lo, triples)
 
-    def _verify(self, lo: int, hi: int) -> None:
-        found = _scan(self._triples, lo, hi)
-        self._failing = min(self._failing, found if found >= 0 else _NONE)
+    def _verify(self, lo: int, batch: list[Triple]) -> None:
+        """Verify ``batch``, whose first triple is index ``lo``, in this process."""
+        found = _scan(batch, 0, len(batch))
+        self._failing = min(self._failing, lo + found if found >= 0 else _NONE)
 
 
 class _Worker:
     """A standing worker: its pid, the pipe ends it is sent batches on and
-    answers on, and the batches it holds unanswered, in order."""
+    answers on, and the batches it holds unanswered, in order, each as the
+    index of its first triple and its triples."""
 
     def __init__(self, pid: int, frames: int, answers: int) -> None:
         self.pid, self.frames, self.answers = pid, frames, answers
-        self.batches: deque[tuple[int, int]] = deque()
+        self.batches: deque[tuple[int, list[Triple]]] = deque()
         self.lost = False
 
 

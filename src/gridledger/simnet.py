@@ -867,7 +867,9 @@ class Sim:
         block returns or raises, the last partial batch is verified here.
         The first vote that fails raises ProtocolError naming its
         validator, in place of any exception the block raised. A pass
-        opened inside another leaves its votes to the outer one."""
+        opened inside another leaves its votes to the outer one. The pass
+        holds only the votes no one has verified yet; the voters' ids, one
+        int a vote, are kept to the end to name the one that fails."""
         if self._votes is not None:
             yield
             return

@@ -40,6 +40,7 @@ CHAIN = "src/gridledger/chain.py"
 CREDIT = "src/gridledger/credit.py"
 RECORD = "src/gridledger/record_protocol.py"
 CLI = "src/gridledger/cli.py"
+SIGPASS = "src/gridledger/sigpass.py"
 
 CATALOG = (
     # the declared layouts' field kinds and their reader
@@ -53,6 +54,8 @@ CATALOG = (
            ("tests/test_chain.py",)),
     Mutant("utf8-check-dropped", CODEC, 'return data.decode("utf-8")', 'return data.decode("utf-8", "replace")',
            ("tests/test_layouts.py", "tests/test_chain.py")),
+    Mutant("tuple-from-generator", CODEC, "return tuple([self.item.read(reader) for _ in range(n)])",
+           "return tuple(self.item.read(reader) for _ in range(n))", ("tests/test_readers.py",)),
     # the chain's and the credit rules' checks
     Mutant("timestamp-regression", CHAIN, "header.timestamp_tick < prev_block.header.timestamp_tick",
            "header.timestamp_tick <= prev_block.header.timestamp_tick", ("tests/test_chain.py",)),
@@ -83,6 +86,13 @@ CATALOG = (
     Mutant("error-line-on-stdout", CLI, 'print(f"error: {line}", file=sys.stderr)', 'print(f"error: {line}")',
            ("tests/test_cli.py",)),
     Mutant("export-drain-dropped", CLI, "deque(blocks, maxlen=0)", "pass", ("tests/test_readers.py",)),
+    # the signature pass: where a failure it verifies itself lies, and the
+    # batches a lost worker leaves
+    Mutant("stream-failing-offset", SIGPASS,
+           "found = _scan(batch, 0, len(batch))\n        self._failing = min(self._failing, lo + found",
+           "found = _scan(batch, 0, len(batch))\n        self._failing = min(self._failing, found",
+           ("tests/test_sigpass.py",)),
+    Mutant("lost-batch-dropped", SIGPASS, "self._verify(lo, triples)", "pass", ("tests/test_sigpass.py",)),
 )
 
 

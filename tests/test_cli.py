@@ -60,6 +60,22 @@ class TestRun:
         assert names == ["chain.txt", "credits.txt", "metrics.txt", "trace.txt"]
         assert "run complete" in capsys.readouterr().out
 
+    def test_default_output_directory_is_read_when_the_command_runs(self, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process; GRIDLEDGER_OUT set after
+        # that still picks where a run without --out writes
+        scenario = tmp_path / "bare.txt"
+        scenario.write_text("run until 600\n")
+        assert main(["verify", str(tmp_path / "missing.txt")]) == 2
+        for out in ("first", "second"):
+            monkeypatch.setenv("GRIDLEDGER_OUT", str(tmp_path / out))
+            assert main(["run", str(scenario), *RUN_FLAGS]) == 0
+            assert (tmp_path / out / "chain.txt").is_file()
+        monkeypatch.delenv("GRIDLEDGER_OUT")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(scenario), *RUN_FLAGS]) == 0
+        assert (tmp_path / "out" / "chain.txt").is_file()
+        assert "outputs in out" in capsys.readouterr().out
+
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         _, out_a = run_scenario(tmp_path, out="a")
         _, out_b = run_scenario(tmp_path, out="b")

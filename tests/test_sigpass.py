@@ -19,6 +19,7 @@ import select
 import signal
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -593,7 +594,7 @@ def test_a_worker_killed_between_batches_leaves_only_its_unanswered_batches(monk
         assert select.select([worker.answers], [], [], 30)[0] == [worker.answers]
         for triple in triples[4:8]:
             stream.append(triple)
-        assert list(worker.batches) == [(4, 8)]  # [0, 4) is answered
+        assert [(lo, len(batch)) for lo, batch in worker.batches] == [(4, 4)]  # [0, 4) is answered
         os.kill(worker.pid, signal.SIGKILL)
         os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
         for triple in triples[8:]:
@@ -620,4 +621,33 @@ def test_a_stream_under_a_one_millisecond_timer(monkeypatch, bad):
         signal.setitimer(signal.ITIMER_REAL, 0, 0)
         signal.signal(signal.SIGALRM, previous)
     assert verdict == (min(bad) if bad else None)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_stream_holds_only_its_unanswered_batches(monkeypatch, cpus):
+    # 2,000 triples made one at a time, so the test holds none of them: the
+    # stream keeps its partial batch and each worker's unanswered ones, at
+    # most 1 + BACKLOG * (cpus - 1) batches of BATCH_TRIPLES, whatever the
+    # length of the pass
+    monkeypatch.setattr(sigpass, "_cpus", lambda: cpus)
+    signer = keypair(4000)
+
+    def triples():
+        for i in range(2000):
+            message = b"triple-%d" % i
+            yield signer.public_key, message, crypto.sign(signer.private_key, message)
+
+    stream = sigpass.Stream()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for triple in triples():
+            stream.append(triple)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        verdict = stream.close()
+    assert verdict is None
+    assert held < 64 * 1024, f"the stream holds {held / 1024:.0f} KiB"
     assert_no_children()

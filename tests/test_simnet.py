@@ -793,6 +793,23 @@ def test_every_fault_outcome_and_detected_tick_pinned():
     ]
 
 
+@pytest.mark.parametrize("name, lines", [
+    # an upload and a share planned by nodes that crashed first, and a
+    # share of an upload that was skipped, so its digest never was
+    ("crashed_plans.txt", [
+        "700\tupload-skip\t7\t-\tuploader crashed",
+        "1300\tshare-skip\t6\t2\tsender crashed",
+        "1300\tshare-reject\t4\t2\treason=digest-not-on-chain",
+    ]),
+    # a payload that reaches its recorder while only two storage units live
+    ("storage_outage.txt", ["53\tdatastore\t-\t0\tput-failed: need 3 live units, have 2"]),
+])
+def test_plans_the_run_cannot_carry_out_are_traced(name, lines):
+    report = run(new_sim(desk_config(seed=7), (SCENARIOS / name).read_text()))
+    traced = report.trace_text().splitlines()
+    assert [line for line in traced if line in lines] == lines
+
+
 def test_fault_outcome_edge_cases_pinned():
     # a second crash of a crashed node, a forger that crashed, a block
     # index past the copy's end, and a tamper armed long before it applies
