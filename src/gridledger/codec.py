@@ -71,9 +71,6 @@ class ByteReader:
         """The bytes read from ``mark`` up to the read position."""
         return self._data[mark : self._pos]
 
-    def u64(self) -> int:
-        return self.unpack(U64)[0]
-
     def var_bytes(self) -> bytes:
         return self.take(self.unpack(U32)[0])
 

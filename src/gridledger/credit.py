@@ -59,9 +59,6 @@ class RoleAssignment(NamedTuple):
             return Role.CANDIDATE
         raise KeyError(f"node {node_id} not in assignment")
 
-    def all_nodes(self) -> tuple[int, ...]:
-        return self.recorders + self.supervisors + self.candidates
-
 
 class CreditEvent(NamedTuple):
     node_id: int

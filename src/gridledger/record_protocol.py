@@ -101,31 +101,27 @@ class ProposedBlock(NamedTuple):
     validator_ids: tuple[int, ...]
 
 
-class Verdict(NamedTuple):
-    ok: bool
-    bad_indices: tuple[int, ...]
-
-
 class SignedVerdict(NamedTuple):
     """What a validator signs: its verdict on the block with ``block_digest``."""
 
     block_digest: bytes
-    verdict: Verdict
+    ok: bool
+    bad_indices: tuple[int, ...]
 
 
-VERDICT = Layout("vote verdict", Verdict, {"ok": BOOL, "bad_indices": ListOf(UInt(32))})
 VOTE = Layout(
-    "vote", SignedVerdict, {"block_digest": Fixed(crypto.DIGEST_LEN, "block digest"), "verdict": Nested(VERDICT)}
+    "vote",
+    SignedVerdict,
+    {"block_digest": Fixed(crypto.DIGEST_LEN, "block digest"), "ok": BOOL, "bad_indices": ListOf(UInt(32))},
 )
-_VERDICT = VOTE.offset("verdict")  # where a vote's verdict starts in its signed bytes
-_OK = _VERDICT + VERDICT.offset("ok")
+_OK = VOTE.offset("ok")  # where a vote's verdict starts in its signed bytes
 
 
 class Vote(NamedTuple):
     """A validator's signed verdict on a block. ``signed`` is the
     `vote_signing_bytes` the signature covers, built once; ``ok`` and
-    ``bad_indices`` read the verdict from them at its offset, so the verdict
-    that is tallied is the one that was signed."""
+    ``bad_indices`` read the verdict from them, so the verdict that is
+    tallied is the one that was signed."""
 
     validator_id: int
     signed: bytes
@@ -137,7 +133,7 @@ class Vote(NamedTuple):
 
     @property
     def bad_indices(self) -> tuple[int, ...]:
-        return VERDICT.decode(self.signed[_VERDICT:]).bad_indices
+        return VOTE.decode(self.signed).bad_indices
 
 
 class CommitResult(NamedTuple):
@@ -203,7 +199,7 @@ def seal_block(
 
 
 def vote_signing_bytes(block_digest: bytes, ok: bool, bad_indices: tuple[int, ...]) -> bytes:
-    return VOTE.encode(SignedVerdict(block_digest, Verdict(ok, bad_indices)))
+    return VOTE.encode(SignedVerdict(block_digest, ok, bad_indices))
 
 
 def sign_vote(

@@ -11,12 +11,14 @@ Time is discrete ticks (1 tick = 1 simulated second; the
 interval boundary) and jumps over the rest, on which `step` would do
 nothing. Data-path messages (upload request, grant, envelope, share
 envelope) travel with a configurable delay, default one tick. A message is
-only its bytes, encoded with its `codec` layout: the tap logs them and the
-receiving handler decodes them, and a ``tamper-in-flight`` fault flips a
-bit of them. The recorder learns who uploads from the request it granted
-(the message's sender); an upload's `_UploadFlow` holds only the
-simulator's bookkeeping: what its uploader seals once granted, and the
-forge-record fault that made it. The
+only its bytes: `Sim._send` encodes a value once, in its kind's `codec`
+layout (`_DATA_PATH`), and the tap logs those bytes; `Sim._deliver` decodes
+them once, for a live receiver, and hands its handler the value. A
+``tamper-in-flight`` fault flips a bit of the decoded envelope's payload
+ciphertext, as flipping it in the bytes would. The recorder learns who
+uploads from the request it granted (the message's sender); an upload's
+`_UploadFlow` holds only the simulator's bookkeeping: what its uploader
+seals once granted, and the forge-record fault that made it. The
 seal/validate/vote/commit round runs atomically at each interval-boundary
 tick, with its proposal/vote/commit-notice messages traced at that tick; a
 block sealed at tick T is therefore decided at tick T. The round validates
@@ -75,8 +77,8 @@ error):
   ``class=`` (1..64 bytes, default ``grid``), ``size=`` (default 32).
 - ``tamper-chain-copy <node>`` corrupts one block of the node's chain copy:
   ``block=<index>`` (default drawn from the RNG).
-- ``tamper-in-flight <node>`` flips a ciphertext bit in the bytes of the next
-  envelope the node receives; ``crash-node <node>`` and
+- ``tamper-in-flight <node>`` flips a bit of the payload ciphertext of the
+  next envelope the node receives; ``crash-node <node>`` and
   ``byzantine-validator <node>`` (inverts its verdicts) take no params either.
 - ``fail-storage-unit <unit>`` (``u<n>`` or ``<n>``) wipes the unit:
   ``recover=<tick>``, after the fault tick, restores it from the replicas.
@@ -103,7 +105,7 @@ from . import record_protocol as record_mod
 from . import share_protocol as share_mod
 from . import sigpass
 from .chain import Block, Chain, Record, RecordKind, RecordMetadata
-from .codec import U64
+from .codec import U64, Layout
 from .credit import CreditEvent, CreditReason, RoleAssignment, RoundOutcome
 from .crypto import Keypair, digest, generate_keypair
 from .datastore import DataStore, RepairReport, ReplicaStatus, StorageError
@@ -326,13 +328,15 @@ def parse_scenario(text: str) -> Scenario:
 
 # --- runtime pieces -------------------------------------------------------
 
-# the layout of each message kind that carries a sealed payload, which tamper-in-flight flips a bit of
-_ENVELOPES = {"upload-envelope": UPLOAD_ENVELOPE, "share-envelope": SHARE_ENVELOPE}
-
-
 def _flip_bit(data: bytes, index: int) -> bytes:
     """``data`` with the low bit of byte ``index`` inverted."""
     return data[:index] + bytes([data[index] ^ 0x01]) + data[index + 1 :]
+
+
+def _tampered(envelope, pos: int):
+    """``envelope`` with the low bit of byte ``pos`` of its payload ciphertext inverted."""
+    sealed = envelope.payload_envelope
+    return envelope._replace(payload_envelope=sealed._replace(ciphertext=_flip_bit(sealed.ciphertext, pos)))
 
 
 @dataclass
@@ -359,7 +363,7 @@ class _UploadFlow(NamedTuple):
 
 
 class _Msg(NamedTuple):
-    """In-flight message: ``data`` is all it carries, the bytes its receiver
+    """In-flight message: ``data`` is all it carries, the bytes `_deliver`
     decodes; ``flow`` is the upload it belongs to, if any."""
 
     kind: str
@@ -435,8 +439,8 @@ class Tap:
     """Every message a run sent, in order: a view of a log's `TapEntry` and
     `CommitNotice` events that expands each notice to one `TapEntry` per
     live node as it is iterated, so the entries are never all held. It can
-    be iterated any number of times; its length counts the notices without
-    expanding them, and two taps are equal when their entries are."""
+    be iterated any number of times, and its length counts the notices
+    without expanding them."""
 
     def __init__(self, log: tuple):
         self._log = log
@@ -449,11 +453,6 @@ class Tap:
 
     def __len__(self) -> int:
         return sum(len(e.live) if type(e) is CommitNotice else 1 for e in self._events())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tap):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class QuarantineEntry(NamedTuple):
@@ -510,11 +509,6 @@ class Refusal(NamedTuple):
     src: int
     dst: int
     reason: str
-
-    @property
-    def node(self) -> int:
-        """The uploader or the share's sender."""
-        return self.dst if self.kind == "upload-grant" else self.src
 
     def trace_text(self) -> str:
         detail = {"upload-grant": "denied", "share-reject": "reason={}"}.get(self.kind, "rejected={}")
@@ -790,12 +784,6 @@ class Sim:
             FaultKind.BYZANTINE_VALIDATOR: self._on_byzantine_validator,
             FaultKind.FAIL_STORAGE_UNIT: self._on_fail_storage_unit,
         }
-        self._message_handlers: dict[str, Callable[[_Msg], None]] = {
-            "upload-request": self._on_upload_request,
-            "upload-grant": self._on_upload_grant,
-            "upload-envelope": self._on_upload_envelope,
-            "share-envelope": self._on_share_envelope,
-        }
 
         for plan in scenario.uploads:
             self._require_node(plan.node_id, plan.line)
@@ -830,7 +818,9 @@ class Sim:
         self._trace_rng(label, f"n={n};digest={data_digest[:8].hex()}")
         return data, data_digest
 
-    def _send(self, kind: str, src: int, dst: int, data: bytes, flow: _UploadFlow | None = None) -> None:
+    def _send(self, kind: str, src: int, dst: int, value: tuple, flow: _UploadFlow | None = None) -> None:
+        """Put ``value`` on the wire as the bytes of its kind's layout."""
+        data = _DATA_PATH[kind][0].encode(value)
         self.log.append(TapEntry(self.tick, kind, src, dst, data))
         msg = _Msg(kind=kind, src=src, dst=dst, data=data, flow=flow)
         self._schedule(self.tick + self.config.message_delay_ticks, self._deliver, msg)
@@ -953,14 +943,14 @@ class Sim:
         except ShareRejected as exc:
             self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, exc.reason.value))
             return
-        self._send("share-envelope", plan.sender, plan.receiver, SHARE_ENVELOPE.encode(envelope))
+        self._send("share-envelope", plan.sender, plan.receiver, envelope)
 
     def _grid_metadata(self, data_class: str) -> RecordMetadata:
         return RecordMetadata(kind=RecordKind.GRID_DATA, data_class=data_class, created_tick=self.tick)
 
     def _start_upload(self, uploader: int, flow: _UploadFlow) -> None:
         duty = credit_mod.duty_recorder(self.credit.assignment, self.tick // self.config.block_interval_ticks)
-        request = UPLOAD_REQUEST.encode(record_mod.UploadRequest(self.nodes[uploader].keypair.public_key))
+        request = record_mod.UploadRequest(self.nodes[uploader].keypair.public_key)
         self._send("upload-request", uploader, duty, request, flow)
 
     # --- faults ---------------------------------------------------------------
@@ -1044,52 +1034,47 @@ class Sim:
 
     # --- message delivery -------------------------------------------------------
 
-    def _tamper_message(self, msg: _Msg, fault: int) -> _Msg:
-        """``msg`` with the low bit of one byte of its payload ciphertext
-        flipped: its bytes encoded again, which moves only that bit."""
-        layout = _ENVELOPES[msg.kind]
-        sent = layout.decode(msg.data)
-        sealed = sent.payload_envelope
-        pos = self.rng.randrange(len(sealed.ciphertext))
-        self._trace_rng("tamper-in-flight", f"byte={pos}")
-        flipped = sealed._replace(ciphertext=_flip_bit(sealed.ciphertext, pos))
-        self._fault_step(fault, f"applied@{self.tick}")
-        self._trace("tamper", msg.src, msg.dst, f"kind={msg.kind};byte={pos}")
-        return msg._replace(data=layout.encode(sent._replace(payload_envelope=flipped)), tampered_by=fault)
-
     def _note_tamper_caught(self, msg: _Msg, reason: str) -> None:
         if msg.tampered_by is not None:
             self._fault_step(msg.tampered_by, f"; rejected={reason}", append=True, detected=True)
 
     def _deliver(self, msg: _Msg) -> None:
+        """Hand a live receiver's handler the one decode of the bytes that
+        were sent. An armed tamper-in-flight fault takes an envelope: the
+        handler gets it with one drawn bit of its payload ciphertext flipped."""
         node = self.nodes[msg.dst]
         if node.crashed:
             self._trace(msg.kind, msg.src, msg.dst, "dropped=crashed")
             return
-        if node.tamper_armed and msg.kind in _ENVELOPES:
-            msg = self._tamper_message(msg, node.tamper_armed.pop(0))
-        self._message_handlers[msg.kind](msg)
+        layout, handler = _DATA_PATH[msg.kind]
+        value = layout.decode(msg.data)
+        if node.tamper_armed and "payload_envelope" in layout.fields:
+            fault = node.tamper_armed.pop(0)
+            pos = self.rng.randrange(len(value.payload_envelope.ciphertext))
+            self._trace_rng("tamper-in-flight", f"byte={pos}")
+            self._fault_step(fault, f"applied@{self.tick}")
+            self._trace("tamper", msg.src, msg.dst, f"kind={msg.kind};byte={pos}")
+            msg, value = msg._replace(tampered_by=fault), _tampered(value, pos)
+        handler(self, msg, value)
 
-    def _on_upload_request(self, msg: _Msg) -> None:
-        granted = UPLOAD_REQUEST.decode(msg.data).uploader_public_key in self.permissions
+    def _on_upload_request(self, msg: _Msg, request: record_mod.UploadRequest) -> None:
+        granted = request.uploader_public_key in self.permissions
         self._trace("upload-request", msg.src, msg.dst, f"granted={granted}")
-        grant = UPLOAD_GRANT.encode(record_mod.UploadGrant(granted, self.nodes[msg.dst].keypair.public_key))
+        grant = record_mod.UploadGrant(granted, self.nodes[msg.dst].keypair.public_key)
         self._send("upload-grant", msg.dst, msg.src, grant, msg.flow)
 
-    def _on_upload_grant(self, msg: _Msg) -> None:
-        flow, grant = msg.flow, UPLOAD_GRANT.decode(msg.data)
+    def _on_upload_grant(self, msg: _Msg, grant: record_mod.UploadGrant) -> None:
         if not grant.granted:
             self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, UploadError.PERMISSION_DENIED.value))
             return
         self._trace("upload-grant", msg.src, msg.dst, "granted")
         self._trace_rng("seal-upload", f"uploader={msg.dst}")
         envelope = record_mod.prepare_upload(
-            self.nodes[msg.dst].keypair, grant.recorder_public_key, flow.payload, flow.metadata, self.rng
+            self.nodes[msg.dst].keypair, grant.recorder_public_key, msg.flow.payload, msg.flow.metadata, self.rng
         )
-        self._send("upload-envelope", msg.dst, msg.src, UPLOAD_ENVELOPE.encode(envelope), flow)
+        self._send("upload-envelope", msg.dst, msg.src, envelope, msg.flow)
 
-    def _on_upload_envelope(self, msg: _Msg) -> None:
-        flow, envelope = msg.flow, UPLOAD_ENVELOPE.decode(msg.data)
+    def _on_upload_envelope(self, msg: _Msg, envelope: record_mod.UploadEnvelope) -> None:
         recorder = self.nodes[msg.dst]
         self._trace_rng("seal-at-rest", f"owner={msg.src}")
         try:
@@ -1101,7 +1086,7 @@ class Sim:
             self._note_tamper_caught(msg, exc.reason.value)
             return
         record = envelope.record
-        self.pending.setdefault(record, flow.forge)
+        self.pending.setdefault(record, msg.flow.forge)
         self._verified.add(chain_mod.signature_triple(record))
         try:
             self.store.put(stored)
@@ -1110,8 +1095,7 @@ class Sim:
         digest_head = record.payload_digest[:8].hex()
         self._trace("upload-envelope", msg.src, msg.dst, f"accepted digest={digest_head}")
 
-    def _on_share_envelope(self, msg: _Msg) -> None:
-        envelope = SHARE_ENVELOPE.decode(msg.data)
+    def _on_share_envelope(self, msg: _Msg, envelope: share_mod.ShareEnvelope) -> None:
         receiver = self.nodes[msg.dst]
         try:
             payload = share_mod.receive_share(receiver.keypair, envelope)
@@ -1249,6 +1233,16 @@ class Sim:
             upload_digests=dict(self.upload_digests),
             pending_left=tuple(self.pending),
         )
+
+
+# Each data-path message kind: the layout its value is sent in, and the
+# `Sim` method `_deliver` hands the decoded value to.
+_DATA_PATH: dict[str, tuple[Layout, Callable]] = {
+    "upload-request": (UPLOAD_REQUEST, Sim._on_upload_request),
+    "upload-grant": (UPLOAD_GRANT, Sim._on_upload_grant),
+    "upload-envelope": (UPLOAD_ENVELOPE, Sim._on_upload_envelope),
+    "share-envelope": (SHARE_ENVELOPE, Sim._on_share_envelope),
+}
 
 
 # --- module-level operations ------------------------------------------------

@@ -41,6 +41,7 @@ CREDIT = "src/gridledger/credit.py"
 RECORD = "src/gridledger/record_protocol.py"
 CLI = "src/gridledger/cli.py"
 SIGPASS = "src/gridledger/sigpass.py"
+SIMNET = "src/gridledger/simnet.py"
 
 CATALOG = (
     # the declared layouts' field kinds and their reader
@@ -93,6 +94,11 @@ CATALOG = (
            "found = _scan(batch, 0, len(batch))\n        self._failing = min(self._failing, found",
            ("tests/test_sigpass.py",)),
     Mutant("lost-batch-dropped", SIGPASS, "self._verify(lo, triples)", "pass", ("tests/test_sigpass.py",)),
+    # the simulated wire: what a delivery hands the receiver's handler
+    Mutant("tamper-not-handed-on", SIMNET, "msg, value = msg._replace(tampered_by=fault), _tampered(value, pos)",
+           "msg = msg._replace(tampered_by=fault)", ("tests/test_simnet.py", "tests/test_simnet_properties.py")),
+    Mutant("crashed-receiver-handles", SIMNET, '"dropped=crashed")\n            return\n', '"dropped=crashed")\n',
+           ("tests/test_simnet.py", "tests/test_simnet_properties.py")),
 )
 
 

@@ -215,7 +215,7 @@ def test_criterion_6_reelection_oracle_sweep():
         credits = fold_events(node_ids, events)
         new = reelect(credits, assignment)
         oracle = sorted(sorted(node_ids), key=lambda nid: -credits[nid])  # stable
-        assert list(new.all_nodes()) == oracle, f"trial {trial}"
+        assert list(new.recorders + new.supervisors + new.candidates) == oracle, f"trial {trial}"
         assert len(new.recorders) == min(101, n)
         assert len(new.supervisors) == min(20, max(0, n - 101))
     print(

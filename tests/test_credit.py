@@ -273,7 +273,7 @@ class TestReelection:
         assignment = initialize_roles(assessments([rng.randrange(100) for _ in range(25)]), 10, 5)
         events = [apply_record_outcome(rng.randrange(25), rng.random() < 0.5, 0) for _ in range(100)]
         new = reelect(fold_events(range(25), events), assignment)
-        assert sorted(new.all_nodes()) == list(range(25))
+        assert sorted(new.recorders + new.supervisors + new.candidates) == list(range(25))
 
     def test_oracle_sweep_200_random_ledgers(self):
         rng = random.Random(616)
@@ -284,7 +284,7 @@ class TestReelection:
             credits = random_credits(rng, node_ids, 30)
             new = reelect(credits, assignment)
             oracle = sorted(sorted(node_ids), key=lambda nid: -credits[nid])
-            assert list(new.all_nodes()) == oracle, f"trial={trial}"
+            assert list(new.recorders + new.supervisors + new.candidates) == oracle, f"trial={trial}"
             assert len(new.recorders) == min(101, n)
             assert len(new.supervisors) == min(20, max(0, n - 101))
 
@@ -361,7 +361,8 @@ class TestAuditLog:
         assert fold_events(range(6), events) == state.credits
         n = sum(isinstance(step, RoundOutcome) for step in steps)
         assert state.rounds == n and state.assignment.epoch == n // epoch_length
-        assert sorted(state.assignment.all_nodes()) == list(range(6))
+        roles = state.assignment
+        assert sorted(roles.recorders + roles.supervisors + roles.candidates) == list(range(6))
         for event in events:
             assert abs(event.delta) == 1 and isinstance(event.reason, CreditReason)
 

@@ -20,6 +20,8 @@ from gridledger.crypto import Envelope, MalformedEnvelopeError
 from gridledger.record_protocol import UPLOAD_ENVELOPE, UploadEnvelope, vote_signing_bytes
 from gridledger.share_protocol import SHARE_ENVELOPE, ShareEnvelope, ShareTransaction, transaction_bytes
 
+from testutil import ciphertext_span
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 BEGIN = (
     "<!-- byte layouts: generated by `PYTHONPATH=src python tests/test_layouts.py` from the declarations -->\n"
@@ -30,7 +32,7 @@ END = "<!-- end of byte layouts -->\n"
 LAYOUTS = {
     "chain": ("METADATA", "RECORD", "HEADER", "BLOCK"),
     "crypto": ("ENVELOPE",),
-    "record_protocol": ("UPLOAD_REQUEST", "UPLOAD_GRANT", "UPLOAD_ENVELOPE", "VERDICT", "VOTE"),
+    "record_protocol": ("UPLOAD_REQUEST", "UPLOAD_GRANT", "UPLOAD_ENVELOPE", "VOTE"),
     "share_protocol": ("SHARE_ENVELOPE", "SHARE_TRANSACTION"),
 }
 MODULES = {"chain": chain, "crypto": crypto, "record_protocol": record_protocol, "share_protocol": share_protocol}
@@ -153,6 +155,23 @@ def test_a_field_of_the_wrong_width_is_refused(encode, honest, split, message):
     encode(honest)
     with pytest.raises(EncodingError, match=f"^{message}$"):
         encode(split)
+
+
+@pytest.mark.parametrize(
+    "kind, layout", [("upload-envelope", UPLOAD_ENVELOPE), ("share-envelope", SHARE_ENVELOPE)], ids=["upload", "share"]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_tamper_of_the_decoded_envelope_is_one_of_its_bytes(kind, layout, data):
+    # the simulator flips a ciphertext bit of the value it decoded; that is
+    # the decode of the sent bytes with the same bit flipped in them
+    value = data.draw(objects(layout).filter(lambda v: v.payload_envelope.ciphertext))
+    pos = data.draw(st.integers(0, len(value.payload_envelope.ciphertext) - 1))
+    sent = layout.encode(value)
+    lo, hi = ciphertext_span(kind, sent)
+    assert hi - lo == len(value.payload_envelope.ciphertext)
+    flipped = sent[: lo + pos] + bytes([sent[lo + pos] ^ 1]) + sent[lo + pos + 1 :]
+    assert layout.decode(flipped) == simnet._tampered(layout.decode(sent), pos)
 
 
 # --- README ------------------------------------------------------------------

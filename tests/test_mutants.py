@@ -5,7 +5,7 @@ own CI job."""
 
 import pytest
 
-from mutants import CATALOG, CHAIN, CLI, CODEC, CREDIT, RECORD, ROOT, SIGPASS, Mutant, mutated, outcome
+from mutants import CATALOG, CHAIN, CLI, CODEC, CREDIT, RECORD, ROOT, SIGPASS, SIMNET, Mutant, mutated, outcome
 
 
 @pytest.mark.parametrize("mutant", CATALOG, ids=[m.name for m in CATALOG])
@@ -15,7 +15,7 @@ def test_mutant_applies(mutant):
 
 
 def test_each_rule_module_has_a_mutant():
-    assert {CODEC, CHAIN, CREDIT, RECORD, CLI, SIGPASS} <= {mutant.path for mutant in CATALOG}
+    assert {CODEC, CHAIN, CREDIT, RECORD, CLI, SIGPASS, SIMNET} <= {mutant.path for mutant in CATALOG}
 
 
 @pytest.mark.parametrize(

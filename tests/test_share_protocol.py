@@ -5,7 +5,7 @@ import pytest
 from gridledger import chain as chain_mod
 from gridledger import crypto
 from gridledger.chain import Chain, RecordKind, genesis, trace
-from gridledger.codec import ByteReader
+from gridledger.codec import U64, ByteReader
 from gridledger.crypto import Envelope
 from gridledger.datastore import DataStore, StoredObject
 from gridledger.share_protocol import (
@@ -28,7 +28,7 @@ def transaction_from_bytes(data: bytes) -> ShareTransaction:
     sender = reader.take(crypto.PUBLIC_KEY_LEN)
     receiver = reader.take(crypto.PUBLIC_KEY_LEN)
     payload_digest = reader.take(crypto.DIGEST_LEN)
-    tick = reader.u64()
+    (tick,) = reader.unpack(U64)
     reader.expect_end()
     return ShareTransaction(sender, receiver, payload_digest, tick)
 

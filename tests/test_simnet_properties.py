@@ -3,9 +3,10 @@ ScenarioError/ValueError, or runs to its horizon without raising, and every
 node's reported chain status is what a full verify of its copy gives. The
 run's typed log must hold whole-system invariants: no upload's plaintext on
 the wire, message counts that are those of the tap, each handler given the
-bytes the tap logged (a tampered envelope one ciphertext bit apart), and each
-credit event, penalty or reward, matching the round or record that earned it; each
-fault detected within its own lifetime; no record penalty for a node no
+decode of the bytes the tap logged (a tampered envelope one ciphertext bit
+apart), no handler of a crashed node called, each credit event, penalty
+or reward, matching the round or record that earned it; each fault
+detected within its own lifetime; no record penalty for a node no
 forge-record fault drives; and each epoch's committees those a ranking of
 the credits at its tick gives. A run's credits and committees replay from
 the round outcomes and refusals in its log alone. `Sim.run` jumps over
@@ -14,13 +15,14 @@ over every tick."""
 
 from collections import Counter, defaultdict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
-from gridledger import credit
+from gridledger import credit, simnet
 from gridledger.credit import CreditReason, fold_events
 from gridledger.simnet import (
     EpochChange,
@@ -33,7 +35,7 @@ from gridledger.simnet import (
     new_sim,
 )
 
-from testutil import ciphertext_span, sealed_payloads
+from testutil import sealed_payloads
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -139,16 +141,26 @@ directives = st.one_of(
     ],
     horizon=1300,
 )
+@example(  # duty recorder 0 crashes while node 2's request is on its way to it
+    seed=0, lines=["authorize 2", "upload 2 load 16 at 10", "fault crash-node 0 at 11"], horizon=700
+)
 def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     text = HEADER + "".join(line + "\n" for line in lines) + f"run until {horizon}\n"
     try:
         sim = new_sim(SimConfig(seed=seed, r_max=3, s_max=1), text)
     except (ScenarioError, ValueError):
         return
-    handled = []  # each message as its handler got it, to decode
-    for kind, handler in list(sim._message_handlers.items()):
-        sim._message_handlers[kind] = lambda msg, handler=handler: (handled.append(msg), handler(msg))
-    with sealed_payloads() as sealed:
+    handled = []  # each message, the value its handler got, and whether its receiver was down
+
+    def hooked(handler):
+        def handle(self, msg, value):
+            handled.append((msg, value, self.nodes[msg.dst].crashed))
+            handler(self, msg, value)
+
+        return handle
+
+    hooks = {kind: (layout, hooked(handler)) for kind, (layout, handler) in simnet._DATA_PATH.items()}
+    with sealed_payloads() as sealed, mock.patch.dict(simnet._DATA_PATH, hooks):
         report = sim.run()
     assert chain_mod.verify_chain(report.chain) is None
     assert report.credits == sim.credit.credits  # the fold of the logged events is the live state
@@ -162,24 +174,26 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     payloads = [p for p in sealed if len(p) >= 16]
     assert not any(p in entry.data for entry in tap for p in payloads)
     assert report.message_counts == Counter(entry.kind for entry in tap)
-    # a handler decodes the bytes the tap logged for its message, but for the
-    # bit of ciphertext a tamper-in-flight fault flipped; a link delivers in
-    # order, and a crashed node gets nothing more
+    # a handler gets the decode of the bytes the tap logged for its message,
+    # but for the bit of ciphertext a tamper-in-flight fault flipped; a link
+    # delivers in order, and a crashed node gets nothing more
     sent = defaultdict(list)
     for entry in tap:
         sent[entry.kind, entry.src, entry.dst].append(entry.data)
     taken = Counter()
-    for msg in handled:
+    for msg, value, crashed in handled:
         link = msg.kind, msg.src, msg.dst
         logged = sent[link][taken[link]]
         taken[link] += 1
-        changed = [i for i, (a, b) in enumerate(zip(msg.data, logged)) if a != b]
+        assert msg.data == logged and not crashed, msg
+        decoded = simnet._DATA_PATH[msg.kind][0].decode(logged)
         if msg.tampered_by is None:
-            assert msg.data == logged
+            assert value == decoded
         else:
-            lo, hi = ciphertext_span(msg.kind, logged)
-            assert len(msg.data) == len(logged) and len(changed) == 1, msg
-            assert lo <= changed[0] < hi and msg.data[changed[0]] ^ logged[changed[0]] == 1
+            got, want = value.payload_envelope.ciphertext, decoded.payload_envelope.ciphertext
+            changed = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+            assert len(got) == len(want) and len(changed) == 1 and got[changed[0]] ^ want[changed[0]] == 1, msg
+            assert value._replace(payload_envelope=value.payload_envelope._replace(ciphertext=want)) == decoded
     node_of = {node.keypair.public_key: nid for nid, node in sim.nodes.items()}
 
     def credited(reason):
@@ -187,7 +201,7 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
 
     blamed = Counter((q.tick, node_of[q.record.uploader_public_key]) for q in report.quarantine)
     blamed.update(
-        (f.tick, f.node)
+        (f.tick, f.src)  # an upload envelope's sender, its uploader
         for f in report.upload_failures
         if f.reason in ("signature-invalid", "digest-mismatch")
     )
@@ -256,7 +270,7 @@ def replayed(report) -> tuple[str, str, str]:
         if new is not before:
             recorders = ",".join(map(str, new.recorders))
             supervisors = ",".join(map(str, new.supervisors))
-            changed = sum(new.role_of(nid) is not before.role_of(nid) for nid in new.all_nodes())
+            changed = sum(new.role_of(nid) is not before.role_of(nid) for nid in report.assessments)
             epochs.append(
                 f"{new.epoch}\t{event.outcome.tick}\tchanged={changed}"
                 f"\trecorders={recorders}\tsupervisors={supervisors}"
