@@ -65,8 +65,6 @@ def _parser() -> argparse.ArgumentParser:
     run_p.add_argument("--supervisors", type=int, default=simnet.SimConfig.s_max)
     run_p.add_argument("--interval", type=int, default=simnet.SimConfig.block_interval_ticks)
     run_p.add_argument("--epoch", type=int, default=simnet.SimConfig.epoch_length_blocks)
-    run_p.add_argument("--replicas", type=int, default=simnet.SimConfig.replication_factor)
-    run_p.add_argument("--units", type=int, default=simnet.SimConfig.storage_unit_count)
     run_p.add_argument("--delay", type=int, default=simnet.SimConfig.message_delay_ticks)
 
     inspect_p = sub.add_parser("inspect", help="summarize an exported chain")
@@ -120,8 +118,6 @@ def _cmd_run(args) -> int:
         s_max=args.supervisors,
         block_interval_ticks=args.interval,
         epoch_length_blocks=args.epoch,
-        replication_factor=args.replicas,
-        storage_unit_count=args.units,
         message_delay_ticks=args.delay,
     )
     try:

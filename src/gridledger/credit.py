@@ -188,7 +188,7 @@ def apply_round(state: CreditState, outcome: RoundOutcome) -> tuple[CreditState,
     return state._replace(credits=credits, assignment=assignment, rounds=rounds), tuple(events)
 
 
-# the intake refusals, by `record_protocol.UploadError` value, that the bytes the uploader signed caused
+# the intake refusals, by `record_protocol.RejectReason` value, that the bytes the uploader signed caused
 _BLAMED_AT_INTAKE = frozenset({"signature-invalid", "digest-mismatch"})
 
 
@@ -196,7 +196,7 @@ def apply_intake(
     state: CreditState, uploader_id: int, reason: str, tick: int
 ) -> tuple[CreditState, tuple[CreditEvent, ...]]:
     """The intake rule: a recorder refused ``uploader_id``'s upload envelope
-    for ``reason``, an `UploadError` value. The uploader is booked -1 for a
+    for ``reason``, a `RejectReason` value. The uploader is booked -1 for a
     bad signature or a payload that does not match its signed digest; nobody
     can be blamed for ciphertext that does not authenticate, nor for a key
     off the permission list."""

@@ -3,13 +3,14 @@
 Uploaders request permission from the duty recorder (the permission list is
 a set of public keys), then submit an upload envelope: the signed `Record`
 they ask to commit, and the payload sealed to the recorder's key. The
-recorder decrypts, checks the record's signature and the payload's digest,
-queues that same record, and re-seals the payload to the *uploader's* key
-for at-rest storage. On each block interval the duty recorder seals the
-pending queue into a block, and a committee of `credit.VALIDATOR_COUNT`
-re-validates it: the on-duty supervisor and candidates drawn from the seeded
-RNG. `credit.QUORUM` ok votes commit it, and otherwise `QUORUM` flags on a
-record quarantine it; `credit.apply_round` books the round's credit events.
+recorder opens it (`open_signed`: decrypt, check the record's signature,
+then the payload's digest), queues that same record, and re-seals the
+payload to the *uploader's* key for at-rest storage. On each block interval
+the duty recorder seals the pending queue into a block, and a committee of
+`credit.VALIDATOR_COUNT` re-validates it: the on-duty supervisor and
+candidates drawn from the seeded RNG. `credit.QUORUM` ok votes commit it,
+and otherwise `QUORUM` flags on a record quarantine it;
+`credit.apply_round` books the round's credit events.
 
 The digest an uploader signed travels in the record, next to its
 signature: that is what lets a recorder tell a forged signature apart from
@@ -37,15 +38,21 @@ class ProtocolError(Exception):
     """Misuse of the protocol surface (wrong validator, bad vote set...)."""
 
 
-class UploadError(Enum):
+class RejectReason(Enum):
+    """Why a recorder refuses an upload, or a node refuses a share it would
+    send or was sent; the value is the reason a run's log and trace name."""
+
     PERMISSION_DENIED = "permission-denied"
     SIGNATURE_INVALID = "signature-invalid"
     DIGEST_MISMATCH = "digest-mismatch"
     DECRYPTION_FAILURE = "decryption-failure"
+    DIGEST_NOT_ON_CHAIN = "digest-not-on-chain"
+    NOT_OWNER = "not-owner"
+    DATASTORE_MISS = "datastore-miss"
 
 
-class UploadRejected(Exception):
-    def __init__(self, reason: UploadError):
+class Rejected(Exception):
+    def __init__(self, reason: RejectReason):
         super().__init__(reason.value)
         self.reason = reason
 
@@ -158,6 +165,22 @@ def prepare_upload(
     return UploadEnvelope(record, crypto.encrypt_for(recorder_public_key, payload, rng))
 
 
+def open_signed(receiver: Keypair, envelope: Envelope, triple: Triple, payload_digest: bytes) -> bytes:
+    """The plaintext of ``envelope``, sealed to ``receiver``: decrypt it,
+    verify its sender's ``triple`` (key, signed bytes, signature), then check
+    it hashes to ``payload_digest``; each failure raises its own `Rejected`.
+    Upload and share intake both open their payload here."""
+    try:
+        payload = crypto.decrypt(receiver.private_key, envelope)
+    except (crypto.DecryptionError, crypto.MalformedEnvelopeError):
+        raise Rejected(RejectReason.DECRYPTION_FAILURE) from None
+    if not crypto.verify(*triple):
+        raise Rejected(RejectReason.SIGNATURE_INVALID)
+    if crypto.digest(payload) != payload_digest:
+        raise Rejected(RejectReason.DIGEST_MISMATCH)
+    return payload
+
+
 def receive_upload(
     recorder: Keypair,
     envelope: UploadEnvelope,
@@ -165,20 +188,14 @@ def receive_upload(
     rng=None,
 ) -> StoredObject:
     """Duty-recorder intake of ``envelope.record``: check its key is on the
-    permission list, open the envelope, verify its `chain.signature_triple`
-    and the payload's recomputed digest, and return the at-rest object
+    permission list, `open_signed` the payload against the record's
+    `chain.signature_triple` and digest, and return the at-rest object
     re-sealed to the uploader's own key. The caller queues the record."""
     record = envelope.record
     if record.uploader_public_key not in permissions:
-        raise UploadRejected(UploadError.PERMISSION_DENIED)
-    try:
-        payload = crypto.decrypt(recorder.private_key, envelope.payload_envelope)
-    except (crypto.DecryptionError, crypto.MalformedEnvelopeError):
-        raise UploadRejected(UploadError.DECRYPTION_FAILURE) from None
-    if not crypto.verify(*chain_mod.signature_triple(record)):
-        raise UploadRejected(UploadError.SIGNATURE_INVALID)
-    if crypto.digest(payload) != record.payload_digest:
-        raise UploadRejected(UploadError.DIGEST_MISMATCH)
+        raise Rejected(RejectReason.PERMISSION_DENIED)
+    triple = chain_mod.signature_triple(record)
+    payload = open_signed(recorder, envelope.payload_envelope, triple, record.payload_digest)
     return StoredObject(
         payload_digest=record.payload_digest,
         ciphertext=crypto.encrypt_for(record.uploader_public_key, payload, rng),

@@ -2,39 +2,24 @@
 
 The sender proves ownership against the chain (the original grid-data record
 must carry the sender's key), pulls its own at-rest ciphertext, re-seals the
-plaintext to the receiver, and signs the digest. The receiver decrypts,
-recomputes the digest, and checks the signature, confirming both integrity
-and origin. A successful delivery is then evidenced by a share-transaction
+plaintext to the receiver, and signs the digest. The receiver opens it as
+a recorder opens an upload (`record_protocol.open_signed`): it decrypts,
+checks the signature, then recomputes the digest, confirming both origin
+and integrity. A successful delivery is then evidenced by a share-transaction
 record pushed through the ordinary recording pathway; its metadata carries
 the shared digest's hex so lineage queries work from chain data alone.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
-from . import chain as chain_mod
 from . import crypto
 from .chain import Chain, RecordKind, RecordMetadata
 from .codec import Fixed, Layout, UInt, VarBytes
 from .crypto import Envelope, Keypair
 from .datastore import DataStore
-
-
-class ShareError(Enum):
-    DIGEST_NOT_ON_CHAIN = "digest-not-on-chain"
-    NOT_OWNER = "not-owner"
-    DATASTORE_MISS = "datastore-miss"
-    DECRYPTION_FAILURE = "decryption-failure"
-    DIGEST_MISMATCH = "digest-mismatch"
-    SIGNATURE_INVALID = "signature-invalid"
-
-
-class ShareRejected(Exception):
-    def __init__(self, reason: ShareError):
-        super().__init__(reason.value)
-        self.reason = reason
+from .record_protocol import RejectReason, Rejected, open_signed
 
 
 class ShareEnvelope(NamedTuple):
@@ -79,9 +64,10 @@ transaction_bytes = SHARE_TRANSACTION.encode
 
 
 def _owner_of(chain: Chain, payload_digest: bytes) -> bytes | None:
-    for _, _, record in chain_mod.trace(chain, payload_digest):
-        if record.metadata.kind is RecordKind.GRID_DATA and record.payload_digest == payload_digest:
-            return record.uploader_public_key
+    for block in chain.blocks:
+        for record in block.records:
+            if record.metadata.kind is RecordKind.GRID_DATA and record.payload_digest == payload_digest:
+                return record.uploader_public_key
     return None
 
 
@@ -97,12 +83,12 @@ def initiate_share(
     share it, and the plaintext comes from the sender's own at-rest copy."""
     owner = _owner_of(chain, payload_digest)
     if owner is None:
-        raise ShareRejected(ShareError.DIGEST_NOT_ON_CHAIN)
+        raise Rejected(RejectReason.DIGEST_NOT_ON_CHAIN)
     if owner != sender.public_key:
-        raise ShareRejected(ShareError.NOT_OWNER)
+        raise Rejected(RejectReason.NOT_OWNER)
     stored = store.get(payload_digest)
     if stored is None or stored.owner_public_key != sender.public_key:
-        raise ShareRejected(ShareError.DATASTORE_MISS)
+        raise Rejected(RejectReason.DATASTORE_MISS)
     plaintext = crypto.decrypt(sender.private_key, stored.ciphertext)
     return ShareEnvelope(
         sender_public_key=sender.public_key,
@@ -114,18 +100,11 @@ def initiate_share(
 
 
 def receive_share(receiver: Keypair, envelope: ShareEnvelope) -> bytes:
-    """Decrypt, verify the sender's signature over the digest, and compare
-    digests. Success returns the plaintext with the sender's identity
+    """`open_signed` the payload against the sender's signature over the
+    claimed digest. Success returns the plaintext with the sender's identity
     confirmed; each failure mode raises a distinct reason."""
-    try:
-        plaintext = crypto.decrypt(receiver.private_key, envelope.payload_envelope)
-    except (crypto.DecryptionError, crypto.MalformedEnvelopeError):
-        raise ShareRejected(ShareError.DECRYPTION_FAILURE) from None
-    if not crypto.verify(envelope.sender_public_key, envelope.claimed_digest, envelope.signed_digest):
-        raise ShareRejected(ShareError.SIGNATURE_INVALID)
-    if crypto.digest(plaintext) != envelope.claimed_digest:
-        raise ShareRejected(ShareError.DIGEST_MISMATCH)
-    return plaintext
+    triple = (envelope.sender_public_key, envelope.claimed_digest, envelope.signed_digest)
+    return open_signed(receiver, envelope.payload_envelope, triple, envelope.claimed_digest)
 
 
 def record_share(tx: ShareTransaction) -> tuple[bytes, RecordMetadata]:

@@ -109,8 +109,8 @@ from .codec import U64, Layout
 from .credit import CreditEvent, CreditReason, RoleAssignment, RoundOutcome
 from .crypto import Keypair, digest, generate_keypair
 from .datastore import DataStore, RepairReport, ReplicaStatus, StorageError
-from .record_protocol import UPLOAD_ENVELOPE, UPLOAD_GRANT, UPLOAD_REQUEST, UploadError, UploadRejected
-from .share_protocol import SHARE_ENVELOPE, ShareRejected, ShareTransaction
+from .record_protocol import UPLOAD_ENVELOPE, UPLOAD_GRANT, UPLOAD_REQUEST, RejectReason, Rejected
+from .share_protocol import SHARE_ENVELOPE, ShareTransaction
 
 
 class FaultKind(str, Enum):
@@ -131,6 +131,10 @@ _FAULT_PARAMS: dict[FaultKind, tuple[str, ...]] = {
     FaultKind.FAIL_STORAGE_UNIT: ("recover",),
 }
 
+# A run's datastore: each at-rest copy goes to REPLICATION_FACTOR of its units.
+STORAGE_UNIT_COUNT = 5
+REPLICATION_FACTOR = 3
+
 
 @dataclass
 class SimConfig:
@@ -144,9 +148,7 @@ class SimConfig:
     s_max: int = credit_mod.DEFAULT_SUPERVISOR_CAPACITY
     block_interval_ticks: int = 600
     epoch_length_blocks: int = 10
-    replication_factor: int = 3
     message_delay_ticks: int = 1
-    storage_unit_count: int = 5
 
     def __post_init__(self):
         if self.node_count is None:
@@ -728,8 +730,6 @@ class Sim:
             raise ValueError("block interval and epoch length must be >= 1")
         if config.message_delay_ticks < 0:
             raise ValueError("message delay cannot be negative")
-        if config.storage_unit_count < config.replication_factor:
-            raise ValueError("fewer storage units than the replication factor")
         self.config = config
         self.scenario = scenario
         self.rng = random.Random(config.seed)
@@ -762,7 +762,7 @@ class Sim:
         self._live = tuple(self.nodes)  # ids of the nodes not crashed, in `nodes` order
         self._down: tuple[int, ...] = ()  # ids of the crashed nodes, in `nodes` order
 
-        self.store = DataStore([f"u{i}" for i in range(config.storage_unit_count)], config.replication_factor)
+        self.store = DataStore([f"u{i}" for i in range(STORAGE_UNIT_COUNT)], REPLICATION_FACTOR)
 
         self.pending: dict[Record, int | None] = {}  # in arrival order, to the forge-record fault behind it
         self._verified: set[tuple] = set()  # triples intake verified, until committed or quarantined
@@ -931,7 +931,7 @@ class Sim:
             return
         payload_digest = self.upload_digests.get(plan.upload_ref)
         if payload_digest is None:
-            reason = share_mod.ShareError.DIGEST_NOT_ON_CHAIN.value
+            reason = RejectReason.DIGEST_NOT_ON_CHAIN.value
             self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, reason))
             return
         receiver_key = self.nodes[plan.receiver].keypair.public_key
@@ -940,7 +940,7 @@ class Sim:
             envelope = share_mod.initiate_share(
                 sender.keypair, receiver_key, payload_digest, self.chain, self.store, self.rng
             )
-        except ShareRejected as exc:
+        except Rejected as exc:
             self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, exc.reason.value))
             return
         self._send("share-envelope", plan.sender, plan.receiver, envelope)
@@ -1065,7 +1065,7 @@ class Sim:
 
     def _on_upload_grant(self, msg: _Msg, grant: record_mod.UploadGrant) -> None:
         if not grant.granted:
-            self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, UploadError.PERMISSION_DENIED.value))
+            self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, RejectReason.PERMISSION_DENIED.value))
             return
         self._trace("upload-grant", msg.src, msg.dst, "granted")
         self._trace_rng("seal-upload", f"uploader={msg.dst}")
@@ -1079,7 +1079,7 @@ class Sim:
         self._trace_rng("seal-at-rest", f"owner={msg.src}")
         try:
             stored = record_mod.receive_upload(recorder.keypair, envelope, self.permissions, self.rng)
-        except UploadRejected as exc:
+        except Rejected as exc:
             self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
             self.credit, events = credit_mod.apply_intake(self.credit, msg.src, exc.reason.value, self.tick)
             self.log += events
@@ -1099,7 +1099,7 @@ class Sim:
         receiver = self.nodes[msg.dst]
         try:
             payload = share_mod.receive_share(receiver.keypair, envelope)
-        except ShareRejected as exc:
+        except Rejected as exc:
             self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
             self._note_tamper_caught(msg, exc.reason.value)
             return

@@ -83,6 +83,10 @@ CATALOG = (
     Mutant("committee-one-short", RECORD, "rng.sample(pool, VALIDATOR_COUNT - 1)",
            "rng.sample(pool, VALIDATOR_COUNT - 2)", ("tests/test_record_protocol.py",)),
     Mutant("one-flag-quarantines", RECORD, "flags[i] >= QUORUM", "flags[i] >= 1", ("tests/test_record_protocol.py",)),
+    # the one opener of a signed, sealed payload, for upload and share intake alike
+    Mutant("opener-skips-digest", RECORD,
+           "if crypto.digest(payload) != payload_digest:\n        raise Rejected(RejectReason.DIGEST_MISMATCH)\n", "",
+           ("tests/test_record_protocol.py", "tests/test_share_protocol.py")),
     # how a CLI command stops, and what it reads before it answers
     Mutant("error-line-on-stdout", CLI, 'print(f"error: {line}", file=sys.stderr)', 'print(f"error: {line}")',
            ("tests/test_cli.py",)),

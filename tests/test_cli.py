@@ -502,6 +502,16 @@ def test_unknown_flag_rejected(tmp_path, capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--replicas", "--units"])
+def test_the_datastore_is_not_configurable(tmp_path, capsys, flag):
+    # a run's datastore is `simnet.STORAGE_UNIT_COUNT` units holding
+    # `simnet.REPLICATION_FACTOR` copies each; no flag sets either
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", str(SCENARIOS / "sharing.txt"), "--out", str(tmp_path), flag, "3"])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
 def test_outputs_byte_stable_against_golden(tmp_path):
     import hashlib
     import json

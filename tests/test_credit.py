@@ -20,7 +20,7 @@ from gridledger.credit import (
     initialize_roles,
     reelect,
 )
-from gridledger.record_protocol import ProtocolError, UploadError, choose_validators
+from gridledger.record_protocol import ProtocolError, RejectReason, choose_validators
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -123,7 +123,7 @@ class TestCreditEvents:
         with pytest.raises(KeyError):
             apply_round(six_nodes(), committed(uploaders=[6]))
         with pytest.raises(KeyError):
-            apply_intake(six_nodes(), 6, UploadError.SIGNATURE_INVALID.value, 0)
+            apply_intake(six_nodes(), 6, RejectReason.SIGNATURE_INVALID.value, 0)
 
     def test_negative_credit_allowed(self):
         state, _ = fold(six_nodes(), [rejected(uploaders=[1])] * 5)
@@ -174,15 +174,16 @@ class TestRoundTransition:
         start = six_nodes(epoch_length=1)
         before = dict(start.credits), start.assignment
         apply_round(start, committed(uploaders=[5]))
-        apply_intake(start, 5, UploadError.DIGEST_MISMATCH.value, 0)
+        apply_intake(start, 5, RejectReason.DIGEST_MISMATCH.value, 0)
         assert (start.credits, start.assignment, start.rounds) == (*before, 0)
 
-    @pytest.mark.parametrize("reason", list(UploadError), ids=[r.value for r in UploadError])
+    @pytest.mark.parametrize("reason", list(RejectReason), ids=[r.value for r in RejectReason])
     def test_intake_blames_only_the_uploaders_own_bytes(self, reason):
         # a bad signature or a payload that does not match its signed digest
         # is the uploader's doing; ciphertext that does not authenticate, or
-        # a key off the permission list, is nobody's
-        blamed = reason in (UploadError.SIGNATURE_INVALID, UploadError.DIGEST_MISMATCH)
+        # a key off the permission list, is nobody's, and the share-only
+        # reasons never come from intake
+        blamed = reason in (RejectReason.SIGNATURE_INVALID, RejectReason.DIGEST_MISMATCH)
         state, events = apply_intake(six_nodes(), 2, reason.value, 40)
         assert events == (((2, -1, CreditReason.RECORD_ERRONEOUS, 40),) if blamed else ())
         assert state.credits[2] == (-1 if blamed else 0)
@@ -343,7 +344,7 @@ rounds = st.builds(
     votes=st.one_of(st.just(()), st.lists(st.tuples(node, st.booleans()), min_size=3, max_size=3).map(tuple)),
     uploaders=st.lists(node, max_size=4).map(tuple),
 )
-intakes = st.tuples(node, st.sampled_from([r.value for r in UploadError]), st.integers(0, 10_000))
+intakes = st.tuples(node, st.sampled_from([r.value for r in RejectReason]), st.integers(0, 10_000))
 
 
 class TestAuditLog:
@@ -375,7 +376,7 @@ class TestAuditLog:
 
     def test_all_deltas_have_magnitude_one_and_reason(self):
         _, events = fold(six_nodes(epoch_length=1), [committed(0, [1]), rejected(1, [2, 2]), RoundOutcome(0, 2)])
-        _, intake = apply_intake(six_nodes(), 1, UploadError.SIGNATURE_INVALID.value, 0)
+        _, intake = apply_intake(six_nodes(), 1, RejectReason.SIGNATURE_INVALID.value, 0)
         for event in events + list(intake):
             assert abs(event.delta) == 1
             assert isinstance(event.reason, CreditReason)

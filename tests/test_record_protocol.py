@@ -10,8 +10,8 @@ from gridledger.credit import CreditState, RoundOutcome, apply_round, initialize
 from gridledger.merkle import build_tree
 from gridledger.record_protocol import (
     ProtocolError,
-    UploadError,
-    UploadRejected,
+    RejectReason,
+    Rejected,
     choose_validators,
     commit,
     prepare_upload,
@@ -58,33 +58,33 @@ class TestPrepareReceive:
     def test_wrong_recorder_key_decryption_failure(self, net):
         keys, _, permissions = net
         env = prepare_upload(keys[2], keys[1].public_key, b"data", metadata())
-        with pytest.raises(UploadRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             receive_upload(keys[0], env, permissions)
-        assert exc_info.value.reason is UploadError.DECRYPTION_FAILURE
+        assert exc_info.value.reason is RejectReason.DECRYPTION_FAILURE
 
     def test_unauthorized_uploader_denied(self, net):
         keys, _, _ = net
         env = prepare_upload(keys[2], keys[0].public_key, b"data", metadata())
-        with pytest.raises(UploadRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             receive_upload(keys[0], env, frozenset())
-        assert exc_info.value.reason is UploadError.PERMISSION_DENIED
+        assert exc_info.value.reason is RejectReason.PERMISSION_DENIED
 
     def test_payload_swapped_after_signing_is_digest_mismatch(self, net):
         keys, _, permissions = net
         env = prepare_upload(keys[2], keys[0].public_key, b"honest", metadata())
         swapped = env._replace(payload_envelope=crypto.encrypt_for(keys[0].public_key, b"swapped"))
-        with pytest.raises(UploadRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             receive_upload(keys[0], swapped, permissions)
-        assert exc_info.value.reason is UploadError.DIGEST_MISMATCH
+        assert exc_info.value.reason is RejectReason.DIGEST_MISMATCH
 
     def test_signature_by_other_key_is_signature_invalid(self, net):
         keys, _, permissions = net
         env = prepare_upload(keys[2], keys[0].public_key, b"claim", metadata())
         # claimed key B, signed by A
         imposter = env._replace(record=replace(env.record, uploader_public_key=keys[4].public_key))
-        with pytest.raises(UploadRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             receive_upload(keys[0], imposter, permissions)
-        assert exc_info.value.reason is UploadError.SIGNATURE_INVALID
+        assert exc_info.value.reason is RejectReason.SIGNATURE_INVALID
 
     def test_at_rest_object_sealed_to_uploader(self, net):
         keys, _, permissions = net

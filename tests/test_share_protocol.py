@@ -8,9 +8,8 @@ from gridledger.chain import Chain, RecordKind, genesis, trace
 from gridledger.codec import U64, ByteReader
 from gridledger.crypto import Envelope
 from gridledger.datastore import DataStore, StoredObject
+from gridledger.record_protocol import RejectReason, Rejected
 from gridledger.share_protocol import (
-    ShareError,
-    ShareRejected,
     ShareTransaction,
     initiate_share,
     receive_share,
@@ -62,23 +61,23 @@ class TestInitiateShare:
 
     def test_non_owner_rejected(self, world):
         alice, bob, carol, chain, store, payload = world
-        with pytest.raises(ShareRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             initiate_share(bob, carol.public_key, crypto.digest(payload), chain, store)
-        assert exc_info.value.reason is ShareError.NOT_OWNER
+        assert exc_info.value.reason is RejectReason.NOT_OWNER
 
     def test_unknown_digest_rejected(self, world):
         alice, bob, _, chain, store, _ = world
-        with pytest.raises(ShareRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             initiate_share(alice, bob.public_key, crypto.digest(b"never"), chain, store)
-        assert exc_info.value.reason is ShareError.DIGEST_NOT_ON_CHAIN
+        assert exc_info.value.reason is RejectReason.DIGEST_NOT_ON_CHAIN
 
     def test_datastore_miss_rejected(self, world):
         alice, bob, _, chain, store, payload = world
         for unit in list(store.placements[crypto.digest(payload)]):
             store.fail_unit(unit)
-        with pytest.raises(ShareRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
-        assert exc_info.value.reason is ShareError.DATASTORE_MISS
+        assert exc_info.value.reason is RejectReason.DATASTORE_MISS
 
     def test_someone_elses_copy_is_a_datastore_miss(self, world):
         # the store keeps the first copy put under a digest; here that is
@@ -92,9 +91,9 @@ class TestInitiateShare:
                 owner_public_key=carol.public_key,
             )
         )
-        with pytest.raises(ShareRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
-        assert exc_info.value.reason is ShareError.DATASTORE_MISS
+        assert exc_info.value.reason is RejectReason.DATASTORE_MISS
 
 
 class TestReceiveShare:
@@ -115,24 +114,33 @@ class TestReceiveShare:
                 bytes(mutated),
             ),
         )
-        with pytest.raises(ShareRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             receive_share(bob, tampered)
-        assert exc_info.value.reason in (ShareError.DECRYPTION_FAILURE, ShareError.DIGEST_MISMATCH)
+        assert exc_info.value.reason in (RejectReason.DECRYPTION_FAILURE, RejectReason.DIGEST_MISMATCH)
 
     def test_replay_to_third_node_fails(self, world):
         alice, bob, carol, chain, store, payload = world
         env = initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
-        with pytest.raises(ShareRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             receive_share(carol, env)
-        assert exc_info.value.reason is ShareError.DECRYPTION_FAILURE
+        assert exc_info.value.reason is RejectReason.DECRYPTION_FAILURE
+
+    def test_a_payload_other_than_the_signed_one_is_digest_mismatch(self, world):
+        # alice signs the digest of her payload but seals other bytes to bob
+        alice, bob, _, chain, store, payload = world
+        env = initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
+        swapped = env._replace(payload_envelope=crypto.encrypt_for(bob.public_key, b"other bytes"))
+        with pytest.raises(Rejected) as exc_info:
+            receive_share(bob, swapped)
+        assert exc_info.value.reason is RejectReason.DIGEST_MISMATCH
 
     def test_forged_sender_signature_detected(self, world):
         alice, bob, carol, chain, store, payload = world
         env = initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
         forged = env._replace(sender_public_key=carol.public_key)
-        with pytest.raises(ShareRejected) as exc_info:
+        with pytest.raises(Rejected) as exc_info:
             receive_share(bob, forged)
-        assert exc_info.value.reason is ShareError.SIGNATURE_INVALID
+        assert exc_info.value.reason is RejectReason.SIGNATURE_INVALID
 
 
 class TestShareTransaction:
@@ -176,6 +184,6 @@ def test_third_party_cannot_decrypt_share_envelope(world):
     env = initiate_share(alice, bob.public_key, crypto.digest(payload), chain, store)
     for tag in range(20, 40):
         outsider = keypair(tag)
-        with pytest.raises(ShareRejected):
+        with pytest.raises(Rejected):
             receive_share(outsider, env)
     assert receive_share(bob, env) == payload

@@ -192,8 +192,8 @@ def test_config_defaults_carry_reference_values():
     assert config.s_max == 20
     assert config.block_interval_ticks == 600  # ten minutes at one tick per second
     assert config.epoch_length_blocks == 10
-    assert config.replication_factor == 3
     assert config.message_delay_ticks == 1
+    assert (simnet.STORAGE_UNIT_COUNT, simnet.REPLICATION_FACTOR) == (5, 3)
 
 
 class TestNewSim:
@@ -424,7 +424,9 @@ class TestFaults:
         assert ticks == [0, 600, 1800]
         assert chain_mod.verify_chain(report.chain) is None
 
-    def test_crashed_node_drops_messages(self):
+    def test_a_crashed_uploader_sends_nothing(self):
+        # node 2 crashes at tick 5, before its upload at tick 10: the plan
+        # is skipped, and no data-path message is ever sent
         scenario = (
             SIX_NODES
             + "authorize 2\n"
@@ -433,6 +435,8 @@ class TestFaults:
             + "run until 700\n"
         )
         report = run(new_sim(desk_config(), scenario))
+        assert "10\tupload-skip\t2\t-\tuploader crashed" in report.trace_lines
+        assert report.message_counts and not set(report.message_counts) & set(simnet._DATA_PATH)
         assert report.records_committed == 0
 
     def test_a_message_to_a_node_that_crashed_in_flight_is_dropped(self):
@@ -944,13 +948,16 @@ def test_empty_round_memory_does_not_grow_with_node_count():
 
 def counting_verify(monkeypatch) -> Counter:
     """Count each `crypto.verify` call as (calling function, block judged or
-    None, key, message, signature); the block is `validate_block`'s."""
+    None, key, message, signature); the block is `validate_block`'s. A call
+    from `record_protocol.open_signed` counts for the protocol step that
+    opened the payload (`receive_upload` or `receive_share`)."""
     counts = Counter()
     original = crypto.verify
+    opener = record_protocol.open_signed.__code__
 
     def counting(public_key, message, signature):
         frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a generator expression
+        while frame.f_code.co_name.startswith("<") or frame.f_code is opener:  # a generator expression, the opener
             frame = frame.f_back
         caller = frame.f_code.co_name
         block = frame.f_locals["block"] if caller == "validate_block" else None
