@@ -4,18 +4,20 @@ provenance queries.
 The canonical encoding of a record (`RECORD`, with its `METADATA`), a
 header (`HEADER`) and a block (`BLOCK`) is declared once, as a `codec`
 layout, and every digest and signature is computed over it; `record_bytes`,
-`header_bytes`, `header_signing_bytes` and `block_bytes` are those layouts'
-encoders. Timestamps are simulation ticks, never wall-clock.
+`header_bytes` and `block_bytes` are those layouts' encoders. `RECORD` and
+`HEADER` also declare what their signatures cover (`codec.Signed`), and
+every signature is made and checked through that declaration. Timestamps
+are simulation ticks, never wall-clock.
 
 `validate_block` is the one definition of a valid block; the simulator's
 per-round check calls it, and `record_protocol.validate_proposal` and
 `record_protocol.commit` take its result. It is built from two steps,
-`_check_structure` and the block's signature triples, which every
-full-chain check (`verify_blocks`, behind `verify_chain` and `verify_copy`)
-takes on their own: the structure of each block, then its triples, which
-go to one signature pass (`sigpass`) while later blocks are checked. The
-first block either step flags is the first block `validate_block` faults,
-for the same reason.
+`_check_structure`, which returns the block's signature triples, and their
+verification, which every full-chain check (`verify_blocks`, behind
+`verify_chain` and `verify_copy`) takes on their own: the structure of each
+block, then its triples, which go to one signature pass (`sigpass`) while
+later blocks are checked. The first block either step flags is the first
+block `validate_block` faults, for the same reason.
 `Chain.append` judges nothing: a block reaches it only through a check of
 its own, and `verify_chain` checks every block it is given.
 
@@ -47,7 +49,7 @@ from enum import Enum
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from . import crypto, sigpass
-from .codec import EncodingError, Enum8, Fixed, Layout, ListOf, Nested, Text, UInt
+from .codec import EncodingError, Enum8, Fixed, Layout, ListOf, Nested, Signed, Text, UInt
 from .crypto import Keypair, digest
 from .merkle import merkle_root
 
@@ -175,6 +177,7 @@ RECORD = Layout(
         "metadata": Nested(METADATA),
         "uploader_signature": Fixed(crypto.SIGNATURE_LEN, "uploader signature"),
     },
+    signed=Signed(key="uploader_public_key", covers=("payload_digest",), signature="uploader_signature"),
     with_bytes=True,
 )
 HEADER = Layout(
@@ -187,13 +190,16 @@ HEADER = Layout(
         "recorder_public_key": Fixed(crypto.PUBLIC_KEY_LEN, "recorder key"),
         "recorder_signature": Fixed(crypto.SIGNATURE_LEN, "recorder signature"),
     },
-    signature="recorder_signature",
+    signed=Signed(
+        key="recorder_public_key",
+        covers=("prev_block_digest", "timestamp_tick", "merkle_root", "recorder_public_key"),
+        signature="recorder_signature",
+    ),
 )
 BLOCK = Layout("block", Block, {"header": Nested(HEADER), "records": ListOf(RECORD)})
 _HEADER_LEN = BLOCK.offset("records")  # a block's bytes start with its header's
 
 record_bytes = RECORD.encode
-header_signing_bytes = HEADER.signing_bytes  # every header field but the signature over them
 header_bytes = HEADER.encode
 block_bytes = BLOCK.encode
 
@@ -238,7 +244,7 @@ def make_block(
         recorder_public_key=recorder.public_key,
         recorder_signature=b"",
     )
-    signature = crypto.sign(recorder.private_key, header_signing_bytes(unsigned))
+    signature = crypto.sign(recorder.private_key, HEADER.signing_bytes(unsigned))
     return Block(header=unsigned._replace(recorder_signature=signature), records=records)
 
 
@@ -287,10 +293,11 @@ class BlockCheck(NamedTuple):
         return self.fault
 
 
-def _check_structure(block: Block, prev_block: Block | None) -> bytes:
+def _check_structure(block: Block, prev_block: Block | None) -> list[sigpass.Triple]:
     """Raise the block's first fault other than a signature: link,
     timestamp, Merkle root, distinct records, header encoding, in that
-    order. Returns the header's signing bytes."""
+    order. Returns the block's signature triples: the recorder's
+    (`HEADER.triple`), then each record's uploader's (`RECORD.triple`)."""
     header = block.header
     expected_prev = ZERO_DIGEST if prev_block is None else block_digest(prev_block)
     if header.prev_block_digest != expected_prev:
@@ -302,35 +309,20 @@ def _check_structure(block: Block, prev_block: Block | None) -> bytes:
         raise RootMismatchError("merkle_root does not match records")
     if len(set(leaves)) != len(leaves):
         raise DuplicateRecordError("block lists a record twice")
-    return header_signing_bytes(header)
-
-
-def signature_triple(record: Record) -> sigpass.Triple:
-    """The (key, message, signature) triple of a record's uploader signature."""
-    return (record.uploader_public_key, record.payload_digest, record.uploader_signature)
-
-
-def _signature_triples(block: Block, signing: bytes) -> list[sigpass.Triple]:
-    """The block's (key, message, signature) triples: the recorder's over
-    ``signing``, then each record's uploader's over its payload digest."""
-    header = block.header
-    triples = [(header.recorder_public_key, signing, header.recorder_signature)]
-    triples += map(signature_triple, block.records)
-    return triples
+    return [HEADER.triple(header), *map(RECORD.triple, block.records)]
 
 
 def validate_block(block: Block, prev_block: Block | None, verified: Container[sigpass.Triple] = ()) -> BlockCheck:
     """Check one block against its predecessor: link, timestamp, Merkle
     root, distinct records and recorder signature, in that order, then
     every record's uploader signature. Genesis passes ``prev_block=None``.
-    ``verified`` holds record triples (`signature_triple`) `crypto.verify`
+    ``verified`` holds record triples (`RECORD.triple`) `crypto.verify`
     accepted in this process; a record whose exact triple is in it is not
     verified again, so the verdict is the one verifying it would give."""
     try:
-        signing = _check_structure(block, prev_block)
+        recorder, *records = _check_structure(block, prev_block)
     except (ChainError, EncodingError) as exc:
         return BlockCheck(exc)
-    recorder, *records = _signature_triples(block, signing)
     if not crypto.verify(*recorder):
         return BlockCheck(BadSignatureError("recorder signature invalid"))
     return BlockCheck(None, tuple(i for i, t in enumerate(records) if t not in verified and not crypto.verify(*t)))
@@ -389,11 +381,11 @@ def verify_blocks(blocks: Iterable[Block], start: int = 0, prev: Block | None = 
     try:
         for i, block in enumerate(blocks, start):
             try:
-                signing = _check_structure(block, prev)
+                triples = _check_structure(block, prev)
             except (ChainError, EncodingError) as exc:
                 fault = Violation(index=i, reason=exc.reason)
                 break
-            for triple in _signature_triples(block, signing):
+            for triple in triples:
                 stream.append(triple)
                 n += 1
             ends.append(n)

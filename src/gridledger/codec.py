@@ -8,13 +8,17 @@ layout's fields inline, or a `ListOf` layouts or `UInt`s. `Text`,
 `VarBytes` and `ListOf` follow a u32 length or count.
 
 From that one mapping a layout derives `encode`, `read` (and `decode`, of a
-whole input) and, given its signature field, `signing_bytes`: the encoding
-of the fields before it. They are compiled once to Python source, as
-`dataclasses` compiles ``__init__``, and a run of fixed-width fields with
-the length prefix that ends it is one `struct.Struct`. `encode` raises
-`EncodingError` naming the first field its kind refuses; a read raises the
-layout's error for truncated input, trailing bytes or a field its kind
-refuses.
+whole input). A signed layout also declares, as `Signed`, the fields its
+signature covers, the field holding the signer's key and the signature
+field. From that one declaration it derives `signing_bytes`, the encoding
+of the covered fields in order (a lone `Fixed` field encodes as its raw
+bytes), which every signer signs, and `triple`, the (key, signed bytes,
+signature) that `crypto.verify` checks. They are compiled once to Python
+source, as `dataclasses` compiles ``__init__``, and a run of fixed-width
+fields with the length prefix that ends it is one `struct.Struct`.
+`encode` raises `EncodingError` naming the first field its kind refuses; a
+read raises the layout's error for truncated input, trailing bytes or a
+field its kind refuses.
 
 `ByteReader` is the one strict parser. It only borrows its input: every
 field it returns (`take`, `unpack`, `since`) is a copy, so the caller
@@ -24,7 +28,7 @@ decides what outlives the parse.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 U32 = struct.Struct(">I")
 U64 = struct.Struct(">Q")
@@ -194,6 +198,17 @@ class ListOf(_Kind):
 BOOL = Enum8({0: False, 1: True})
 
 
+class Signed(NamedTuple):
+    """What a layout's signature covers: the ``covers`` fields, in order,
+    signed by the key in field ``key`` into field ``signature``. A statement
+    whose key and signature travel apart from its layout's value (a vote)
+    names neither, and its layout derives no `triple`."""
+
+    covers: tuple[str, ...]
+    key: str | None = None
+    signature: str | None = None
+
+
 class Layout:
     """One byte format: ``fields`` maps each attribute of a value (dotted
     for an attribute of one) to its kind, in encoding order. ``make`` builds
@@ -203,17 +218,17 @@ class Layout:
 
     def __init__(
         self, name: str, make: Callable, fields: Mapping[str, _Kind], *,
-        error: type[Exception] = EncodingError, signature: str | None = None, with_bytes: bool = False,
+        error: type[Exception] = EncodingError, signed: Signed | None = None, with_bytes: bool = False,
     ):
-        self.name, self.make, self.fields, self.error, self.signature = name, make, dict(fields), error, signature
+        self.name, self.make, self.fields, self.error, self.signed = name, make, dict(fields), error, signed
         fmts = [kind.fmt for kind in self.fields.values()]
         self.fmt = None if None in fmts else "".join(fmts)  # set when every field is fixed-width
         self.encode, self.read = _compile(self.fields, make, with_bytes)
-        if signature is not None:
-            self.signing_bytes, _ = _compile(dict(list(self.fields.items())[: self._index(signature)]))
-
-    def _index(self, attr: str) -> int:
-        return list(self.fields).index(attr)
+        if signed is not None:
+            self.signing_bytes, _ = _compile({attr: self.fields[attr] for attr in signed.covers})
+            if signed.key is not None:
+                triple = f"lambda obj: (obj.{signed.key}, signing_bytes(obj), obj.{signed.signature})"
+                self.triple = eval(triple, {"signing_bytes": self.signing_bytes})
 
     def decode(self, data: bytes):
         reader = ByteReader(data, self.error)
@@ -224,7 +239,8 @@ class Layout:
     def offset(self, attr: str) -> int:
         """Where field ``attr`` starts in every encoding: the fields before
         it have fixed widths."""
-        return struct.calcsize(">" + "".join(k.fmt for k in list(self.fields.values())[: self._index(attr)]))
+        kinds = list(self.fields.values())[: list(self.fields).index(attr)]
+        return struct.calcsize(">" + "".join(k.fmt for k in kinds))
 
 
 def _compile(fields: dict, make: Callable = tuple, with_bytes: bool = False) -> tuple[Callable, Callable]:

@@ -20,6 +20,7 @@ a payload swapped after signing.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -27,7 +28,7 @@ from . import chain as chain_mod
 from . import credit as credit_mod
 from . import crypto
 from .chain import Block, BlockCheck, Record, RecordMetadata
-from .codec import BOOL, Fixed, Layout, ListOf, Nested, UInt, VarBytes
+from .codec import BOOL, Fixed, Layout, ListOf, Nested, Signed, UInt, VarBytes
 from .credit import QUORUM, VALIDATOR_COUNT, RoleAssignment
 from .crypto import Envelope, Keypair
 from .datastore import StoredObject
@@ -120,13 +121,14 @@ VOTE = Layout(
     "vote",
     SignedVerdict,
     {"block_digest": Fixed(crypto.DIGEST_LEN, "block digest"), "ok": BOOL, "bad_indices": ListOf(UInt(32))},
+    signed=Signed(covers=("block_digest", "ok", "bad_indices")),  # by the validator's roster key
 )
 _OK = VOTE.offset("ok")  # where a vote's verdict starts in its signed bytes
 
 
 class Vote(NamedTuple):
     """A validator's signed verdict on a block. ``signed`` is the
-    `vote_signing_bytes` the signature covers, built once; ``ok`` and
+    `VOTE.signing_bytes` the signature covers, built once; ``ok`` and
     ``bad_indices`` read the verdict from them, so the verdict that is
     tallied is the one that was signed."""
 
@@ -155,13 +157,13 @@ def prepare_upload(
     metadata: RecordMetadata,
     rng=None,
 ) -> UploadEnvelope:
-    """Check the metadata bounds, sign the payload digest into the record
-    to commit, and seal the payload to the duty recorder. The plaintext
-    never leaves the uploader unencrypted."""
+    """Check the metadata bounds, sign the record to commit
+    (`chain.RECORD.signing_bytes`), and seal the payload to the duty
+    recorder. The plaintext never leaves the uploader unencrypted."""
     chain_mod.METADATA.encode(metadata)
-    payload_digest = crypto.digest(payload)
-    signature = crypto.sign(uploader.private_key, payload_digest)
-    record = Record(uploader.public_key, payload_digest, metadata, signature)
+    unsigned = Record(uploader.public_key, crypto.digest(payload), metadata, b"")
+    signature = crypto.sign(uploader.private_key, chain_mod.RECORD.signing_bytes(unsigned))
+    record = replace(unsigned, uploader_signature=signature)
     return UploadEnvelope(record, crypto.encrypt_for(recorder_public_key, payload, rng))
 
 
@@ -189,12 +191,12 @@ def receive_upload(
 ) -> StoredObject:
     """Duty-recorder intake of ``envelope.record``: check its key is on the
     permission list, `open_signed` the payload against the record's
-    `chain.signature_triple` and digest, and return the at-rest object
+    `chain.RECORD.triple` and digest, and return the at-rest object
     re-sealed to the uploader's own key. The caller queues the record."""
     record = envelope.record
     if record.uploader_public_key not in permissions:
         raise Rejected(RejectReason.PERMISSION_DENIED)
-    triple = chain_mod.signature_triple(record)
+    triple = chain_mod.RECORD.triple(record)
     payload = open_signed(recorder, envelope.payload_envelope, triple, record.payload_digest)
     return StoredObject(
         payload_digest=record.payload_digest,
@@ -215,22 +217,18 @@ def seal_block(
     return ProposedBlock(block, validator_ids)
 
 
-def vote_signing_bytes(block_digest: bytes, ok: bool, bad_indices: tuple[int, ...]) -> bytes:
-    return VOTE.encode(SignedVerdict(block_digest, ok, bad_indices))
-
-
 def sign_vote(
     validator: Keypair, validator_id: int, block_digest: bytes, ok: bool, bad_indices: tuple[int, ...]
 ) -> Vote:
-    signed = vote_signing_bytes(block_digest, ok, bad_indices)
+    signed = VOTE.signing_bytes(SignedVerdict(block_digest, ok, bad_indices))
     return Vote(validator_id, signed, crypto.sign(validator.private_key, signed))
 
 
 def vote_triple(block_digest: bytes, vote: Vote, public_key: bytes) -> Triple:
     """The (key, signed bytes, signature) triple that checks ``vote`` on the
-    block with ``block_digest``, as `sigpass` takes it: the vote's own
-    signed bytes, or, for a vote signed on another block, its verdict on
-    this one."""
+    block with ``block_digest``, as `sigpass` takes it: the validator's
+    roster key ``public_key`` and the vote's own `VOTE.signing_bytes`, or,
+    for a vote signed on another block, its verdict on this one."""
     signed = vote.signed
     if not signed.startswith(block_digest):
         signed = block_digest + signed[len(block_digest):]

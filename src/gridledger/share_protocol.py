@@ -2,12 +2,16 @@
 
 The sender proves ownership against the chain (the original grid-data record
 must carry the sender's key), pulls its own at-rest ciphertext, re-seals the
-plaintext to the receiver, and signs the digest. The receiver opens it as
-a recorder opens an upload (`record_protocol.open_signed`): it decrypts,
-checks the signature, then recomputes the digest, confirming both origin
-and integrity. A successful delivery is then evidenced by a share-transaction
-record pushed through the ordinary recording pathway; its metadata carries
-the shared digest's hex so lineage queries work from chain data alone.
+plaintext to the receiver, and signs what `SHARE_ENVELOPE` declares its
+signature covers: the bare claimed digest. The receiver opens it as a
+recorder opens an upload (`record_protocol.open_signed`): it decrypts,
+checks the signature, then recomputes the digest. That confirms integrity,
+not origin: the signature is byte-for-byte the owner's `uploader_signature`
+on the digest's chain record, so anyone who holds the payload can send it
+"from the owner" (ROADMAP item 20(b) gives a share a statement of its own).
+A successful delivery is then evidenced by a share-transaction record pushed
+through the ordinary recording pathway; its metadata carries the shared
+digest's hex so lineage queries work from chain data alone.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import NamedTuple
 
 from . import crypto
 from .chain import Chain, RecordKind, RecordMetadata
-from .codec import Fixed, Layout, UInt, VarBytes
+from .codec import Fixed, Layout, Signed, UInt, VarBytes
 from .crypto import Envelope, Keypair
 from .datastore import DataStore
 from .record_protocol import RejectReason, Rejected, open_signed
@@ -49,6 +53,7 @@ SHARE_ENVELOPE = Layout(
         "signed_digest": Fixed(crypto.SIGNATURE_LEN, "sender signature"),
         "payload_envelope": VarBytes(crypto.ENVELOPE),
     },
+    signed=Signed(key="sender_public_key", covers=("claimed_digest",), signature="signed_digest"),
 )
 SHARE_TRANSACTION = Layout(
     "share transaction",
@@ -90,27 +95,24 @@ def initiate_share(
     if stored is None or stored.owner_public_key != sender.public_key:
         raise Rejected(RejectReason.DATASTORE_MISS)
     plaintext = crypto.decrypt(sender.private_key, stored.ciphertext)
-    return ShareEnvelope(
-        sender_public_key=sender.public_key,
-        receiver_public_key=receiver_public_key,
-        claimed_digest=payload_digest,
-        signed_digest=crypto.sign(sender.private_key, payload_digest),
-        payload_envelope=crypto.encrypt_for(receiver_public_key, plaintext, rng),
-    )
+    sealed = crypto.encrypt_for(receiver_public_key, plaintext, rng)
+    unsigned = ShareEnvelope(sender.public_key, receiver_public_key, payload_digest, b"", sealed)
+    return unsigned._replace(signed_digest=crypto.sign(sender.private_key, SHARE_ENVELOPE.signing_bytes(unsigned)))
 
 
 def receive_share(receiver: Keypair, envelope: ShareEnvelope) -> bytes:
-    """`open_signed` the payload against the sender's signature over the
-    claimed digest. Success returns the plaintext with the sender's identity
-    confirmed; each failure mode raises a distinct reason."""
-    triple = (envelope.sender_public_key, envelope.claimed_digest, envelope.signed_digest)
-    return open_signed(receiver, envelope.payload_envelope, triple, envelope.claimed_digest)
+    """`open_signed` the payload against the envelope's `SHARE_ENVELOPE.triple`:
+    the sender key's signature over the claimed digest. Success returns the
+    plaintext, which hashes to that digest; it does not confirm who sent it,
+    since the chain record of the digest carries the same signature
+    (ROADMAP item 20(b)). Each failure mode raises a distinct reason."""
+    return open_signed(receiver, envelope.payload_envelope, SHARE_ENVELOPE.triple(envelope), envelope.claimed_digest)
 
 
 def record_share(tx: ShareTransaction) -> tuple[bytes, RecordMetadata]:
     """Canonical upload inputs for evidencing a delivered share through the
     standard recording pathway. The record's data_class is the shared
-    digest's hex, which is what chain.trace matches lineage on."""
+    digest's hex, which is what `chain.trace_blocks` matches lineage on."""
     return (
         transaction_bytes(tx),
         RecordMetadata(

@@ -1087,7 +1087,7 @@ class Sim:
             return
         record = envelope.record
         self.pending.setdefault(record, msg.flow.forge)
-        self._verified.add(chain_mod.signature_triple(record))
+        self._verified.add(chain_mod.RECORD.triple(record))
         try:
             self.store.put(stored)
         except StorageError as exc:
@@ -1173,7 +1173,7 @@ class Sim:
             credited, block = proposal.block.records, len(self.chain) - 1
         else:
             for index, record in result.quarantined:
-                self._verified.discard(chain_mod.signature_triple(record))
+                self._verified.discard(chain_mod.RECORD.triple(record))
                 self.log.append(QuarantineEntry(self.tick, index, record))
                 forge = self.pending.pop(record)
                 if forge is not None:

@@ -60,6 +60,11 @@ CATALOG = (
     # the chain's and the credit rules' checks
     Mutant("timestamp-regression", CHAIN, "header.timestamp_tick < prev_block.header.timestamp_tick",
            "header.timestamp_tick <= prev_block.header.timestamp_tick", ("tests/test_chain.py",)),
+    # what a signature covers: each layout's one declaration, and the vote
+    # triple that reads a vote's bytes as a verdict on the block it judges
+    Mutant("signed-field-dropped", CHAIN,
+           'covers=("prev_block_digest", "timestamp_tick", "merkle_root", "recorder_public_key")',
+           'covers=("prev_block_digest", "merkle_root", "recorder_public_key")', ("tests/test_chain.py",)),
     Mutant("majority-rule", CREDIT, "return sum(verdicts) >= QUORUM", "return sum(verdicts) > 0",
            ("tests/test_credit.py",)),
     Mutant("epoch-increment", CREDIT, "epoch=assignment.epoch + 1", "epoch=assignment.epoch",
@@ -83,6 +88,9 @@ CATALOG = (
     Mutant("committee-one-short", RECORD, "rng.sample(pool, VALIDATOR_COUNT - 1)",
            "rng.sample(pool, VALIDATOR_COUNT - 2)", ("tests/test_record_protocol.py",)),
     Mutant("one-flag-quarantines", RECORD, "flags[i] >= QUORUM", "flags[i] >= 1", ("tests/test_record_protocol.py",)),
+    Mutant("vote-on-another-block", RECORD,
+           "    if not signed.startswith(block_digest):\n        signed = block_digest + signed[len(block_digest):]\n", "",
+           ("tests/test_record_protocol.py",)),
     # the one opener of a signed, sealed payload, for upload and share intake alike
     Mutant("opener-skips-digest", RECORD,
            "if crypto.digest(payload) != payload_digest:\n        raise Rejected(RejectReason.DIGEST_MISMATCH)\n", "",

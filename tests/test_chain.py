@@ -171,6 +171,15 @@ class TestAppend:
         block = chain_mod.make_block(keypair(1000), chain.tip_digest, 700, (record,))
         assert isinstance(fault_of(block, chain.tip), BadSignatureError)
 
+    def test_a_retimed_header_fails_its_signature(self):
+        # nothing but the recorder's signature guards a header's timestamp:
+        # a later one keeps the link, the order and the Merkle root
+        chain = build_chain(2)
+        tip = chain.tip
+        retimed = Block(tip.header._replace(timestamp_tick=tip.header.timestamp_tick + 1), tip.records)
+        assert isinstance(fault_of(retimed, chain.blocks[1]), BadSignatureError)
+        assert verify_chain(Chain(chain.blocks[:2] + (retimed,))) == Violation(2, "bad-signature")
+
 
 class TestVerifyChain:
     def test_untampered_ten_block_chain(self):
@@ -494,6 +503,23 @@ def test_flipped_export_verdict_is_that_of_fresh_objects(line, bit):
     assert verify_chain(fresh) == verdict
 
 
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP 2: a record's signature covers only its payload digest, and no check refuses a replay"
+)
+def test_a_relabelled_and_replayed_record_fails_verification():
+    # a recorder relabels block 1's first record as a share transaction and
+    # copies its second one verbatim into a block of its own; each uploader
+    # signature still verifies, and the export round-trips
+    chain = build_chain(2)
+    first, second = chain.blocks[1].records[:2]
+    relabelled = replace(first, metadata=RecordMetadata(RecordKind.SHARE_TRANSACTION, "forged", 1150))
+    forged = chain.append(chain_mod.make_block(keypair(1000), chain.tip_digest, 1800, (relabelled, second)))
+    assert import_chain(export_chain(forged)) == forged
+    assert len(trace(forged, second.payload_digest)) == 2
+    violation = verify_chain(forged)
+    assert violation is not None and violation.index == 3
+
+
 MEMO_CHAIN = build_chain(2)
 
 
@@ -511,7 +537,7 @@ def test_verified_triples_of_the_unflipped_block_change_no_verdict(index, positi
     # A resealed block is signed afresh over the flipped records, so its
     # record signatures, not its Merkle root, decide.
     block, prev = MEMO_CHAIN.blocks[index], MEMO_CHAIN.blocks[index - 1]
-    verified = {chain_mod.signature_triple(r) for r in block.records}
+    verified = {chain_mod.RECORD.triple(r) for r in block.records}
     raw = bytearray(block_bytes(block))
     raw[position % len(raw)] ^= mask
     try:

@@ -1,8 +1,12 @@
 import contextlib
 import errno
 import filecmp
+import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -512,15 +516,33 @@ def test_the_datastore_is_not_configurable(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
-def test_outputs_byte_stable_against_golden(tmp_path):
-    import hashlib
-    import json
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())
 
-    golden = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text())
-    code, out_dir = run_scenario(tmp_path, name=golden["scenario"], seed=str(golden["seed"]))
+
+def test_outputs_byte_stable_against_golden(tmp_path):
+    code, out_dir = run_scenario(tmp_path, name=GOLDEN["scenario"], seed=str(GOLDEN["seed"]))
     assert code == 0
-    for name, expected in golden["sha256"].items():
+    for name, expected in GOLDEN["sha256"].items():
         assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == expected, name
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # ROADMAP 8: no artifact depends on how str and bytes hash, which
+    # PYTHONHASHSEED sets once per process
+    src = str(Path(chain_mod.__file__).resolve().parents[1])
+    artifacts = {}
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        for name in ("sharing.txt", "all_faults.txt"):
+            out_dir = tmp_path / f"{name}-{hash_seed}"
+            command = [sys.executable, "-m", "gridledger.cli", "run", str(SCENARIOS / name), "--seed", "7",
+                       "--out", str(out_dir), *RUN_FLAGS]
+            subprocess.run(command, env=env, check=True, capture_output=True)
+            artifacts[name, hash_seed] = {a: (out_dir / a).read_bytes() for a in GOLDEN["sha256"]}
+    for name in ("sharing.txt", "all_faults.txt"):
+        assert artifacts[name, "0"] == artifacts[name, "12345"], name
+    sharing = artifacts[GOLDEN["scenario"], "0"]
+    assert {a: hashlib.sha256(data).hexdigest() for a, data in sharing.items()} == GOLDEN["sha256"]
 
 
 # --- no traceback from a read command ------------------------------------------

@@ -89,6 +89,15 @@ class TestInitializeRoles:
         with pytest.raises(ValueError):
             initialize_roles(assessments([1]), r_max=0, s_max=0)
 
+    def test_negative_supervisor_capacity_refused(self):
+        with pytest.raises(ValueError, match="^supervisor capacity must be non-negative$"):
+            initialize_roles(assessments([1]), r_max=1, s_max=-1)
+
+    def test_a_node_outside_the_assignment_has_no_role(self):
+        assignment = initialize_roles(assessments([3, 2, 1]), r_max=1, s_max=1)
+        with pytest.raises(KeyError, match="node 3 not in assignment"):
+            assignment.role_of(3)
+
 
 class TestCreditEvents:
     def test_correct_upload_plus_one(self):

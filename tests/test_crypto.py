@@ -146,6 +146,21 @@ class TestEnvelope:
         with pytest.raises(MalformedEnvelopeError):
             decrypt(kp.private_key, broken)
 
+    def test_a_public_key_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="^malformed public key$"):
+            encrypt_for(keypair(19).public_key[:32], b"data")
+
+    @pytest.mark.parametrize(
+        "field, cut, message",
+        [("nonce", 1, "nonce has wrong length"), ("ciphertext", 1, "ciphertext shorter than its tag")],
+    )
+    def test_a_short_field_is_malformed(self, field, cut, message):
+        kp = keypair(20)
+        env = encrypt_for(kp.public_key, b"")  # its ciphertext is the 16-byte tag alone
+        broken = env._replace(**{field: getattr(env, field)[:-cut]})
+        with pytest.raises(MalformedEnvelopeError, match=f"^{message}$"):
+            decrypt(kp.private_key, broken)
+
     def test_serialization_round_trip(self):
         env = encrypt_for(keypair(15).public_key, b"x" * 100)
         assert ENVELOPE.decode(ENVELOPE.encode(env)) == env

@@ -21,6 +21,15 @@ def make_object(owner, payload, rng=None):
     )
 
 
+@pytest.mark.parametrize(
+    "unit_ids, replication_factor, message",
+    [(["u0", "u1"], 0, "replication_factor must be >= 1"), (["u0", "u1", "u0"], 2, "duplicate unit ids")],
+)
+def test_a_store_that_cannot_place_is_refused(unit_ids, replication_factor, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DataStore(unit_ids, replication_factor)
+
+
 class TestPlacement:
     def test_three_distinct_deterministic(self):
         owner = keypair(1)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from gridledger import chain, codec, crypto, record_protocol, share_protocol, simnet
 from gridledger.codec import EncodingError, Enum8, Fixed, Layout, ListOf, Nested, Text, UInt, VarBytes
 from gridledger.crypto import Envelope, MalformedEnvelopeError
-from gridledger.record_protocol import UPLOAD_ENVELOPE, UploadEnvelope, vote_signing_bytes
+from gridledger.record_protocol import UPLOAD_ENVELOPE, VOTE, SignedVerdict, UploadEnvelope
 from gridledger.share_protocol import SHARE_ENVELOPE, ShareEnvelope, ShareTransaction, transaction_bytes
 
 from testutil import ciphertext_span
@@ -111,6 +111,41 @@ def test_metadata_that_cannot_round_trip_is_refused(raw, message):
         chain.METADATA.decode(raw)
 
 
+def test_a_value_with_no_code_is_refused():
+    with pytest.raises(EncodingError, match="^record kind 'grid-data' has no code$"):
+        chain.METADATA.encode(chain.RecordMetadata("grid-data", "load", 0))
+
+
+# what each signed layout's signature covers today: the bytes every golden
+# and tap hash was made with
+SIGNED_TODAY = {
+    chain.RECORD: lambda record: record.payload_digest,
+    chain.HEADER: lambda header: chain.HEADER.encode(header)[: chain.HEADER.offset("recorder_signature")],
+    VOTE: VOTE.encode,
+    SHARE_ENVELOPE: lambda envelope: envelope.claimed_digest,
+}
+
+
+@pytest.mark.parametrize("layout", list(SIGNED_TODAY), ids=[layout.name for layout in SIGNED_TODAY])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_signing_bytes_are_the_declared_fields_encoded(layout, data):
+    # the statement a signature covers is each declared field's own
+    # encoding, in declared order, and nothing else; a derived triple pairs
+    # it with the declared key and signature fields
+    value = data.draw(objects(layout))
+    signed = layout.signed
+    fields = [Layout(attr, tuple, {attr: layout.fields[attr]}).encode(value) for attr in signed.covers]
+    assert layout.signing_bytes(value) == b"".join(fields) == SIGNED_TODAY[layout](value)
+    if signed.key is not None:
+        key, signature = getattr(value, signed.key), getattr(value, signed.signature)
+        assert layout.triple(value) == (key, layout.signing_bytes(value), signature)
+
+
+def test_every_signed_layout_is_pinned():
+    assert {layout for _, layout in DECLARED if layout.signed is not None} == set(SIGNED_TODAY)
+
+
 K1, K2 = bytes(range(64)), bytes(range(64, 128))
 D = bytes(range(128, 160))
 SIG = bytes(64)
@@ -140,9 +175,9 @@ MD = chain.RecordMetadata(chain.RecordKind.GRID_DATA, "load", 5)
             "uploader key must be 64 bytes, got 63",
         ),
         (
-            lambda args: vote_signing_bytes(*args),
-            (D, True, ()),
-            (D[:31], True, ()),
+            VOTE.signing_bytes,
+            SignedVerdict(D, True, ()),
+            SignedVerdict(D[:31], True, ()),
             "block digest must be 32 bytes, got 31",
         ),
     ],
@@ -201,8 +236,13 @@ def render() -> str:
     out = [BEGIN]
     for name, layout in DECLARED:
         out.append(f"\n**{layout.name}** (`{name}`)")
-        if layout.signature is not None:
-            out.append(f"; signed over every field before `{layout.signature}`")
+        signed = layout.signed
+        if signed is not None:
+            covers = ", ".join(f"`{attr}`" for attr in signed.covers)
+            if signed.key is None:
+                out.append(f"; signed over {covers}, by a key and into a signature kept outside it")
+            else:
+                out.append(f"; signed by `{signed.key}` over {covers}, into `{signed.signature}`")
         out.append("\n\n| field | kind | bytes |\n| --- | --- | --- |\n")
         for attr, kind in layout.fields.items():
             out.append("| `{}` | {} | {} |\n".format(attr, *describe(kind)))

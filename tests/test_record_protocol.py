@@ -9,9 +9,11 @@ from gridledger.chain import Chain, LinkMismatchError, RecordKind, RecordMetadat
 from gridledger.credit import CreditState, RoundOutcome, apply_round, initialize_roles
 from gridledger.merkle import build_tree
 from gridledger.record_protocol import (
+    VOTE,
     ProtocolError,
     RejectReason,
     Rejected,
+    SignedVerdict,
     choose_validators,
     commit,
     prepare_upload,
@@ -19,7 +21,6 @@ from gridledger.record_protocol import (
     seal_block,
     sign_vote,
     validate_proposal,
-    vote_signing_bytes,
     vote_triple,
 )
 
@@ -47,7 +48,7 @@ class TestPrepareReceive:
         assert env.record.payload_digest == stored.payload_digest == crypto.digest(b"telemetry bytes")
         assert env.record.uploader_public_key == keys[2].public_key
         assert env.record.metadata == metadata()
-        assert crypto.verify(*chain_mod.signature_triple(env.record))
+        assert crypto.verify(*chain_mod.RECORD.triple(env.record))
 
     def test_zero_byte_payload(self, net):
         keys, _, permissions = net
@@ -202,7 +203,7 @@ class TestValidateProposal:
         vote = validate_proposal(keys[3], 3, proposal, check_of(proposal, chain.tip), lambda r: True)
         assert crypto.verify(
             keys[3].public_key,
-            vote_signing_bytes(chain_mod.block_digest(proposal.block), vote.ok, vote.bad_indices),
+            VOTE.signing_bytes(SignedVerdict(chain_mod.block_digest(proposal.block), vote.ok, vote.bad_indices)),
             vote.signature,
         )
 
@@ -292,7 +293,7 @@ class TestCommit:
         keys, chain, proposal, pks = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         block_digest = chain_mod.block_digest(proposal.block)
-        forged = votes[1]._replace(signed=vote_signing_bytes(block_digest, False, ()))
+        forged = votes[1]._replace(signed=VOTE.signing_bytes(SignedVerdict(block_digest, False, ())))
         assert not forged.ok and forged.bad_indices == ()
         elsewhere = sign_vote(keys[votes[1].validator_id], votes[1].validator_id, crypto.digest(b"other"), True, ())
 
@@ -302,9 +303,9 @@ class TestCommit:
         assert stream_verdict(triples(votes)) is None
         assert stream_verdict(triples([votes[0], forged, votes[2]])) == 1
         assert stream_verdict(triples([votes[0], elsewhere, votes[2]])) == 1
-        # what the validator signed: its key, `vote_signing_bytes`, its signature
+        # what the validator signed: its key, `VOTE.signing_bytes`, its signature
         assert triples(votes)[0] == (
-            pks[votes[0].validator_id], vote_signing_bytes(block_digest, True, ()), votes[0].signature
+            pks[votes[0].validator_id], VOTE.signing_bytes(SignedVerdict(block_digest, True, ())), votes[0].signature
         )
 
     def test_timestamp_regression_voted_erroneous_and_not_committed(self, net):

@@ -10,6 +10,7 @@ from gridledger.crypto import Envelope
 from gridledger.datastore import DataStore, StoredObject
 from gridledger.record_protocol import RejectReason, Rejected
 from gridledger.share_protocol import (
+    ShareEnvelope,
     ShareTransaction,
     initiate_share,
     receive_share,
@@ -187,3 +188,22 @@ def test_third_party_cannot_decrypt_share_envelope(world):
         with pytest.raises(Rejected):
             receive_share(outsider, env)
     assert receive_share(bob, env) == payload
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP 20: a share signs the bare digest, as the chain record's public signature does"
+)
+def test_a_share_that_reuses_the_chain_record_signature_is_refused(world):
+    # Carol holds Alice's payload, as a receiver of Alice's share does. She
+    # copies Alice's uploader signature from the chain record and seals the
+    # payload to Dave "from Alice", with no key of Alice's
+    alice, _, _carol, chain, _, payload = world
+    dave = keypair(4)
+    record = chain.tip.records[0]
+    forged = ShareEnvelope(
+        alice.public_key, dave.public_key, record.payload_digest, record.uploader_signature,
+        crypto.encrypt_for(dave.public_key, payload),
+    )
+    with pytest.raises(Rejected) as refused:
+        receive_share(dave, forged)
+    assert refused.value.reason is RejectReason.SIGNATURE_INVALID

@@ -89,7 +89,8 @@ def tampered_chain(bad_sigs=(), root_faults=()) -> Chain:
         for i in range(PER_BLOCK):
             record = signed_record(uploader, b"payload-%d-%d" % (b, i), tick=tick - 50 + i)
             if (b, i) in bad_sigs:
-                record = replace(record, uploader_signature=crypto.sign(other.private_key, record.payload_digest))
+                signature = crypto.sign(other.private_key, chain_mod.RECORD.signing_bytes(record))
+                record = replace(record, uploader_signature=signature)
             records.append(record)
         block = make_block(recorder, block_digest(blocks[-1]), tick, tuple(records))
         if b in root_faults:
@@ -118,9 +119,8 @@ def chain_triples(chain: Chain) -> list[sigpass.Triple]:
     """Every signature triple of ``chain``, in the order a check verifies them."""
     triples = []
     for block in chain.blocks:
-        h = block.header
-        triples.append((h.recorder_public_key, chain_mod.header_signing_bytes(h), h.recorder_signature))
-        triples += map(chain_mod.signature_triple, block.records)
+        triples.append(chain_mod.HEADER.triple(block.header))
+        triples += map(chain_mod.RECORD.triple, block.records)
     return triples
 
 

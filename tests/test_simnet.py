@@ -995,7 +995,7 @@ def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
     for (caller, *_), n in per_caller.items():
         assert n <= (3 if caller == "validate_block" else 1), (caller, n)
     for record in uploaded_records(report):
-        triple = chain_mod.signature_triple(record)
+        triple = chain_mod.RECORD.triple(record)
         assert per_caller["receive_upload", *triple] + per_caller["validate_block", *triple] == 1
 
 
@@ -1012,7 +1012,7 @@ def test_block_checks_verify_each_signature_once_per_block(monkeypatch, name):
     report = run(sim)
     assert report.records_committed > 0
     # a triple is dropped once its record is committed or quarantined
-    assert sim._verified == {chain_mod.signature_triple(r) for r in report.pending_left}
+    assert sim._verified == {chain_mod.RECORD.triple(r) for r in report.pending_left}
     checked = Counter()
     for (caller, block, *triple), n in counts.items():
         if caller in ("receive_upload", "validate_block"):
@@ -1021,7 +1021,7 @@ def test_block_checks_verify_each_signature_once_per_block(monkeypatch, name):
             assert triple[2] == block.header.recorder_signature, "a record signature was verified again"
             assert n == 1
     records = uploaded_records(report)
-    assert records and all(checked[chain_mod.signature_triple(r)] == 1 for r in records)
+    assert records and all(checked[chain_mod.RECORD.triple(r)] == 1 for r in records)
     if name == "all_faults.txt":  # a rejected block whose survivors commit later
         assert any(rejection.survivors == 2 for rejection in report.rejections)
 
@@ -1312,17 +1312,17 @@ def test_each_vote_is_encoded_once(monkeypatch):
     # byzantine validator's votes are signed twice, once as validated and
     # once inverted, and so encoded twice.
     encoded, signed = [], []
-    vote_signing_bytes, sign = record_protocol.vote_signing_bytes, crypto.sign
+    signing_bytes, sign = record_protocol.VOTE.signing_bytes, crypto.sign
 
-    def encoding(*args):
-        encoded.append(vote_signing_bytes(*args))
+    def encoding(verdict):
+        encoded.append(signing_bytes(verdict))
         return encoded[-1]
 
     def signing(private_key, message):
         signed.append(message)
         return sign(private_key, message)
 
-    monkeypatch.setattr(record_protocol, "vote_signing_bytes", encoding)
+    monkeypatch.setattr(record_protocol.VOTE, "signing_bytes", encoding)
     monkeypatch.setattr(crypto, "sign", signing)
     sim = new_sim(SimConfig(seed=3), f"run until {200 * 600}\n")
     report = sim.run()

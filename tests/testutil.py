@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator
 from unittest import mock
 
@@ -76,13 +77,10 @@ def signed_record(
     tick: int = 0,
     kind: RecordKind = RecordKind.GRID_DATA,
 ) -> Record:
-    payload_digest = crypto.digest(payload)
-    return Record(
-        uploader_public_key=uploader.public_key,
-        payload_digest=payload_digest,
-        metadata=RecordMetadata(kind=kind, data_class=data_class, created_tick=tick),
-        uploader_signature=crypto.sign(uploader.private_key, payload_digest),
-    )
+    metadata = RecordMetadata(kind=kind, data_class=data_class, created_tick=tick)
+    unsigned = Record(uploader.public_key, crypto.digest(payload), metadata, b"")
+    signature = crypto.sign(uploader.private_key, chain_mod.RECORD.signing_bytes(unsigned))
+    return replace(unsigned, uploader_signature=signature)
 
 
 def build_chain(n_blocks: int, records_per_block: int = 3, interval: int = 600) -> Chain:
