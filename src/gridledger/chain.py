@@ -26,8 +26,7 @@ yields each block in order, and `import_chain` is the tuple of what it
 yields. `verify_blocks` and `trace_blocks` take any iterable of blocks, so
 a reader that never holds the export's text, its lines or a `Chain` can
 verify or search it: the full-chain check keeps the block before the one it
-checks, one int per block checked (where its triples end in the signature
-pass) and the triples `sigpass` has not yet answered, a few batches
+checks and the triples `sigpass` has not yet answered, a few batches
 whatever the chain's length; a lineage query keeps only the rows it
 yields.
 
@@ -43,7 +42,6 @@ object keeps only its fields and digest.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
@@ -362,22 +360,20 @@ def verify_blocks(blocks: Iterable[Block], start: int = 0, prev: Block | None = 
     """The earliest violation among ``blocks``, numbered from ``start``, the
     first checked against ``prev`` and each later one against the block
     before it: what `validate_block` of each block in turn finds first. It
-    reads ``blocks`` once and holds only the block before the one it checks,
-    where each checked block's triples end in the stream (one int a block)
+    reads ``blocks`` once and holds only the block before the one it checks
     and the triples the stream has not answered. It takes two steps:
 
     1. A structural pass (`_check_structure`) in chain order stops at the
        first block with a fault other than a signature.
-    2. Each block that passes it hands its signature triples to one
-       `sigpass.Stream` at once, so standing workers verify them while
-       later blocks are read and checked. Reading stops as soon as the
-       stream knows a triple fails: no later block can change the verdict.
+    2. Each block that passes it hands its signature triples, tagged with
+       its index, to one `sigpass.Stream` at once, so standing workers
+       verify them while later blocks are read and checked. Reading stops
+       as soon as the stream knows a triple fails: no later block can
+       change the verdict.
 
     The verdict is a bad signature in the block of the first failing
     triple, else the structural fault: no block before either has one."""
-    stream, n = sigpass.Stream(), 0
-    ends: list[int] = []  # the end in the stream of each checked block's triples
-    fault = None
+    stream, fault = sigpass.Stream(), None
     try:
         for i, block in enumerate(blocks, start):
             try:
@@ -386,17 +382,13 @@ def verify_blocks(blocks: Iterable[Block], start: int = 0, prev: Block | None = 
                 fault = Violation(index=i, reason=exc.reason)
                 break
             for triple in triples:
-                stream.append(triple)
-                n += 1
-            ends.append(n)
+                stream.append(triple, i)
             prev = block
             if stream.failed:
                 break
     finally:
         bad = stream.close()
-    if bad is not None:
-        return Violation(index=start + bisect_right(ends, bad), reason=BadSignatureError.reason)
-    return fault
+    return fault if bad is None else Violation(index=bad, reason=BadSignatureError.reason)
 
 
 def trace(chain: Chain, query: bytes) -> list[tuple[int, int, Record]]:

@@ -2,27 +2,27 @@
 run tallies, on every CPU this process may use.
 
 Both are one pass, `Stream`, over (public key, message, signature) triples
-appended in chain (or commit) order; it gives the index of the first one
-`crypto.verify` rejects. `chain.verify_blocks` appends each block's triples
-once its structure is checked, `simnet.Sim.run` each round's votes as it
-tallies them. One standing worker per spare CPU, forked with `os.fork()`
-as full batches of `BATCH_TRIPLES` come in, lasts the whole pass: a batch
-goes to it as one frame (the `codec` layout) over a pipe, and it answers
-each in order on a pipe of its own. Ed25519 verification holds the GIL,
-so threads would not help. The caller reads answers without waiting and
-takes a batch itself only when every worker holds `BACKLOG` unanswered
-ones, so `append` never waits. `close` verifies the last partial batch and
-waits for the answers of the batches before the first failure found.
+appended in chain (or commit) order, each with a tag naming its source: it
+gives the tag of the first one `crypto.verify` rejects. `chain.verify_blocks`
+appends each block's triples, tagged with the block's index, once its
+structure is checked, `simnet.Sim.run` each round's votes, tagged with their
+validators' ids, as it tallies them. One standing worker per spare CPU,
+forked with `os.fork()` as full batches of `BATCH_TRIPLES` come in, lasts
+the whole pass: a batch goes to it as one frame (the `codec` layout) over a
+pipe, and it answers each, in order, with the position of its first failing
+triple on a pipe of its own. Ed25519 verification holds the GIL, so threads
+would not help. The caller reads answers without waiting and takes a batch
+itself only when every worker holds `BACKLOG` unanswered ones, so `append`
+never waits. `close` verifies the last partial batch and waits for the
+answers of the batches before the first failure found.
 
-A pass holds only the triples still unanswered: the partial batch being
-filled, and the batches each worker holds (at most `BACKLOG` each), which
-it keeps to verify itself should that worker be lost. A batch's triples
-are dropped once it is answered or verified, and nothing appended after a
-known failure is kept, so a pass over any number of triples holds at most
-``1 + BACKLOG * (CPUs - 1)`` batches. What a caller keeps to name the
-source of the failing index still grows by one int per block or vote: the
-end of each block's triples in `chain.verify_blocks`, the validator of each
-vote in `simnet.Sim`.
+A pass holds only the triples still unanswered, and their tags: the partial
+batch being filled, and the batches each worker holds (at most `BACKLOG`
+each), which it keeps to verify itself should that worker be lost. A
+batch's triples are dropped once it is answered or verified, and nothing
+appended after a known failure is kept, so a pass over any number of
+triples holds at most ``1 + BACKLOG * (CPUs - 1)`` batches, and its callers
+keep nothing per triple.
 
 Each triple is verified once, in exactly one process. A worker that exits
 or answers short is lost, never clean: the caller verifies each batch it
@@ -60,20 +60,21 @@ BACKLOG = 2
 Triple = tuple[bytes, bytes, bytes]
 
 _ANSWER = struct.Struct(">q")  # a batch's first failing index in it, or -1
-_NONE = sys.maxsize  # no failing index found
+_NONE = (sys.maxsize, None)  # no failing triple found, as (index, tag)
 
 
 class Stream:
-    """A signature pass over triples appended one at a time, in order.
-    `close` gives the index of the first triple that does not verify, or
-    None."""
+    """A signature pass over triples appended one at a time, in order, each
+    with a tag that is not None. `close` gives the tag of the first triple
+    that does not verify, or None: a None tag is refused, so that a failing
+    triple can never read as a clean pass."""
 
     def __init__(self) -> None:
-        self._batch: list[Triple] = []  # the triples appended since the last full batch
+        self._batch: list[tuple[Triple, object]] = []  # the (triple, tag) pairs since the last full batch
         self._lo = 0  # the index of the first of them
         self._spare = _cpus() - 1  # workers still to fork
         self._workers: list[_Worker] = []  # every worker forked, in order
-        self._failing = _NONE  # the earliest failing index found yet
+        self._failing = _NONE  # the earliest failing triple found yet, as (index, tag)
 
     @property
     def failed(self) -> bool:
@@ -81,11 +82,13 @@ class Stream:
         from now on can be the answer."""
         return self._failing < _NONE
 
-    def append(self, triple: Triple) -> None:
+    def append(self, triple: Triple, tag: object) -> None:
+        if tag is None:
+            raise ValueError("a triple's tag may not be None")
         if self.failed:
             return
         batch = self._batch
-        batch.append(triple)
+        batch.append((triple, tag))
         if len(batch) < BATCH_TRIPLES:
             return
         lo = self._lo
@@ -94,18 +97,18 @@ class Stream:
         if not self.failed and not self._send(lo, batch):
             self._verify(lo, batch)
 
-    def close(self) -> int | None:
+    def close(self) -> object:
         """Verify the last partial batch, wait for the answers of the
-        batches before the first failure found, and return the index of the
+        batches before the first failure found, and return the tag of the
         first triple that does not verify, or None. Every worker is killed
         and reaped, whether this returns or raises."""
         try:
             self._poll(0)
             if not self.failed:
                 self._verify(self._lo, self._batch)
-            while any(w.batches and w.batches[0][0] < self._failing for w in self._workers):
+            while any(w.batches and w.batches[0][0] < self._failing[0] for w in self._workers):
                 self._poll(None)
-            return self._failing if self.failed else None
+            return self._failing[1]
         finally:
             for worker in self._workers:
                 os.kill(worker.pid, signal.SIGKILL)
@@ -114,7 +117,7 @@ class Stream:
                 os.waitpid(worker.pid, 0)
             self._workers.clear()
 
-    def _send(self, lo: int, batch: list[Triple]) -> bool:
+    def _send(self, lo: int, batch: list[tuple[Triple, object]]) -> bool:
         """Give ``batch``, whose first triple is index ``lo``, to a worker:
         a new one while a spare CPU is left, else the live one holding the
         fewest, if fewer than `BACKLOG`. False when no worker takes it."""
@@ -125,7 +128,7 @@ class Stream:
         if not live:
             return False
         worker = min(live, key=lambda w: len(w.batches))
-        frame = b"".join(encode_var_bytes(field) for triple in batch for field in triple)
+        frame = b"".join(encode_var_bytes(field) for triple, _ in batch for field in triple)
         try:
             _write(worker.frames, encode_var_bytes(frame))
         except BrokenPipeError:  # the worker is gone
@@ -149,8 +152,8 @@ class Stream:
         data = os.read(worker.answers, _ANSWER.size * len(worker.batches))
         whole = len(data) - len(data) % _ANSWER.size
         for (found,) in _ANSWER.iter_unpack(data[:whole]):
-            lo, _ = worker.batches.popleft()
-            self._failing = min(self._failing, lo + found if found >= 0 else _NONE)
+            lo, batch = worker.batches.popleft()
+            self._failing = min(self._failing, (lo + found, batch[found][1]) if found >= 0 else _NONE)
         if whole == 0 or whole < len(data):
             self._lose(worker)
 
@@ -160,23 +163,23 @@ class Stream:
         worker.lost = True
         while worker.batches:
             lo, triples = worker.batches.popleft()
-            if lo < self._failing:
+            if lo < self._failing[0]:
                 self._verify(lo, triples)
 
-    def _verify(self, lo: int, batch: list[Triple]) -> None:
+    def _verify(self, lo: int, batch: list[tuple[Triple, object]]) -> None:
         """Verify ``batch``, whose first triple is index ``lo``, in this process."""
-        found = _scan(batch, 0, len(batch))
-        self._failing = min(self._failing, lo + found if found >= 0 else _NONE)
+        found = _scan([triple for triple, _ in batch], 0, len(batch))
+        self._failing = min(self._failing, (lo + found, batch[found][1]) if found >= 0 else _NONE)
 
 
 class _Worker:
     """A standing worker: its pid, the pipe ends it is sent batches on and
     answers on, and the batches it holds unanswered, in order, each as the
-    index of its first triple and its triples."""
+    index of its first triple and its (triple, tag) pairs."""
 
     def __init__(self, pid: int, frames: int, answers: int) -> None:
         self.pid, self.frames, self.answers = pid, frames, answers
-        self.batches: deque[tuple[int, list[Triple]]] = deque()
+        self.batches: deque[tuple[int, list[tuple[Triple, object]]]] = deque()
         self.lost = False
 
 

@@ -768,9 +768,7 @@ class Sim:
         self._verified: set[tuple] = set()  # triples intake verified, until committed or quarantined
         self.upload_digests: dict[int, bytes] = {}
         self.log: list[tuple] = []  # every happening, once, in order; append-only
-        # the signature pass of the votes tallied so far, and their
-        # validators' ids, in commit order; None outside a `step` or `run`
-        self._votes: tuple[sigpass.Stream, list[int]] | None = None
+        self._votes: sigpass.Stream | None = None  # each vote tagged with its validator; None outside `step`/`run`
         self.faults: list[FaultSpec] = []  # every fault injected, in order
 
         # (tick, sequence, handler, payload): a due event is handler(payload)
@@ -858,19 +856,18 @@ class Sim:
         The first vote that fails raises ProtocolError naming its
         validator, in place of any exception the block raised. A pass
         opened inside another leaves its votes to the outer one. The pass
-        holds only the votes no one has verified yet; the voters' ids, one
-        int a vote, are kept to the end to name the one that fails."""
+        holds only the votes no one has verified yet."""
         if self._votes is not None:
             yield
             return
-        self._votes = stream, voters = sigpass.Stream(), []
+        self._votes = stream = sigpass.Stream()
         try:
             yield
         finally:
             self._votes = None
             failing = stream.close()
             if failing is not None:
-                raise record_mod.ProtocolError(f"vote signature from {voters[failing]} does not verify")
+                raise record_mod.ProtocolError(f"vote signature from {failing} does not verify")
 
     def step(self) -> "Sim":
         """Process one tick: due events first, then any interval boundary.
@@ -1157,9 +1154,7 @@ class Sim:
             triple = record_mod.vote_triple(block_digest_value, vote, self.public_keys[vid])
             self.log.append(TapEntry(self.tick, "vote", vid, duty, triple[1], f"verdict={verdict}"))
             votes.append(vote)
-            stream, voters = self._votes
-            stream.append(triple)
-            voters.append(vid)
+            self._votes.append(triple, vid)
         result = record_mod.commit(proposal, votes, check)
         if result.committed:
             self.chain = self.chain.append(proposal.block)

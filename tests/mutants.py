@@ -99,13 +99,17 @@ CATALOG = (
     Mutant("error-line-on-stdout", CLI, 'print(f"error: {line}", file=sys.stderr)', 'print(f"error: {line}")',
            ("tests/test_cli.py",)),
     Mutant("export-drain-dropped", CLI, "deque(blocks, maxlen=0)", "pass", ("tests/test_readers.py",)),
-    # the signature pass: where a failure it verifies itself lies, and the
-    # batches a lost worker leaves
+    # the signature pass: where a failure lies in the stream, which failure
+    # names the verdict, the batches a lost worker leaves, and the tag that
+    # would read as clean
     Mutant("stream-failing-offset", SIGPASS,
-           "found = _scan(batch, 0, len(batch))\n        self._failing = min(self._failing, lo + found",
-           "found = _scan(batch, 0, len(batch))\n        self._failing = min(self._failing, found",
-           ("tests/test_sigpass.py",)),
+           "len(batch))\n        self._failing = min(self._failing, (lo + found,",
+           "len(batch))\n        self._failing = min(self._failing, (found,", ("tests/test_sigpass.py",)),
+    Mutant("first-answered-tag", SIGPASS, "popleft()\n            self._failing = min(self._failing, ",
+           "popleft()\n            self._failing = self._failing if self.failed else (", ("tests/test_sigpass.py",)),
     Mutant("lost-batch-dropped", SIGPASS, "self._verify(lo, triples)", "pass", ("tests/test_sigpass.py",)),
+    Mutant("none-tag-accepted", SIGPASS, "if tag is None:\n            raise", "if False:\n            raise",
+           ("tests/test_sigpass.py",)),
     # the simulated wire: what a delivery hands the receiver's handler
     Mutant("tamper-not-handed-on", SIMNET, "msg, value = msg._replace(tampered_by=fault), _tampered(value, pos)",
            "msg = msg._replace(tampered_by=fault)", ("tests/test_simnet.py", "tests/test_simnet_properties.py")),

@@ -278,7 +278,7 @@ def test_a_failure_a_worker_found_ends_the_callers_scan_within_a_slice(monkeypat
 
     monkeypatch.setattr(crypto, "verify", verify)
     for i in range(400):
-        stream.append((b"key", b"%d" % i, b"bad" if i == 0 else b"ok"))
+        stream.append((b"key", b"%d" % i, b"bad" if i == 0 else b"ok"), i)
     assert stream.close() == 0
     assert len(calls) <= sigpass.BATCH_TRIPLES
     assert_no_children()
@@ -519,8 +519,8 @@ def test_stream_verdict_holds_when_the_tail_is_verified_a_triple_at_a_time(monke
     verified = callers_verifies(monkeypatch)
     triples, stream = signed_triples(bad), sigpass.Stream()
     with stalled_workers(monkeypatch, tmp_path / "passed") as open_gate:
-        for triple in triples:
-            stream.append(triple)
+        for index, triple in enumerate(triples):
+            stream.append(triple, index)
         open_gate()
         assert stream.close() == (min(bad) if bad else None)
     first = sigpass.BACKLOG * (cpus - 1)
@@ -558,8 +558,8 @@ def test_a_stalled_worker_does_not_block_append(monkeypatch, tmp_path, bad):
     verified = callers_verifies(monkeypatch)
     triples, stream, passed = signed_triples(bad, 6 * sigpass.BATCH_TRIPLES), sigpass.Stream(), tmp_path / "passed"
     with stalled_workers(monkeypatch, passed) as open_gate:
-        for triple in triples:
-            stream.append(triple)
+        for index, triple in enumerate(triples):
+            stream.append(triple, index)
         assert not passed.exists()
         open_gate()
         assert stream.close() == (min(bad) if bad else None)
@@ -588,17 +588,17 @@ def test_a_worker_killed_between_batches_leaves_only_its_unanswered_batches(monk
     verified = callers_verifies(monkeypatch)
     triples, stream = signed_triples(bad, 16), sigpass.Stream()
     try:
-        for triple in triples[:4]:
-            stream.append(triple)
+        for index, triple in enumerate(triples[:4]):
+            stream.append(triple, index)
         (worker,) = stream._workers
         assert select.select([worker.answers], [], [], 30)[0] == [worker.answers]
-        for triple in triples[4:8]:
-            stream.append(triple)
+        for index, triple in enumerate(triples[4:8], 4):
+            stream.append(triple, index)
         assert [(lo, len(batch)) for lo, batch in worker.batches] == [(4, 4)]  # [0, 4) is answered
         os.kill(worker.pid, signal.SIGKILL)
         os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
-        for triple in triples[8:]:
-            stream.append(triple)
+        for index, triple in enumerate(triples[8:], 8):
+            stream.append(triple, index)
     finally:
         verdict = stream.close()
     assert verdict == (min(bad) if bad else None)
@@ -642,8 +642,8 @@ def test_a_stream_holds_only_its_unanswered_batches(monkeypatch, cpus):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for triple in triples():
-            stream.append(triple)
+        for index, triple in enumerate(triples()):
+            stream.append(triple, index)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -651,3 +651,43 @@ def test_a_stream_holds_only_its_unanswered_batches(monkeypatch, cpus):
     assert verdict is None
     assert held < 64 * 1024, f"the stream holds {held / 1024:.0f} KiB"
     assert_no_children()
+
+
+def test_the_earliest_failure_names_the_verdict_whatever_answers_first(monkeypatch):
+    # Two workers: the first holds [0, 4), which fails at 1, and waits at a
+    # gate; the second answers [4, 8), which fails at 5, and the caller
+    # takes that answer while appending [8, 12). The first worker's answer
+    # comes last, and its failure's tag is the verdict.
+    monkeypatch.setattr(sigpass, "BATCH_TRIPLES", BATCH)
+    monkeypatch.setattr(sigpass, "_cpus", lambda: 3)
+    gate_r, gate_w = os.pipe()
+    parent, scan = os.getpid(), sigpass._scan
+
+    def first_batch_waits(triples, lo, hi):
+        if os.getpid() != parent and triples[0][1] == b"triple-0":
+            select.select([gate_r], [], [], 30)
+        return scan(triples, lo, hi)
+
+    monkeypatch.setattr(sigpass, "_scan", first_batch_waits)
+    triples, stream = signed_triples((1, 5), 12), sigpass.Stream()
+    try:
+        for i, triple in enumerate(triples[:8]):
+            stream.append(triple, f"triple {i}")
+        first, second = stream._workers
+        assert select.select([second.answers], [], [], 30)[0] == [second.answers]
+        for i, triple in enumerate(triples[8:], 8):
+            stream.append(triple, f"triple {i}")
+        assert stream.failed and not second.batches and len(first.batches) == 1
+        os.write(gate_w, b"x")
+    finally:
+        verdict = stream.close()
+        os.close(gate_r)
+        os.close(gate_w)
+    assert verdict == "triple 1"
+    assert_no_children()
+
+
+def test_a_tag_of_none_is_refused():
+    # None is close()'s "every triple verified": a failing triple tagged None would read as clean
+    with pytest.raises(ValueError, match="tag may not be None"):
+        sigpass.Stream().append(signed_triples((0,), 1)[0], None)

@@ -179,6 +179,26 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=r"^line 1: class parameter must be 1\.\.64 bytes$"):
             parse_scenario(f"fault forge-record 1 at 5 class={'y' * 65}\n")
 
+    @pytest.mark.parametrize(
+        "directive, expected",
+        [
+            ("node 7 assessment", "expected: node <id> assessment <n>"),
+            ("authorize 2 3", "expected: authorize <id>"),
+            ("share 2 4 0 on 700", "expected: share <from> <to> <upload-ref> at <tick>"),
+            ("fault crash-node 1 500", "expected: fault <kind> <target> at <tick> [k=v ...]"),
+            ("run at 1200", "expected: run until <tick>"),
+        ],
+    )
+    def test_a_directive_of_the_wrong_shape_is_refused(self, directive, expected):
+        with pytest.raises(ScenarioError) as exc_info:
+            parse_scenario(directive + "\n")
+        assert str(exc_info.value) == f"line 1: {expected}"
+
+    def test_a_fault_parameter_without_a_value_is_refused(self):
+        with pytest.raises(ScenarioError) as exc_info:
+            parse_scenario("fault crash-node 1 at 500 recover\n")
+        assert str(exc_info.value) == "line 1: fault parameter 'recover' is not key=value"
+
     def test_second_run_until_rejected_with_line(self):
         with pytest.raises(ScenarioError) as exc_info:
             parse_scenario(SIX_NODES + "run until 600\nrun until 1200\n")
@@ -221,6 +241,10 @@ class TestNewSim:
     def test_rejects_config_without_validators(self):
         with pytest.raises(ValueError):
             new_sim(SimConfig(node_count=3, r_max=3, s_max=1), Scenario(run_until=0))
+
+    def test_rejects_a_negative_message_delay(self):
+        with pytest.raises(ValueError, match=r"^message delay cannot be negative$"):
+            new_sim(desk_config(message_delay_ticks=-1), SIX_NODES + "run until 0\n")
 
     def test_unknown_node_in_directive(self):
         with pytest.raises(ScenarioError) as exc_info:
@@ -653,6 +677,12 @@ run until 1200
         with pytest.raises(ValueError):
             sim.inject_fault(FaultSpec(kind="rewire", target=1, tick=10))
 
+    def test_inject_fault_refuses_a_past_tick(self):
+        sim = new_sim(desk_config(), SIX_NODES + "run until 10\n")
+        sim.run(5)
+        with pytest.raises(ValueError, match=r"^fault activation tick is in the past$"):
+            sim.inject_fault(FaultSpec(kind="crash-node", target=1, tick=5))
+
 
 class TestWireDiscipline:
     def test_no_plaintext_payload_on_the_wire(self):
@@ -991,12 +1021,12 @@ def test_block_checks_verify_each_signature_at_most_three_times(monkeypatch):
     }
     per_caller = Counter()
     for (caller, _, *triple), n in counts.items():
-        per_caller[caller, *triple] += n
+        per_caller[(caller, *triple)] += n
     for (caller, *_), n in per_caller.items():
         assert n <= (3 if caller == "validate_block" else 1), (caller, n)
     for record in uploaded_records(report):
         triple = chain_mod.RECORD.triple(record)
-        assert per_caller["receive_upload", *triple] + per_caller["validate_block", *triple] == 1
+        assert per_caller[("receive_upload", *triple)] + per_caller[("validate_block", *triple)] == 1
 
 
 @pytest.mark.parametrize("name", ["sharing.txt", "all_faults.txt"])

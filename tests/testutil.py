@@ -39,11 +39,11 @@ def failing_worker(how: str):
 
 def stream_verdict(triples) -> int | None:
     """The index of the first triple that does not verify, from one
-    `sigpass.Stream` fed all of ``triples``."""
+    `sigpass.Stream` fed all of ``triples``, each tagged with its index."""
     stream = sigpass.Stream()
     try:
-        for triple in triples:
-            stream.append(triple)
+        for index, triple in enumerate(triples):
+            stream.append(triple, index)
     finally:
         failing = stream.close()
     return failing
