@@ -12,7 +12,8 @@ Every rule is applied through one pure transition: `apply_round` takes a
 `CreditState` and a round's `RoundOutcome` and returns the next state and
 the events it booked; `apply_intake` books the intake penalty through the
 same state. Folding them over the outcomes a run logged replays its credits
-and committees.
+and committees. `CreditReason` and `RejectReason` (a refused upload or
+share) are the reasons a run's artifacts name.
 """
 
 from __future__ import annotations
@@ -42,6 +43,19 @@ class CreditReason(Enum):
     BLOCK_ERRONEOUS = "block-erroneous"
     VALIDATOR_AGREED = "validator-agreed"
     VALIDATOR_DISSENTED = "validator-dissented"
+
+
+class RejectReason(str, Enum):
+    """Why a recorder refuses an upload, or a node refuses a share it would
+    send or was sent; the value is the reason a run's log and trace name."""
+
+    PERMISSION_DENIED = "permission-denied"
+    SIGNATURE_INVALID = "signature-invalid"
+    DIGEST_MISMATCH = "digest-mismatch"
+    DECRYPTION_FAILURE = "decryption-failure"
+    DIGEST_NOT_ON_CHAIN = "digest-not-on-chain"
+    NOT_OWNER = "not-owner"
+    DATASTORE_MISS = "datastore-miss"
 
 
 class RoleAssignment(NamedTuple):
@@ -188,18 +202,18 @@ def apply_round(state: CreditState, outcome: RoundOutcome) -> tuple[CreditState,
     return state._replace(credits=credits, assignment=assignment, rounds=rounds), tuple(events)
 
 
-# the intake refusals, by `record_protocol.RejectReason` value, that the bytes the uploader signed caused
-_BLAMED_AT_INTAKE = frozenset({"signature-invalid", "digest-mismatch"})
+# the intake refusals that the bytes the uploader signed caused
+_BLAMED_AT_INTAKE = frozenset({RejectReason.SIGNATURE_INVALID, RejectReason.DIGEST_MISMATCH})
 
 
 def apply_intake(
-    state: CreditState, uploader_id: int, reason: str, tick: int
+    state: CreditState, uploader_id: int, reason: RejectReason, tick: int
 ) -> tuple[CreditState, tuple[CreditEvent, ...]]:
     """The intake rule: a recorder refused ``uploader_id``'s upload envelope
-    for ``reason``, a `RejectReason` value. The uploader is booked -1 for a
-    bad signature or a payload that does not match its signed digest; nobody
-    can be blamed for ciphertext that does not authenticate, nor for a key
-    off the permission list."""
+    for ``reason``. The uploader is booked -1 for a bad signature or a
+    payload that does not match its signed digest; nobody can be blamed for
+    ciphertext that does not authenticate, nor for a key off the permission
+    list."""
     if reason not in _BLAMED_AT_INTAKE:
         return state, ()
     events = (apply_record_outcome(uploader_id, False, tick),)

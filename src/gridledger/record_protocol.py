@@ -4,9 +4,10 @@ Uploaders request permission from the duty recorder (the permission list is
 a set of public keys), then submit an upload envelope: the signed `Record`
 they ask to commit, and the payload sealed to the recorder's key. The
 recorder opens it (`open_signed`: decrypt, check the record's signature,
-then the payload's digest), queues that same record, and re-seals the
-payload to the *uploader's* key for at-rest storage. On each block interval
-the duty recorder seals the pending queue into a block, and a committee of
+then the payload's digest; a failure raises `Rejected` with its
+`credit.RejectReason`), queues that same record, and re-seals the payload
+to the *uploader's* key for at-rest storage. On each block interval the
+duty recorder seals the pending queue into a block, and a committee of
 `credit.VALIDATOR_COUNT` re-validates it: the on-duty supervisor and
 candidates drawn from the seeded RNG. `credit.QUORUM` ok votes commit it,
 and otherwise `QUORUM` flags on a record quarantine it;
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import chain as chain_mod
@@ -29,7 +29,7 @@ from . import credit as credit_mod
 from . import crypto
 from .chain import Block, BlockCheck, Record, RecordMetadata
 from .codec import BOOL, Fixed, Layout, ListOf, Nested, Signed, UInt, VarBytes
-from .credit import QUORUM, VALIDATOR_COUNT, RoleAssignment
+from .credit import QUORUM, VALIDATOR_COUNT, RejectReason, RoleAssignment
 from .crypto import Envelope, Keypair
 from .datastore import StoredObject
 from .sigpass import Triple
@@ -37,19 +37,6 @@ from .sigpass import Triple
 
 class ProtocolError(Exception):
     """Misuse of the protocol surface (wrong validator, bad vote set...)."""
-
-
-class RejectReason(Enum):
-    """Why a recorder refuses an upload, or a node refuses a share it would
-    send or was sent; the value is the reason a run's log and trace name."""
-
-    PERMISSION_DENIED = "permission-denied"
-    SIGNATURE_INVALID = "signature-invalid"
-    DIGEST_MISMATCH = "digest-mismatch"
-    DECRYPTION_FAILURE = "decryption-failure"
-    DIGEST_NOT_ON_CHAIN = "digest-not-on-chain"
-    NOT_OWNER = "not-owner"
-    DATASTORE_MISS = "datastore-miss"
 
 
 class Rejected(Exception):

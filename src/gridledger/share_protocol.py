@@ -21,9 +21,10 @@ from typing import NamedTuple
 from . import crypto
 from .chain import Chain, RecordKind, RecordMetadata
 from .codec import Fixed, Layout, Signed, UInt, VarBytes
+from .credit import RejectReason
 from .crypto import Envelope, Keypair
 from .datastore import DataStore
-from .record_protocol import RejectReason, Rejected, open_signed
+from .record_protocol import Rejected, open_signed
 
 
 class ShareEnvelope(NamedTuple):

@@ -34,8 +34,8 @@ first vote that fails raises `ProtocolError`.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation. The queue, `Sim.pending`, maps each record to the
-forge-record fault that made it, if any: that is what the validators judge
-it by.
+forge-record fault that made it, if any, which the validators judge it by,
+and to the triple intake verified, the only triples the round's check skips.
 
 A round is committed once, not once per node. Each node's replica is a view
 of the canonical chain: the number of its blocks the node holds (all of
@@ -106,10 +106,10 @@ from . import share_protocol as share_mod
 from . import sigpass
 from .chain import Block, Chain, Record, RecordKind, RecordMetadata
 from .codec import U64, Layout
-from .credit import CreditEvent, CreditReason, RoleAssignment, RoundOutcome
+from .credit import CreditEvent, CreditReason, RejectReason, RoleAssignment, RoundOutcome
 from .crypto import Keypair, digest, generate_keypair
 from .datastore import DataStore, RepairReport, ReplicaStatus, StorageError
-from .record_protocol import UPLOAD_ENVELOPE, UPLOAD_GRANT, UPLOAD_REQUEST, RejectReason, Rejected
+from .record_protocol import UPLOAD_ENVELOPE, UPLOAD_GRANT, UPLOAD_REQUEST, Rejected
 from .share_protocol import SHARE_ENVELOPE, ShareTransaction
 
 
@@ -510,11 +510,11 @@ class Refusal(NamedTuple):
     kind: str
     src: int
     dst: int
-    reason: str
+    reason: RejectReason
 
     def trace_text(self) -> str:
         detail = {"upload-grant": "denied", "share-reject": "reason={}"}.get(self.kind, "rejected={}")
-        return _line(self.tick, self.kind, self.src, self.dst, detail.format(self.reason))
+        return _line(self.tick, self.kind, self.src, self.dst, detail.format(self.reason.value))
 
 
 class EpochChange(NamedTuple):
@@ -755,8 +755,7 @@ class Sim:
         for nid, line in scenario.authorized:
             self._require_node(nid, line)
         self.permissions = frozenset(self.nodes[nid].keypair.public_key for nid, _ in scenario.authorized)
-        self.public_keys = {nid: node.keypair.public_key for nid, node in self.nodes.items()}
-        self.uploader_ids = {key: nid for nid, key in self.public_keys.items()}
+        self.uploader_ids = {node.keypair.public_key: nid for nid, node in self.nodes.items()}
 
         self.chain = Chain((chain_mod.genesis(),))
         self._live = tuple(self.nodes)  # ids of the nodes not crashed, in `nodes` order
@@ -764,8 +763,7 @@ class Sim:
 
         self.store = DataStore([f"u{i}" for i in range(STORAGE_UNIT_COUNT)], REPLICATION_FACTOR)
 
-        self.pending: dict[Record, int | None] = {}  # in arrival order, to the forge-record fault behind it
-        self._verified: set[tuple] = set()  # triples intake verified, until committed or quarantined
+        self.pending: dict[Record, tuple[int | None, sigpass.Triple]] = {}  # in arrival order: (forge, triple)
         self.upload_digests: dict[int, bytes] = {}
         self.log: list[tuple] = []  # every happening, once, in order; append-only
         self._votes: sigpass.Stream | None = None  # each vote tagged with its validator; None outside `step`/`run`
@@ -927,18 +925,16 @@ class Sim:
             self._trace("share-skip", plan.sender, plan.receiver, "sender crashed")
             return
         payload_digest = self.upload_digests.get(plan.upload_ref)
-        if payload_digest is None:
-            reason = RejectReason.DIGEST_NOT_ON_CHAIN.value
-            self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, reason))
-            return
         receiver_key = self.nodes[plan.receiver].keypair.public_key
-        self._trace_rng("seal-share", f"to={plan.receiver}")
         try:
+            if payload_digest is None:
+                raise Rejected(RejectReason.DIGEST_NOT_ON_CHAIN)
+            self._trace_rng("seal-share", f"to={plan.receiver}")
             envelope = share_mod.initiate_share(
                 sender.keypair, receiver_key, payload_digest, self.chain, self.store, self.rng
             )
         except Rejected as exc:
-            self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, exc.reason.value))
+            self.log.append(Refusal(self.tick, "share-reject", plan.sender, plan.receiver, exc.reason))
             return
         self._send("share-envelope", plan.sender, plan.receiver, envelope)
 
@@ -1031,9 +1027,11 @@ class Sim:
 
     # --- message delivery -------------------------------------------------------
 
-    def _note_tamper_caught(self, msg: _Msg, reason: str) -> None:
+    def _refuse(self, msg: _Msg, reason: RejectReason) -> None:
+        """Log the `Refusal` of ``msg``; it catches a tamper-in-flight fault on ``msg``."""
+        self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, reason))
         if msg.tampered_by is not None:
-            self._fault_step(msg.tampered_by, f"; rejected={reason}", append=True, detected=True)
+            self._fault_step(msg.tampered_by, f"; rejected={reason.value}", append=True, detected=True)
 
     def _deliver(self, msg: _Msg) -> None:
         """Hand a live receiver's handler the one decode of the bytes that
@@ -1062,7 +1060,7 @@ class Sim:
 
     def _on_upload_grant(self, msg: _Msg, grant: record_mod.UploadGrant) -> None:
         if not grant.granted:
-            self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, RejectReason.PERMISSION_DENIED.value))
+            self._refuse(msg, RejectReason.PERMISSION_DENIED)
             return
         self._trace("upload-grant", msg.src, msg.dst, "granted")
         self._trace_rng("seal-upload", f"uploader={msg.dst}")
@@ -1077,14 +1075,12 @@ class Sim:
         try:
             stored = record_mod.receive_upload(recorder.keypair, envelope, self.permissions, self.rng)
         except Rejected as exc:
-            self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
-            self.credit, events = credit_mod.apply_intake(self.credit, msg.src, exc.reason.value, self.tick)
+            self._refuse(msg, exc.reason)
+            self.credit, events = credit_mod.apply_intake(self.credit, msg.src, exc.reason, self.tick)
             self.log += events
-            self._note_tamper_caught(msg, exc.reason.value)
             return
         record = envelope.record
-        self.pending.setdefault(record, msg.flow.forge)
-        self._verified.add(chain_mod.RECORD.triple(record))
+        self.pending.setdefault(record, (msg.flow.forge, chain_mod.RECORD.triple(record)))
         try:
             self.store.put(stored)
         except StorageError as exc:
@@ -1097,8 +1093,7 @@ class Sim:
         try:
             payload = share_mod.receive_share(receiver.keypair, envelope)
         except Rejected as exc:
-            self.log.append(Refusal(self.tick, msg.kind, msg.src, msg.dst, exc.reason.value))
-            self._note_tamper_caught(msg, exc.reason.value)
+            self._refuse(msg, exc.reason)
             return
         self.log.append(ShareDelivery(self.tick, msg.src, msg.dst, envelope.claimed_digest, payload))
         tx = ShareTransaction(
@@ -1137,11 +1132,12 @@ class Sim:
             self.log.append(TapEntry(self.tick, "proposal", duty, vid, block_data, detail))
         votes = []
         block_digest_value = chain_mod.block_digest(proposal.block)
-        check = chain_mod.validate_block(proposal.block, self.chain.tip, self._verified)
+        verified = {triple for _, triple in self.pending.values()}
+        check = chain_mod.validate_block(proposal.block, self.chain.tip, verified)
         for vid in proposal.validator_ids:
             validator = self.nodes[vid]
             vote = record_mod.validate_proposal(
-                validator.keypair, vid, proposal, check, lambda record: self.pending[record] is None
+                validator.keypair, vid, proposal, check, lambda record: self.pending[record][0] is None
             )
             if validator.byzantine:
                 inverted_ok = not vote.ok
@@ -1151,26 +1147,24 @@ class Sim:
                 )
                 self._trace("byzantine", vid, duty, f"inverted verdict to ok={inverted_ok}")
             verdict = "ok" if vote.ok else "erroneous" + str(list(vote.bad_indices))
-            triple = record_mod.vote_triple(block_digest_value, vote, self.public_keys[vid])
+            triple = record_mod.vote_triple(block_digest_value, vote, validator.keypair.public_key)
             self.log.append(TapEntry(self.tick, "vote", vid, duty, triple[1], f"verdict={verdict}"))
             votes.append(vote)
             self._votes.append(triple, vid)
         result = record_mod.commit(proposal, votes, check)
         if result.committed:
             self.chain = self.chain.append(proposal.block)
-            self._verified.clear()
             # stands for one commit-notice TapEntry per live node
             self.log.append(CommitNotice(self.tick, duty, self._live, self._down, block_digest_value))
-            for forge in self.pending.values():
+            for forge, _ in self.pending.values():
                 if forge is not None:
                     self._fault_step(forge, f"committed-undetected@{self.tick}")
             self.pending = {}
             credited, block = proposal.block.records, len(self.chain) - 1
         else:
             for index, record in result.quarantined:
-                self._verified.discard(chain_mod.RECORD.triple(record))
                 self.log.append(QuarantineEntry(self.tick, index, record))
-                forge = self.pending.pop(record)
+                forge, _ = self.pending.pop(record)
                 if forge is not None:
                     self._fault_step(forge, f"quarantined@{self.tick}", detected=True)
             credited, block = [record for _, record in result.quarantined], None

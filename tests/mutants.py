@@ -79,9 +79,8 @@ CATALOG = (
            ("tests/test_credit.py", "tests/test_record_protocol.py")),
     Mutant("quarantine-penalty", CREDIT, "1 if correct else -1", "1 if correct else 0",
            ("tests/test_credit.py", "tests/test_record_protocol.py")),
-    Mutant("intake-blame", CREDIT, '_BLAMED_AT_INTAKE = frozenset({"signature-invalid", "digest-mismatch"})',
-           '_BLAMED_AT_INTAKE = frozenset({"signature-invalid", "digest-mismatch", "decryption-failure"})',
-           ("tests/test_credit.py",)),
+    Mutant("intake-blame", CREDIT, "RejectReason.DIGEST_MISMATCH})",
+           "RejectReason.DIGEST_MISMATCH, RejectReason.DECRYPTION_FAILURE})", ("tests/test_credit.py",)),
     Mutant("skipped-round-uncounted", CREDIT, "rounds = state.rounds + 1",
            "rounds = state.rounds + bool(outcome.votes)", ("tests/test_credit.py",)),
     # the round's committee and its tally
@@ -115,6 +114,10 @@ CATALOG = (
            "msg = msg._replace(tampered_by=fault)", ("tests/test_simnet.py", "tests/test_simnet_properties.py")),
     Mutant("crashed-receiver-handles", SIMNET, '"dropped=crashed")\n            return\n', '"dropped=crashed")\n',
            ("tests/test_simnet.py", "tests/test_simnet_properties.py")),
+    # the intake memo: the round skips the triples intake verified, not
+    # those of the records as they are now
+    Mutant("memo-from-records", SIMNET, "verified = {triple for _, triple in self.pending.values()}",
+           "verified = {chain_mod.RECORD.triple(r) for r in self.pending}", ("tests/test_simnet.py",)),
 )
 
 

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
 from gridledger import crypto, sigpass
+from gridledger.codec import encode_var_bytes
 from gridledger.chain import (
     BlockDecodeError,
     Chain,
@@ -311,6 +312,49 @@ def test_lost_worker_chunk_is_verified_by_the_caller(tmp_path, monkeypatch, how,
     assert len(forks) == 1
     assert verdict == expected == serial_verdict(chain.blocks)
     assert returned.read_text(encoding="ascii") == f"{parent}\n"
+    assert_no_children()
+
+
+def test_a_worker_gone_before_its_first_frame_is_lost_at_once(monkeypatch):
+    # the worker exits before it reads: sending it the first frame breaks
+    # its pipe, so the caller loses it while it holds no batch and verifies
+    # every batch itself
+    fork, lose, held = os.fork, sigpass.Stream._lose, []
+
+    def exiting_fork():
+        pid = fork()
+        if pid == 0:
+            os._exit(0)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # it has exited, and is not reaped
+        return pid
+
+    def recording_lose(stream, worker):
+        held.append(len(worker.batches))
+        lose(stream, worker)
+
+    monkeypatch.setattr(os, "fork", exiting_fork)
+    monkeypatch.setattr(sigpass.Stream, "_lose", recording_lose)
+    chain = tampered_chain({(N_BLOCKS, 1)})
+    with forced_split(2) as forks:
+        assert verify_chain(chain) == serial_verdict(chain.blocks) == Violation(N_BLOCKS, "bad-signature")
+    assert len(forks) == 1 and held == [0]
+    assert_no_children()
+
+
+def test_a_worker_answers_each_frame_and_exits_0_when_its_frames_end():
+    triples = chain_triples(tampered_chain({(1, 1)}))[: 2 * BATCH]
+    worker = sigpass._fork()
+    try:
+        frame = b"".join(encode_var_bytes(field) for triple in triples for field in triple)
+        sigpass._write(worker.frames, encode_var_bytes(frame))
+        answer = os.read(worker.answers, sigpass._ANSWER.size)
+    finally:
+        os.close(worker.frames)
+    assert sigpass._ANSWER.unpack(answer) == (3,) == (sigpass._scan(triples, 0, len(triples)),)
+    assert os.read(worker.answers, 1) == b""  # it answered that frame only
+    os.close(worker.answers)
+    _, status = os.waitpid(worker.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
     assert_no_children()
 
 

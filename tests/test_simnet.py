@@ -18,7 +18,7 @@ from gridledger import chain as chain_mod
 from gridledger import crypto, record_protocol, sigpass, simnet
 from gridledger.chain import Chain, RecordKind
 from gridledger.codec import ByteReader
-from gridledger.credit import QUORUM, CreditEvent, CreditReason, fold_events
+from gridledger.credit import QUORUM, CreditEvent, CreditReason, RejectReason, fold_events
 from gridledger.record_protocol import ProtocolError
 from gridledger.simnet import (
     FaultSpec,
@@ -877,6 +877,24 @@ def test_plans_the_run_cannot_carry_out_are_traced(name, lines):
     assert [line for line in traced if line in lines] == lines
 
 
+# each kind of refusal's trace detail, ``{}`` standing for its reason
+REFUSAL_DETAILS = {
+    "upload-grant": "denied",
+    "upload-envelope": "rejected={}",
+    "share-envelope": "rejected={}",
+    "share-reject": "reason={}",
+}
+
+
+@pytest.mark.parametrize("reason", list(RejectReason), ids=[r.value for r in RejectReason])
+@pytest.mark.parametrize("kind", list(REFUSAL_DETAILS))
+def test_a_refusal_traces_the_value_of_its_reason(kind, reason):
+    # the goldens reach only some reasons; each renders as its value, not
+    # as the member's name, which formatting the member gives on Python 3.11
+    line = simnet.Refusal(9, kind, 2, 4, reason).trace_text()
+    assert line == f"9\t{kind}\t2\t4\t{REFUSAL_DETAILS[kind].format(reason.value)}\n"
+
+
 def test_fault_outcome_edge_cases_pinned():
     # a second crash of a crashed node, a forger that crashed, a block
     # index past the copy's end, and a tamper armed long before it applies
@@ -1042,7 +1060,7 @@ def test_block_checks_verify_each_signature_once_per_block(monkeypatch, name):
     report = run(sim)
     assert report.records_committed > 0
     # a triple is dropped once its record is committed or quarantined
-    assert sim._verified == {chain_mod.RECORD.triple(r) for r in report.pending_left}
+    assert [triple for _, triple in sim.pending.values()] == [chain_mod.RECORD.triple(r) for r in report.pending_left]
     checked = Counter()
     for (caller, block, *triple), n in counts.items():
         if caller in ("receive_upload", "validate_block"):
@@ -1281,7 +1299,7 @@ def test_a_direct_step_verifies_its_rounds_votes(monkeypatch):
 
 def sent_votes(sim, report) -> Counter:
     """(validator key, signed bytes) of each vote the run's tap carries."""
-    return Counter((sim.public_keys[e.src], e.data) for e in report.tap if e.kind == "vote")
+    return Counter((sim.nodes[e.src].keypair.public_key, e.data) for e in report.tap if e.kind == "vote")
 
 
 def test_each_vote_triple_is_verified_once_in_process(monkeypatch):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from gridledger import chain as chain_mod
 from gridledger import credit, simnet
-from gridledger.credit import CreditReason, fold_events
+from gridledger.credit import CreditReason, RejectReason, fold_events
 from gridledger.simnet import (
     EpochChange,
     FaultKind,
@@ -165,6 +165,7 @@ def test_random_scenario_loads_cleanly_or_runs(seed, lines, horizon):
     assert chain_mod.verify_chain(report.chain) is None
     assert report.credits == sim.credit.credits  # the fold of the logged events is the live state
     assert replayed(report) == recorded(report)
+    assert all(type(f.reason) is RejectReason for f in report.upload_failures + report.share_failures)
     for nid in sim.nodes:
         full = chain_mod.verify_chain(sim.replica(nid))
         expected = "ok" if full is None else f"violation@{full.index}:{full.reason}"
