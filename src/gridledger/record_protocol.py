@@ -115,13 +115,17 @@ _OK = VOTE.offset("ok")  # where a vote's verdict starts in its signed bytes
 
 class Vote(NamedTuple):
     """A validator's signed verdict on a block. ``signed`` is the
-    `VOTE.signing_bytes` the signature covers, built once; ``ok`` and
-    ``bad_indices`` read the verdict from them, so the verdict that is
-    tallied is the one that was signed."""
+    `VOTE.signing_bytes` the signature covers, built once; ``block_digest``,
+    ``ok`` and ``bad_indices`` read the verdict from them, so the verdict
+    that is tallied is the one that was signed."""
 
     validator_id: int
     signed: bytes
     signature: bytes
+
+    @property
+    def block_digest(self) -> bytes:
+        return self.signed[:_OK]
 
     @property
     def ok(self) -> bool:
@@ -211,15 +215,11 @@ def sign_vote(
     return Vote(validator_id, signed, crypto.sign(validator.private_key, signed))
 
 
-def vote_triple(block_digest: bytes, vote: Vote, public_key: bytes) -> Triple:
-    """The (key, signed bytes, signature) triple that checks ``vote`` on the
-    block with ``block_digest``, as `sigpass` takes it: the validator's
-    roster key ``public_key`` and the vote's own `VOTE.signing_bytes`, or,
-    for a vote signed on another block, its verdict on this one."""
-    signed = vote.signed
-    if not signed.startswith(block_digest):
-        signed = block_digest + signed[len(block_digest):]
-    return public_key, signed, vote.signature
+def vote_triple(vote: Vote, public_key: bytes) -> Triple:
+    """The (key, signed bytes, signature) triple `sigpass` checks ``vote``
+    by: the validator's roster key ``public_key`` and the vote's own
+    `VOTE.signing_bytes`. `commit` has admitted only votes on its block."""
+    return public_key, vote.signed, vote.signature
 
 
 def validate_proposal(
@@ -234,9 +234,7 @@ def validate_proposal(
     check serves the whole committee. Per record, the scenario's validity
     predicate is applied too. The verdict is ok only if everything holds;
     otherwise the offending record indices are flagged (header-level
-    failures flag none)."""
-    if validator_id not in proposal.validator_ids:
-        raise ProtocolError(f"node {validator_id} is not an assigned validator")
+    failures flag none). `commit` checks that the voter is assigned."""
     block = proposal.block
     bad: tuple[int, ...] = ()
     if check.fault is None:
@@ -250,22 +248,24 @@ def validate_proposal(
 
 
 def commit(proposal: ProposedBlock, votes: Sequence[Vote], check: BlockCheck) -> CommitResult:
-    """Tally exactly `VALIDATOR_COUNT` votes, one from each assigned
-    validator. Their signatures are not checked here: the caller verifies
-    each vote's `vote_triple`, and its failure can only abort the run, since
-    a vote's signature steers nothing. The tally moves no credit: the caller
-    hands the votes to `credit.apply_round`. A majority ok
-    (`credit.majority`) commits the block, which the caller appends;
-    ``check``, the validators' `validate_block` of the block against the
-    tip, is the gate: if it holds a fault, that fault is raised. Majority
-    erroneous quarantines each record `QUORUM` votes flag; the rest stay
-    pending."""
+    """Admit exactly `VALIDATOR_COUNT` votes, one from each assigned
+    validator and each on the proposed block (`Vote.block_digest`), or raise
+    `ProtocolError` naming the validator: a vote's one gate. Signatures are
+    not checked here: the caller verifies each admitted vote's `vote_triple`,
+    and its failure can only abort the run, since a vote's signature steers
+    nothing. The tally moves no credit: the caller hands the votes to
+    `credit.apply_round`. A majority ok (`credit.majority`) commits the
+    block, which the caller appends, unless ``check``, the validators'
+    `validate_block` of it against the tip, holds a fault: that is raised.
+    Otherwise each record `QUORUM` votes flag is quarantined."""
     if len(votes) != VALIDATOR_COUNT:
         raise ProtocolError(f"expected {VALIDATOR_COUNT} votes, got {len(votes)}")
-    seen = set()
+    block_digest, seen = chain_mod.block_digest(proposal.block), set()
     for vote in votes:
         if vote.validator_id not in proposal.validator_ids or vote.validator_id in seen:
             raise ProtocolError(f"vote from unassigned validator {vote.validator_id}")
+        if vote.block_digest != block_digest:
+            raise ProtocolError(f"vote from {vote.validator_id} judges another block")
         seen.add(vote.validator_id)
 
     if credit_mod.majority([vote.ok for vote in votes]):

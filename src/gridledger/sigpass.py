@@ -6,7 +6,7 @@ appended in chain (or commit) order, each with a tag naming its source: it
 gives the tag of the first one `crypto.verify` rejects. `chain.verify_blocks`
 appends each block's triples, tagged with the block's index, once its
 structure is checked, `simnet.Sim.run` each round's votes, tagged with their
-validators' ids, as it tallies them. One standing worker per spare CPU,
+validators' ids, as `commit` admits them. One standing worker per spare CPU,
 forked with `os.fork()` as full batches of `BATCH_TRIPLES` come in, lasts
 the whole pass: a batch goes to it as one frame (the `codec` layout) over a
 pipe, and it answers each, in order, with the position of its first failing
@@ -152,8 +152,7 @@ class Stream:
         data = os.read(worker.answers, _ANSWER.size * len(worker.batches))
         whole = len(data) - len(data) % _ANSWER.size
         for (found,) in _ANSWER.iter_unpack(data[:whole]):
-            lo, batch = worker.batches.popleft()
-            self._failing = min(self._failing, (lo + found, batch[found][1]) if found >= 0 else _NONE)
+            self._found(*worker.batches.popleft(), found)
         if whole == 0 or whole < len(data):
             self._lose(worker)
 
@@ -168,7 +167,10 @@ class Stream:
 
     def _verify(self, lo: int, batch: list[tuple[Triple, object]]) -> None:
         """Verify ``batch``, whose first triple is index ``lo``, in this process."""
-        found = _scan([triple for triple, _ in batch], 0, len(batch))
+        self._found(lo, batch, _scan([triple for triple, _ in batch]))
+
+    def _found(self, lo: int, batch: list[tuple[Triple, object]], found: int) -> None:
+        """Keep the earlier failure: the known one, or ``batch[found]`` (-1: none)."""
         self._failing = min(self._failing, (lo + found, batch[found][1]) if found >= 0 else _NONE)
 
 
@@ -190,10 +192,10 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _scan(triples: Sequence[Triple], lo: int, hi: int) -> int:
-    """Index of the first failing triple in ``triples[lo:hi]``, or -1."""
-    for i in range(lo, hi):
-        if not crypto.verify(*triples[i]):
+def _scan(triples: Sequence[Triple]) -> int:
+    """Index of the first failing triple in ``triples``, or -1."""
+    for i, triple in enumerate(triples):
+        if not crypto.verify(*triple):
             return i
     return -1
 
@@ -217,7 +219,6 @@ def _fork() -> _Worker | None:
         # The worker: whatever happens, it leaves here through os._exit and
         # never runs the caller's code. It answers each batch framed on its
         # pipe until that pipe ends or it is killed.
-        status = 1
         try:
             os.close(frames_w)
             os.close(answers_r)
@@ -227,10 +228,9 @@ def _fork() -> _Worker | None:
                     batch, triples = ByteReader(body), []
                     while batch.mark() < len(body):
                         triples.append((batch.var_bytes(), batch.var_bytes(), batch.var_bytes()))
-                    _write(answers_w, _ANSWER.pack(_scan(triples, 0, len(triples))))
-            status = 0
+                    _write(answers_w, _ANSWER.pack(_scan(triples)))
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(frames_r)
     os.close(answers_w)
     return _Worker(pid, frames_w, answers_r)

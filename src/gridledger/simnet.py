@@ -5,32 +5,31 @@ envelope entropy, validator sampling, fault targets), each draw leaving a
 labeled line in the trace, so a (seed, config, scenario) triple always
 reproduces byte-identical outputs.
 
-Time is discrete ticks (1 tick = 1 simulated second; the
-10-minute block interval is 600 ticks). `Sim.step` advances one tick;
-`Sim.run` visits only the ticks where something happens (a due event or an
-interval boundary) and jumps over the rest, on which `step` would do
-nothing. Data-path messages (upload request, grant, envelope, share
-envelope) travel with a configurable delay, default one tick. A message is
-only its bytes: `Sim._send` encodes a value once, in its kind's `codec`
-layout (`_DATA_PATH`), and the tap logs those bytes; `Sim._deliver` decodes
-them once, for a live receiver, and hands its handler the value. A
-``tamper-in-flight`` fault flips a bit of the decoded envelope's payload
-ciphertext, as flipping it in the bytes would. The recorder learns who
-uploads from the request it granted (the message's sender); an upload's
-`_UploadFlow` holds only the simulator's bookkeeping: what its uploader
-seals once granted, and the forge-record fault that made it. The
-seal/validate/vote/commit round runs atomically at each interval-boundary
-tick, with its proposal/vote/commit-notice messages traced at that tick; a
-block sealed at tick T is therefore decided at tick T. The round validates
-its block once, skipping the record signatures intake verified (by exact
-triple): the validators share that check, and `record_protocol.commit`
-gates on it, so the block is appended without another check. Record and
-recorder signatures are verified where their verdict is read; a vote's
-signature steers nothing, so `commit` tallies votes unverified and each
-`run` (or a direct `step`) verifies all the votes it tallied in one
-`sigpass.Stream`: standing workers, one per spare CPU, take full batches
-as the run goes on, and the process only what they have no room for. The
-first vote that fails raises `ProtocolError`.
+Time is discrete ticks (1 tick = 1 simulated second; the 10-minute block
+interval is 600 ticks). Every happening, a round among them, is an event on
+one queue: round r runs at tick (r + 1) * interval, after every other event
+of that tick, and schedules round r + 1. `Sim.step` runs one tick's due
+events; `Sim.run` visits only the ticks with one due. Data-path messages
+(upload request, grant, envelope, share envelope) travel with a configurable
+delay, default one tick. A message is only its bytes: `Sim._send` encodes a
+value once, in its kind's `codec` layout (`_DATA_PATH`), and the tap logs
+those bytes; `Sim._deliver` decodes them once, for a live receiver, and
+hands its handler the value. A ``tamper-in-flight`` fault flips a bit of the
+decoded envelope's payload ciphertext, as flipping it in the bytes would.
+The recorder learns who uploads from the request it granted (the message's
+sender); an upload's `_UploadFlow` holds only the simulator's bookkeeping:
+what its uploader seals once granted, and the forge-record fault that made
+it. The seal/validate/vote/commit round runs atomically, with its
+proposal/vote/commit-notice messages traced at its tick, so a block sealed
+at tick T is decided at tick T. The round validates its block once, skipping
+the record signatures intake verified (by exact triple): the validators
+share that check, and `record_protocol.commit` gates on it, so the block is
+appended without another check. Record and recorder signatures are verified
+where their verdict is read. A vote's signature steers nothing: `commit`
+admits a vote (an assigned validator's, on this block) unverified, and each
+`run` (or a direct `step`) verifies all it admitted in one `sigpass.Stream`:
+standing workers, one per spare CPU, take full batches as the run goes on,
+and the process the rest. The first vote that fails raises `ProtocolError`.
 Pending records live in one shared queue drained by whichever recorder is on
 duty when the interval closes, so an upload is never stranded by a mid-flight
 duty rotation. The queue, `Sim.pending`, maps each record to the
@@ -92,6 +91,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -769,9 +769,10 @@ class Sim:
         self._votes: sigpass.Stream | None = None  # each vote tagged with its validator; None outside `step`/`run`
         self.faults: list[FaultSpec] = []  # every fault injected, in order
 
-        # (tick, sequence, handler, payload): a due event is handler(payload)
+        # (tick, sequence, handler, payload): a due event is handler(payload); never empty, as the next round is one
         self._events: list[tuple[int, int, Callable, object]] = []
         self._seq = 0
+        self._schedule_round(0)
         self._fault_handlers: dict[FaultKind, Callable[[int], None]] = {
             FaultKind.FORGE_RECORD: self._on_forge_record,
             FaultKind.TAMPER_CHAIN_COPY: self._on_tamper_chain_copy,
@@ -800,6 +801,11 @@ class Sim:
     def _schedule(self, tick: int, handler: Callable, payload: object) -> None:
         heapq.heappush(self._events, (tick, self._seq, handler, payload))
         self._seq += 1
+
+    def _schedule_round(self, round_index: int) -> None:
+        """Round ``round_index`` runs at its interval's end, last of that tick."""
+        end = (round_index + 1) * self.config.block_interval_ticks
+        heapq.heappush(self._events, (end, sys.maxsize, self._consensus_round, round_index))
 
     def _trace(self, kind: str, src: int | None, dst: int | None, detail: str) -> None:
         self.log.append(Note(self.tick, kind, src, dst, detail))
@@ -868,45 +874,37 @@ class Sim:
                 raise record_mod.ProtocolError(f"vote signature from {failing} does not verify")
 
     def step(self) -> "Sim":
-        """Process one tick: due events first, then any interval boundary.
+        """Process one tick: run its due events, in order (a round last).
         A round's votes are verified before `step` returns, unless `run` is
         stepping: then they go to the run's pass."""
         with self._vote_pass():
-            t = self.tick
-            while self._events and self._events[0][0] <= t:
+            while self._events[0][0] <= self.tick:
                 _, _, handler, payload = heapq.heappop(self._events)
                 handler(payload)
-            interval = self.config.block_interval_ticks
-            if t > 0 and t % interval == 0:
-                self._consensus_round(t // interval - 1)
             self.tick += 1
         return self
 
     def run(self, until_tick: int | None = None) -> SimReport:
         """Step to ``until_tick`` and report. Between steps, time jumps to
-        the next tick with an event due or an interval boundary: a tick with
-        neither is one `step` would only count. Every vote the run tallies
-        goes to one signature pass: a standing worker per spare CPU takes
-        full batches while the run goes on, unless all have a backlog, and
-        the rest are verified, and the workers reaped, before the report is
-        built or when a step raises.
-        A vote that fails raises ProtocolError and no report is returned.
-        A horizon before the last tick already stepped raises ValueError;
-        the last tick itself reports without stepping."""
+        the next tick with an event due (the queue always holds the next
+        round): a tick with none is one `step` would only count. Every vote
+        the run admits goes to one signature pass: a standing worker per
+        spare CPU takes full batches while the run goes on, unless all have
+        a backlog, and the rest are verified, and the workers reaped, before
+        the report is built or when a step raises. A vote that fails raises
+        ProtocolError and no report is returned. A horizon before the last
+        tick already stepped raises ValueError; the last tick itself reports
+        without stepping."""
         if until_tick is None:
             until_tick = self.scenario.run_until
         if until_tick is None:
             raise ValueError("no horizon: scenario has no 'run until' and none was given")
         if until_tick < self.tick - 1:
             raise ValueError(f"horizon {until_tick} is before tick {self.tick - 1}, already stepped")
-        interval = self.config.block_interval_ticks
         with self._vote_pass():
             while self.tick <= until_tick:
                 self.step()
-                upcoming = min(-(-self.tick // interval) * interval, until_tick + 1)
-                if self._events:
-                    upcoming = min(upcoming, self._events[0][0])
-                self.tick = max(self.tick, upcoming)
+                self.tick = min(self._events[0][0], until_tick + 1)
         return self._build_report(until_tick)
 
     # --- scheduled actions ---------------------------------------------------
@@ -1108,6 +1106,7 @@ class Sim:
     # --- consensus ---------------------------------------------------------------
 
     def _consensus_round(self, round_index: int) -> None:
+        self._schedule_round(round_index + 1)
         duty = credit_mod.duty_recorder(self.credit.assignment, round_index)
         crash = self.nodes[duty].crash
         if crash is not None:  # a crash is caught at its first missed duty
@@ -1147,11 +1146,12 @@ class Sim:
                 )
                 self._trace("byzantine", vid, duty, f"inverted verdict to ok={inverted_ok}")
             verdict = "ok" if vote.ok else "erroneous" + str(list(vote.bad_indices))
-            triple = record_mod.vote_triple(block_digest_value, vote, validator.keypair.public_key)
-            self.log.append(TapEntry(self.tick, "vote", vid, duty, triple[1], f"verdict={verdict}"))
+            self.log.append(TapEntry(self.tick, "vote", vid, duty, vote.signed, f"verdict={verdict}"))
             votes.append(vote)
-            self._votes.append(triple, vid)
         result = record_mod.commit(proposal, votes, check)
+        for vote in votes:  # admitted: each under the roster key of the validator it names
+            key = self.nodes[vote.validator_id].keypair.public_key
+            self._votes.append(record_mod.vote_triple(vote, key), vote.validator_id)
         if result.committed:
             self.chain = self.chain.append(proposal.block)
             # stands for one commit-notice TapEntry per live node

@@ -60,8 +60,7 @@ CATALOG = (
     # the chain's and the credit rules' checks
     Mutant("timestamp-regression", CHAIN, "header.timestamp_tick < prev_block.header.timestamp_tick",
            "header.timestamp_tick <= prev_block.header.timestamp_tick", ("tests/test_chain.py",)),
-    # what a signature covers: each layout's one declaration, and the vote
-    # triple that reads a vote's bytes as a verdict on the block it judges
+    # what a signature covers: each layout's one declaration
     Mutant("signed-field-dropped", CHAIN,
            'covers=("prev_block_digest", "timestamp_tick", "merkle_root", "recorder_public_key")',
            'covers=("prev_block_digest", "merkle_root", "recorder_public_key")', ("tests/test_chain.py",)),
@@ -83,12 +82,11 @@ CATALOG = (
            "RejectReason.DIGEST_MISMATCH, RejectReason.DECRYPTION_FAILURE})", ("tests/test_credit.py",)),
     Mutant("skipped-round-uncounted", CREDIT, "rounds = state.rounds + 1",
            "rounds = state.rounds + bool(outcome.votes)", ("tests/test_credit.py",)),
-    # the round's committee and its tally
+    # the round's committee, the one gate its votes pass, and its tally
     Mutant("committee-one-short", RECORD, "rng.sample(pool, VALIDATOR_COUNT - 1)",
            "rng.sample(pool, VALIDATOR_COUNT - 2)", ("tests/test_record_protocol.py",)),
     Mutant("one-flag-quarantines", RECORD, "flags[i] >= QUORUM", "flags[i] >= 1", ("tests/test_record_protocol.py",)),
-    Mutant("vote-on-another-block", RECORD,
-           "    if not signed.startswith(block_digest):\n        signed = block_digest + signed[len(block_digest):]\n", "",
+    Mutant("vote-on-another-block", RECORD, "if vote.block_digest != block_digest:", "if False:",
            ("tests/test_record_protocol.py",)),
     # the one opener of a signed, sealed payload, for upload and share intake alike
     Mutant("opener-skips-digest", RECORD,
@@ -101,14 +99,16 @@ CATALOG = (
     # the signature pass: where a failure lies in the stream, which failure
     # names the verdict, the batches a lost worker leaves, and the tag that
     # would read as clean
-    Mutant("stream-failing-offset", SIGPASS,
-           "len(batch))\n        self._failing = min(self._failing, (lo + found,",
-           "len(batch))\n        self._failing = min(self._failing, (found,", ("tests/test_sigpass.py",)),
-    Mutant("first-answered-tag", SIGPASS, "popleft()\n            self._failing = min(self._failing, ",
-           "popleft()\n            self._failing = self._failing if self.failed else (", ("tests/test_sigpass.py",)),
+    Mutant("stream-failing-offset", SIGPASS, "self._failing = min(self._failing, (lo + found,",
+           "self._failing = min(self._failing, (found,", ("tests/test_sigpass.py",)),
+    Mutant("first-answered-tag", SIGPASS, "self._failing = min(self._failing, ",
+           "self._failing = self._failing if self.failed else (", ("tests/test_sigpass.py",)),
     Mutant("lost-batch-dropped", SIGPASS, "self._verify(lo, triples)", "pass", ("tests/test_sigpass.py",)),
     Mutant("none-tag-accepted", SIGPASS, "if tag is None:\n            raise", "if False:\n            raise",
            ("tests/test_sigpass.py",)),
+    # the one event queue: a round runs last among its tick's events
+    Mutant("round-before-its-tick", SIMNET, "sys.maxsize, self._consensus_round", "-1, self._consensus_round",
+           ("tests/test_simnet.py",)),
     # the simulated wire: what a delivery hands the receiver's handler
     Mutant("tamper-not-handed-on", SIMNET, "msg, value = msg._replace(tampered_by=fault), _tampered(value, pos)",
            "msg = msg._replace(tampered_by=fault)", ("tests/test_simnet.py", "tests/test_simnet_properties.py")),

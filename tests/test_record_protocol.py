@@ -191,12 +191,6 @@ class TestValidateProposal:
         vote = validate_proposal(keys[3], 3, proposal, check_of(proposal, genesis("other")), lambda r: True)
         assert not vote.ok and vote.bad_indices == ()
 
-    def test_unassigned_validator_rejected(self, net):
-        keys, _, _ = net
-        chain, proposal = make_proposal(net, [])
-        with pytest.raises(ProtocolError):
-            validate_proposal(keys[1], 1, proposal, check_of(proposal, chain.tip), lambda r: True)
-
     def test_vote_signature_verifies(self, net):
         keys, _, _ = net
         chain, proposal = make_proposal(net, [(10, b"x")])
@@ -288,25 +282,35 @@ class TestCommit:
     def test_unverifiable_vote_signature_rejected(self, net):
         # commit tallies votes unverified; the caller's signature pass over
         # their `vote_triple`s rejects a vote whose verdict no longer
-        # matches its signature, or that was signed on another block, and
-        # points at that vote
+        # matches its signature, and points at that vote
         keys, chain, proposal, pks = commit_env(net, [])
         votes = votes_for(keys, proposal, [(True, ())] * 3)
         block_digest = chain_mod.block_digest(proposal.block)
         forged = votes[1]._replace(signed=VOTE.signing_bytes(SignedVerdict(block_digest, False, ())))
         assert not forged.ok and forged.bad_indices == ()
-        elsewhere = sign_vote(keys[votes[1].validator_id], votes[1].validator_id, crypto.digest(b"other"), True, ())
 
         def triples(tallied):
-            return [vote_triple(block_digest, v, pks[v.validator_id]) for v in tallied]
+            return [vote_triple(v, pks[v.validator_id]) for v in tallied]
 
         assert stream_verdict(triples(votes)) is None
         assert stream_verdict(triples([votes[0], forged, votes[2]])) == 1
-        assert stream_verdict(triples([votes[0], elsewhere, votes[2]])) == 1
         # what the validator signed: its key, `VOTE.signing_bytes`, its signature
         assert triples(votes)[0] == (
             pks[votes[0].validator_id], VOTE.signing_bytes(SignedVerdict(block_digest, True, ())), votes[0].signature
         )
+
+    def test_vote_on_another_block_rejected(self, net):
+        # a vote signed on another block verifies as its own statement, so
+        # commit is its gate: it refuses the vote and names its validator
+        keys, chain, proposal, pks = commit_env(net, [])
+        votes = votes_for(keys, proposal, [(True, ())] * 3)
+        vid = votes[1].validator_id
+        elsewhere = sign_vote(keys[vid], vid, crypto.digest(b"other"), True, ())
+        assert elsewhere.block_digest == crypto.digest(b"other")
+        assert votes[1].block_digest == chain_mod.block_digest(proposal.block)
+        assert stream_verdict([vote_triple(elsewhere, pks[vid])]) is None
+        with pytest.raises(ProtocolError, match=f"^vote from {vid} judges another block$"):
+            commit(proposal, [votes[0], elsewhere, votes[2]], check_of(proposal, chain.tip))
 
     def test_timestamp_regression_voted_erroneous_and_not_committed(self, net):
         keys, assignment, permissions = net

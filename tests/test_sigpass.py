@@ -350,7 +350,7 @@ def test_a_worker_answers_each_frame_and_exits_0_when_its_frames_end():
         answer = os.read(worker.answers, sigpass._ANSWER.size)
     finally:
         os.close(worker.frames)
-    assert sigpass._ANSWER.unpack(answer) == (3,) == (sigpass._scan(triples, 0, len(triples)),)
+    assert sigpass._ANSWER.unpack(answer) == (3,) == (sigpass._scan(triples),)
     assert os.read(worker.answers, 1) == b""  # it answered that frame only
     os.close(worker.answers)
     _, status = os.waitpid(worker.pid, 0)
@@ -363,10 +363,10 @@ def interrupted_caller():
     scans as usual in a worker."""
     parent, scan = os.getpid(), sigpass._scan
 
-    def scan_or_raise(triples, lo, hi):
+    def scan_or_raise(triples):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return scan(triples, lo, hi)
+        return scan(triples)
 
     return scan_or_raise
 
@@ -524,12 +524,12 @@ def stalled_workers(monkeypatch, passed):
     gate_r, gate_w = os.pipe()
     parent, scan = os.getpid(), sigpass._scan
 
-    def scan_after_the_gate(triples, lo, hi):
+    def scan_after_the_gate(triples):
         if os.getpid() != parent and not passed.exists():
             select.select([gate_r], [], [], 30)
             with open(passed, "a", encoding="ascii") as fh:
                 fh.write(f"{os.getpid()}\n")
-        return scan(triples, lo, hi)
+        return scan(triples)
 
     monkeypatch.setattr(sigpass, "_scan", scan_after_the_gate)
     try:
@@ -622,11 +622,11 @@ def test_a_worker_killed_between_batches_leaves_only_its_unanswered_batches(monk
     parent, scan = os.getpid(), sigpass._scan
     calls = []
 
-    def stall_on_the_second_batch(triples, lo, hi):
+    def stall_on_the_second_batch(triples):
         calls.append(None)
         if os.getpid() != parent and len(calls) > 1:
             time.sleep(30)
-        return scan(triples, lo, hi)
+        return scan(triples)
 
     monkeypatch.setattr(sigpass, "_scan", stall_on_the_second_batch)
     verified = callers_verifies(monkeypatch)
@@ -707,10 +707,10 @@ def test_the_earliest_failure_names_the_verdict_whatever_answers_first(monkeypat
     gate_r, gate_w = os.pipe()
     parent, scan = os.getpid(), sigpass._scan
 
-    def first_batch_waits(triples, lo, hi):
+    def first_batch_waits(triples):
         if os.getpid() != parent and triples[0][1] == b"triple-0":
             select.select([gate_r], [], [], 30)
-        return scan(triples, lo, hi)
+        return scan(triples)
 
     monkeypatch.setattr(sigpass, "_scan", first_batch_waits)
     triples, stream = signed_triples((1, 5), 12), sigpass.Stream()

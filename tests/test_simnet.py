@@ -304,6 +304,15 @@ class TestRun:
         assert sim.tick == 1301
         assert report.records_committed == 1
 
+    def test_a_boundary_ticks_events_run_before_its_round(self):
+        # the envelope sent at 599 is accepted at 600, the first round's
+        # tick, and joins that round's block: a round is the last event of
+        # its tick, after every message delivered at it
+        scenario = SIX_NODES + "authorize 2\nupload 2 load 8 at 597\nrun until 600\n"
+        report = run(new_sim(desk_config(), scenario))
+        assert "600\tupload-envelope\t2\t0\taccepted" in "\n".join(report.trace_lines)
+        assert report.records_committed == 1 and report.pending_left == ()
+
     def test_missing_horizon_errors(self):
         sim = new_sim(desk_config(), SIX_NODES)
         with pytest.raises(ValueError):
@@ -777,6 +786,22 @@ class TestShareFlow:
         ]
         assert len(committed_shares) == len(report.deliveries) == 1
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 3(a): the store and owner check key on the payload digest alone")
+    def test_an_owner_shares_its_upload_of_bytes_another_node_also_uploaded(self):
+        # nodes 2 and 4 upload identical bytes and both records commit; node
+        # 4 owns its own upload, so its share of it is delivered
+        scenario = (
+            SIX_NODES
+            + "authorize 2\nauthorize 4\n"
+            + "upload 2 load 0 at 10\nupload 4 load 0 at 20\n"
+            + "share 4 5 1 at 1300\n"
+            + "run until 1400\n"
+        )
+        report = run(new_sim(desk_config(), scenario))
+        assert report.records_committed == 2
+        assert report.share_failures == ()
+        assert [(d.sender, d.receiver) for d in report.deliveries] == [(4, 5)]
+
 
 def test_liveness_under_random_honest_scenarios():
     # every granted upload lands on-chain within two block intervals
@@ -1161,12 +1186,12 @@ def slow_worker(monkeypatch, forks: list[int], seconds: float, done: Path) -> No
     the file lists batches in the order they were done."""
     parent, scan = os.getpid(), sigpass._scan
 
-    def scan_slowly(triples, lo, hi):
+    def scan_slowly(triples):
         if os.getpid() == parent:
-            return scan(triples, lo, hi)
+            return scan(triples)
         if not forks and not done.exists():
             time.sleep(seconds)
-        found = scan(triples, lo, hi)
+        found = scan(triples)
         with open(done, "a", encoding="ascii") as fh:
             fh.write(f"{len(forks)} {found}\n")
         return found

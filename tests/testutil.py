@@ -27,12 +27,12 @@ def failing_worker(how: str):
     """A `sigpass._scan` that, in a worker, raises or exits without writing."""
     parent, scan = os.getpid(), sigpass._scan
 
-    def scan_or_fail(triples, lo, hi):
+    def scan_or_fail(triples):
         if os.getpid() != parent:
             if how == "raise":
                 raise RuntimeError("worker failed")
             os._exit(0)
-        return scan(triples, lo, hi)
+        return scan(triples)
 
     return scan_or_fail
 
